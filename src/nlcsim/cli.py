@@ -22,8 +22,8 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, config_hash, parse_config, serialize_config
 from .dynamics import (
     SolverError,
+    solve_sde_with_jumps,
     solve_skeleton,
-    solve_small_noise_sde,
     solve_stochastic_convolution,
     state_to_text,
 )
@@ -99,22 +99,20 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     solver_cfg = cfg.build_solver_config()
     init = cfg.build_init(solver_cfg.grid)
     phi = cfg.build_control()
-    traj = solve_small_noise_sde(init, cfg.simulate_eps, phi, solver_cfg, seed=cfg.seed)
+    eps = cfg.simulate_eps
+    # the SDE sees the tilt only through its jumps: draw them once, replay, and save them
     jumps = thin_to_control(
-        solver_cfg.mark_space,
-        solver_cfg.t_final,
-        phi,
-        1.0 / cfg.simulate_eps,
-        rng_for(cfg.seed, "sde-jumps"),
+        solver_cfg.mark_space, solver_cfg.t_final, phi, 1.0 / eps, rng_for(cfg.seed, "sde-jumps")
     )
-    _write(out_dir, "sde_trajectory.csv", traj.to_csv(_headers(cfg, (f"kind=sde eps={cfg.simulate_eps}",))))
+    traj = solve_sde_with_jumps(init, eps, jumps, solver_cfg)
+    _write(out_dir, "sde_trajectory.csv", traj.to_csv(_headers(cfg, (f"kind=sde eps={eps}",))))
     _write(out_dir, "jumps.txt", _with_headers(cfg, jumps.to_text()))
     _write(out_dir, "final_state.txt", _with_headers(cfg, state_to_text(traj.final_state())))
     _echo_config(cfg, out_dir)
     if traj.diverged:
         print(_error_record("diverged", "jump-driven run hit the blow-up guard"), file=sys.stderr)
         return EXIT_NUMERICAL
-    print(f"simulate: eps={cfg.simulate_eps}, {jumps.size} jumps -> {out_dir}/sde_trajectory.csv")
+    print(f"simulate: eps={eps}, {jumps.size} jumps -> {out_dir}/sde_trajectory.csv")
     return EXIT_OK
 
 
@@ -191,8 +189,7 @@ def cmd_mc_ldp(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
         phi=phi,
         threads=threads,
     )
-    conv_text = "\n".join(f"# {h}" for h in _headers(cfg)) + "\neps,mean_sup_sq\n"
-    conv_text += "\n".join(f"{r['eps']:.17g},{r['mean_sup_sq']:.17g}" for r in conv_rows) + "\n"
+    conv_text = study_rows_csv(conv_rows, _headers(cfg), columns=("eps", "mean_sup_sq"))
     _write(out_dir, "convolution_scaling.csv", conv_text)
     _echo_config(cfg, out_dir)
     medians = [r["median"] for r in rows]
@@ -224,7 +221,9 @@ def cmd_importance(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     _echo_config(cfg, out_dir)
     print(
         f"importance: tilted={tilted['estimate']:.5g} (se {tilted['std_error']:.2g}) "
-        f"plain={plain['estimate']:.5g} (se {plain['std_error']:.2g})"
+        f"plain={plain['estimate']:.5g} (se {plain['std_error']:.2g}) "
+        f"log_estimate={tilted['log_estimate']:.6g} ess={tilted['ess']:.4g} "
+        f"max_weight_share={tilted['max_weight_share']:.3g}"
     )
     return EXIT_OK
 

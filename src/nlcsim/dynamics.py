@@ -3,10 +3,15 @@
 One first-order IMEX scheme drives everything: the linear (Stokes and
 director Laplacian) parts are integrated exactly per Fourier mode with the
 factor exp(-|k|^2 dt), while convection, director stress, the polynomial
-relaxation, control drift, and jump increments enter explicitly.  The
-deterministic skeleton flow, the small-noise jump SDE, and the auxiliary
-jump convolution all share the stepping core, so zeroing the noise makes
-the SDE solver agree with the skeleton bit for bit.
+relaxation, control drift, and jump increments enter explicitly.
+
+``_run`` is the one stepping loop: the skeleton flow, the small-noise jump
+SDE, and the auxiliary jump convolution all pass through it, so zeroing
+the noise makes the SDE agree with the skeleton bit for bit.  It evaluates
+the control drift once per step and turns its diagnostic rows into columns
+once, in ``_trajectory``.  ``_draw_jumps`` is the one draw of a seed's jump
+configuration, and each public ``solve_*`` calls only these private
+helpers, never another public solver.
 
 Jumps realized in [t, t + dt) are aggregated at the step boundary using
 the pre-step left limit of the velocity.  Every update leaves the velocity
@@ -46,9 +51,10 @@ from .spectral import (
     ScalarField,
     TorusGrid,
     VectorField,
+    h1_seminorm,
     l2_inner,
     l2_norm,
-    h1_seminorm,
+    laplacian_vec,
     v_norm,
 )
 
@@ -169,24 +175,12 @@ class Trajectory:
     def final_state(self) -> SpectralState:
         return self.snapshots[-1]
 
-    def max_energy(self) -> float:
-        return float(np.max(self.psi + 0.5 * self.u_l2**2))
-
     def to_csv(self, header_lines: tuple[str, ...] = ()) -> str:
         buf = io.StringIO()
         for line in header_lines:
             buf.write(f"# {line}\n")
         buf.write(",".join(DIAG_COLUMNS) + "\n")
-        cols = [
-            self.times,
-            self.u_l2,
-            self.u_h1,
-            self.theta_l2,
-            self.theta_h1,
-            self.psi,
-            self.dissipation,
-            self.energy_residual,
-        ]
+        cols = [self.times] + [getattr(self, name) for name in DIAG_COLUMNS[1:]]
         for row in zip(*cols):
             buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
         return buf.getvalue()
@@ -209,7 +203,7 @@ def cutoff_chi(norm_value: float, level: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides
+# right-hand side
 
 
 def _nonlinear_terms(u, theta, cfg: SolverConfig):
@@ -234,41 +228,60 @@ def _energy_row(u, theta, nl: PolynomialNonlinearity | None):
     if nl is not None:
         rep = energy_psi(u, theta, nl)
         return rep.psi_total, rep.dissipation
-    from .spectral import laplacian_vec
-
     elastic = 0.5 * h1_seminorm(theta) ** 2
     dissipation = h1_seminorm(u) ** 2 + l2_norm(laplacian_vec(theta)) ** 2
     return elastic, dissipation
-
-
-def skeleton_rhs(state: SpectralState, g: Control | None, cfg: SolverConfig):
-    """Full instantaneous right-hand side of the controlled deterministic flow."""
-    nu, ntheta = _nonlinear_terms(state.u, state.theta, cfg)
-    du = nu - DivergenceFreeField(
-        ScalarField.from_coeffs(cfg.grid, cfg.grid.ksq() * state.u.c1.coeffs),
-        ScalarField.from_coeffs(cfg.grid, cfg.grid.ksq() * state.u.c2.coeffs),
-    )
-    dtheta = ntheta - VectorField(
-        ScalarField.from_coeffs(cfg.grid, cfg.grid.ksq() * state.theta.c1.coeffs),
-        ScalarField.from_coeffs(cfg.grid, cfg.grid.ksq() * state.theta.c2.coeffs),
-    )
-    if g is not None and cfg.mark_space is not None:
-        du = du + control_drift(state.time, state.u, g, cfg.mark_space, cfg.jump_spec)
-    return du, dtheta
 
 
 # ---------------------------------------------------------------------------
 # the shared stepping core
 
 
-def _integrating_factor(grid: TorusGrid, dt: float) -> np.ndarray:
-    return np.exp(-grid.ksq() * dt)
-
-
 def _apply_factor_vec(w: VectorField, factor: np.ndarray, divfree: bool) -> VectorField:
     c1 = ScalarField.from_coeffs(w.grid, factor * w.c1.coeffs)
     c2 = ScalarField.from_coeffs(w.grid, factor * w.c2.coeffs)
     return DivergenceFreeField(c1, c2) if divfree else VectorField(c1, c2)
+
+
+def _require_noise(epsilon: float, cfg: SolverConfig):
+    if epsilon <= 0:
+        raise SolverError("epsilon must be positive")
+    if cfg.mark_space is None:
+        raise SolverError("config carries no mark space / jump spec")
+
+
+def _draw_jumps(epsilon: float, phi: Control | None, cfg: SolverConfig, seed: int):
+    """(tilt, jumps): the seed's configuration at intensity (1/epsilon) phi theta."""
+    _require_noise(epsilon, cfg)
+    if phi is None:
+        phi = Control.unit(cfg.t_final, 1, cfg.mark_space.size)
+    rng = rng_for(seed, "sde-jumps")
+    return phi, thin_to_control(cfg.mark_space, cfg.t_final, phi, 1.0 / epsilon, rng)
+
+
+# per-row diagnostics recorded by _run, in row-tuple order
+_ROW_FIELDS = (
+    "times", "u_l2", "u_h1", "theta_l2", "theta_h1", "psi", "dissipation", "drift_pairing"
+)
+
+
+def _trajectory(kind: str, cfg: SolverConfig, status: str, rows: list, snaps: list) -> Trajectory:
+    """Column arrays from the row tuples, plus the skeleton's balance residuals.
+
+    Skeleton rows one step apart get E[k+1] - E[k] + dt D[k] - dt W[k],
+    with E = psi + |u|^2/2, D the dissipation and W the drift pairing.
+    """
+    cols = dict(zip(_ROW_FIELDS, np.array(rows, dtype=float).T.copy()))
+    residual = np.zeros_like(cols["times"])
+    if kind == "skeleton":
+        energy = cols["psi"] + 0.5 * cols["u_l2"] ** 2
+        diss, pairing = cols["dissipation"][:-1], cols["drift_pairing"][:-1]
+        delta = energy[1:] - energy[:-1] + cfg.dt * diss - cfg.dt * pairing
+        residual[:-1] = np.where(np.abs(np.diff(cols["times"]) - cfg.dt) < 1e-12, delta, 0.0)
+    return Trajectory(
+        kind, cfg.dt, status, energy_residual=residual,
+        snapshot_times=np.array([s.time for s in snaps]), snapshots=snaps, **cols,
+    )
 
 
 def _run(
@@ -283,131 +296,76 @@ def _run(
 
     With ``epsilon`` set, the velocity receives the aggregated jump
     increments minus the unit compensator (the control tilt is then carried
-    by the realized jump intensity, not by an explicit drift); without it,
-    the control enters through the deterministic drift of the skeleton flow.
+    by the realized jump intensity, not by an explicit drift, and only sets
+    the convolution's compensator); without it, the control enters through
+    the deterministic drift of the skeleton flow.
     """
-    grid = cfg.grid
+    grid, dt, diag_stride = cfg.grid, cfg.dt, cfg.effective_diag_stride
     if init.grid != grid:
         raise SolverError("initial state grid does not match config grid")
-    n_steps = cfg.n_steps
-    diag_stride = cfg.effective_diag_stride
-    factor = _integrating_factor(grid, cfg.dt)
     stochastic = epsilon is not None
-    if stochastic and cfg.mark_space is None:
-        raise SolverError("stochastic run requires a mark space and jump spec")
+    if stochastic:
+        _require_noise(epsilon, cfg)
+        step_of = np.minimum((jumps.times / dt).astype(int), cfg.n_steps - 1)
+        first_event = np.searchsorted(step_of, np.arange(cfg.n_steps + 1))
     ms, spec = cfg.mark_space, cfg.jump_spec
-
-    events_by_step: dict[int, list[int]] = {}
-    if jumps is not None and jumps.size:
-        idx = np.minimum((jumps.times / cfg.dt).astype(int), n_steps - 1)
-        for j, k in enumerate(idx):
-            events_by_step.setdefault(int(k), []).append(j)
+    drifted = control is not None and ms is not None and not stochastic
+    factor = np.exp(-grid.ksq() * dt)
 
     u, theta = init.u, init.theta
     xi = DivergenceFreeField(ScalarField.zeros(grid), ScalarField.zeros(grid))
-
-    rows = []
-    snaps: list[SpectralState] = []
-    snap_times = []
-    xi_rows = []
-    xi_snaps: list[SpectralState] = []
+    rows, snaps, xi_rows, xi_snaps = [], [], [], []
     status = "ok"
-    prev_row = None  # (index into rows, energy, dissipation, drift pairing)
 
-    def record(t: float):
-        nonlocal prev_row
-        drift_pair = 0.0
-        if control is not None and not stochastic and ms is not None:
-            drift_pair = l2_inner(control_drift(t, u, control, ms, spec), u)
+    def record(t: float, drift):
         if cfg.energy_diagnostics:
             psi_val, diss_val = _energy_row(u, theta, cfg.nonlinearity)
         else:
             psi_val = diss_val = 0.0
-        row = {
-            "t": t,
-            "u_l2": l2_norm(u),
-            "u_h1": h1_seminorm(u),
-            "theta_l2": l2_norm(theta),
-            "theta_h1": h1_seminorm(theta),
-            "psi": psi_val,
-            "dissipation": diss_val,
-            "energy_residual": 0.0,
-            "drift_pairing": drift_pair,
-        }
-        if prev_row is not None and not stochastic:
-            i, e_prev, d_prev, w_prev, t_prev = prev_row
-            if abs((t - t_prev) - cfg.dt) < 1e-12:
-                e_now = row["psi"] + 0.5 * row["u_l2"] ** 2
-                rows[i]["energy_residual"] = (
-                    e_now - e_prev + cfg.dt * d_prev - cfg.dt * w_prev
-                )
-        rows.append(row)
-        prev_row = (
-            len(rows) - 1,
-            row["psi"] + 0.5 * row["u_l2"] ** 2,
-            row["dissipation"],
-            row["drift_pairing"],
-            t,
-        )
+        pairing = l2_inner(drift, u) if drift is not None else 0.0
+        norms = (l2_norm(u), h1_seminorm(u), l2_norm(theta), h1_seminorm(theta))
+        rows.append((t, *norms, psi_val, diss_val, pairing))
         if track_convolution:
-            xi_rows.append(
-                {
-                    "t": t,
-                    "u_l2": l2_norm(xi),
-                    "u_h1": h1_seminorm(xi),
-                    "theta_l2": 0.0,
-                    "theta_h1": 0.0,
-                    "psi": 0.0,
-                    "dissipation": 0.0,
-                    "energy_residual": 0.0,
-                    "drift_pairing": 0.0,
-                }
-            )
+            xi_rows.append((t, l2_norm(xi), h1_seminorm(xi), 0.0, 0.0, 0.0, 0.0, 0.0))
 
-    for k in range(n_steps):
-        t = k * cfg.dt
+    def snapshot(t: float):
+        snaps.append(SpectralState(u, theta, t))
+        if track_convolution:
+            xi_snaps.append(SpectralState(xi, VectorField.zeros(grid), t))
+
+    for k in range(cfg.n_steps):
+        t = k * dt
+        drift = control_drift(t, u, control, ms, spec) if drifted else None
         if k % diag_stride == 0:
-            record(t)
+            record(t, drift)
         if k % cfg.snapshot_stride == 0:
-            snaps.append(SpectralState(u, theta, t))
-            snap_times.append(t)
-            if track_convolution:
-                xi_snaps.append(SpectralState(xi, VectorField.zeros(grid), t))
+            snapshot(t)
 
         nu, ntheta = _nonlinear_terms(u, theta, cfg)
-        if not stochastic and control is not None and ms is not None:
-            nu = nu + control_drift(t, u, control, ms, spec)
+        if drift is not None:
+            nu = nu + drift
 
-        jump_u = None
-        jump_xi = None
+        jump_u = jump_xi = None
         if stochastic:
             comp = compensator_integral(t, u, ms, spec)
-            jump_u = (-cfg.dt) * comp
+            jump_u = (-dt) * comp
             if track_convolution:
-                phi_row = control.row(t) if control is not None else np.ones(ms.size)
-                comp_xi = None
-                for i in range(ms.size):
-                    term = (ms.weights[i] * phi_row[i]) * eval_G(t, u, i, spec)
-                    comp_xi = term if comp_xi is None else comp_xi + term
-                jump_xi = (-cfg.dt) * comp_xi
-            for j in events_by_step.get(k, ()):
+                # sum_i w_i phi_i G(u, v_i) = compensator + drift of the tilt phi
+                jump_xi = (-dt) * (comp + control_drift(t, u, control, ms, spec))
+            for j in range(first_event[k], first_event[k + 1]):
                 g_field = epsilon * eval_G(float(jumps.times[j]), u, int(jumps.marks[j]), spec)
                 jump_u = jump_u + g_field
                 if track_convolution:
                     jump_xi = jump_xi + g_field
 
-        if cfg.freeze_velocity:
-            u_next = u
-        else:
-            incr = u + cfg.dt * nu
+        if not cfg.freeze_velocity:
+            incr = u + dt * nu
             if jump_u is not None:
                 incr = incr + jump_u
-            u_next = _apply_factor_vec(incr, factor, divfree=True)
-        theta_next = _apply_factor_vec(theta + cfg.dt * ntheta, factor, divfree=False)
+            u = _apply_factor_vec(incr, factor, divfree=True)
+        theta = _apply_factor_vec(theta + dt * ntheta, factor, divfree=False)
         if track_convolution:
             xi = _apply_factor_vec(xi + jump_xi, factor, divfree=True)
-
-        u, theta = u_next, theta_next
 
         if not (u.is_finite() and theta.is_finite()) or (
             l2_norm(u) > cfg.blowup_threshold or v_norm(theta) > cfg.blowup_threshold
@@ -416,44 +374,18 @@ def _run(
             break
 
     if status == "ok":
-        t_end = n_steps * cfg.dt
-        record(t_end)
-        snaps.append(SpectralState(u, theta, t_end))
-        snap_times.append(t_end)
-        if track_convolution:
-            xi_snaps.append(SpectralState(xi, VectorField.zeros(grid), t_end))
+        t_end = cfg.n_steps * dt
+        record(t_end, control_drift(t_end, u, control, ms, spec) if drifted else None)
+        snapshot(t_end)
 
-    def build(kind: str, rws, sts, stimes) -> Trajectory:
-        def arr(key):
-            return np.array([r[key] for r in rws])
-
-        return Trajectory(
-            kind=kind,
-            dt=cfg.dt,
-            status=status,
-            times=arr("t"),
-            u_l2=arr("u_l2"),
-            u_h1=arr("u_h1"),
-            theta_l2=arr("theta_l2"),
-            theta_h1=arr("theta_h1"),
-            psi=arr("psi"),
-            dissipation=arr("dissipation"),
-            energy_residual=arr("energy_residual"),
-            drift_pairing=arr("drift_pairing"),
-            snapshot_times=np.array(stimes),
-            snapshots=sts,
-        )
-
-    kind = "sde" if stochastic else "skeleton"
-    main = build(kind, rows, snaps, snap_times)
+    main = _trajectory("sde" if stochastic else "skeleton", cfg, status, rows, snaps)
     if track_convolution:
-        conv = build("convolution", xi_rows, xi_snaps, snap_times[: len(xi_snaps)])
-        return main, conv
+        return main, _trajectory("convolution", cfg, status, xi_rows, xi_snaps)
     return main
 
 
 # ---------------------------------------------------------------------------
-# public solvers
+# public solvers (each calls only private helpers: one solver call, one run)
 
 
 def solve_skeleton(init: SpectralState, g: Control | None, cfg: SolverConfig) -> Trajectory:
@@ -473,15 +405,8 @@ def solve_small_noise_sde(
     Deterministic given the seed: the jump configuration is drawn once by
     thinning and replayed through the fixed-step loop.
     """
-    if epsilon <= 0:
-        raise SolverError("epsilon must be positive")
-    if cfg.mark_space is None:
-        raise SolverError("config carries no mark space / jump spec")
-    phi_eff = phi if phi is not None else Control.unit(cfg.t_final, 1, cfg.mark_space.size)
-    jumps = thin_to_control(
-        cfg.mark_space, cfg.t_final, phi_eff, 1.0 / epsilon, rng_for(seed, "sde-jumps")
-    )
-    return _run(init, cfg, control=phi_eff, epsilon=epsilon, jumps=jumps)
+    _, jumps = _draw_jumps(epsilon, phi, cfg, seed)
+    return _run(init, cfg, epsilon=epsilon, jumps=jumps)
 
 
 def solve_sde_with_jumps(
@@ -493,13 +418,10 @@ def solve_sde_with_jumps(
     """Jump-driven system on a caller-supplied point configuration.
 
     Used by importance sampling, where the jump configuration is coupled
-    to the base configuration the tilt weight is computed from.
+    to the base configuration the tilt weight is computed from, and to
+    replay a saved ``jumps.txt``.
     """
-    if epsilon <= 0:
-        raise SolverError("epsilon must be positive")
-    if cfg.mark_space is None:
-        raise SolverError("config carries no mark space / jump spec")
-    return _run(init, cfg, control=None, epsilon=epsilon, jumps=jumps)
+    return _run(init, cfg, epsilon=epsilon, jumps=jumps)
 
 
 def solve_stochastic_convolution(
@@ -516,17 +438,8 @@ def solve_stochastic_convolution(
     jump coefficient to that path; returns the convolution trajectory
     (velocity slot holds the convolution, director slot is zero).
     """
-    if epsilon <= 0:
-        raise SolverError("epsilon must be positive")
-    if cfg.mark_space is None:
-        raise SolverError("config carries no mark space / jump spec")
-    phi_eff = phi if phi is not None else Control.unit(cfg.t_final, 1, cfg.mark_space.size)
-    jumps = thin_to_control(
-        cfg.mark_space, cfg.t_final, phi_eff, 1.0 / epsilon, rng_for(seed, "sde-jumps")
-    )
-    _, conv = _run(
-        init, cfg, control=phi_eff, epsilon=epsilon, jumps=jumps, track_convolution=True
-    )
+    phi, jumps = _draw_jumps(epsilon, phi, cfg, seed)
+    _, conv = _run(init, cfg, control=phi, epsilon=epsilon, jumps=jumps, track_convolution=True)
     return conv
 
 

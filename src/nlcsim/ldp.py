@@ -15,7 +15,13 @@ covers problems with at most two control coordinates.
 Monte Carlo studies quantify how jump-driven paths concentrate on the
 deterministic flow as the noise size shrinks, and the importance sampler
 reweights tilted simulations back to the reference measure through the
-exponential martingale density.
+exponential martingale density.  All four Monte Carlo drivers run their
+paths through ``_run_paths``, which excludes and counts diverged paths
+and fails the study above 1% of them.  The importance and plain
+estimators share ``_weighted_estimate``, which keeps the weights as
+logarithms: the estimate and its standard error are formed with a max
+shift (log-sum-exp), and the result carries ``log_estimate``, the
+effective sample size and the largest weight share.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .dynamics import (
     solve_sde_with_jumps,
     solve_skeleton,
     solve_small_noise_sde,
+    solve_stochastic_convolution,
     state_distance_sq_split,
     sup_state_distance,
 )
@@ -202,14 +209,66 @@ def brute_force_rate(prob: RateProblem, grid_values: Sequence[float]) -> RateSol
 
 
 # ---------------------------------------------------------------------------
-# small-noise Monte Carlo study
+# Monte Carlo driver: every study runs its paths through ``_run_paths``
 
 
-def _map_paths(fn: Callable[[int], float], n_paths: int, threads: int) -> list:
+def _map_paths(fn: Callable[[int], object], n_paths: int, threads: int) -> list:
     if threads <= 1:
         return [fn(k) for k in range(n_paths)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(n_paths)))
+
+
+def _run_paths(fn: Callable[[int], object], n_paths: int, threads: int, what: str):
+    """(results of the paths that did not diverge, number of diverged paths).
+
+    ``fn(k)`` returns NaN, or a tuple holding NaN, for a diverged path.
+    Diverged paths are excluded and counted; more than 1% of them fails
+    the study.
+    """
+    vals = np.asarray(_map_paths(fn, n_paths, threads), dtype=float)
+    diverged = np.isnan(vals.reshape(n_paths, -1)).any(axis=1)
+    bad = int(diverged.sum())
+    if bad > 0.01 * n_paths:
+        raise StudyError(f"{bad}/{n_paths} paths diverged ({what})")
+    return vals[~diverged], bad
+
+
+def _weighted_estimate(samples: np.ndarray, n_diverged: int) -> dict:
+    """Mean of f * w over per-path rows (log w, f), formed in the log domain.
+
+    The terms are shifted by the largest log(f w) before they are
+    exponentiated (log-sum-exp), so ``log_estimate`` stays finite when the
+    weights themselves underflow.  ``ess`` = (sum w)^2 / sum w^2 and
+    ``max_weight_share`` = max w / sum w describe the weights alone.
+    """
+    log_w, f = samples[:, 0], samples[:, 1]
+    if np.any(f < 0):
+        raise ValueError("event indicator values must be nonnegative")
+    n = f.size
+    with np.errstate(divide="ignore"):
+        log_terms = log_w + np.log(f)
+        shift = float(np.max(log_terms)) if np.any(f > 0) else 0.0
+        terms = np.exp(log_terms - shift)
+        mean = float(np.mean(terms))
+        log_estimate = shift + float(np.log(mean))
+    scale = float(np.exp(shift))
+    var = float(np.var(terms, ddof=1)) if n > 1 else float("inf")
+    w = np.exp(log_w - np.max(log_w))
+    return {
+        "estimate": scale * mean,
+        "std_error": scale * float(np.sqrt(var / n)),
+        "n_paths": n,
+        "n_diverged": n_diverged,
+        "sample_variance": scale**2 * var,
+        "log_estimate": log_estimate,
+        "ess": float(np.sum(w) ** 2 / np.sum(w**2)),
+        "max_weight_share": float(1.0 / np.sum(w)),
+    }
+
+
+# ---------------------------------------------------------------------------
+# small-noise Monte Carlo study
 
 
 def mc_small_noise_study(
@@ -244,15 +303,9 @@ def mc_small_noise_study(
     for i, eps in enumerate(eps_list):
         def one(k: int, eps=eps, i=i) -> float:
             traj = solve_small_noise_sde(init, eps, phi, cfg, seed=int(path_seeds[i, k]))
-            if traj.diverged:
-                return float("nan")
-            return sup_state_distance(traj, skel)
+            return float("nan") if traj.diverged else sup_state_distance(traj, skel)
 
-        dists = np.asarray(_map_paths(one, n_paths, threads))
-        bad = int(np.sum(~np.isfinite(dists)))
-        if bad > 0.01 * n_paths:
-            raise StudyError(f"{bad}/{n_paths} paths diverged at eps={eps}")
-        good = dists[np.isfinite(dists)]
+        good, bad = _run_paths(one, n_paths, threads, f"small-noise study, eps={eps}")
         rows.append(
             {
                 "eps": float(eps),
@@ -265,15 +318,17 @@ def mc_small_noise_study(
     return rows
 
 
-def study_rows_csv(rows: list[dict], header_lines: tuple[str, ...] = ()) -> str:
+def study_rows_csv(
+    rows: list[dict],
+    header_lines: tuple[str, ...] = (),
+    columns: tuple[str, ...] = ("eps", "median", "q25", "q75", "n_diverged"),
+) -> str:
     buf = io.StringIO()
     for line in header_lines:
         buf.write(f"# {line}\n")
-    buf.write("eps,median,q25,q75,n_diverged\n")
+    buf.write(",".join(columns) + "\n")
     for r in rows:
-        buf.write(
-            f"{r['eps']:.17g},{r['median']:.17g},{r['q25']:.17g},{r['q75']:.17g},{r['n_diverged']}\n"
-        )
+        buf.write(",".join(f"{r[c]:.17g}" for c in columns) + "\n")
     return buf.getvalue()
 
 
@@ -286,18 +341,19 @@ def convolution_scaling_study(
     phi: Control | None = None,
     threads: int = 1,
 ) -> list[dict]:
-    """Mean of sup_t |convolution|^2 per noise size (expected to shrink)."""
-    from .dynamics import solve_stochastic_convolution
+    """Mean of sup_t |convolution|^2 per noise size (expected to shrink).
 
+    Diverged paths are excluded and counted, as in the small-noise study.
+    """
     path_seeds = rng_for(seed, "convolution-study").integers(0, 2**62, size=(len(eps_list), n_paths))
     rows = []
     for i, eps in enumerate(eps_list):
         def one(k: int, eps=eps, i=i) -> float:
             conv = solve_stochastic_convolution(init, eps, phi, cfg, seed=int(path_seeds[i, k]))
-            return float(np.max(conv.u_l2) ** 2)
+            return float("nan") if conv.diverged else float(np.max(conv.u_l2) ** 2)
 
-        sups = np.asarray(_map_paths(one, n_paths, threads))
-        rows.append({"eps": float(eps), "mean_sup_sq": float(np.mean(sups))})
+        sups, bad = _run_paths(one, n_paths, threads, f"convolution study, eps={eps}")
+        rows.append({"eps": float(eps), "mean_sup_sq": float(np.mean(sups)), "n_diverged": bad})
     return rows
 
 
@@ -321,7 +377,9 @@ def importance_weights(
     the tilted intensity (1/epsilon) phi theta and weights the indicator
     by the exponential likelihood ratio of that configuration.  The
     average is unbiased for the probability under the reference
-    (untilted) noise.
+    (untilted) noise.  Besides the estimate, the result carries
+    ``log_estimate`` and the weight diagnostics ``ess`` and
+    ``max_weight_share`` (see :func:`_weighted_estimate`).
     """
     if np.any(phi.values <= 0):
         raise ValueError("importance sampling requires a strictly positive tilt")
@@ -329,29 +387,14 @@ def importance_weights(
     if ms is None:
         raise SolverError("config carries no mark space / jump spec")
 
-    def one(k: int) -> float:
-        rng = rng_for(seed, "importance", k)
-        tilted = thin_to_control(ms, cfg.t_final, phi, 1.0 / epsilon, rng)
-        traj = solve_sde_with_jumps(init, epsilon, tilted, cfg)
+    def one(k: int) -> tuple[float, float]:
+        jumps = thin_to_control(ms, cfg.t_final, phi, 1.0 / epsilon, rng_for(seed, "importance", k))
+        traj = solve_sde_with_jumps(init, epsilon, jumps, cfg)
         if traj.diverged:
-            return float("nan")
-        weight = float(np.exp(girsanov_log_density(phi, tilted, epsilon, ms)))
-        return float(event_indicator(traj)) * weight
+            return float("nan"), float("nan")
+        return girsanov_log_density(phi, jumps, epsilon, ms), float(event_indicator(traj))
 
-    vals = np.asarray(_map_paths(one, n_paths, threads))
-    bad = int(np.sum(~np.isfinite(vals)))
-    if bad > 0.01 * n_paths:
-        raise StudyError(f"{bad}/{n_paths} importance paths diverged")
-    good = vals[np.isfinite(vals)]
-    estimate = float(np.mean(good))
-    std_error = float(np.std(good, ddof=1) / np.sqrt(good.size)) if good.size > 1 else float("inf")
-    return {
-        "estimate": estimate,
-        "std_error": std_error,
-        "n_paths": int(good.size),
-        "n_diverged": bad,
-        "sample_variance": float(np.var(good, ddof=1)) if good.size > 1 else float("inf"),
-    }
+    return _weighted_estimate(*_run_paths(one, n_paths, threads, "importance sampling"))
 
 
 def plain_mc_probability(
@@ -363,28 +406,16 @@ def plain_mc_probability(
     seed: int,
     threads: int = 1,
 ) -> dict:
-    """Untilted Monte Carlo estimate of the same path probability."""
+    """Untilted Monte Carlo estimate of the same path probability (unit weights)."""
 
-    def one(k: int) -> float:
-        traj = solve_small_noise_sde(init, epsilon, None, cfg, seed=int(rng_for(seed, "plain-mc", k).integers(0, 2**62)))
+    def one(k: int) -> tuple[float, float]:
+        path_seed = int(rng_for(seed, "plain-mc", k).integers(0, 2**62))
+        traj = solve_small_noise_sde(init, epsilon, None, cfg, seed=path_seed)
         if traj.diverged:
-            return float("nan")
-        return float(event_indicator(traj))
+            return float("nan"), float("nan")
+        return 0.0, float(event_indicator(traj))
 
-    vals = np.asarray(_map_paths(one, n_paths, threads))
-    bad = int(np.sum(~np.isfinite(vals)))
-    if bad > 0.01 * n_paths:
-        raise StudyError(f"{bad}/{n_paths} plain MC paths diverged")
-    good = vals[np.isfinite(vals)]
-    estimate = float(np.mean(good))
-    std_error = float(np.std(good, ddof=1) / np.sqrt(good.size)) if good.size > 1 else float("inf")
-    return {
-        "estimate": estimate,
-        "std_error": std_error,
-        "n_paths": int(good.size),
-        "n_diverged": bad,
-        "sample_variance": float(np.var(good, ddof=1)) if good.size > 1 else float("inf"),
-    }
+    return _weighted_estimate(*_run_paths(one, n_paths, threads, "plain Monte Carlo"))
 
 
 def sup_velocity_indicator(threshold: float) -> Callable[[Trajectory], float]:

@@ -3,7 +3,10 @@
 The mark space is a finite set with strictly positive weights, realizing a
 sigma-finite jump intensity at desk scale.  The jump coefficient is affine
 per mark, G(t, u, v) = shape_v + gain_v * u, which keeps every Lipschitz
-and growth constant computable in closed form.  Controls are nonnegative
+and growth constant computable in closed form.  ``eval_G`` gives the
+increment of one jump; every weighted sum over marks (the compensator and
+the skeleton's control drift) is one affine mark sum,
+sum_i c_i shape_i + (sum_i c_i gain_i) u.  Controls are nonnegative
 intensity tilts, piecewise constant over uniform time cells, priced by the
 relative-entropy functional built on l(r) = r log r - r + 1.
 
@@ -94,16 +97,9 @@ class JumpCoefficientSpec:
     def size(self) -> int:
         return len(self.shapes)
 
-    def shape_norm(self, idx: int) -> float:
-        return l2_norm(self.shapes[idx])
-
     def g0_norm(self, idx: int) -> float:
         """sup_u |G(t,u,v)| / (1 + |u|), exact for the affine form."""
-        return max(self.shape_norm(idx), abs(self.gains[idx]))
-
-    def g1_norm(self, idx: int) -> float:
-        """Lipschitz constant of u -> G(t,u,v); equals |gain_v|."""
-        return abs(self.gains[idx])
+        return max(l2_norm(self.shapes[idx]), abs(self.gains[idx]))
 
     def lipschitz_bound(self, ms: MarkSpace) -> float:
         """L with int |G(t,u1,v)-G(t,u2,v)|^2 dtheta(v) = L |u1-u2|^2."""
@@ -158,17 +154,11 @@ class Control:
     def cell_of(self, t: float) -> int:
         return min(int(t / self.cell_width), self.n_cells - 1)
 
-    def value(self, t: float, mark: int) -> float:
-        return float(self.values[self.cell_of(t), mark])
-
     def row(self, t: float) -> np.ndarray:
         return self.values[self.cell_of(t)]
 
     def sup_per_mark(self) -> np.ndarray:
         return self.values.max(axis=0)
-
-    def with_values(self, values: np.ndarray) -> "Control":
-        return Control(self.horizon, np.asarray(values, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -324,15 +314,21 @@ def eval_G(
     return DivergenceFreeField(out.c1, out.c2)
 
 
+def _mark_sum(
+    coeffs: np.ndarray, u: DivergenceFreeField, spec: JumpCoefficientSpec
+) -> DivergenceFreeField:
+    """sum_i c_i G(t, u, v_i) = sum_i c_i shape_i + (sum_i c_i gain_i) u."""
+    acc = float(np.dot(coeffs, spec.gains)) * u
+    for c, shape in zip(coeffs, spec.shapes):
+        acc = acc + float(c) * shape
+    return DivergenceFreeField(acc.c1, acc.c2)
+
+
 def compensator_integral(
     t: float, u: DivergenceFreeField, ms: MarkSpace, spec: JumpCoefficientSpec
 ) -> DivergenceFreeField:
     """Finite-sum realization of int G(t,u,v) theta(dv)."""
-    acc = None
-    for i in range(ms.size):
-        term = ms.weights[i] * eval_G(t, u, i, spec)
-        acc = term if acc is None else acc + term
-    return acc
+    return _mark_sum(ms.weight_array(), u, spec)
 
 
 def control_drift(
@@ -343,12 +339,7 @@ def control_drift(
     spec: JumpCoefficientSpec,
 ) -> DivergenceFreeField:
     """Skeleton drift: sum_i theta_i (g(t, v_i) - 1) G(t, u, v_i)."""
-    row = control.row(t)
-    acc = None
-    for i in range(ms.size):
-        term = (ms.weights[i] * (row[i] - 1.0)) * eval_G(t, u, i, spec)
-        acc = term if acc is None else acc + term
-    return acc
+    return _mark_sum(ms.weight_array() * (control.row(t) - 1.0), u, spec)
 
 
 def apriori_control_constant(control: Control, ms: MarkSpace, spec: JumpCoefficientSpec) -> float:

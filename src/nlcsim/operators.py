@@ -19,16 +19,12 @@ from .spectral import (
     TWO_PI,
     DivergenceFreeField,
     ScalarField,
-    SpectralError,
-    TorusGrid,
     VectorField,
     dealias_product,
     derivative,
     h1_seminorm,
     integrate_product,
-    l2_inner,
     l2_norm,
-    laplacian,
     laplacian_vec,
     leray_project,
     lq_norm,
@@ -94,24 +90,6 @@ class CoercivityReport:
     constant: float
     margin: float
     guaranteed: bool
-
-
-# ---------------------------------------------------------------------------
-# linear operators
-
-
-def stokes_A1(u: DivergenceFreeField) -> DivergenceFreeField:
-    """Stokes operator: Fourier multiplier |k|^2 on divergence-free fields."""
-    ksq = u.grid.ksq()
-    return DivergenceFreeField(
-        ScalarField.from_coeffs(u.grid, ksq * u.c1.coeffs),
-        ScalarField.from_coeffs(u.grid, ksq * u.c2.coeffs),
-    )
-
-
-def neumann_A2(theta: VectorField) -> VectorField:
-    """-Laplacian componentwise; annihilates constants."""
-    return VectorField(-1.0 * laplacian(theta.c1), -1.0 * laplacian(theta.c2))
 
 
 # ---------------------------------------------------------------------------

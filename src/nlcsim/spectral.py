@@ -89,10 +89,6 @@ class TorusGrid:
         return m + (m % 2)
 
 
-def _fft_index(k: int, n: int) -> int:
-    return k % n
-
-
 def pad_coeffs(coeffs: np.ndarray, m: int) -> np.ndarray:
     """Embed an N x N coefficient array into an M x M one (M >= N), same modes.
 
@@ -176,7 +172,7 @@ class ScalarField:
 
     def coeff_at(self, k1: int, k2: int) -> complex:
         n = self.grid.n
-        return self.coeffs[_fft_index(k1, n), _fft_index(k2, n)]
+        return self.coeffs[k1 % n, k2 % n]
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         return ScalarField(self.grid, coeffs=self.coeffs + other.coeffs)
@@ -263,15 +259,6 @@ class DivergenceFreeField(VectorField):
 
 # ---------------------------------------------------------------------------
 # transforms and differential operators
-
-
-def forward_transform(f: ScalarField) -> np.ndarray:
-    """Fourier coefficients of ``f`` (Parseval-consistent normalization)."""
-    return f.coeffs
-
-
-def inverse_transform(grid: TorusGrid, coeffs: np.ndarray) -> ScalarField:
-    return ScalarField.from_coeffs(grid, coeffs)
 
 
 def derivative(f: ScalarField, axis: int) -> ScalarField:

@@ -12,6 +12,8 @@ from nlcsim.config import (
     serialize_config,
     velocity_shape,
 )
+from nlcsim.dynamics import solve_sde_with_jumps, state_to_text
+from nlcsim.noise import JumpSample
 from nlcsim.spectral import TorusGrid, divergence_residual, l2_norm
 
 MINIMAL = "seed = 7\n"
@@ -150,6 +152,19 @@ class TestCli:
         assert main(["simulate", "--config", cfg_path, "--out", str(out1)]) == 0
         assert main(["simulate", "--config", cfg_path, "--out", str(out2)]) == 0
         assert (out1 / "sde_trajectory.csv").read_bytes() == (out2 / "sde_trajectory.csv").read_bytes()
+
+    def test_simulate_jumps_replay_to_final_state(self, tmp_path):
+        cfg_path = self._write_cfg(tmp_path, FULL)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+        cfg = parse_config(cfg_path)
+        solver_cfg = cfg.build_solver_config()
+        jumps = JumpSample.from_text(
+            (out / "jumps.txt").read_text(), solver_cfg.t_final, 1.0 / cfg.simulate_eps
+        )
+        assert jumps.size > 0
+        traj = solve_sde_with_jumps(cfg.build_init(solver_cfg.grid), cfg.simulate_eps, jumps, solver_cfg)
+        assert (out / "final_state.txt").read_text().endswith(state_to_text(traj.final_state()))
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg_path = self._write_cfg(tmp_path, FULL)

@@ -5,12 +5,12 @@ from nlcsim.dynamics import (
     SolverConfig,
     SolverError,
     SpectralState,
+    _nonlinear_terms,
     apriori_bound,
     cutoff_chi,
     embed_state,
     energy_ledger,
     galerkin_project,
-    skeleton_rhs,
     solve_skeleton,
     solve_small_noise_sde,
     solve_stochastic_convolution,
@@ -20,7 +20,7 @@ from nlcsim.dynamics import (
     sup_state_distance,
     trajectory_sup_energy,
 )
-from nlcsim.noise import Control, JumpCoefficientSpec, MarkSpace
+from nlcsim.noise import Control, JumpCoefficientSpec, MarkSpace, control_drift
 from nlcsim.spectral import (
     DivergenceFreeField,
     ScalarField,
@@ -101,12 +101,17 @@ class TestConfig:
 
 
 class TestSkeletonRhs:
+    """The skeleton right-hand side as the stepping core assembles it:
+    explicit terms from ``_nonlinear_terms``, the control drift, and the
+    linear part -|k|^2 applied through the integrating factor."""
+
     def test_zero_state(self, cfg16):
         state = SpectralState.zero(cfg16.grid)
         g = Control.unit(cfg16.t_final, 1, cfg16.mark_space.size)
-        du, dth = skeleton_rhs(state, g, cfg16)
-        assert l2_norm(du) == 0.0
-        assert l2_norm(dth) == 0.0
+        nu, nth = _nonlinear_terms(state.u, state.theta, cfg16)
+        drift = control_drift(0.0, state.u, g, cfg16.mark_space, cfg16.jump_spec)
+        assert l2_norm(nu + drift) == 0.0
+        assert l2_norm(nth) == 0.0
 
     def test_pure_heat_mode(self):
         grid = TorusGrid(16)
@@ -114,20 +119,21 @@ class TestSkeletonRhs:
         theta = VectorField(
             field_from_function(grid, lambda x1, x2: np.sin(2 * x1)), ScalarField.zeros(grid)
         )
-        state = SpectralState(
-            DivergenceFreeField(ScalarField.zeros(grid), ScalarField.zeros(grid)), theta
+        zero_u = DivergenceFreeField(ScalarField.zeros(grid), ScalarField.zeros(grid))
+        _, nth = _nonlinear_terms(zero_u, theta, cfg)
+        linear = VectorField(
+            ScalarField.from_coeffs(grid, grid.ksq() * theta.c1.coeffs),
+            ScalarField.from_coeffs(grid, grid.ksq() * theta.c2.coeffs),
         )
-        _, dth = skeleton_rhs(state, None, cfg)
+        dth = nth - linear
         assert l2_norm(dth - (-4.0) * theta) < 1e-12
 
     def test_convection_orthogonal_to_velocity(self, cfg16, rng):
-        state = smooth_state(cfg16.grid, rng)
-        du, _ = skeleton_rhs(state, None, cfg16)
-        # the B contribution alone is L2-orthogonal to u; isolate it by
-        # subtracting the linear, stress, and drift parts computed directly
+        # the B contribution to the velocity right-hand side is L2-orthogonal to u
         from nlcsim.operators import convection_B
         from nlcsim.spectral import l2_inner
 
+        state = smooth_state(cfg16.grid, rng)
         assert abs(l2_inner(convection_B(state.u, state.u), state.u)) <= 1e-10
 
 

@@ -243,6 +243,23 @@ class TestSmallNoiseStudy:
         rows = convolution_scaling_study([0.4, 0.05], 12, cfg, init, seed=5)
         assert rows[0]["mean_sup_sq"] > rows[1]["mean_sup_sq"]
 
+    def test_convolution_study_gates_diverged_paths(self):
+        # every path passes the tiny blow-up guard within its first steps; the
+        # study must fail rather than average the truncated series
+        grid = TorusGrid(8)
+        ms, spec = one_mark_setup(grid, shape_amp=0.2, gain=0.05, weight=3.0)
+        cfg = SolverConfig(
+            grid=grid,
+            dt=1e-2,
+            t_final=0.1,
+            mark_space=ms,
+            jump_spec=spec,
+            blowup_threshold=1e-3,
+            energy_diagnostics=False,
+        )
+        with pytest.raises(StudyError, match="diverged"):
+            convolution_scaling_study([0.4, 0.2], 8, cfg, SpectralState.zero(grid), seed=5)
+
 
 class TestImportance:
     def _is_cfg(self, rng):
@@ -272,6 +289,37 @@ class TestImportance:
         out = importance_weights(lambda traj: 1.0, phi, 0.5, 50, cfg, init, seed=13)
         assert out["estimate"] == pytest.approx(1.0, abs=1e-14)
         assert out["std_error"] == pytest.approx(0.0, abs=1e-14)
+
+    def test_log_domain_survives_weight_underflow(self):
+        # about 2250 tilted events per path: each log-weight lies near -970,
+        # below log of the smallest double (-745), so exp() of it is 0.0
+        grid = TorusGrid(8)
+        ms, spec = one_mark_setup(grid, shape_amp=0.2, weight=3.0)
+        cfg = SolverConfig(
+            grid=grid,
+            dt=1e-2,
+            t_final=0.25,
+            mark_space=ms,
+            jump_spec=spec,
+            snapshot_stride=1000,
+            energy_diagnostics=False,
+        )
+        phi = Control.constant(cfg.t_final, 3.0)
+        n = 8
+        out = importance_weights(lambda traj: 1.0, phi, 0.001, n, cfg, SpectralState.zero(grid), seed=31)
+        assert np.isfinite(out["log_estimate"])
+        assert out["log_estimate"] < np.log(np.finfo(float).tiny)
+        assert 1.0 <= out["ess"] <= n
+        assert 1.0 / n <= out["max_weight_share"] <= 1.0
+
+    def test_threaded_matches_sequential(self, rng):
+        # per-path streams are keyed by path index, so fan-out is exact
+        cfg, init = self._is_cfg(rng)
+        phi = Control.constant(cfg.t_final, 1.5)
+        indicator = sup_velocity_indicator(0.3)
+        seq = importance_weights(indicator, phi, 0.5, 8, cfg, init, seed=3, threads=1)
+        par = importance_weights(indicator, phi, 0.5, 8, cfg, init, seed=3, threads=4)
+        assert seq == par
 
     def test_positive_tilt_required(self, rng):
         cfg, init = self._is_cfg(rng)

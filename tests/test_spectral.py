@@ -11,7 +11,6 @@ from nlcsim.spectral import (
     divergence,
     divergence_residual,
     field_from_function,
-    forward_transform,
     gradient,
     h1_seminorm,
     integrate_product,
@@ -44,7 +43,7 @@ def test_grid_validation():
 
 def test_constant_field_transform(grid16):
     f = field_from_function(grid16, lambda x1, x2: 3.25 * np.ones_like(x1))
-    c = forward_transform(f)
+    c = f.coeffs
     assert c[0, 0] == pytest.approx(3.25, abs=1e-14)
     assert np.max(np.abs(c)) == pytest.approx(3.25, abs=1e-14)
     back = ScalarField.from_coeffs(grid16, c)
