@@ -223,7 +223,9 @@ def cmd_importance(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
         f"importance: tilted={tilted['estimate']:.5g} (se {tilted['std_error']:.2g}) "
         f"plain={plain['estimate']:.5g} (se {plain['std_error']:.2g}) "
         f"log_estimate={tilted['log_estimate']:.6g} ess={tilted['ess']:.4g} "
-        f"max_weight_share={tilted['max_weight_share']:.3g}"
+        f"max_weight_share={tilted['max_weight_share']:.3g} "
+        f"tilted_hits={tilted['hits']} plain_hits={plain['hits']} "
+        f"degenerate={tilted['degenerate'] and plain['degenerate']}"
     )
     return EXIT_OK
 

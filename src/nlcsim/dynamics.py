@@ -5,13 +5,25 @@ director Laplacian) parts are integrated exactly per Fourier mode with the
 factor exp(-|k|^2 dt), while convection, director stress, the polynomial
 relaxation, control drift, and jump increments enter explicitly.
 
+The solver state is array-native: a ``SpectralState`` holds u and theta
+as (2, N, N//2+1) rfft coefficient arrays (the half layout of
+``spectral``), with the Nyquist lines zeroed once, when the state is
+built, so the divergence form of convection is exact on the grid.  Field
+views (``state.u``, ``state.theta``) are built on demand for the
+field-level reference operators and checks.
+
 ``_run`` is the one stepping loop: the skeleton flow, the small-noise jump
 SDE, and the auxiliary jump convolution all pass through it, so zeroing
-the noise makes the SDE agree with the skeleton bit for bit.  It evaluates
-the control drift once per step and turns its diagnostic rows into columns
-once, in ``_trajectory``.  ``_draw_jumps`` is the one draw of a seed's jump
-configuration, and each public ``solve_*`` calls only these private
-helpers, never another public solver.
+the noise makes the SDE agree with the skeleton bit for bit.  Each step
+makes one batched inverse and one batched forward transform
+(``operators.explicit_rhs``); the control drift, the compensated jumps
+and the convolution increment are each one affine mark sum
+sum_i c_i shape_i + (sum_i c_i gain_i) u over per-step coefficients, and
+the norms computed for the blow-up check serve the next diagnostic row
+and the cutoffs.  ``_trajectory`` turns the rows into columns once.
+``_draw_jumps`` is the one draw of a seed's jump configuration, and each
+public ``solve_*`` calls only these private helpers, never another public
+solver.
 
 Jumps realized in [t, t + dt) are aggregated at the step boundary using
 the pre-step left limit of the velocity.  Every update leaves the velocity
@@ -25,11 +37,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# The loop calls none of eval_G, compensator_integral, control_drift and energy_psi
+# (they are the field-level reference of its array code); bench/tracer.py wraps
+# them under these module attributes, so they stay importable from here.
 from .noise import (
     Control,
     JumpCoefficientSpec,
     JumpSample,
     MarkSpace,
+    NoiseError,
     apriori_control_constant,
     compensator_integral,
     control_drift,
@@ -44,18 +60,22 @@ from .operators import (
     convection_B,
     director_stress_M,
     energy_psi,
+    explicit_rhs,
     polynomial_f,
+    potential_energy_hat,
 )
 from .spectral import (
     DivergenceFreeField,
     ScalarField,
     TorusGrid,
     VectorField,
-    h1_seminorm,
-    l2_inner,
+    full_from_half,
+    half_from_full,
+    half_inner,
+    half_norms_sq,
+    half_tables,
     l2_norm,
-    laplacian_vec,
-    v_norm,
+    pad_half,
 )
 
 
@@ -63,30 +83,59 @@ class SolverError(ValueError):
     """Invalid solver configuration or state."""
 
 
-@dataclass(frozen=True)
+def _field_coeffs(w: VectorField) -> np.ndarray:
+    """(2, N, N//2+1) half-layout coefficients of a vector field, Nyquist lines zeroed."""
+    return half_from_full(np.stack((w.c1.coeffs, w.c2.coeffs)))
+
+
 class SpectralState:
-    """Velocity/director pair at a fixed time."""
+    """Velocity/director pair at a fixed time, as half-layout coefficient arrays.
 
-    u: DivergenceFreeField
-    theta: VectorField
-    time: float = 0.0
+    ``SpectralState(u, theta, time)`` takes the two fields and stores
+    ``u_hat`` and ``theta_hat``, (2, N, N//2+1) read-only rfft coefficient
+    arrays with zero Nyquist lines.  ``u`` and ``theta`` are field views of
+    those arrays, built on each access.
+    """
 
-    def __post_init__(self):
-        if self.u.grid != self.theta.grid:
+    def __init__(self, u: VectorField, theta: VectorField, time: float = 0.0):
+        if u.grid != theta.grid:
             raise SolverError("velocity and director must share a grid")
-        if not (self.u.is_finite() and self.theta.is_finite()):
+        u_hat, theta_hat = _field_coeffs(u), _field_coeffs(theta)
+        if not (np.all(np.isfinite(u_hat)) and np.all(np.isfinite(theta_hat))):
             raise SolverError("state contains non-finite coefficients")
+        self._set(u.grid, u_hat, theta_hat, time)
 
-    @property
-    def grid(self) -> TorusGrid:
-        return self.u.grid
+    def _set(self, grid: TorusGrid, u_hat: np.ndarray, theta_hat: np.ndarray, time: float):
+        u_hat.setflags(write=False)
+        theta_hat.setflags(write=False)
+        self.grid, self.u_hat, self.theta_hat, self.time = grid, u_hat, theta_hat, time
+
+    @classmethod
+    def from_arrays(
+        cls, grid: TorusGrid, u_hat: np.ndarray, theta_hat: np.ndarray, time: float = 0.0
+    ) -> "SpectralState":
+        """Wrap half-layout arrays that already meet the state's conventions (no copy)."""
+        state = cls.__new__(cls)
+        state._set(grid, u_hat, theta_hat, time)
+        return state
 
     @classmethod
     def zero(cls, grid: TorusGrid, time: float = 0.0) -> "SpectralState":
-        return cls(
-            DivergenceFreeField(ScalarField.zeros(grid), ScalarField.zeros(grid)),
-            VectorField.zeros(grid),
-            time,
+        zeros = np.zeros((2, grid.n, grid.n // 2 + 1), dtype=complex)
+        return cls.from_arrays(grid, zeros, zeros, time)
+
+    @property
+    def u(self) -> DivergenceFreeField:
+        c1, c2 = full_from_half(self.u_hat)
+        return DivergenceFreeField(
+            ScalarField.from_coeffs(self.grid, c1), ScalarField.from_coeffs(self.grid, c2)
+        )
+
+    @property
+    def theta(self) -> VectorField:
+        c1, c2 = full_from_half(self.theta_hat)
+        return VectorField(
+            ScalarField.from_coeffs(self.grid, c1), ScalarField.from_coeffs(self.grid, c2)
         )
 
 
@@ -223,24 +272,31 @@ def _nonlinear_terms(u, theta, cfg: SolverConfig):
     return nu, ntheta
 
 
-def _energy_row(u, theta, nl: PolynomialNonlinearity | None):
-    """(psi_total, dissipation) with the nonlinearity optionally absent."""
+def _psi(theta_hat: np.ndarray, theta_h1: float, grid: TorusGrid, nl) -> float:
+    """psi_total = |grad theta|^2 / 2 + potential, the scalar energy of the ledger."""
+    elastic = 0.5 * theta_h1**2
+    return elastic if nl is None else elastic + potential_energy_hat(theta_hat, grid, nl)
+
+
+def _energy_row(theta_hat, u_h1: float, theta_h1: float, grid: TorusGrid, nl, f_hat):
+    """(psi_total, dissipation) of ``energy_psi`` from arrays and the step's f(theta).
+
+    ``f_hat`` is the f(theta) of ``explicit_rhs(..., with_f=True)`` at the
+    same state (ignored when ``nl`` is None).
+    """
+    resid = -half_tables(grid.n)[2] * theta_hat
     if nl is not None:
-        rep = energy_psi(u, theta, nl)
-        return rep.psi_total, rep.dissipation
-    elastic = 0.5 * h1_seminorm(theta) ** 2
-    dissipation = h1_seminorm(u) ** 2 + l2_norm(laplacian_vec(theta)) ** 2
-    return elastic, dissipation
+        resid = resid - f_hat
+    return _psi(theta_hat, theta_h1, grid, nl), u_h1**2 + half_norms_sq(resid)[0]
+
+
+def _state_norms(u_hat: np.ndarray, theta_hat: np.ndarray) -> tuple[float, float, float, float]:
+    """(|u|, |grad u|, |theta|, |grad theta|) in L2."""
+    return tuple(np.sqrt([*half_norms_sq(u_hat), *half_norms_sq(theta_hat)]).tolist())
 
 
 # ---------------------------------------------------------------------------
 # the shared stepping core
-
-
-def _apply_factor_vec(w: VectorField, factor: np.ndarray, divfree: bool) -> VectorField:
-    c1 = ScalarField.from_coeffs(w.grid, factor * w.c1.coeffs)
-    c2 = ScalarField.from_coeffs(w.grid, factor * w.c2.coeffs)
-    return DivergenceFreeField(c1, c2) if divfree else VectorField(c1, c2)
 
 
 def _require_noise(epsilon: float, cfg: SolverConfig):
@@ -284,6 +340,11 @@ def _trajectory(kind: str, cfg: SolverConfig, status: str, rows: list, snaps: li
     )
 
 
+def _tilt_rows(control: Control, dt: float, n_rows: int) -> np.ndarray:
+    """The control's mark row at t = k dt for k = 0 .. n_rows - 1."""
+    return np.array([control.row(k * dt) for k in range(n_rows)])
+
+
 def _run(
     init: SpectralState,
     cfg: SolverConfig,
@@ -298,84 +359,103 @@ def _run(
     increments minus the unit compensator (the control tilt is then carried
     by the realized jump intensity, not by an explicit drift, and only sets
     the convolution's compensator); without it, the control enters through
-    the deterministic drift of the skeleton flow.
+    the deterministic drift of the skeleton flow.  Each of these is the
+    affine mark sum sum_i c_i G(u, v_i) at the pre-step velocity, with
+    per-step coefficients w (g - 1) (skeleton drift), eps n - dt w
+    (compensated jumps, n the step's jump count per mark) and
+    eps n - dt w phi (convolution).
     """
-    grid, dt, diag_stride = cfg.grid, cfg.dt, cfg.effective_diag_stride
+    grid, dt, n_steps, diag_stride = cfg.grid, cfg.dt, cfg.n_steps, cfg.effective_diag_stride
     if init.grid != grid:
         raise SolverError("initial state grid does not match config grid")
     stochastic = epsilon is not None
     if stochastic:
         _require_noise(epsilon, cfg)
-        step_of = np.minimum((jumps.times / dt).astype(int), cfg.n_steps - 1)
-        first_event = np.searchsorted(step_of, np.arange(cfg.n_steps + 1))
-    ms, spec = cfg.mark_space, cfg.jump_spec
+    ms, spec, nl = cfg.mark_space, cfg.jump_spec, cfg.nonlinearity
     drifted = control is not None and ms is not None and not stochastic
-    factor = np.exp(-grid.ksq() * dt)
+    if ms is not None:
+        weights = ms.weight_array()
+        shapes = np.stack([_field_coeffs(s) for s in spec.shapes]).reshape(ms.size, -1)
+        gains = np.asarray(spec.gains, dtype=float)
 
-    u, theta = init.u, init.theta
-    xi = DivergenceFreeField(ScalarField.zeros(grid), ScalarField.zeros(grid))
+        def mark_sum(c: np.ndarray, u_hat: np.ndarray) -> np.ndarray:
+            return (c @ shapes).reshape(u_hat.shape) + float(c @ gains) * u_hat
+
+    if drifted:
+        drift_coeffs = weights * (_tilt_rows(control, dt, n_steps + 1) - 1.0)
+    if stochastic:
+        if jumps.size and not (0 <= jumps.marks.min() and jumps.marks.max() < ms.size):
+            raise NoiseError(f"unknown mark index in jumps (mark space has {ms.size} marks)")
+        counts = np.zeros((n_steps, ms.size))
+        step_of = np.minimum((jumps.times / dt).astype(int), n_steps - 1)
+        np.add.at(counts, (step_of, jumps.marks), 1.0)
+        jump_coeffs = epsilon * counts - dt * weights
+        if track_convolution:
+            xi_coeffs = epsilon * counts - dt * weights * _tilt_rows(control, dt, n_steps)
+    factor = np.exp(-half_tables(grid.n)[2] * dt)
+    threshold = cfg.blowup_threshold
+
+    u, theta = init.u_hat, init.theta_hat
+    xi = zero = np.zeros_like(u)
+    norms = _state_norms(u, theta)
     rows, snaps, xi_rows, xi_snaps = [], [], [], []
     status = "ok"
 
-    def record(t: float, drift):
+    def record(t: float, drift, f_hat):
+        psi_val = diss_val = 0.0
         if cfg.energy_diagnostics:
-            psi_val, diss_val = _energy_row(u, theta, cfg.nonlinearity)
-        else:
-            psi_val = diss_val = 0.0
-        pairing = l2_inner(drift, u) if drift is not None else 0.0
-        norms = (l2_norm(u), h1_seminorm(u), l2_norm(theta), h1_seminorm(theta))
+            psi_val, diss_val = _energy_row(theta, norms[1], norms[3], grid, nl, f_hat)
+        pairing = half_inner(drift, u) if drift is not None else 0.0
         rows.append((t, *norms, psi_val, diss_val, pairing))
         if track_convolution:
-            xi_rows.append((t, l2_norm(xi), h1_seminorm(xi), 0.0, 0.0, 0.0, 0.0, 0.0))
+            xi_norms = np.sqrt(half_norms_sq(xi))
+            xi_rows.append((t, *xi_norms, 0.0, 0.0, 0.0, 0.0, 0.0))
 
     def snapshot(t: float):
-        snaps.append(SpectralState(u, theta, t))
+        snaps.append(SpectralState.from_arrays(grid, u, theta, t))
         if track_convolution:
-            xi_snaps.append(SpectralState(xi, VectorField.zeros(grid), t))
+            xi_snaps.append(SpectralState.from_arrays(grid, xi, zero, t))
 
-    for k in range(cfg.n_steps):
+    for k in range(n_steps):
         t = k * dt
-        drift = control_drift(t, u, control, ms, spec) if drifted else None
-        if k % diag_stride == 0:
-            record(t, drift)
+        row_due = k % diag_stride == 0
+        chi1 = chi2 = 1.0
+        if cfg.cutoff_level is not None:
+            chi1 = cutoff_chi(norms[0], cfg.cutoff_level)
+            chi2 = cutoff_chi(norms[2], cfg.cutoff_level)
+        nu, ntheta, f_hat = explicit_rhs(
+            u, theta, grid, chi1, chi2, nl, with_f=row_due and cfg.energy_diagnostics
+        )
+        drift = mark_sum(drift_coeffs[k], u) if drifted else None
+        if row_due:
+            record(t, drift, f_hat)
         if k % cfg.snapshot_stride == 0:
             snapshot(t)
 
-        nu, ntheta = _nonlinear_terms(u, theta, cfg)
         if drift is not None:
             nu = nu + drift
-
-        jump_u = jump_xi = None
-        if stochastic:
-            comp = compensator_integral(t, u, ms, spec)
-            jump_u = (-dt) * comp
-            if track_convolution:
-                # sum_i w_i phi_i G(u, v_i) = compensator + drift of the tilt phi
-                jump_xi = (-dt) * (comp + control_drift(t, u, control, ms, spec))
-            for j in range(first_event[k], first_event[k + 1]):
-                g_field = epsilon * eval_G(float(jumps.times[j]), u, int(jumps.marks[j]), spec)
-                jump_u = jump_u + g_field
-                if track_convolution:
-                    jump_xi = jump_xi + g_field
-
+        if track_convolution:
+            xi = factor * (xi + mark_sum(xi_coeffs[k], u))
         if not cfg.freeze_velocity:
             incr = u + dt * nu
-            if jump_u is not None:
-                incr = incr + jump_u
-            u = _apply_factor_vec(incr, factor, divfree=True)
-        theta = _apply_factor_vec(theta + dt * ntheta, factor, divfree=False)
-        if track_convolution:
-            xi = _apply_factor_vec(xi + jump_xi, factor, divfree=True)
+            if stochastic:
+                incr = incr + mark_sum(jump_coeffs[k], u)
+            u = factor * incr
+        theta = factor * (theta + dt * ntheta)
 
-        if not (u.is_finite() and theta.is_finite()) or (
-            l2_norm(u) > cfg.blowup_threshold or v_norm(theta) > cfg.blowup_threshold
-        ):
+        norms = _state_norms(u, theta)
+        v_theta = float(np.sqrt(norms[2] ** 2 + norms[3] ** 2))
+        # NaN fails both comparisons; infinite norms fail the isfinite test
+        if not (norms[0] <= threshold and v_theta <= threshold and np.isfinite(norms[0] + v_theta)):
             status = "diverged"
             break
 
     if status == "ok":
-        t_end = cfg.n_steps * dt
-        record(t_end, control_drift(t_end, u, control, ms, spec) if drifted else None)
+        t_end = n_steps * dt
+        f_hat = None
+        if cfg.energy_diagnostics and nl is not None:
+            f_hat = explicit_rhs(u, theta, grid, nl=nl, with_f=True)[2]
+        record(t_end, mark_sum(drift_coeffs[n_steps], u) if drifted else None, f_hat)
         snapshot(t_end)
 
     main = _trajectory("sde" if stochastic else "skeleton", cfg, status, rows, snaps)
@@ -448,24 +528,20 @@ def solve_stochastic_convolution(
 
 
 def galerkin_project(state: SpectralState, n_modes: int) -> SpectralState:
-    """Zero every coefficient outside the centered n_modes band.
+    """Zero every coefficient outside the band |k_j| <= n_modes/2 - 1.
 
-    Keeps wavenumbers -n/2 <= k_j <= n/2 - 1 (the band of an n_modes grid);
-    orthogonal projection, so no norm increases.
+    That is the band of an n_modes grid with its Nyquist lines zero, the
+    convention of every state; orthogonal projection, so no norm increases.
     """
     grid = state.grid
     if n_modes > grid.n or n_modes % 2 != 0:
         raise SolverError("n_modes must be even and at most the grid resolution")
-    k1, k2 = grid.wavenumbers()
+    k1, k2 = half_tables(grid.n)[:2]
     half = n_modes // 2
-    mask = (k1 >= -half) & (k1 <= half - 1) & (k2 >= -half) & (k2 <= half - 1)
-
-    def proj(sf: ScalarField) -> ScalarField:
-        return ScalarField.from_coeffs(grid, np.where(mask, sf.coeffs, 0.0))
-
-    u = DivergenceFreeField(proj(state.u.c1), proj(state.u.c2))
-    theta = VectorField(proj(state.theta.c1), proj(state.theta.c2))
-    return SpectralState(u, theta, state.time)
+    mask = (np.abs(k1) <= half - 1) & (k2 <= half - 1)
+    return SpectralState.from_arrays(
+        grid, np.where(mask, state.u_hat, 0.0), np.where(mask, state.theta_hat, 0.0), state.time
+    )
 
 
 def energy_ledger(traj: Trajectory) -> dict:
@@ -499,8 +575,8 @@ def apriori_bound(init: SpectralState, g: Control | None, cfg: SolverConfig) -> 
     C integrates the linear-growth norm of the jump coefficient against
     |g - 1| over time and marks; E0 is the initial scalar energy.
     """
-    psi0, _ = _energy_row(init.u, init.theta, cfg.nonlinearity)
-    e0 = psi0 + l2_norm(init.u) ** 2
+    u_l2, _, _, theta_h1 = _state_norms(init.u_hat, init.theta_hat)
+    e0 = _psi(init.theta_hat, theta_h1, init.grid, cfg.nonlinearity) + u_l2**2
     c = 0.0
     if g is not None and cfg.mark_space is not None:
         c = apriori_control_constant(g, cfg.mark_space, cfg.jump_spec)
@@ -519,14 +595,16 @@ def trajectory_sup_energy(traj: Trajectory) -> float:
 
 def state_distance(a: SpectralState, b: SpectralState) -> float:
     """|u_a - u_b|_{L2} + H1 distance of the directors."""
-    du = l2_norm(a.u - b.u)
-    dth = v_norm(a.theta - b.theta)
-    return du + dth
+    du_l2sq, _ = half_norms_sq(a.u_hat - b.u_hat)
+    dth_l2sq, dth_h1sq = half_norms_sq(a.theta_hat - b.theta_hat)
+    return float(np.sqrt(du_l2sq) + np.sqrt(dth_l2sq + dth_h1sq))
 
 
 def state_distance_sq_split(a: SpectralState, b: SpectralState) -> float:
     """|u_a - u_b|^2 + ||theta_a - theta_b||^2_{H1} (squared-sum form)."""
-    return l2_norm(a.u - b.u) ** 2 + v_norm(a.theta - b.theta) ** 2
+    du_l2sq, _ = half_norms_sq(a.u_hat - b.u_hat)
+    dth_l2sq, dth_h1sq = half_norms_sq(a.theta_hat - b.theta_hat)
+    return du_l2sq + (dth_l2sq + dth_h1sq)
 
 
 def sup_state_distance(traj_a: Trajectory, traj_b: Trajectory) -> float:
@@ -540,44 +618,37 @@ def sup_state_distance(traj_a: Trajectory, traj_b: Trajectory) -> float:
 
 def embed_state(state: SpectralState, fine_grid: TorusGrid) -> SpectralState:
     """Exact embedding of a coarse-grid state into a finer grid."""
-    from .spectral import pad_coeffs
-
     if fine_grid.n < state.grid.n:
         raise SolverError("target grid must be at least as fine")
-
-    def up(sf: ScalarField) -> ScalarField:
-        return ScalarField.from_coeffs(fine_grid, pad_coeffs(sf.coeffs, fine_grid.n))
-
-    u = DivergenceFreeField(up(state.u.c1), up(state.u.c2))
-    theta = VectorField(up(state.theta.c1), up(state.theta.c2))
-    return SpectralState(u, theta, state.time)
+    m = fine_grid.n
+    return SpectralState.from_arrays(
+        fine_grid, pad_half(state.u_hat, m), pad_half(state.theta_hat, m), state.time
+    )
 
 
 # ---------------------------------------------------------------------------
 # checkpoint serialization
 
+_COMPONENTS = ("u1", "u2", "theta1", "theta2")
+
 
 def state_to_text(state: SpectralState) -> str:
-    """Flat text checkpoint: per component, lines of k1 k2 re im."""
-    buf = io.StringIO()
-    grid = state.grid
-    buf.write(f"# modes={grid.n} time={state.time:.17g}\n")
-    k1g, k2g = grid.wavenumbers()
-    comps = {
-        "u1": state.u.c1,
-        "u2": state.u.c2,
-        "theta1": state.theta.c1,
-        "theta2": state.theta.c2,
-    }
-    for name, comp in comps.items():
-        buf.write(f"# component {name}\n")
-        c = comp.coeffs
-        for i in range(grid.n):
-            for j in range(grid.n):
-                z = c[i, j]
-                if z != 0:
-                    buf.write(f"{int(k1g[i, j])} {int(k2g[i, j])} {z.real:.17g} {z.imag:.17g}\n")
-    return buf.getvalue()
+    """Flat text checkpoint: per component, lines of k1 k2 re im.
+
+    Every nonzero coefficient of the full N x N spectrum is listed, in
+    FFT (row-major) order.
+    """
+    n = state.grid.n
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    parts = [f"# modes={n} time={state.time:.17g}\n"]
+    spectra = full_from_half(np.concatenate((state.u_hat, state.theta_hat)))
+    for name, c in zip(_COMPONENTS, spectra):
+        i, j = np.nonzero(c)
+        z = c[i, j]
+        rows = np.column_stack((k[i], k[j], z.real, z.imag))
+        parts.append(f"# component {name}\n")
+        parts.append("%d %d %.17g %.17g\n" * len(i) % tuple(rows.ravel().tolist()))
+    return "".join(parts)
 
 
 def state_from_text(text: str) -> SpectralState:
@@ -593,7 +664,7 @@ def state_from_text(text: str) -> SpectralState:
             parts = line.lstrip("# ").split()
             modes = int(parts[0].split("=")[1])
             time = float(parts[1].split("=")[1])
-            for name in ("u1", "u2", "theta1", "theta2"):
+            for name in _COMPONENTS:
                 arrays[name] = np.zeros((modes, modes), dtype=complex)
         elif line.startswith("# component"):
             current = line.split()[-1]
@@ -605,11 +676,5 @@ def state_from_text(text: str) -> SpectralState:
     if modes is None:
         raise SolverError("checkpoint is missing the modes header")
     grid = TorusGrid(modes)
-    u = DivergenceFreeField(
-        ScalarField.from_coeffs(grid, arrays["u1"]), ScalarField.from_coeffs(grid, arrays["u2"])
-    )
-    theta = VectorField(
-        ScalarField.from_coeffs(grid, arrays["theta1"]),
-        ScalarField.from_coeffs(grid, arrays["theta2"]),
-    )
-    return SpectralState(u, theta, time)
+    fields = [ScalarField.from_coeffs(grid, arrays[name]) for name in _COMPONENTS]
+    return SpectralState(DivergenceFreeField(*fields[:2]), VectorField(*fields[2:]), time)

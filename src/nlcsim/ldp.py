@@ -21,7 +21,8 @@ and fails the study above 1% of them.  The importance and plain
 estimators share ``_weighted_estimate``, which keeps the weights as
 logarithms: the estimate and its standard error are formed with a max
 shift (log-sum-exp), and the result carries ``log_estimate``, the
-effective sample size and the largest weight share.
+effective sample size, the largest weight share, the hit count and a
+flag for a degenerate sample (no path or every path hits).
 """
 
 from __future__ import annotations
@@ -241,11 +242,15 @@ def _weighted_estimate(samples: np.ndarray, n_diverged: int) -> dict:
     exponentiated (log-sum-exp), so ``log_estimate`` stays finite when the
     weights themselves underflow.  ``ess`` = (sum w)^2 / sum w^2 and
     ``max_weight_share`` = max w / sum w describe the weights alone.
+    ``hits`` counts the paths with f > 0; ``degenerate`` flags a sample in
+    which no path or every path hits, where the standard error says nothing
+    about the estimate.
     """
     log_w, f = samples[:, 0], samples[:, 1]
     if np.any(f < 0):
         raise ValueError("event indicator values must be nonnegative")
     n = f.size
+    hits = int(np.count_nonzero(f > 0))
     with np.errstate(divide="ignore"):
         log_terms = log_w + np.log(f)
         shift = float(np.max(log_terms)) if np.any(f > 0) else 0.0
@@ -264,6 +269,8 @@ def _weighted_estimate(samples: np.ndarray, n_diverged: int) -> dict:
         "log_estimate": log_estimate,
         "ess": float(np.sum(w) ** 2 / np.sum(w**2)),
         "max_weight_share": float(1.0 / np.sum(w)),
+        "hits": hits,
+        "degenerate": hits in (0, n),
     }
 
 

@@ -6,6 +6,14 @@ satisfies <M(t1,t2), u> = m(t1,t2,u) for divergence-free u, and both
 trilinear forms are evaluated with exact (dealiased) quadrature.  The
 polynomial nonlinearity f(theta) = f_tilde(|theta|^2) theta and its
 potential drive the energy functional used by the solver ledger.
+
+``explicit_rhs`` is the solver's fused form of the same terms on
+half-layout (rfft) arrays: one batched inverse transform of u, grad theta
+and theta to the padded grid, and one batched forward transform of the
+symmetric tensor chi1 u (x) u + chi2 grad theta^T grad theta (which
+merges B and M into -P div) and of chi1 (u . grad) theta + f(theta).  The
+field-level operators (``convection_B``, ``director_stress_M``,
+``advection_Btilde``, ``polynomial_f``, ``energy_psi``) are its reference.
 """
 
 from __future__ import annotations
@@ -19,17 +27,22 @@ from .spectral import (
     TWO_PI,
     DivergenceFreeField,
     ScalarField,
+    TorusGrid,
     VectorField,
     dealias_product,
     derivative,
     h1_seminorm,
+    half_leray,
+    half_tables,
     integrate_product,
     l2_norm,
     laplacian_vec,
     leray_project,
     lq_norm,
     pad_coeffs,
+    pad_half,
     truncate_coeffs,
+    truncate_half,
 )
 
 
@@ -224,6 +237,60 @@ def energy_psi(
         psi_total=elastic + potential,
         dissipation=dissipation,
     )
+
+
+def potential_energy_hat(theta_hat: np.ndarray, grid: TorusGrid, nl: PolynomialNonlinearity) -> float:
+    """:func:`potential_energy` of a (2, N, N//2+1) director: one batched inverse transform."""
+    m = grid.padded_size(factor=nl.degree + 2.0)
+    v = np.fft.irfft2(pad_half(theta_hat, m), s=(m, m), norm="forward")
+    vals = nl.phi(v[0] ** 2 + v[1] ** 2)
+    return 0.5 * float(np.sum(vals) * (TWO_PI / m) ** 2)
+
+
+def explicit_rhs(
+    u_hat: np.ndarray,
+    theta_hat: np.ndarray,
+    grid: TorusGrid,
+    chi1: float = 1.0,
+    chi2: float = 1.0,
+    nl: PolynomialNonlinearity | None = DEFAULT_NONLINEARITY,
+    with_f: bool = False,
+):
+    """(nu, ntheta, f) of the explicit step on (2, N, N//2+1) half-layout arrays.
+
+    nu = -P div(chi1 u (x) u + chi2 grad theta^T grad theta) and
+    ntheta = -(chi1 (u . grad) theta + f(theta)), with every product formed
+    on the grid's padded grid: 8 fields go there in one ``irfft2`` call and
+    5 products come back in one ``rfft2`` call.  The divergence form of
+    convection needs u divergence-free with zero Nyquist lines.  With
+    ``with_f`` two more products return f(theta) alone (else f is None);
+    ``nl=None`` drops the relaxation.
+    """
+    n, m = grid.n, grid.padded_size()
+    k1, k2 = half_tables(n)[:2]
+    ik1, ik2 = 1j * k1, 1j * k2
+    fields = pad_half(np.concatenate((u_hat, ik1 * theta_hat, ik2 * theta_hat, theta_hat)), m)
+    u1, u2, a1, a2, b1, b2, t1, t2 = np.fft.irfft2(fields, s=(m, m), norm="forward")
+    # a = d1 theta, b = d2 theta; cu = chi1 u
+    cu1, cu2 = (u1, u2) if chi1 == 1.0 else (chi1 * u1, chi1 * u2)
+    n_out = 7 if with_f and nl is not None else 5
+    prod = np.empty((n_out, m, m))
+    prod[0] = cu1 * u1 + chi2 * (a1 * a1 + a2 * a2)
+    prod[1] = cu1 * u2 + chi2 * (a1 * b1 + a2 * b2)
+    prod[2] = cu2 * u2 + chi2 * (b1 * b1 + b2 * b2)
+    prod[3] = cu1 * a1 + cu2 * b1
+    prod[4] = cu1 * a2 + cu2 * b2
+    if nl is not None:
+        w = nl.f_tilde(t1 * t1 + t2 * t2)
+        f1, f2 = w * t1, w * t2
+        prod[3] += f1
+        prod[4] += f2
+        if n_out == 7:
+            prod[5], prod[6] = f1, f2
+    coeffs = truncate_half(np.fft.rfft2(prod, norm="forward"), n)
+    t11, t12, t22 = coeffs[:3]
+    nu = -half_leray(np.stack((ik1 * t11 + ik2 * t12, ik1 * t12 + ik2 * t22)))
+    return nu, -coeffs[3:5], coeffs[5:7] if n_out == 7 else None
 
 
 def coercivity_check(

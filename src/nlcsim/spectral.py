@@ -6,13 +6,27 @@ convention
 
     f(x) = sum_k c_k exp(i k.x),    k in {-N/2, ..., N/2 - 1}^2,
 
-so that |f|^2_{L2} = (2pi)^2 sum_k |c_k|^2.  Conversions happen on demand
-and are cached; field objects are treated as immutable values.
+so that |f|^2_{L2} = (2pi)^2 sum_k |c_k|^2.
+
+Two coefficient layouts coexist.  The field classes (``ScalarField``,
+``VectorField``, ``DivergenceFreeField``) hold the full N x N spectrum,
+convert to samples on demand, and back the named reference operators and
+the invariant checks.  The solver works on the half (rfft) layout: a real
+field is determined by its coefficients with k2 >= 0, so a stack of c
+components is one (c, N, N//2 + 1) array in ``np.fft.rfft2`` order.  Rows
+follow FFT order in k1, columns run k2 = 0 .. N/2, and Parseval sums count
+every column except k2 = 0 (and N/2) twice for the implicit conjugates.
+States in this layout keep their Nyquist lines (k1 = -N/2 or k2 = N/2)
+at zero: odd derivatives are then exact, the spectrally divergence-free
+velocity is divergence-free pointwise, and convection can be taken in the
+divergence form (u . grad) u = div(u (x) u).
 
 Nonlinear products are evaluated on a padded grid (zero-padding in Fourier
 space) and truncated back, which makes them exact whenever the combined
-polynomial degree is resolved on the padded grid.  Truncation zeroes the
-unpaired Nyquist lines so real-valuedness is preserved exactly.
+polynomial degree is resolved on the padded grid (the 3/2 rule for
+quadratic terms).  Truncation zeroes the unpaired Nyquist lines so
+real-valuedness is preserved exactly.  Per-N wavenumber tables are built
+on first use and cached.
 """
 
 from __future__ import annotations
@@ -185,9 +199,6 @@ class ScalarField:
 
     __rmul__ = __mul__
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.coeffs.view(float))))
-
 
 @dataclass(frozen=True)
 class VectorField:
@@ -225,9 +236,6 @@ class VectorField:
         return VectorField(self.c1 * scalar, self.c2 * scalar)
 
     __rmul__ = __mul__
-
-    def is_finite(self) -> bool:
-        return self.c1.is_finite() and self.c2.is_finite()
 
 
 class DivergenceFreeField(VectorField):
@@ -429,6 +437,95 @@ def integrate_product(*fields: ScalarField) -> float:
     for f in fields:
         prod = prod * np.real(np.fft.ifft2(pad_coeffs(f.coeffs, m)) * m * m)
     return float(np.sum(prod) * (TWO_PI / m) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# half-spectrum (rfft) coefficient arrays
+
+
+@lru_cache(maxsize=64)
+def half_tables(n: int):
+    """(k1, k2, ksq, weight, weight_ksq) of the (..., N, N//2+1) layout (read-only).
+
+    k1 is a (N, 1) column in FFT order and k2 the row 0 .. N/2, so both
+    broadcast against a coefficient array.  ``weight`` is the Parseval
+    weight (2pi)^2 * (1 on the k2 = 0 and k2 = N/2 columns, 2 elsewhere);
+    ``weight_ksq`` is weight * |k|^2 for gradient norms.
+    """
+    k1 = np.fft.fftfreq(n, d=1.0 / n)[:, None]
+    k2 = np.arange(n // 2 + 1, dtype=float)
+    ksq = k1**2 + k2**2
+    weight = np.full((n, n // 2 + 1), 2.0 * TORUS_AREA)
+    weight[:, 0] = weight[:, -1] = TORUS_AREA
+    tables = (k1, k2, ksq, weight, weight * ksq)
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
+def half_from_full(coeffs: np.ndarray) -> np.ndarray:
+    """(..., N, N) full spectra -> (..., N, N//2+1) half layout, Nyquist lines zeroed."""
+    h = coeffs.shape[-1] // 2
+    out = np.array(coeffs[..., : h + 1], dtype=complex)
+    out[..., h, :] = 0.0
+    out[..., h] = 0.0
+    return out
+
+
+def full_from_half(half: np.ndarray) -> np.ndarray:
+    """(..., N, N//2+1) half layout -> (..., N, N) full spectra by conjugate symmetry."""
+    n = half.shape[-2]
+    h = n // 2
+    out = np.empty(half.shape[:-1] + (n,), dtype=complex)
+    out[..., : h + 1] = half
+    out[..., h + 1 :] = np.conj(half[..., (-np.arange(n)) % n, h - 1 : 0 : -1])
+    return out
+
+
+def half_norms_sq(a: np.ndarray) -> tuple[float, float]:
+    """(|a|^2_{L2}, |grad a|^2_{L2}) summed over every component of a half-layout stack."""
+    _, _, _, weight, weight_ksq = half_tables(a.shape[-2])
+    power = (a.real**2 + a.imag**2).reshape(-1, weight.size).sum(axis=0)
+    return float(np.dot(weight.ravel(), power)), float(np.dot(weight_ksq.ravel(), power))
+
+
+def half_inner(a: np.ndarray, b: np.ndarray) -> float:
+    """L2 inner product of two half-layout stacks (Parseval)."""
+    weight = half_tables(a.shape[-2])[3]
+    prod = (a.real * b.real + a.imag * b.imag).reshape(-1, weight.size).sum(axis=0)
+    return float(np.dot(weight.ravel(), prod))
+
+
+def half_leray(a: np.ndarray) -> np.ndarray:
+    """Leray projection of a (2, N, N//2+1) vector stack (mean mode zeroed)."""
+    k1, k2, ksq, _, _ = half_tables(a.shape[-2])
+    kdot = (k1 * a[0] + k2 * a[1]) / np.where(ksq == 0, 1.0, ksq)
+    out = np.stack((a[0] - k1 * kdot, a[1] - k2 * kdot))
+    out[:, 0, 0] = 0.0
+    return out
+
+
+def pad_half(a: np.ndarray, m: int) -> np.ndarray:
+    """Embed (..., N, N//2+1) coefficients into (..., M, M//2+1), M >= N, same modes.
+
+    The Nyquist lines of the source are skipped (they are zero).
+    """
+    n = a.shape[-2]
+    h = n // 2
+    out = np.zeros(a.shape[:-2] + (m, m // 2 + 1), dtype=complex)
+    out[..., :h, :h] = a[..., :h, :h]
+    out[..., m - h + 1 :, :h] = a[..., h + 1 :, :h]
+    return out
+
+
+def truncate_half(a: np.ndarray, n: int) -> np.ndarray:
+    """Restrict (..., M, M//2+1) coefficients to the N band |k_j| <= N/2 - 1 (Nyquist lines zero)."""
+    m = a.shape[-2]
+    h = n // 2
+    out = np.zeros(a.shape[:-2] + (n, h + 1), dtype=complex)
+    out[..., :h, :h] = a[..., :h, :h]
+    out[..., h + 1 :, :h] = a[..., m - h + 1 :, :h]
+    return out
 
 
 # ---------------------------------------------------------------------------

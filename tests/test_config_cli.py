@@ -214,6 +214,17 @@ class TestCli:
         assert "method,estimate,std_error,n_paths,n_diverged,sample_variance" in table
         assert "tilted," in table and "plain," in table
 
+    def test_importance_prints_hits_and_degenerate_flag(self, tmp_path, capsys):
+        text = "seed = 7\ngrid.modes = 8\nimportance.n_paths = 8\nimportance.threshold = 1.4\n"
+        cfg_path = self._write_cfg(tmp_path, text)
+        assert main(["importance", "--config", cfg_path, "--out", str(tmp_path / "imp")]) == 0
+        line = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("importance:")][0]
+        fields = dict(tok.split("=", 1) for tok in line.split() if "=" in tok)
+        assert fields["tilted_hits"] == "0" and fields["plain_hits"] == "0"
+        assert fields["degenerate"] == "True"
+        header = (tmp_path / "imp" / "importance.csv").read_text().splitlines()[3]
+        assert header == "method,estimate,std_error,n_paths,n_diverged,sample_variance"
+
     def test_verify_subcommand_passes(self, tmp_path, capsys):
         cfg_path = self._write_cfg(tmp_path, MINIMAL)
         out = tmp_path / "verify"

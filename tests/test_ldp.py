@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nlcsim.config import parse_config_text
 from nlcsim.dynamics import SolverConfig, SpectralState, solve_skeleton
 from nlcsim.ldp import (
     RateProblem,
@@ -344,3 +345,41 @@ class TestImportance:
         plain = plain_mc_probability(indicator, 0.25, n, cfg, init, seed=23)
         tilted = importance_weights(indicator, Control.constant(cfg.t_final, 2.0), 0.25, n, cfg, init, seed=29)
         assert tilted["sample_variance"] <= plain["sample_variance"]
+
+
+class TestDegenerateEvent:
+    """Hit counts and the degenerate flag on the default ``importance`` problem."""
+
+    def _estimates(self, threshold=None, n_paths=16):
+        text = "seed = 7\ngrid.modes = 8\n"
+        if threshold is not None:
+            text += f"importance.threshold = {threshold}\n"
+        cfg = parse_config_text(text)
+        solver_cfg = cfg.build_solver_config(energy_diagnostics=False)
+        init = cfg.build_init(solver_cfg.grid)
+        indicator = sup_velocity_indicator(cfg.importance_threshold)
+        args = (cfg.importance_eps, n_paths, solver_cfg, init)
+        tilted = importance_weights(indicator, cfg.build_importance_phi(), *args, seed=cfg.seed)
+        plain = plain_mc_probability(indicator, *args, seed=cfg.seed)
+        return tilted, plain
+
+    def test_no_path_hits_is_flagged(self):
+        # |u| stays near 1.33 < 1.4: the estimators print 0 with standard error 0
+        for res in self._estimates(threshold=1.4):
+            assert res["hits"] == 0
+            assert res["degenerate"] is True
+            assert res["estimate"] == 0.0 and res["std_error"] == 0.0
+
+    def test_default_event_is_certain(self):
+        # |u(0)| = 1.33 already exceeds the default threshold 0.3
+        tilted, plain = self._estimates(n_paths=8)
+        assert plain["hits"] == plain["n_paths"] == 8
+        assert plain["degenerate"] is True and plain["estimate"] == 1.0
+        assert tilted["hits"] == 8 and tilted["degenerate"] is True
+
+    def test_mixed_sample_is_not_degenerate(self, rng):
+        cfg, init = TestImportance()._is_cfg(rng)
+        out = plain_mc_probability(sup_velocity_indicator(0.35), 0.25, 40, cfg, init, seed=17)
+        assert 0 < out["hits"] < out["n_paths"]
+        assert out["degenerate"] is False
+        assert out["estimate"] == pytest.approx(out["hits"] / out["n_paths"], rel=1e-15)
