@@ -69,7 +69,7 @@ def _echo_config(cfg: ExperimentConfig, out_dir: Path):
     _write(out_dir, "config_echo.ini", _with_headers(cfg, serialize_config(cfg)))
 
 
-def cmd_verify(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     results = run_all(cfg)
     print(render_table(results))
     rows = ["group,name,passed,detail"]
@@ -79,7 +79,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERICAL
 
 
-def cmd_skeleton(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def cmd_skeleton(cfg: ExperimentConfig, out_dir: Path) -> int:
     solver_cfg = cfg.build_solver_config()
     init = cfg.build_init(solver_cfg.grid)
     g = cfg.build_control()
@@ -95,7 +95,7 @@ def cmd_skeleton(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     solver_cfg = cfg.build_solver_config()
     init = cfg.build_init(solver_cfg.grid)
     phi = cfg.build_control()
@@ -116,7 +116,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_convolution(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def cmd_convolution(cfg: ExperimentConfig, out_dir: Path) -> int:
     solver_cfg = cfg.build_solver_config()
     init = cfg.build_init(solver_cfg.grid)
     phi = cfg.build_control()
@@ -134,7 +134,7 @@ def cmd_convolution(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_rate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def cmd_rate(cfg: ExperimentConfig, out_dir: Path) -> int:
     solver_cfg = cfg.build_solver_config(energy_diagnostics=False)
     init = cfg.build_init(solver_cfg.grid)
     target_control = None
@@ -166,7 +166,7 @@ def cmd_rate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     return EXIT_OK if np.isfinite(sol.objective) else EXIT_NUMERICAL
 
 
-def cmd_mc_ldp(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def cmd_mc_ldp(cfg: ExperimentConfig, out_dir: Path) -> int:
     solver_cfg = cfg.build_solver_config(energy_diagnostics=False)
     init = cfg.build_init(solver_cfg.grid)
     phi = cfg.build_control()
@@ -177,7 +177,6 @@ def cmd_mc_ldp(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
         init,
         seed=cfg.seed,
         phi=phi,
-        threads=threads,
     )
     _write(out_dir, "mc_ldp.csv", study_rows_csv(rows, _headers(cfg)))
     conv_rows = convolution_scaling_study(
@@ -187,7 +186,6 @@ def cmd_mc_ldp(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
         init,
         seed=cfg.seed,
         phi=phi,
-        threads=threads,
     )
     conv_text = study_rows_csv(conv_rows, _headers(cfg), columns=("eps", "mean_sup_sq"))
     _write(out_dir, "convolution_scaling.csv", conv_text)
@@ -197,18 +195,18 @@ def cmd_mc_ldp(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_importance(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def cmd_importance(cfg: ExperimentConfig, out_dir: Path) -> int:
     solver_cfg = cfg.build_solver_config(energy_diagnostics=False)
     init = cfg.build_init(solver_cfg.grid)
     phi = cfg.build_importance_phi()
     indicator = sup_velocity_indicator(cfg.importance_threshold)
     tilted = importance_weights(
         indicator, phi, cfg.importance_eps, cfg.importance_n_paths, solver_cfg, init,
-        seed=cfg.seed, threads=threads,
+        seed=cfg.seed,
     )
     plain = plain_mc_probability(
         indicator, cfg.importance_eps, cfg.importance_n_paths, solver_cfg, init,
-        seed=cfg.seed, threads=threads,
+        seed=cfg.seed,
     )
     lines = "\n".join(f"# {h}" for h in _headers(cfg, (f"eps={cfg.importance_eps} threshold={cfg.importance_threshold}",)))
     body = "method,estimate,std_error,n_paths,n_diverged,sample_variance\n"
@@ -250,12 +248,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default="out", help="output directory (default: ./out)")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for Monte Carlo fan-out")
+    parser.add_argument(
+        "--threads", type=int, default=1,
+        help="deprecated and ignored: Monte Carlo paths are stepped in batches on one thread",
+    )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.threads > 1:
+        print("nlcsim: --threads is deprecated and has no effect", file=sys.stderr)
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
@@ -266,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
         print(_error_record("config", str(exc)), file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return _COMMANDS[args.command](cfg, Path(args.out), max(args.threads, 1))
+        return _COMMANDS[args.command](cfg, Path(args.out))
     except (SolverError, StudyError) as exc:
         # SolverError subclasses ValueError: match it before the generic case
         print(_error_record("numerical", str(exc)), file=sys.stderr)

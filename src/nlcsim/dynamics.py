@@ -14,16 +14,23 @@ field-level reference operators and checks.
 
 ``_run`` is the one stepping loop: the skeleton flow, the small-noise jump
 SDE, and the auxiliary jump convolution all pass through it, so zeroing
-the noise makes the SDE agree with the skeleton bit for bit.  Each step
-makes one batched inverse and one batched forward transform
-(``operators.explicit_rhs``); the control drift, the compensated jumps
-and the convolution increment are each one affine mark sum
-sum_i c_i shape_i + (sum_i c_i gain_i) u over per-step coefficients, and
-the norms computed for the blow-up check serve the next diagnostic row
-and the cutoffs.  ``_trajectory`` turns the rows into columns once.
-``_draw_jumps`` is the one draw of a seed's jump configuration, and each
-public ``solve_*`` calls only these private helpers, never another public
-solver.
+the noise makes the SDE agree with the skeleton bit for bit.  It steps a
+batch of paths along a leading path axis, (P, 2, N, N//2+1): each step
+makes one batched inverse and one batched forward transform call for the
+whole batch (``operators.explicit_rhs``).  The control drift, the
+compensated jumps and the convolution increment are each one affine mark
+sum sum_i c_i shape_i + (sum_i c_i gain_i) u, with per-step coefficients
+that are shared (the drift) or per path (the jumps, from a per-path
+steps x marks count matrix).  The norms computed for the blow-up check
+serve the next diagnostic row and the per-path cutoffs.  No operation
+mixes paths, so path k of a batch equals its one-path run bit for bit; a
+path that diverges is dropped from the batch and the rest continue.
+
+The public ``solve_*`` functions are one-path calls of ``_run`` and call
+no other public solver; ``solve_path_batch`` runs many jump-driven paths
+at once for the Monte Carlo studies, keeping per path only its diagnostic
+rows and final state (an ``on_snapshot`` hook sees the others as they
+pass).  ``draw_jumps`` is the one draw of a seed's jump configuration.
 
 Jumps realized in [t, t + dt) are aggregated at the step boundary using
 the pre-step left limit of the velocity.  Every update leaves the velocity
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -272,17 +280,18 @@ def _nonlinear_terms(u, theta, cfg: SolverConfig):
     return nu, ntheta
 
 
-def _psi(theta_hat: np.ndarray, theta_h1: float, grid: TorusGrid, nl) -> float:
-    """psi_total = |grad theta|^2 / 2 + potential, the scalar energy of the ledger."""
+def _psi(theta_hat: np.ndarray, theta_h1, grid: TorusGrid, nl):
+    """psi_total = |grad theta|^2 / 2 + potential, the scalar energy of the ledger (per path)."""
     elastic = 0.5 * theta_h1**2
     return elastic if nl is None else elastic + potential_energy_hat(theta_hat, grid, nl)
 
 
-def _energy_row(theta_hat, u_h1: float, theta_h1: float, grid: TorusGrid, nl, f_hat):
+def _energy_row(theta_hat, u_h1, theta_h1, grid: TorusGrid, nl, f_hat):
     """(psi_total, dissipation) of ``energy_psi`` from arrays and the step's f(theta).
 
     ``f_hat`` is the f(theta) of ``explicit_rhs(..., with_f=True)`` at the
-    same state (ignored when ``nl`` is None).
+    same state (ignored when ``nl`` is None).  A (P, 2, N, N//2+1) batch
+    gives one value per path.
     """
     resid = -half_tables(grid.n)[2] * theta_hat
     if nl is not None:
@@ -290,9 +299,19 @@ def _energy_row(theta_hat, u_h1: float, theta_h1: float, grid: TorusGrid, nl, f_
     return _psi(theta_hat, theta_h1, grid, nl), u_h1**2 + half_norms_sq(resid)[0]
 
 
-def _state_norms(u_hat: np.ndarray, theta_hat: np.ndarray) -> tuple[float, float, float, float]:
-    """(|u|, |grad u|, |theta|, |grad theta|) in L2."""
-    return tuple(np.sqrt([*half_norms_sq(u_hat), *half_norms_sq(theta_hat)]).tolist())
+def _state_norms(u_hat: np.ndarray, theta_hat: np.ndarray) -> np.ndarray:
+    """(|u|, |grad u|, |theta|, |grad theta|) in L2, stacked on a new first axis (then paths).
+
+    One pass over both fields; like ``half_norms_sq`` it reduces each path
+    on its own.
+    """
+    weights = half_tables(u_hat.shape[-2])[3]
+    power = np.concatenate((u_hat, theta_hat), axis=-3)
+    power = power.real**2 + power.imag**2
+    modes = weights[0].size
+    power = power.reshape(power.shape[:-3] + (2, 1, 2, modes)).sum(axis=-2)  # (..., field, 1, mode)
+    sq = (power * weights.reshape(2, modes)).sum(axis=-1)  # (..., field, l2/h1)
+    return np.sqrt(sq.reshape(sq.shape[:-2] + (4,)).T)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +325,12 @@ def _require_noise(epsilon: float, cfg: SolverConfig):
         raise SolverError("config carries no mark space / jump spec")
 
 
-def _draw_jumps(epsilon: float, phi: Control | None, cfg: SolverConfig, seed: int):
-    """(tilt, jumps): the seed's configuration at intensity (1/epsilon) phi theta."""
+def draw_jumps(epsilon: float, phi: Control | None, cfg: SolverConfig, seed: int):
+    """(tilt, jumps): the seed's configuration at intensity (1/epsilon) phi theta.
+
+    The one draw behind :func:`solve_small_noise_sde` and
+    :func:`solve_stochastic_convolution`; ``phi=None`` is the unit tilt.
+    """
     _require_noise(epsilon, cfg)
     if phi is None:
         phi = Control.unit(cfg.t_final, 1, cfg.mark_space.size)
@@ -315,19 +338,31 @@ def _draw_jumps(epsilon: float, phi: Control | None, cfg: SolverConfig, seed: in
     return phi, thin_to_control(cfg.mark_space, cfg.t_final, phi, 1.0 / epsilon, rng)
 
 
-# per-row diagnostics recorded by _run, in row-tuple order
+def _jump_counts(jumps, cfg: SolverConfig) -> np.ndarray:
+    """(steps, paths, marks) jump counts: a jump in [t, t + dt) counts at the step at t."""
+    ms, dt, n_steps = cfg.mark_space, cfg.dt, cfg.n_steps
+    counts = np.zeros((n_steps, len(jumps), ms.size))
+    for p, sample in enumerate(jumps):
+        if sample.size and not (0 <= sample.marks.min() and sample.marks.max() < ms.size):
+            raise NoiseError(f"unknown mark index in jumps (mark space has {ms.size} marks)")
+        step_of = np.minimum((sample.times / dt).astype(int), n_steps - 1)
+        np.add.at(counts[:, p], (step_of, sample.marks), 1.0)
+    return counts
+
+
+# per-row diagnostics recorded by _run, in row order
 _ROW_FIELDS = (
     "times", "u_l2", "u_h1", "theta_l2", "theta_h1", "psi", "dissipation", "drift_pairing"
 )
 
 
-def _trajectory(kind: str, cfg: SolverConfig, status: str, rows: list, snaps: list) -> Trajectory:
-    """Column arrays from the row tuples, plus the skeleton's balance residuals.
+def _trajectory(kind: str, cfg: SolverConfig, status: str, rows: np.ndarray, snaps: list) -> Trajectory:
+    """Column arrays from the (fields, rows) values, plus the skeleton's balance residuals.
 
     Skeleton rows one step apart get E[k+1] - E[k] + dt D[k] - dt W[k],
     with E = psi + |u|^2/2, D the dissipation and W the drift pairing.
     """
-    cols = dict(zip(_ROW_FIELDS, np.array(rows, dtype=float).T.copy()))
+    cols = dict(zip(_ROW_FIELDS, rows.copy()))
     residual = np.zeros_like(cols["times"])
     if kind == "skeleton":
         energy = cols["psi"] + 0.5 * cols["u_l2"] ** 2
@@ -350,20 +385,36 @@ def _run(
     cfg: SolverConfig,
     control: Control | None = None,
     epsilon: float | None = None,
-    jumps: JumpSample | None = None,
+    jumps: Sequence[JumpSample] = (),
     track_convolution: bool = False,
+    keep_snapshots: bool = True,
+    on_snapshot: Callable | None = None,
 ):
-    """IMEX-Euler loop shared by the skeleton, SDE, and convolution solvers.
+    """IMEX-Euler loop shared by every solver, over a leading path axis.
 
-    With ``epsilon`` set, the velocity receives the aggregated jump
-    increments minus the unit compensator (the control tilt is then carried
-    by the realized jump intensity, not by an explicit drift, and only sets
-    the convolution's compensator); without it, the control enters through
-    the deterministic drift of the skeleton flow.  Each of these is the
-    affine mark sum sum_i c_i G(u, v_i) at the pre-step velocity, with
-    per-step coefficients w (g - 1) (skeleton drift), eps n - dt w
-    (compensated jumps, n the step's jump count per mark) and
-    eps n - dt w phi (convolution).
+    Without ``epsilon`` one path runs the skeleton flow and the control
+    enters through its deterministic drift.  With it, one path per sample
+    in ``jumps`` runs the jump SDE from ``init``: the velocity receives the
+    aggregated jump increments minus the unit compensator (the control tilt
+    is then carried by the realized jumps, and only sets the convolution's
+    compensator).  Each of these is the affine mark sum
+    sum_i c_i G(u, v_i) at the pre-step velocity, with per-step
+    coefficients w (g - 1) (skeleton drift, shared by the paths),
+    eps n - dt w (compensated jumps, n the step's jump count per path and
+    mark) and eps n - dt w phi (convolution).
+
+    The state of P paths is (P, 2, N, N//2+1): each step makes one inverse
+    and one forward transform call for the whole batch, and the norms,
+    cutoffs and mark-sum coefficients are vectors over P.  No operation
+    mixes paths, so path k of a batch equals a one-path run of it bit for
+    bit.  A path that fails the blow-up guard is reported diverged and
+    dropped from the batch; the others continue.
+
+    Returns one Trajectory per path, plus one convolution Trajectory per
+    path with ``track_convolution``.  ``keep_snapshots=False`` keeps only
+    the final snapshot of each path that did not diverge;
+    ``on_snapshot(j, paths, u_hat, theta_hat)`` sees the j-th strided
+    snapshot of the paths still in the batch (``paths`` their indices).
     """
     grid, dt, n_steps, diag_stride = cfg.grid, cfg.dt, cfg.n_steps, cfg.effective_diag_stride
     if init.grid != grid:
@@ -371,64 +422,91 @@ def _run(
     stochastic = epsilon is not None
     if stochastic:
         _require_noise(epsilon, cfg)
-    ms, spec, nl = cfg.mark_space, cfg.jump_spec, cfg.nonlinearity
+    n_paths = len(jumps) if stochastic else 1
+    ms, spec, nl, level = cfg.mark_space, cfg.jump_spec, cfg.nonlinearity, cfg.cutoff_level
     drifted = control is not None and ms is not None and not stochastic
     if ms is not None:
         weights = ms.weight_array()
-        shapes = np.stack([_field_coeffs(s) for s in spec.shapes]).reshape(ms.size, -1)
+        # real views of the complex coefficients: a real coefficient scales both parts
+        shapes = np.stack([_field_coeffs(s) for s in spec.shapes]).view(float)
+        flat_shapes = shapes.reshape(ms.size, -1)
         gains = np.asarray(spec.gains, dtype=float)
 
         def mark_sum(c: np.ndarray, u_hat: np.ndarray) -> np.ndarray:
-            return (c @ shapes).reshape(u_hat.shape) + float(c @ gains) * u_hat
+            """sum_i c_i shape_i + (sum_i c_i gain_i) u for a shared row c or per-path rows."""
+            u_real = u_hat.view(float)
+            if c.ndim == 1:
+                acc = (c @ flat_shapes).reshape(shapes.shape[1:]) + float(c @ gains) * u_real
+                return acc.view(complex)
+            # mark by mark, so no path's sum depends on the batch it sits in
+            acc, gain = c[:, 0, None, None, None] * shapes[0], c[:, 0] * gains[0]
+            for i in range(1, ms.size):
+                acc += c[:, i, None, None, None] * shapes[i]
+                gain = gain + c[:, i] * gains[i]
+            acc += gain[:, None, None, None] * u_real
+            return acc.view(complex)
 
     if drifted:
         drift_coeffs = weights * (_tilt_rows(control, dt, n_steps + 1) - 1.0)
     if stochastic:
-        if jumps.size and not (0 <= jumps.marks.min() and jumps.marks.max() < ms.size):
-            raise NoiseError(f"unknown mark index in jumps (mark space has {ms.size} marks)")
-        counts = np.zeros((n_steps, ms.size))
-        step_of = np.minimum((jumps.times / dt).astype(int), n_steps - 1)
-        np.add.at(counts, (step_of, jumps.marks), 1.0)
+        counts = _jump_counts(jumps, cfg)
         jump_coeffs = epsilon * counts - dt * weights
         if track_convolution:
-            xi_coeffs = epsilon * counts - dt * weights * _tilt_rows(control, dt, n_steps)
+            xi_coeffs = epsilon * counts - dt * weights * _tilt_rows(control, dt, n_steps)[:, None]
     factor = np.exp(-half_tables(grid.n)[2] * dt)
     threshold = cfg.blowup_threshold
 
-    u, theta = init.u_hat, init.theta_hat
-    xi = zero = np.zeros_like(u)
+    # C-contiguous copies, so each path's reductions run over one memory layout in any batch
+    u = np.repeat(init.u_hat[None], n_paths, axis=0)
+    theta = np.repeat(init.theta_hat[None], n_paths, axis=0)
+    xi = np.zeros(u.shape, dtype=complex)
+    zero = np.zeros_like(init.u_hat)
+    paths = np.arange(n_paths)  # path index of each batch row
+    sel = slice(None)  # batch rows in the row tables: all of them until a path diverges
     norms = _state_norms(u, theta)
-    rows, snaps, xi_rows, xi_snaps = [], [], [], []
-    status = "ok"
+    row_steps = list(range(0, n_steps, diag_stride)) + [n_steps]
+    n_rows = len(row_steps)
+    rows = np.zeros((len(_ROW_FIELDS), n_rows, n_paths))  # fields x rows x paths
+    rows[0] = np.array([k * dt for k in row_steps])[:, None]
+    xi_rows = rows.copy()
+    rows_kept = np.full(n_paths, n_rows)
+    snaps = [[] for _ in range(n_paths)]
+    xi_snaps = [[] for _ in range(n_paths)]
+    n_snaps = 0
 
-    def record(t: float, drift, f_hat):
-        psi_val = diss_val = 0.0
+    def record(r: int, drift, f_hat):
+        rows[1:5, r, sel] = norms
         if cfg.energy_diagnostics:
-            psi_val, diss_val = _energy_row(theta, norms[1], norms[3], grid, nl, f_hat)
-        pairing = half_inner(drift, u) if drift is not None else 0.0
-        rows.append((t, *norms, psi_val, diss_val, pairing))
+            rows[5:7, r, sel] = _energy_row(theta, norms[1], norms[3], grid, nl, f_hat)
+        if drift is not None:
+            rows[7, r, sel] = half_inner(drift, u)
         if track_convolution:
-            xi_norms = np.sqrt(half_norms_sq(xi))
-            xi_rows.append((t, *xi_norms, 0.0, 0.0, 0.0, 0.0, 0.0))
+            xi_rows[1:3, r, sel] = np.sqrt(np.stack(half_norms_sq(xi)))
 
-    def snapshot(t: float):
-        snaps.append(SpectralState.from_arrays(grid, u, theta, t))
-        if track_convolution:
-            xi_snaps.append(SpectralState.from_arrays(grid, xi, zero, t))
+    def snapshot(t: float, final: bool = False):
+        nonlocal n_snaps
+        if on_snapshot is not None:
+            on_snapshot(n_snaps, paths, u, theta)
+        n_snaps += 1
+        if keep_snapshots or final:
+            for i, p in enumerate(paths.tolist()):
+                snaps[p].append(SpectralState.from_arrays(grid, u[i], theta[i], t))
+                if track_convolution:
+                    xi_snaps[p].append(SpectralState.from_arrays(grid, xi[i], zero, t))
 
     for k in range(n_steps):
         t = k * dt
         row_due = k % diag_stride == 0
         chi1 = chi2 = 1.0
-        if cfg.cutoff_level is not None:
-            chi1 = cutoff_chi(norms[0], cfg.cutoff_level)
-            chi2 = cutoff_chi(norms[2], cfg.cutoff_level)
+        if level is not None:
+            chi1 = np.array([cutoff_chi(x, level) for x in norms[0]])
+            chi2 = np.array([cutoff_chi(x, level) for x in norms[2]])
         nu, ntheta, f_hat = explicit_rhs(
             u, theta, grid, chi1, chi2, nl, with_f=row_due and cfg.energy_diagnostics
         )
         drift = mark_sum(drift_coeffs[k], u) if drifted else None
         if row_due:
-            record(t, drift, f_hat)
+            record(k // diag_stride, drift, f_hat)
         if k % cfg.snapshot_stride == 0:
             snapshot(t)
 
@@ -444,23 +522,39 @@ def _run(
         theta = factor * (theta + dt * ntheta)
 
         norms = _state_norms(u, theta)
-        v_theta = float(np.sqrt(norms[2] ** 2 + norms[3] ** 2))
-        # NaN fails both comparisons; infinite norms fail the isfinite test
-        if not (norms[0] <= threshold and v_theta <= threshold and np.isfinite(norms[0] + v_theta)):
-            status = "diverged"
-            break
+        # NaN and infinite norms fail the comparisons
+        ok = (norms[0] <= threshold) & (np.sqrt(norms[2] ** 2 + norms[3] ** 2) <= threshold)
+        if not ok.all():
+            rows_kept[paths[~ok]] = k // diag_stride + 1
+            paths, u, theta, xi, norms = paths[ok], u[ok], theta[ok], xi[ok], norms[:, ok]
+            sel = paths
+            if stochastic:
+                jump_coeffs = jump_coeffs[:, ok]
+                if track_convolution:
+                    xi_coeffs = xi_coeffs[:, ok]
+            if not paths.size:
+                break
 
-    if status == "ok":
+    if paths.size:
         t_end = n_steps * dt
         f_hat = None
         if cfg.energy_diagnostics and nl is not None:
             f_hat = explicit_rhs(u, theta, grid, nl=nl, with_f=True)[2]
-        record(t_end, mark_sum(drift_coeffs[n_steps], u) if drifted else None, f_hat)
-        snapshot(t_end)
+        drift = mark_sum(drift_coeffs[n_steps], u) if drifted else None
+        record(n_rows - 1, drift, f_hat)
+        snapshot(t_end, final=True)
 
-    main = _trajectory("sde" if stochastic else "skeleton", cfg, status, rows, snaps)
+    kind = "sde" if stochastic else "skeleton"
+    status = ["ok" if kept == n_rows else "diverged" for kept in rows_kept.tolist()]
+    main = [
+        _trajectory(kind, cfg, status[p], rows[:, : rows_kept[p], p], snaps[p])
+        for p in range(n_paths)
+    ]
     if track_convolution:
-        return main, _trajectory("convolution", cfg, status, xi_rows, xi_snaps)
+        return main, [
+            _trajectory("convolution", cfg, status[p], xi_rows[:, : rows_kept[p], p], xi_snaps[p])
+            for p in range(n_paths)
+        ]
     return main
 
 
@@ -470,7 +564,7 @@ def _run(
 
 def solve_skeleton(init: SpectralState, g: Control | None, cfg: SolverConfig) -> Trajectory:
     """Deterministic controlled flow; g = None means the unit (zero-cost) tilt."""
-    return _run(init, cfg, control=g)
+    return _run(init, cfg, control=g)[0]
 
 
 def solve_small_noise_sde(
@@ -485,8 +579,8 @@ def solve_small_noise_sde(
     Deterministic given the seed: the jump configuration is drawn once by
     thinning and replayed through the fixed-step loop.
     """
-    _, jumps = _draw_jumps(epsilon, phi, cfg, seed)
-    return _run(init, cfg, epsilon=epsilon, jumps=jumps)
+    _, jumps = draw_jumps(epsilon, phi, cfg, seed)
+    return _run(init, cfg, epsilon=epsilon, jumps=[jumps])[0]
 
 
 def solve_sde_with_jumps(
@@ -501,7 +595,7 @@ def solve_sde_with_jumps(
     to the base configuration the tilt weight is computed from, and to
     replay a saved ``jumps.txt``.
     """
-    return _run(init, cfg, epsilon=epsilon, jumps=jumps)
+    return _run(init, cfg, epsilon=epsilon, jumps=[jumps])[0]
 
 
 def solve_stochastic_convolution(
@@ -518,9 +612,35 @@ def solve_stochastic_convolution(
     jump coefficient to that path; returns the convolution trajectory
     (velocity slot holds the convolution, director slot is zero).
     """
-    phi, jumps = _draw_jumps(epsilon, phi, cfg, seed)
-    _, conv = _run(init, cfg, control=phi, epsilon=epsilon, jumps=jumps, track_convolution=True)
-    return conv
+    phi, jumps = draw_jumps(epsilon, phi, cfg, seed)
+    _, conv = _run(init, cfg, control=phi, epsilon=epsilon, jumps=[jumps], track_convolution=True)
+    return conv[0]
+
+
+def solve_path_batch(
+    init: SpectralState,
+    epsilon: float,
+    jumps: Sequence[JumpSample],
+    cfg: SolverConfig,
+    convolution_phi: Control | None = None,
+    on_snapshot: Callable | None = None,
+) -> list[Trajectory]:
+    """Jump-driven paths from one state, one per sample in ``jumps``, stepped as one batch.
+
+    Path k equals ``solve_sde_with_jumps(init, epsilon, jumps[k], cfg)``
+    bit for bit, except that it keeps only its final snapshot; with
+    ``convolution_phi`` the convolution trajectories (compensator tilt
+    ``convolution_phi``) are returned instead, as by
+    :func:`solve_stochastic_convolution`.  ``on_snapshot(j, paths, u_hat,
+    theta_hat)`` sees every strided snapshot of the paths still running,
+    for statistics that would otherwise need all snapshots kept.
+    """
+    out = _run(
+        init, cfg, control=convolution_phi, epsilon=epsilon, jumps=jumps,
+        track_convolution=convolution_phi is not None, keep_snapshots=False,
+        on_snapshot=on_snapshot,
+    )
+    return out if convolution_phi is None else out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -593,18 +713,23 @@ def trajectory_sup_energy(traj: Trajectory) -> float:
 # trajectory comparisons
 
 
+def state_distances(u_hat: np.ndarray, theta_hat: np.ndarray, ref: SpectralState):
+    """:func:`state_distance` to ``ref`` of each path in a (..., 2, N, N//2+1) batch."""
+    du_l2sq, _ = half_norms_sq(u_hat - ref.u_hat)
+    dth_l2sq, dth_h1sq = half_norms_sq(theta_hat - ref.theta_hat)
+    return np.sqrt(du_l2sq) + np.sqrt(dth_l2sq + dth_h1sq)
+
+
 def state_distance(a: SpectralState, b: SpectralState) -> float:
     """|u_a - u_b|_{L2} + H1 distance of the directors."""
-    du_l2sq, _ = half_norms_sq(a.u_hat - b.u_hat)
-    dth_l2sq, dth_h1sq = half_norms_sq(a.theta_hat - b.theta_hat)
-    return float(np.sqrt(du_l2sq) + np.sqrt(dth_l2sq + dth_h1sq))
+    return float(state_distances(a.u_hat, a.theta_hat, b))
 
 
 def state_distance_sq_split(a: SpectralState, b: SpectralState) -> float:
     """|u_a - u_b|^2 + ||theta_a - theta_b||^2_{H1} (squared-sum form)."""
     du_l2sq, _ = half_norms_sq(a.u_hat - b.u_hat)
     dth_l2sq, dth_h1sq = half_norms_sq(a.theta_hat - b.theta_hat)
-    return du_l2sq + (dth_l2sq + dth_h1sq)
+    return float(du_l2sq + (dth_l2sq + dth_h1sq))
 
 
 def sup_state_distance(traj_a: Trajectory, traj_b: Trajectory) -> float:

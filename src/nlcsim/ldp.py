@@ -16,12 +16,19 @@ Monte Carlo studies quantify how jump-driven paths concentrate on the
 deterministic flow as the noise size shrinks, and the importance sampler
 reweights tilted simulations back to the reference measure through the
 exponential martingale density.  All four Monte Carlo drivers run their
-paths through ``_run_paths``, which excludes and counts diverged paths
-and fails the study above 1% of them.  The importance and plain
-estimators share ``_weighted_estimate``, which keeps the weights as
-logarithms: the estimate and its standard error are formed with a max
-shift (log-sum-exp), and the result carries ``log_estimate``, the
-effective sample size, the largest weight share, the hit count and a
+paths through ``_run_paths``, which steps them in chunks of ``_CHUNK``
+paths as one batch (``dynamics.solve_path_batch``) on one thread, excludes
+and counts diverged paths, and fails the study above 1% of them.  Each
+path draws its jumps from its own Philox stream, keyed as for a one-path
+run, and no batch mixes paths, so every result equals the one built from
+one-path solves bit for bit, whatever the chunk size.  Per path a driver
+keeps only what it reads: the study its sup distance to the skeleton
+(measured snapshot by snapshot), the convolution study max |xi|, the
+estimators the diagnostic rows their event indicator sees.  The
+importance and plain estimators share ``_weighted_estimate``, which keeps
+the weights as logarithms: the estimate and its standard error are formed
+with a max shift (log-sum-exp), and the result carries ``log_estimate``,
+the effective sample size, the largest weight share, the hit count and a
 flag for a degenerate sample (no path or every path hits).
 """
 
@@ -29,22 +36,23 @@ from __future__ import annotations
 
 import io
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
+# sup_state_distance is what the small-noise study measures, snapshot by
+# snapshot; bench/tracer.py wraps it under this module attribute.
 from .dynamics import (
     SolverConfig,
     SolverError,
     SpectralState,
     Trajectory,
-    solve_sde_with_jumps,
+    draw_jumps,
+    solve_path_batch,
     solve_skeleton,
-    solve_small_noise_sde,
-    solve_stochastic_convolution,
     state_distance_sq_split,
+    state_distances,
     sup_state_distance,
 )
 from .noise import (
@@ -212,22 +220,25 @@ def brute_force_rate(prob: RateProblem, grid_values: Sequence[float]) -> RateSol
 # ---------------------------------------------------------------------------
 # Monte Carlo driver: every study runs its paths through ``_run_paths``
 
+# Paths stepped together in one batch.  At N=16 the transforms are
+# dispatch-bound and 8 paths step at 0.4 of the one-path cost per path;
+# 16 gain little more, and at N=64 batches above 8 outgrow the cache and
+# slow down (sweep in CHANGES.md).  Results do not depend on it.
+_CHUNK = 8
 
-def _map_paths(fn: Callable[[int], object], n_paths: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(k) for k in range(n_paths)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_paths)))
 
-
-def _run_paths(fn: Callable[[int], object], n_paths: int, threads: int, what: str):
+def _run_paths(chunk_fn: Callable[[range], Sequence], n_paths: int, what: str):
     """(results of the paths that did not diverge, number of diverged paths).
 
-    ``fn(k)`` returns NaN, or a tuple holding NaN, for a diverged path.
-    Diverged paths are excluded and counted; more than 1% of them fails
-    the study.
+    ``chunk_fn(ks)`` steps the paths ``ks`` (consecutive indices, at most
+    ``_CHUNK`` of them) as one batch and returns one result per path: NaN,
+    or a tuple holding NaN, for a diverged path.  Diverged paths are
+    excluded and counted; more than 1% of them fails the study.
     """
-    vals = np.asarray(_map_paths(fn, n_paths, threads), dtype=float)
+    vals = np.asarray(
+        [v for s in range(0, n_paths, _CHUNK) for v in chunk_fn(range(s, min(s + _CHUNK, n_paths)))],
+        dtype=float,
+    )
     diverged = np.isnan(vals.reshape(n_paths, -1)).any(axis=1)
     bad = int(diverged.sum())
     if bad > 0.01 * n_paths:
@@ -285,14 +296,16 @@ def mc_small_noise_study(
     init: SpectralState,
     seed: int,
     phi: Control | None = None,
-    threads: int = 1,
 ) -> list[dict]:
     """Distribution of the sup distance to the deterministic flow per noise size.
 
     For each epsilon, ``n_paths`` jump-driven solutions are compared with
     the skeleton solution driven by the same tilt; rows report median and
-    quartiles of sup_t(|u-diff| + H1 theta-diff).  Diverged paths are
-    excluded and counted; more than 1% of them fails the study.
+    quartiles of sup_t(|u-diff| + H1 theta-diff).  Path k's value equals
+    ``sup_state_distance`` of its one-path ``solve_small_noise_sde`` run;
+    the batch measures it snapshot by snapshot instead of keeping the
+    snapshots.  Diverged paths are excluded and counted; more than 1% of
+    them fails the study.
     """
     if n_paths < 8:
         raise StudyError("study needs at least 8 paths per noise level")
@@ -308,11 +321,18 @@ def mc_small_noise_study(
     path_seeds = rng_for(seed, "mc-small-noise").integers(0, 2**62, size=(len(eps_list), n_paths))
     rows = []
     for i, eps in enumerate(eps_list):
-        def one(k: int, eps=eps, i=i) -> float:
-            traj = solve_small_noise_sde(init, eps, phi, cfg, seed=int(path_seeds[i, k]))
-            return float("nan") if traj.diverged else sup_state_distance(traj, skel)
+        def chunk(ks: range, eps=eps, i=i) -> np.ndarray:
+            jumps = [draw_jumps(eps, phi, cfg, int(path_seeds[i, k]))[1] for k in ks]
+            sup = np.zeros(len(ks))
 
-        good, bad = _run_paths(one, n_paths, threads, f"small-noise study, eps={eps}")
+            def observe(j, paths, u_hat, theta_hat):
+                dist = state_distances(u_hat, theta_hat, skel.snapshots[j])
+                sup[paths] = np.maximum(sup[paths], dist)
+
+            trajs = solve_path_batch(init, eps, jumps, cfg, on_snapshot=observe)
+            return np.where([traj.diverged for traj in trajs], np.nan, sup)
+
+        good, bad = _run_paths(chunk, n_paths, f"small-noise study, eps={eps}")
         rows.append(
             {
                 "eps": float(eps),
@@ -346,20 +366,22 @@ def convolution_scaling_study(
     init: SpectralState,
     seed: int,
     phi: Control | None = None,
-    threads: int = 1,
 ) -> list[dict]:
     """Mean of sup_t |convolution|^2 per noise size (expected to shrink).
 
+    Path k runs ``solve_stochastic_convolution`` at its own seed, batched.
     Diverged paths are excluded and counted, as in the small-noise study.
     """
     path_seeds = rng_for(seed, "convolution-study").integers(0, 2**62, size=(len(eps_list), n_paths))
     rows = []
     for i, eps in enumerate(eps_list):
-        def one(k: int, eps=eps, i=i) -> float:
-            conv = solve_stochastic_convolution(init, eps, phi, cfg, seed=int(path_seeds[i, k]))
-            return float("nan") if conv.diverged else float(np.max(conv.u_l2) ** 2)
+        def chunk(ks: range, eps=eps, i=i) -> list[float]:
+            draws = [draw_jumps(eps, phi, cfg, int(path_seeds[i, k])) for k in ks]
+            tilt = draws[0][0]
+            convs = solve_path_batch(init, eps, [d[1] for d in draws], cfg, convolution_phi=tilt)
+            return [float("nan") if c.diverged else float(np.max(c.u_l2) ** 2) for c in convs]
 
-        sups, bad = _run_paths(one, n_paths, threads, f"convolution study, eps={eps}")
+        sups, bad = _run_paths(chunk, n_paths, f"convolution study, eps={eps}")
         rows.append({"eps": float(eps), "mean_sup_sq": float(np.mean(sups)), "n_diverged": bad})
     return rows
 
@@ -376,7 +398,6 @@ def importance_weights(
     cfg: SolverConfig,
     init: SpectralState,
     seed: int,
-    threads: int = 1,
 ) -> dict:
     """Tilted-simulation estimate of a reference-measure path probability.
 
@@ -386,7 +407,8 @@ def importance_weights(
     average is unbiased for the probability under the reference
     (untilted) noise.  Besides the estimate, the result carries
     ``log_estimate`` and the weight diagnostics ``ess`` and
-    ``max_weight_share`` (see :func:`_weighted_estimate`).
+    ``max_weight_share`` (see :func:`_weighted_estimate`).  The indicator
+    sees each path's diagnostic rows and final snapshot.
     """
     if np.any(phi.values <= 0):
         raise ValueError("importance sampling requires a strictly positive tilt")
@@ -394,14 +416,19 @@ def importance_weights(
     if ms is None:
         raise SolverError("config carries no mark space / jump spec")
 
-    def one(k: int) -> tuple[float, float]:
-        jumps = thin_to_control(ms, cfg.t_final, phi, 1.0 / epsilon, rng_for(seed, "importance", k))
-        traj = solve_sde_with_jumps(init, epsilon, jumps, cfg)
-        if traj.diverged:
-            return float("nan"), float("nan")
-        return girsanov_log_density(phi, jumps, epsilon, ms), float(event_indicator(traj))
+    def chunk(ks: range) -> list[tuple[float, float]]:
+        jumps = [
+            thin_to_control(ms, cfg.t_final, phi, 1.0 / epsilon, rng_for(seed, "importance", k))
+            for k in ks
+        ]
+        trajs = solve_path_batch(init, epsilon, jumps, cfg)
+        return [
+            (float("nan"), float("nan")) if traj.diverged
+            else (girsanov_log_density(phi, sample, epsilon, ms), float(event_indicator(traj)))
+            for traj, sample in zip(trajs, jumps)
+        ]
 
-    return _weighted_estimate(*_run_paths(one, n_paths, threads, "importance sampling"))
+    return _weighted_estimate(*_run_paths(chunk, n_paths, "importance sampling"))
 
 
 def plain_mc_probability(
@@ -411,18 +438,19 @@ def plain_mc_probability(
     cfg: SolverConfig,
     init: SpectralState,
     seed: int,
-    threads: int = 1,
 ) -> dict:
     """Untilted Monte Carlo estimate of the same path probability (unit weights)."""
 
-    def one(k: int) -> tuple[float, float]:
-        path_seed = int(rng_for(seed, "plain-mc", k).integers(0, 2**62))
-        traj = solve_small_noise_sde(init, epsilon, None, cfg, seed=path_seed)
-        if traj.diverged:
-            return float("nan"), float("nan")
-        return 0.0, float(event_indicator(traj))
+    def chunk(ks: range) -> list[tuple[float, float]]:
+        seeds = [int(rng_for(seed, "plain-mc", k).integers(0, 2**62)) for k in ks]
+        jumps = [draw_jumps(epsilon, None, cfg, s)[1] for s in seeds]
+        trajs = solve_path_batch(init, epsilon, jumps, cfg)
+        return [
+            (float("nan"), float("nan")) if traj.diverged else (0.0, float(event_indicator(traj)))
+            for traj in trajs
+        ]
 
-    return _weighted_estimate(*_run_paths(one, n_paths, threads, "plain Monte Carlo"))
+    return _weighted_estimate(*_run_paths(chunk, n_paths, "plain Monte Carlo"))
 
 
 def sup_velocity_indicator(threshold: float) -> Callable[[Trajectory], float]:

@@ -8,12 +8,13 @@ polynomial nonlinearity f(theta) = f_tilde(|theta|^2) theta and its
 potential drive the energy functional used by the solver ledger.
 
 ``explicit_rhs`` is the solver's fused form of the same terms on
-half-layout (rfft) arrays: one batched inverse transform of u, grad theta
-and theta to the padded grid, and one batched forward transform of the
-symmetric tensor chi1 u (x) u + chi2 grad theta^T grad theta (which
-merges B and M into -P div) and of chi1 (u . grad) theta + f(theta).  The
-field-level operators (``convection_B``, ``director_stress_M``,
-``advection_Btilde``, ``polynomial_f``, ``energy_psi``) are its reference.
+half-layout (rfft) arrays, for one path or a batch along a leading path
+axis: one batched inverse transform of u, grad theta and theta to the
+padded grid, and one batched forward transform of the symmetric tensor
+chi1 u (x) u + chi2 grad theta^T grad theta (which merges B and M into
+-P div) and of chi1 (u . grad) theta + f(theta).  The field-level
+operators (``convection_B``, ``director_stress_M``, ``advection_Btilde``,
+``polynomial_f``, ``energy_psi``, ``potential_energy``) are its reference.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .spectral import (
     dealias_product,
     derivative,
     h1_seminorm,
-    half_leray,
     half_tables,
     integrate_product,
     l2_norm,
@@ -70,9 +70,11 @@ class PolynomialNonlinearity:
         return 4 * self.degree + 2
 
     def f_tilde(self, r):
-        out = np.zeros_like(np.asarray(r, dtype=float))
-        for b in reversed(self.coefficients):
-            out = out * r + b
+        r = np.asarray(r, dtype=float)
+        out = np.full_like(r, self.coefficients[-1])
+        for b in reversed(self.coefficients[:-1]):
+            out *= r
+            out += b
         return out
 
     def phi(self, r):
@@ -239,58 +241,76 @@ def energy_psi(
     )
 
 
-def potential_energy_hat(theta_hat: np.ndarray, grid: TorusGrid, nl: PolynomialNonlinearity) -> float:
-    """:func:`potential_energy` of a (2, N, N//2+1) director: one batched inverse transform."""
-    m = grid.padded_size(factor=nl.degree + 2.0)
-    v = np.fft.irfft2(pad_half(theta_hat, m), s=(m, m), norm="forward")
-    vals = nl.phi(v[0] ** 2 + v[1] ** 2)
-    return 0.5 * float(np.sum(vals) * (TWO_PI / m) ** 2)
+def potential_energy_hat(theta_hat: np.ndarray, grid: TorusGrid, nl: PolynomialNonlinearity):
+    """:func:`potential_energy` of a (..., 2, N, N//2+1) director, one value per leading index.
+
+    One batched inverse transform at padding degree + 1: the state's
+    Nyquist lines are zero, so the integrand's band (degree + 1)(N - 2)
+    stays below the padded size and the quadrature is exact.
+    """
+    m = grid.padded_size(factor=nl.degree + 1.0)
+    v = np.fft.irfft2(pad_half(theta_hat, m, width=grid.n // 2), s=(m, m), norm="forward")
+    vals = nl.phi(v[..., 0, :, :] ** 2 + v[..., 1, :, :] ** 2)
+    return 0.5 * (vals.reshape(vals.shape[:-2] + (m * m,)).sum(axis=-1) * (TWO_PI / m) ** 2)
 
 
 def explicit_rhs(
     u_hat: np.ndarray,
     theta_hat: np.ndarray,
     grid: TorusGrid,
-    chi1: float = 1.0,
-    chi2: float = 1.0,
+    chi1=1.0,
+    chi2=1.0,
     nl: PolynomialNonlinearity | None = DEFAULT_NONLINEARITY,
     with_f: bool = False,
 ):
-    """(nu, ntheta, f) of the explicit step on (2, N, N//2+1) half-layout arrays.
+    """(nu, ntheta, f) of the explicit step on (..., 2, N, N//2+1) half-layout arrays.
 
     nu = -P div(chi1 u (x) u + chi2 grad theta^T grad theta) and
     ntheta = -(chi1 (u . grad) theta + f(theta)), with every product formed
-    on the grid's padded grid: 8 fields go there in one ``irfft2`` call and
-    5 products come back in one ``rfft2`` call.  The divergence form of
-    convection needs u divergence-free with zero Nyquist lines.  With
-    ``with_f`` two more products return f(theta) alone (else f is None);
-    ``nl=None`` drops the relaxation.
+    on the grid's padded grid: 8 fields per path go there in one ``irfft2``
+    call and 5 products per path come back in one ``rfft2`` call, for a
+    whole batch of paths at once.  ``chi1``/``chi2`` are scalars or one
+    value per path.  The divergence form of convection needs u
+    divergence-free with zero Nyquist lines.  With ``with_f`` two more
+    products return f(theta) alone (else f is None); ``nl=None`` drops the
+    relaxation.
     """
     n, m = grid.n, grid.padded_size()
-    k1, k2 = half_tables(n)[:2]
+    k1, k2, _, _, inv_ksq = half_tables(n)
     ik1, ik2 = 1j * k1, 1j * k2
-    fields = pad_half(np.concatenate((u_hat, ik1 * theta_hat, ik2 * theta_hat, theta_hat)), m)
-    u1, u2, a1, a2, b1, b2, t1, t2 = np.fft.irfft2(fields, s=(m, m), norm="forward")
-    # a = d1 theta, b = d2 theta; cu = chi1 u
-    cu1, cu2 = (u1, u2) if chi1 == 1.0 else (chi1 * u1, chi1 * u2)
+    fields = np.concatenate(
+        (u_hat[..., :1, :, :], ik1 * theta_hat, u_hat[..., 1:, :, :], ik2 * theta_hat, theta_hat), axis=-3
+    )
+    grids = np.fft.irfft2(pad_half(fields, m, width=n // 2), s=(m, m), norm="forward")
+    # x = (u1, d1 theta1, d1 theta2), y = (u2, d2 theta1, d2 theta2), t = theta on the padded grid
+    x, y, t = grids[..., 0:3, :, :], grids[..., 3:6, :, :], grids[..., 6:8, :, :]
+    if isinstance(chi1, float) and isinstance(chi2, float) and chi1 == chi2 == 1.0:
+        cx, cy = x, y
+    else:  # chi1 on the velocity, chi2 on the director gradients
+        chi = np.stack(np.broadcast_arrays(chi1, chi2, chi2), axis=-1)[..., None, None]
+        cx, cy = chi * x, chi * y
     n_out = 7 if with_f and nl is not None else 5
-    prod = np.empty((n_out, m, m))
-    prod[0] = cu1 * u1 + chi2 * (a1 * a1 + a2 * a2)
-    prod[1] = cu1 * u2 + chi2 * (a1 * b1 + a2 * b2)
-    prod[2] = cu2 * u2 + chi2 * (b1 * b1 + b2 * b2)
-    prod[3] = cu1 * a1 + cu2 * b1
-    prod[4] = cu1 * a2 + cu2 * b2
+    out = np.empty(grids.shape[:-3] + (n_out, m, m))
+    # symmetric tensor T_ab = chi1 u_a u_b + chi2 d_a theta . d_b theta, then chi1 (u . grad) theta
+    np.sum(cx * x, axis=-3, out=out[..., 0, :, :])
+    np.sum(cx * y, axis=-3, out=out[..., 1, :, :])
+    np.sum(cy * y, axis=-3, out=out[..., 2, :, :])
+    adv = out[..., 3:5, :, :]
+    np.multiply(cx[..., :1, :, :], x[..., 1:, :, :], out=adv)
+    adv += cy[..., :1, :, :] * y[..., 1:, :, :]
     if nl is not None:
-        w = nl.f_tilde(t1 * t1 + t2 * t2)
-        f1, f2 = w * t1, w * t2
-        prod[3] += f1
-        prod[4] += f2
-        if n_out == 7:
-            prod[5], prod[6] = f1, f2
-    coeffs = truncate_half(np.fft.rfft2(prod, norm="forward"), n)
-    t11, t12, t22 = coeffs[:3]
-    nu = -half_leray(np.stack((ik1 * t11 + ik2 * t12, ik1 * t12 + ik2 * t22)))
-    return nu, -coeffs[3:5], coeffs[5:7] if n_out == 7 else None
+        w = nl.f_tilde(np.sum(t * t, axis=-3))[..., None, :, :]
+        f = np.multiply(w, t, out=out[..., 5:7, :, :] if n_out == 7 else None)
+        adv += f
+    coeffs = truncate_half(np.fft.rfft2(out, norm="forward"), n)
+    t11, t12, t22 = coeffs[..., 0, :, :], coeffs[..., 1, :, :], coeffs[..., 2, :, :]
+    # nu = -P d with d = div T: P d = d - k (k . d) / |k|^2, and the mean of d is zero
+    d1, d2 = ik1 * t11 + ik2 * t12, ik1 * t12 + ik2 * t22
+    kd = (k1 * d1 + k2 * d2) * inv_ksq
+    nu = np.empty(coeffs.shape[:-3] + (2, n, n // 2 + 1), dtype=complex)
+    np.subtract(k1 * kd, d1, out=nu[..., 0, :, :])
+    np.subtract(k2 * kd, d2, out=nu[..., 1, :, :])
+    return nu, -coeffs[..., 3:5, :, :], coeffs[..., 5:7, :, :] if n_out == 7 else None
 
 
 def coercivity_check(

@@ -445,19 +445,22 @@ def integrate_product(*fields: ScalarField) -> float:
 
 @lru_cache(maxsize=64)
 def half_tables(n: int):
-    """(k1, k2, ksq, weight, weight_ksq) of the (..., N, N//2+1) layout (read-only).
+    """(k1, k2, ksq, weights, inv_ksq) of the (..., N, N//2+1) layout (read-only).
 
     k1 is a (N, 1) column in FFT order and k2 the row 0 .. N/2, so both
-    broadcast against a coefficient array.  ``weight`` is the Parseval
-    weight (2pi)^2 * (1 on the k2 = 0 and k2 = N/2 columns, 2 elsewhere);
-    ``weight_ksq`` is weight * |k|^2 for gradient norms.
+    broadcast against a coefficient array.  ``weights[0]`` is the Parseval
+    weight (2pi)^2 * (1 on the k2 = 0 and k2 = N/2 columns, 2 elsewhere)
+    and ``weights[1]`` = weights[0] * |k|^2, for gradient norms;
+    ``inv_ksq`` is 1/|k|^2 with 0 at the mean mode, for the Leray
+    projection.
     """
     k1 = np.fft.fftfreq(n, d=1.0 / n)[:, None]
     k2 = np.arange(n // 2 + 1, dtype=float)
     ksq = k1**2 + k2**2
     weight = np.full((n, n // 2 + 1), 2.0 * TORUS_AREA)
     weight[:, 0] = weight[:, -1] = TORUS_AREA
-    tables = (k1, k2, ksq, weight, weight * ksq)
+    inv_ksq = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq != 0)
+    tables = (k1, k2, ksq, np.stack((weight, weight * ksq)), inv_ksq)
     for arr in tables:
         arr.setflags(write=False)
     return tables
@@ -482,37 +485,40 @@ def full_from_half(half: np.ndarray) -> np.ndarray:
     return out
 
 
-def half_norms_sq(a: np.ndarray) -> tuple[float, float]:
-    """(|a|^2_{L2}, |grad a|^2_{L2}) summed over every component of a half-layout stack."""
-    _, _, _, weight, weight_ksq = half_tables(a.shape[-2])
-    power = (a.real**2 + a.imag**2).reshape(-1, weight.size).sum(axis=0)
-    return float(np.dot(weight.ravel(), power)), float(np.dot(weight_ksq.ravel(), power))
+def half_norms_sq(a: np.ndarray):
+    """(|a|^2_{L2}, |grad a|^2_{L2}) of a (..., C, N, N//2+1) half-layout stack.
+
+    The C components are summed; any leading axes (paths) are kept, so a
+    (P, 2, N, N//2+1) batch gives two (P,) arrays and a single stack two
+    scalars.  Each path is reduced on its own (a pairwise sum along the
+    last axis), so its value does not depend on the batch it sits in.
+    """
+    weights = half_tables(a.shape[-2])[3]
+    power = (a.real**2 + a.imag**2).sum(axis=-3)
+    power = power.reshape(power.shape[:-2] + (1, weights[0].size))
+    sq = (power * weights.reshape(2, -1)).sum(axis=-1)
+    return sq[..., 0], sq[..., 1]
 
 
-def half_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """L2 inner product of two half-layout stacks (Parseval)."""
-    weight = half_tables(a.shape[-2])[3]
-    prod = (a.real * b.real + a.imag * b.imag).reshape(-1, weight.size).sum(axis=0)
-    return float(np.dot(weight.ravel(), prod))
+def half_inner(a: np.ndarray, b: np.ndarray):
+    """L2 inner product of two (..., C, N, N//2+1) stacks (Parseval), per leading index."""
+    weight = half_tables(a.shape[-2])[3][0]
+    prod = (a.real * b.real + a.imag * b.imag).sum(axis=-3)
+    return (prod.reshape(prod.shape[:-2] + (weight.size,)) * weight.ravel()).sum(axis=-1)
 
 
-def half_leray(a: np.ndarray) -> np.ndarray:
-    """Leray projection of a (2, N, N//2+1) vector stack (mean mode zeroed)."""
-    k1, k2, ksq, _, _ = half_tables(a.shape[-2])
-    kdot = (k1 * a[0] + k2 * a[1]) / np.where(ksq == 0, 1.0, ksq)
-    out = np.stack((a[0] - k1 * kdot, a[1] - k2 * kdot))
-    out[:, 0, 0] = 0.0
-    return out
+def pad_half(a: np.ndarray, m: int, width: int | None = None) -> np.ndarray:
+    """Embed (..., N, N//2+1) coefficients into (..., M, width), M >= N, same modes.
 
-
-def pad_half(a: np.ndarray, m: int) -> np.ndarray:
-    """Embed (..., N, N//2+1) coefficients into (..., M, M//2+1), M >= N, same modes.
-
-    The Nyquist lines of the source are skipped (they are zero).
+    ``width`` defaults to M//2+1, the full half layout of the M grid.
+    ``width=N//2`` keeps only the source's columns: the input of
+    ``irfft2(..., s=(M, M))``, which zero-fills the remaining columns
+    itself instead of transforming them.  The Nyquist lines of the source
+    are skipped (they are zero).
     """
     n = a.shape[-2]
     h = n // 2
-    out = np.zeros(a.shape[:-2] + (m, m // 2 + 1), dtype=complex)
+    out = np.zeros(a.shape[:-2] + (m, m // 2 + 1 if width is None else width), dtype=complex)
     out[..., :h, :h] = a[..., :h, :h]
     out[..., m - h + 1 :, :h] = a[..., h + 1 :, :h]
     return out

@@ -218,7 +218,7 @@ def test_sde_and_convolution_steps_match_field_steps(step_setup):
         1.0 / eps,
     )
     traj = solve_sde_with_jumps(init, eps, jumps, cfg)
-    _, conv = _run(init, cfg, control=phi, epsilon=eps, jumps=jumps, track_convolution=True)
+    _, (conv,) = _run(init, cfg, control=phi, epsilon=eps, jumps=[jumps], track_convolution=True)
     xi = VectorField.zeros(cfg.grid)
     factor = np.exp(-cfg.grid.ksq() * cfg.dt)
     for k in range(2):

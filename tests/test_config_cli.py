@@ -205,6 +205,17 @@ class TestCli:
         assert "eps,median,q25,q75,n_diverged" in table
         assert (out / "convolution_scaling.csv").exists()
 
+    def test_threads_is_deprecated_and_ignored(self, tmp_path, capsys):
+        cfg_path = self._write_cfg(tmp_path, FULL.replace("grid.modes = 16", "grid.modes = 8"))
+        outs = {}
+        for k in (1, 3):
+            outs[k] = tmp_path / f"threads{k}"
+            assert main(["mc-ldp", "--config", cfg_path, "--out", str(outs[k]), "--threads", str(k)]) == 0
+            err = capsys.readouterr().err
+            assert err.count("deprecated") == (k > 1)
+        for name in ("mc_ldp.csv", "convolution_scaling.csv"):
+            assert (outs[1] / name).read_bytes() == (outs[3] / name).read_bytes()
+
     def test_importance_subcommand(self, tmp_path):
         text = FULL.replace("grid.modes = 16", "grid.modes = 8") + "importance.n_paths = 40\n"
         cfg_path = self._write_cfg(tmp_path, text)

@@ -2,10 +2,18 @@ import numpy as np
 import pytest
 
 from nlcsim.config import parse_config_text
-from nlcsim.dynamics import SolverConfig, SpectralState, solve_skeleton
+from nlcsim.dynamics import (
+    SolverConfig,
+    SpectralState,
+    solve_sde_with_jumps,
+    solve_skeleton,
+    solve_small_noise_sde,
+    sup_state_distance,
+)
 from nlcsim.ldp import (
     RateProblem,
     StudyError,
+    _weighted_estimate,
     brute_force_rate,
     convolution_scaling_study,
     importance_weights,
@@ -17,7 +25,15 @@ from nlcsim.ldp import (
     study_rows_csv,
     sup_velocity_indicator,
 )
-from nlcsim.noise import Control, JumpCoefficientSpec, MarkSpace, cost_LT
+from nlcsim.noise import (
+    Control,
+    JumpCoefficientSpec,
+    MarkSpace,
+    cost_LT,
+    girsanov_log_density,
+    rng_for,
+    thin_to_control,
+)
 from nlcsim.spectral import (
     ScalarField,
     TorusGrid,
@@ -216,11 +232,20 @@ class TestSmallNoiseStudy:
         assert len(lines) == 3
 
     def test_threaded_study_matches_sequential(self, rng):
-        # per-path seeds are independent of scheduling, so fan-out is exact
+        # per-path seeds are independent of batching: the batched study equals
+        # the same statistics over one-path solves, bit for bit
         cfg, init = self._study_cfg(rng)
-        seq = mc_small_noise_study([0.4, 0.2], 8, cfg, init, seed=9, threads=1)
-        par = mc_small_noise_study([0.4, 0.2], 8, cfg, init, seed=9, threads=4)
-        assert seq == par
+        eps_list, n, seed = [0.4, 0.2], 8, 9
+        batched = mc_small_noise_study(eps_list, n, cfg, init, seed=seed)
+        skel = solve_skeleton(init, None, cfg)
+        path_seeds = rng_for(seed, "mc-small-noise").integers(0, 2**62, size=(len(eps_list), n))
+        for row, eps, seeds in zip(batched, eps_list, path_seeds):
+            dists = np.array(
+                [sup_state_distance(solve_small_noise_sde(init, eps, None, cfg, int(s)), skel) for s in seeds]
+            )
+            assert row["median"] == float(np.median(dists))
+            assert row["q25"] == float(np.quantile(dists, 0.25))
+            assert row["q75"] == float(np.quantile(dists, 0.75))
 
     def test_convolution_study_decreasing(self, rng):
         # jump mass large enough that many jumps land per path: the sup is
@@ -314,13 +339,18 @@ class TestImportance:
         assert 1.0 / n <= out["max_weight_share"] <= 1.0
 
     def test_threaded_matches_sequential(self, rng):
-        # per-path streams are keyed by path index, so fan-out is exact
+        # per-path streams are keyed by path index: the batched estimate equals
+        # the one built from one-path solves, bit for bit
         cfg, init = self._is_cfg(rng)
         phi = Control.constant(cfg.t_final, 1.5)
         indicator = sup_velocity_indicator(0.3)
-        seq = importance_weights(indicator, phi, 0.5, 8, cfg, init, seed=3, threads=1)
-        par = importance_weights(indicator, phi, 0.5, 8, cfg, init, seed=3, threads=4)
-        assert seq == par
+        batched = importance_weights(indicator, phi, 0.5, 8, cfg, init, seed=3)
+        rows = []
+        for k in range(8):
+            jumps = thin_to_control(cfg.mark_space, cfg.t_final, phi, 2.0, rng_for(3, "importance", k))
+            traj = solve_sde_with_jumps(init, 0.5, jumps, cfg)
+            rows.append((girsanov_log_density(phi, jumps, 0.5, cfg.mark_space), indicator(traj)))
+        assert batched == _weighted_estimate(np.array(rows), 0)
 
     def test_positive_tilt_required(self, rng):
         cfg, init = self._is_cfg(rng)

@@ -13,6 +13,7 @@ from nlcsim.operators import (
     f_aliasing_error,
     polynomial_f,
     potential_energy,
+    potential_energy_hat,
     trilinear_b,
     trilinear_m,
 )
@@ -320,6 +321,19 @@ class TestEnergy:
         r = v1**2 + v2**2
         expect = 0.5 * quad_integral(r + r**2 / 2.0)
         assert potential_energy(theta) == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("n", (8, 16, 128))
+    @pytest.mark.parametrize("degree", (1, 2, 3))
+    def test_potential_hat_matches_field_potential(self, n, degree, rng):
+        # degree + 1 padding is exact for Nyquist-free states; the field oracle pads by degree + 2
+        from nlcsim.dynamics import SpectralState
+
+        grid = TorusGrid(n)
+        nl = PolynomialNonlinearity(tuple(1.0 / (j + 1) for j in range(degree + 1)))
+        for _ in range(2):
+            state = SpectralState(VectorField.zeros(grid), random_vector_field(grid, rng, amplitude=0.8))
+            expect = potential_energy(state.theta, nl)
+            assert potential_energy_hat(state.theta_hat, grid, nl) == pytest.approx(expect, rel=1e-13)
 
     def test_chain_rule(self, grid32, rng):
         nl = DEFAULT_NONLINEARITY
