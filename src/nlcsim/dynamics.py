@@ -17,11 +17,12 @@ SDE, and the auxiliary jump convolution all pass through it, so zeroing
 the noise makes the SDE agree with the skeleton bit for bit.  It steps a
 batch of paths along a leading path axis, (P, 2, N, N//2+1): each step
 makes one batched inverse and one batched forward transform call for the
-whole batch (``operators.explicit_rhs``).  The control drift, the
-compensated jumps and the convolution increment are each one affine mark
-sum sum_i c_i shape_i + (sum_i c_i gain_i) u, with per-step coefficients
-that are shared (the drift) or per path (the jumps, from a per-path
-steps x marks count matrix).  The norms computed for the blow-up check
+whole batch (``operators.explicit_rhs``).  The control drift and the
+compensated jumps are each one affine mark sum
+sum_i c_i shape_i + (sum_i c_i gain_i) u, with per-step coefficients that
+are shared (the drift) or per path (the jumps, from a per-path
+steps x marks count matrix); the convolution increment reuses the jump
+sum and adds one shared-row sum.  The norms computed for the blow-up check
 serve the next diagnostic row and the per-path cutoffs.  No operation
 mixes paths, so path k of a batch equals its one-path run bit for bit; a
 path that diverges is dropped from the batch and the rest continue.
@@ -31,6 +32,9 @@ no other public solver; ``solve_path_batch`` runs many jump-driven paths
 at once for the Monte Carlo studies, keeping per path only its diagnostic
 rows and final state (an ``on_snapshot`` hook sees the others as they
 pass).  ``draw_jumps`` is the one draw of a seed's jump configuration.
+``skeleton_adjoint`` is the backward sweep of the skeleton step, run on
+the snapshots of one skeleton solve: it gives the gradient of a function
+of the final state in every tilt value and in the initial state.
 
 Jumps realized in [t, t + dt) are aggregated at the step boundary using
 the pre-step left limit of the velocity.  Every update leaves the velocity
@@ -69,6 +73,7 @@ from .operators import (
     director_stress_M,
     energy_psi,
     explicit_rhs,
+    explicit_rhs_transpose,
     polynomial_f,
     potential_energy_hat,
 )
@@ -259,6 +264,12 @@ def cutoff_chi(norm_value: float, level: float) -> float:
     return 1.0 - 3.0 * s**2 + 2.0 * s**3
 
 
+def _cutoff_slope(norm_value: float, level: float) -> float:
+    """Derivative of :func:`cutoff_chi` in the norm (zero outside (level, level + 1])."""
+    s = norm_value - level
+    return 6.0 * s * (s - 1.0) if 0.0 < s <= 1.0 else 0.0
+
+
 # ---------------------------------------------------------------------------
 # right-hand side
 
@@ -375,9 +386,9 @@ def _trajectory(kind: str, cfg: SolverConfig, status: str, rows: np.ndarray, sna
     )
 
 
-def _tilt_rows(control: Control, dt: float, n_rows: int) -> np.ndarray:
-    """The control's mark row at t = k dt for k = 0 .. n_rows - 1."""
-    return np.array([control.row(k * dt) for k in range(n_rows)])
+def _step_cells(control: Control, dt: float, n_rows: int) -> np.ndarray:
+    """The control cell of t = k dt for k = 0 .. n_rows - 1 (its rows are the tilt of step k)."""
+    return np.array([control.cell_of(k * dt) for k in range(n_rows)])
 
 
 def _run(
@@ -399,9 +410,10 @@ def _run(
     is then carried by the realized jumps, and only sets the convolution's
     compensator).  Each of these is the affine mark sum
     sum_i c_i G(u, v_i) at the pre-step velocity, with per-step
-    coefficients w (g - 1) (skeleton drift, shared by the paths),
+    coefficients w (g - 1) (skeleton drift, shared by the paths) and
     eps n - dt w (compensated jumps, n the step's jump count per path and
-    mark) and eps n - dt w phi (convolution).
+    mark).  The convolution's coefficients eps n - dt w phi are the jumps'
+    plus the shared row dt w (1 - phi), so its increment reuses the jump sum.
 
     The state of P paths is (P, 2, N, N//2+1): each step makes one inverse
     and one forward transform call for the whole batch, and the norms,
@@ -447,12 +459,12 @@ def _run(
             return acc.view(complex)
 
     if drifted:
-        drift_coeffs = weights * (_tilt_rows(control, dt, n_steps + 1) - 1.0)
+        drift_coeffs = weights * (control.values[_step_cells(control, dt, n_steps + 1)] - 1.0)
     if stochastic:
-        counts = _jump_counts(jumps, cfg)
-        jump_coeffs = epsilon * counts - dt * weights
+        jump_coeffs = epsilon * _jump_counts(jumps, cfg) - dt * weights
         if track_convolution:
-            xi_coeffs = epsilon * counts - dt * weights * _tilt_rows(control, dt, n_steps)[:, None]
+            # the convolution's coefficients eps n - dt w phi are the jumps' plus this shared row
+            xi_shift = dt * weights * (1.0 - control.values[_step_cells(control, dt, n_steps)])
     factor = np.exp(-half_tables(grid.n)[2] * dt)
     threshold = cfg.blowup_threshold
 
@@ -512,12 +524,14 @@ def _run(
 
         if drift is not None:
             nu = nu + drift
+        if stochastic:
+            jump = mark_sum(jump_coeffs[k], u)
         if track_convolution:
-            xi = factor * (xi + mark_sum(xi_coeffs[k], u))
+            xi = factor * (xi + jump + mark_sum(xi_shift[k], u))
         if not cfg.freeze_velocity:
             incr = u + dt * nu
             if stochastic:
-                incr = incr + mark_sum(jump_coeffs[k], u)
+                incr = incr + jump
             u = factor * incr
         theta = factor * (theta + dt * ntheta)
 
@@ -530,8 +544,6 @@ def _run(
             sel = paths
             if stochastic:
                 jump_coeffs = jump_coeffs[:, ok]
-                if track_convolution:
-                    xi_coeffs = xi_coeffs[:, ok]
             if not paths.size:
                 break
 
@@ -641,6 +653,79 @@ def solve_path_batch(
         on_snapshot=on_snapshot,
     )
     return out if convolution_phi is None else out[1]
+
+
+# ---------------------------------------------------------------------------
+# adjoint of the skeleton step
+
+
+def skeleton_adjoint(
+    traj: Trajectory,
+    control: Control | None,
+    cfg: SolverConfig,
+    lam_u: np.ndarray,
+    lam_theta: np.ndarray,
+):
+    """Backward sweep of the skeleton's IMEX-Euler step: (dJ/dg, lam_u(0), lam_theta(0)).
+
+    ``traj`` is ``solve_skeleton(init, control, cfg)`` run with
+    ``snapshot_stride=1``: its snapshots are the tape.  (lam_u, lam_theta)
+    is the gradient of a function J of the final state in the Parseval
+    inner product of ``half_inner``.  From the last step to the first the
+    sweep applies the transposed linearized step,
+
+        mu = F lam_{k+1},   lam_k = mu + dt (D rhs_k)^T mu + dt c_k mu_u,
+
+    with F = exp(-|k|^2 dt) (self-adjoint), ``explicit_rhs_transpose`` for
+    (D rhs_k)^T (plus the chain rule through the norm cutoffs when
+    ``cutoff_level`` is set) and c_k = sum_i w_i (g_i - 1) gain_i the
+    drift's gain.  The tilt enters the step affinely, so
+    dJ/dg_{c,i} = sum over the steps k of cell c of
+    dt w_i <F lam_{k+1}, shape_i + gain_i u_k>: one sweep gives the
+    (cells, marks) gradient, whatever its size.  The returned lam at step 0
+    is the gradient with respect to the initial state.
+    """
+    grid, dt, n_steps, nl, level = cfg.grid, cfg.dt, cfg.n_steps, cfg.nonlinearity, cfg.cutoff_level
+    snaps, ms, spec = traj.snapshots, cfg.mark_space, cfg.jump_spec
+    if ms is None:
+        raise SolverError("config carries no mark space / jump spec")
+    if traj.kind != "skeleton" or traj.diverged or len(snaps) != n_steps + 1:
+        raise SolverError("the adjoint sweep needs a finished skeleton run with snapshot_stride 1")
+    if control is None:
+        control = Control.unit(cfg.t_final, 1, ms.size)
+    weights, gains = ms.weight_array(), np.asarray(spec.gains, dtype=float)
+    shapes = np.stack([_field_coeffs(s) for s in spec.shapes])
+    cells = _step_cells(control, dt, n_steps)
+    drift_gain = (weights * (control.values - 1.0)) @ gains  # c_k, per cell
+    factor = np.exp(-half_tables(grid.n)[2] * dt)
+    frozen = cfg.freeze_velocity
+    grad = np.zeros(control.values.shape)
+    for k in range(n_steps - 1, -1, -1):
+        u, theta = snaps[k].u_hat, snaps[k].theta_hat
+        # a frozen velocity is carried over unchanged: no factor, no drift, no velocity equation
+        mu_u = np.zeros_like(lam_u) if frozen else factor * lam_u
+        mu_theta = factor * lam_theta
+        chi1 = chi2 = 1.0
+        if level is not None:
+            u_l2, _, theta_l2, _ = _state_norms(u, theta)
+            chi1, chi2 = cutoff_chi(u_l2, level), cutoff_chi(theta_l2, level)
+        a_u, a_theta, dchi = explicit_rhs_transpose(
+            u, theta, mu_u, mu_theta, grid, chi1, chi2, nl, with_chi=level is not None
+        )
+        if frozen:
+            lam_u = lam_u + dt * a_u
+        else:
+            c = cells[k]
+            grad[c] += dt * weights * (half_inner(shapes, mu_u) + gains * half_inner(mu_u, u))
+            lam_u = mu_u + dt * (drift_gain[c] * mu_u + a_u)
+        lam_theta = mu_theta + dt * a_theta
+        if level is not None:  # chi1 = chi(|u|), chi2 = chi(|theta|), d|v| = <v, dv> / |v|
+            slope_u, slope_theta = _cutoff_slope(u_l2, level), _cutoff_slope(theta_l2, level)
+            if slope_u:
+                lam_u = lam_u + (dt * dchi[0] * slope_u / u_l2) * u
+            if slope_theta:
+                lam_theta = lam_theta + (dt * dchi[1] * slope_theta / theta_l2) * theta
+    return grad, lam_u, lam_theta
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,16 @@ objective
 
 minimized over piecewise-constant intensity tilts in log coordinates
 (w = log g keeps the tilt positive and removes the entropy boundary
-singularity at zero).  Gradients come from central finite differences --
-two deterministic solves per control coordinate -- with a backtracking
-line search, so the iterate history is monotone.  A grid-search oracle
-covers problems with at most two control coordinates.
+singularity at zero) by gradient descent with a backtracking line search,
+so the iterate history is monotone.  The gradient is the exact gradient of
+the discrete scheme, from its adjoint (``rate_gradient``): the skeleton
+run of the current iterate keeps a snapshot per step, one backward sweep
+of the transposed step (``dynamics.skeleton_adjoint``) turns them into all
+cells x marks partial derivatives at once, and the entropy cost adds its
+own in closed form.  The accepted line-search trial's run is the next
+gradient's tape, so a gradient adds one sweep, about the cost of one
+solve, whatever the number of control coordinates.  A grid-search oracle covers problems with at
+most two control coordinates.
 
 Monte Carlo studies quantify how jump-driven paths concentrate on the
 deterministic flow as the noise size shrinks, and the importance sampler
@@ -36,7 +42,7 @@ from __future__ import annotations
 
 import io
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,6 +55,7 @@ from .dynamics import (
     SpectralState,
     Trajectory,
     draw_jumps,
+    skeleton_adjoint,
     solve_path_batch,
     solve_skeleton,
     state_distance_sq_split,
@@ -62,6 +69,7 @@ from .noise import (
     rng_for,
     thin_to_control,
 )
+from .spectral import half_tables
 
 
 class StudyError(RuntimeError):
@@ -80,7 +88,6 @@ class RateProblem:
     max_iters: int = 60
     step_size: float = 0.5
     tolerance: float = 1e-6
-    fd_step: float = 1e-4
 
     def __post_init__(self):
         if self.penalty_weight <= 0:
@@ -126,44 +133,79 @@ def _mismatch(traj: Trajectory, target: SpectralState) -> float:
     return state_distance_sq_split(traj.final_state(), target)
 
 
+def _evaluate(g: Control, prob: RateProblem, cfg: SolverConfig):
+    """((objective, entropy cost, endpoint mismatch), skeleton run of ``g`` under ``cfg``)."""
+    cost = cost_LT(g, prob.cfg.mark_space)
+    traj = solve_skeleton(prob.init, g, cfg)
+    if traj.diverged:
+        return (float("inf"), cost, float("inf")), traj
+    mis = _mismatch(traj, prob.target)
+    return (cost + prob.penalty_weight * mis, cost, mis), traj
+
+
+def _tape_cfg(prob: RateProblem) -> SolverConfig:
+    """The problem's solver config with a snapshot at every step: the adjoint's tape."""
+    return replace(prob.cfg, snapshot_stride=1)
+
+
 def rate_objective_parts(g: Control, prob: RateProblem) -> tuple[float, float, float]:
     """(objective, entropy cost, endpoint mismatch); infinite on divergence."""
-    cost = cost_LT(g, prob.cfg.mark_space)
-    traj = solve_skeleton(prob.init, g, prob.cfg)
-    if traj.diverged:
-        return float("inf"), cost, float("inf")
-    mis = _mismatch(traj, prob.target)
-    return cost + prob.penalty_weight * mis, cost, mis
+    return _evaluate(g, prob, prob.cfg)[0]
 
 
 def rate_objective(g: Control, prob: RateProblem) -> float:
     return rate_objective_parts(g, prob)[0]
 
 
+def rate_gradient(g: Control, prob: RateProblem, traj: Trajectory | None = None) -> np.ndarray:
+    """Exact gradient of the discrete objective in w = log g, flattened like ``g.values``.
+
+    The endpoint term lambda |endpoint - target|^2 (L2 velocity, H1
+    director) seeds the adjoint with 2 lambda (u_T - u*, (1 + |k|^2)
+    (theta_T - theta*)), and one backward sweep
+    (``dynamics.skeleton_adjoint``) gives its derivative in every g_{c,i};
+    the entropy cost adds g log g |cell| w_i in closed form.  ``traj`` is the
+    skeleton run of ``g`` with a snapshot at every step, when the caller
+    has it; otherwise it is run here.  The objective must be finite at g.
+    """
+    if traj is None:
+        traj = solve_skeleton(prob.init, g, _tape_cfg(prob))
+    final, target = traj.final_state(), prob.target
+    scale = 2.0 * prob.penalty_weight
+    lam_u = scale * (final.u_hat - target.u_hat)
+    lam_theta = scale * (1.0 + half_tables(prob.cfg.grid.n)[2]) * (final.theta_hat - target.theta_hat)
+    grad_g = skeleton_adjoint(traj, g, prob.cfg, lam_u, lam_theta)[0]
+    vals = g.values
+    entropy = vals * np.log(vals) * g.cell_width * prob.cfg.mark_space.weight_array()
+    return (vals * grad_g + entropy).ravel()
+
+
 def optimize_control(prob: RateProblem, g0: Control | None = None) -> RateSolution:
     """Gradient descent in w = log g with backtracking line search.
 
-    Returns the best iterate; the recorded objective history is
-    non-increasing.  Initialization defaults to the zero-cost tilt g = 1.
+    The gradient is :func:`rate_gradient`, taken on the skeleton run of the
+    accepted iterate, so an iteration costs one backward sweep plus its
+    line-search solves.  Returns the best iterate; the recorded objective
+    history is non-increasing.  Initialization defaults to the zero-cost
+    tilt g = 1.
     """
     if g0 is None:
         g0 = prob.unit_control()
     w = np.log(np.maximum(g0.values.ravel(), 1e-8))
+    tape_cfg = _tape_cfg(prob)
 
-    def objective_of(wvec: np.ndarray) -> tuple[float, float, float]:
-        return rate_objective_parts(prob.control_from_flat(np.exp(wvec)), prob)
+    def objective_of(wvec: np.ndarray):
+        return _evaluate(prob.control_from_flat(np.exp(wvec)), prob, tape_cfg)
 
-    obj, cost, mis = objective_of(w)
+    (obj, cost, mis), traj = objective_of(w)
     history = [(0, obj, cost, mis)]
     best = (obj, w.copy(), cost, mis)
     converged = False
 
     for it in range(1, prob.max_iters + 1):
-        grad = np.zeros_like(w)
-        for d in range(w.size):
-            e = np.zeros_like(w)
-            e[d] = prob.fd_step
-            grad[d] = (objective_of(w + e)[0] - objective_of(w - e)[0]) / (2 * prob.fd_step)
+        if not np.isfinite(obj):  # the start diverged: there is no gradient to follow
+            break
+        grad = rate_gradient(prob.control_from_flat(np.exp(w)), prob, traj)
         gnorm = float(np.max(np.abs(grad)))
         if gnorm <= prob.tolerance:
             converged = True
@@ -172,9 +214,9 @@ def optimize_control(prob: RateProblem, g0: Control | None = None) -> RateSoluti
         accepted = False
         while alpha > 1e-12:
             trial = w - alpha * grad
-            t_obj, t_cost, t_mis = objective_of(trial)
+            (t_obj, t_cost, t_mis), t_traj = objective_of(trial)
             if t_obj <= obj - 1e-4 * alpha * float(np.dot(grad, grad)):
-                w, obj, cost, mis = trial, t_obj, t_cost, t_mis
+                w, obj, cost, mis, traj = trial, t_obj, t_cost, t_mis, t_traj
                 accepted = True
                 break
             alpha *= 0.5

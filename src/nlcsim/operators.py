@@ -12,8 +12,11 @@ half-layout (rfft) arrays, for one path or a batch along a leading path
 axis: one batched inverse transform of u, grad theta and theta to the
 padded grid, and one batched forward transform of the symmetric tensor
 chi1 u (x) u + chi2 grad theta^T grad theta (which merges B and M into
--P div) and of chi1 (u . grad) theta + f(theta).  The field-level
-operators (``convection_B``, ``director_stress_M``, ``advection_Btilde``,
+-P div) and of chi1 (u . grad) theta + f(theta).
+``explicit_rhs_transpose`` is the transpose of its linearization, for the
+adjoint of the skeleton step: the same two transforms around the
+transposed pointwise Jacobian.  The field-level operators
+(``convection_B``, ``director_stress_M``, ``advection_Btilde``,
 ``polynomial_f``, ``energy_psi``, ``potential_energy``) are its reference.
 """
 
@@ -75,6 +78,15 @@ class PolynomialNonlinearity:
         for b in reversed(self.coefficients[:-1]):
             out *= r
             out += b
+        return out
+
+    def f_tilde_prime(self, r):
+        """Derivative of f_tilde: sum_j j b_j r^(j-1)."""
+        r = np.asarray(r, dtype=float)
+        out = np.full_like(r, self.degree * self.coefficients[-1])
+        for j in range(self.degree - 1, 0, -1):
+            out *= r
+            out += j * self.coefficients[j]
         return out
 
     def phi(self, r):
@@ -254,6 +266,19 @@ def potential_energy_hat(theta_hat: np.ndarray, grid: TorusGrid, nl: PolynomialN
     return 0.5 * (vals.reshape(vals.shape[:-2] + (m * m,)).sum(axis=-1) * (TWO_PI / m) ** 2)
 
 
+def _state_fields(u_hat: np.ndarray, theta_hat: np.ndarray, ik1, ik2) -> tuple:
+    """The 8 fields of a state that the explicit step takes to the padded grid, in grid order."""
+    return (u_hat[..., :1, :, :], ik1 * theta_hat, u_hat[..., 1:, :, :], ik2 * theta_hat, theta_hat)
+
+
+def _chi_scaled(x, y, chi1, chi2):
+    """(cx, cy, chi1 factor): chi1 on the velocity and chi2 on the director gradients."""
+    if isinstance(chi1, float) and isinstance(chi2, float) and chi1 == chi2 == 1.0:
+        return x, y, 1.0
+    chi = np.stack(np.broadcast_arrays(chi1, chi2, chi2), axis=-1)[..., None, None]
+    return chi * x, chi * y, chi[..., :1, :, :]
+
+
 def explicit_rhs(
     u_hat: np.ndarray,
     theta_hat: np.ndarray,
@@ -278,17 +303,11 @@ def explicit_rhs(
     n, m = grid.n, grid.padded_size()
     k1, k2, _, _, inv_ksq = half_tables(n)
     ik1, ik2 = 1j * k1, 1j * k2
-    fields = np.concatenate(
-        (u_hat[..., :1, :, :], ik1 * theta_hat, u_hat[..., 1:, :, :], ik2 * theta_hat, theta_hat), axis=-3
-    )
+    fields = np.concatenate(_state_fields(u_hat, theta_hat, ik1, ik2), axis=-3)
     grids = np.fft.irfft2(pad_half(fields, m, width=n // 2), s=(m, m), norm="forward")
     # x = (u1, d1 theta1, d1 theta2), y = (u2, d2 theta1, d2 theta2), t = theta on the padded grid
     x, y, t = grids[..., 0:3, :, :], grids[..., 3:6, :, :], grids[..., 6:8, :, :]
-    if isinstance(chi1, float) and isinstance(chi2, float) and chi1 == chi2 == 1.0:
-        cx, cy = x, y
-    else:  # chi1 on the velocity, chi2 on the director gradients
-        chi = np.stack(np.broadcast_arrays(chi1, chi2, chi2), axis=-1)[..., None, None]
-        cx, cy = chi * x, chi * y
+    cx, cy, _ = _chi_scaled(x, y, chi1, chi2)
     n_out = 7 if with_f and nl is not None else 5
     out = np.empty(grids.shape[:-3] + (n_out, m, m))
     # symmetric tensor T_ab = chi1 u_a u_b + chi2 d_a theta . d_b theta, then chi1 (u . grad) theta
@@ -311,6 +330,83 @@ def explicit_rhs(
     np.subtract(k1 * kd, d1, out=nu[..., 0, :, :])
     np.subtract(k2 * kd, d2, out=nu[..., 1, :, :])
     return nu, -coeffs[..., 3:5, :, :], coeffs[..., 5:7, :, :] if n_out == 7 else None
+
+
+def explicit_rhs_transpose(
+    u_hat: np.ndarray,
+    theta_hat: np.ndarray,
+    mu_u: np.ndarray,
+    mu_theta: np.ndarray,
+    grid: TorusGrid,
+    chi1=1.0,
+    chi2=1.0,
+    nl: PolynomialNonlinearity | None = DEFAULT_NONLINEARITY,
+    with_chi: bool = False,
+):
+    """Transpose of the linearized :func:`explicit_rhs` at (u, theta), applied to (mu_u, mu_theta).
+
+    Returns (a_u, a_theta, dchi) such that, for every perturbation
+    (du, dtheta) with chi1 and chi2 held fixed,
+    <D nu[du, dtheta], mu_u> + <D ntheta[du, dtheta], mu_theta> = <du, a_u> + <dtheta, a_theta>
+    in the Parseval inner product of ``half_inner``.
+
+    The discrete chain is transposed, not the PDE.  Between ``half_inner``
+    and the grid quadrature, pad + ``irfft2`` and ``rfft2`` + truncate
+    (both ``norm="forward"``) are each other's transpose, so the transpose
+    makes the same two transform calls around the transposed pointwise
+    Jacobian: ik becomes -ik, the Leray projection is self-adjoint, and the
+    relaxation's Jacobian f~ I + 2 f~' theta theta^T is symmetric.  The 8
+    state fields and the 5 adjoint fields share one ``irfft2`` call, the 8
+    results one ``rfft2`` call.  With ``with_chi``, dchi holds
+    (d/dchi1, d/dchi2) of <nu, mu_u> + <ntheta, mu_theta>, one value per
+    path, for the chain rule through the norm cutoffs; else it is None.
+    """
+    n, m = grid.n, grid.padded_size()
+    k1, k2, _, _, inv_ksq = half_tables(n)
+    ik1, ik2 = 1j * k1, 1j * k2
+    # nu = -P div T: the adjoint of T11, T12, T22 is ik applied to P mu_u
+    mu1, mu2 = mu_u[..., 0, :, :], mu_u[..., 1, :, :]
+    kmu = (k1 * mu1 + k2 * mu2) * inv_ksq
+    p1, p2 = mu1 - k1 * kmu, mu2 - k2 * kmu
+    tensor = np.stack((ik1 * p1, ik2 * p1 + ik1 * p2, ik2 * p2), axis=-3)
+    fields = np.concatenate(_state_fields(u_hat, theta_hat, ik1, ik2) + (tensor, -mu_theta), axis=-3)
+    grids = np.fft.irfft2(pad_half(fields, m, width=n // 2), s=(m, m), norm="forward")
+    x, y, t = grids[..., 0:3, :, :], grids[..., 3:6, :, :], grids[..., 6:8, :, :]
+    s11, s12, s22 = grids[..., 8:9, :, :], grids[..., 9:10, :, :], grids[..., 10:11, :, :]
+    sa = grids[..., 11:13, :, :]  # adjoint of chi1 (u . grad) theta + f(theta)
+    cx, cy, c1 = _chi_scaled(x, y, chi1, chi2)
+    out = np.empty(grids.shape[:-3] + (8, m, m))
+    gx, gy, gt = out[..., 0:3, :, :], out[..., 3:6, :, :], out[..., 6:8, :, :]
+    # T11 = cx . x, T12 = cx . y, T22 = cy . y
+    np.multiply(cx, 2.0 * s11, out=gx)
+    gx += cy * s12
+    np.multiply(cy, 2.0 * s22, out=gy)
+    gy += cx * s12
+    # A_j = chi1 (u1 d1 theta_j + u2 d2 theta_j)
+    adv_x = np.sum(x[..., 1:, :, :] * sa, axis=-3, keepdims=True)
+    adv_y = np.sum(y[..., 1:, :, :] * sa, axis=-3, keepdims=True)
+    gx[..., :1, :, :] += c1 * adv_x
+    gx[..., 1:, :, :] += cx[..., :1, :, :] * sa
+    gy[..., :1, :, :] += c1 * adv_y
+    gy[..., 1:, :, :] += cy[..., :1, :, :] * sa
+    if nl is None:
+        gt[...] = 0.0
+    else:
+        r = np.sum(t * t, axis=-3, keepdims=True)
+        np.multiply(nl.f_tilde(r), sa, out=gt)
+        gt += (2.0 * nl.f_tilde_prime(r) * np.sum(t * sa, axis=-3, keepdims=True)) * t
+    coeffs = truncate_half(np.fft.rfft2(out, norm="forward"), n)
+    a_u = coeffs[..., [0, 3], :, :]
+    a_theta = coeffs[..., 6:8, :, :] - ik1 * coeffs[..., 1:3, :, :] - ik2 * coeffs[..., 4:6, :, :]
+    dchi = None
+    if with_chi:
+        u1, u2 = x[..., :1, :, :], y[..., :1, :, :]
+        dx, dy = x[..., 1:, :, :], y[..., 1:, :, :]
+        o1 = s11 * u1 * u1 + s12 * u1 * u2 + s22 * u2 * u2 + u1 * adv_x + u2 * adv_y
+        o2 = np.sum(s11 * dx * dx + s12 * dx * dy + s22 * dy * dy, axis=-3, keepdims=True)
+        quad = (TWO_PI / m) ** 2
+        dchi = tuple(quad * o.reshape(o.shape[:-3] + (m * m,)).sum(axis=-1) for o in (o1, o2))
+    return a_u, a_theta, dchi
 
 
 def coercivity_check(

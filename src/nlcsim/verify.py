@@ -11,7 +11,7 @@ suite runs the same checks (plus heavier acceptance versions), so a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -372,6 +372,20 @@ def check_ldp(seed: int) -> list[CheckResult]:
 
     sol = ldp.optimize_control(prob)
     out.append(CheckResult("ldp", "optimizer-recovers-unit-tilt", sol.cost <= 1e-6, f"cost {sol.cost:.2e}"))
+
+    # two marks, one with a gain, off the unit tilt: adjoint gradient vs central differences
+    cfg2 = replace(cfg, mark_space=MarkSpace(weights=(1.0, 0.5)), jump_spec=_shapes_for(grid))
+    target2 = dynamics.solve_skeleton(init, None, cfg2).final_state()
+    prob2 = ldp.RateProblem(init=init, target=target2, cfg=cfg2)
+    w = np.log([1.37, 0.8])
+    grad = ldp.rate_gradient(prob2.control_from_flat(np.exp(w)), prob2)
+    fd = np.array([
+        (ldp.rate_objective(prob2.control_from_flat(np.exp(w + e)), prob2)
+         - ldp.rate_objective(prob2.control_from_flat(np.exp(w - e)), prob2)) / 2e-4
+        for e in 1e-4 * np.eye(2)
+    ])
+    err = float(np.max(np.abs(grad - fd)) / np.max(np.abs(fd)))
+    out.append(CheckResult("ldp", "adjoint-gradient-matches-fd", err <= 1e-6, f"rel err {err:.2e}"))
 
     phi = Control.constant(0.25, 1.5)
     res = ldp.importance_weights(lambda tr: 1.0, phi, 0.5, 300, cfg, init, seed=seed + 3)

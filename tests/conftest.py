@@ -9,6 +9,7 @@ product path so the two sides of every check are independent.
 import numpy as np
 import pytest
 
+from nlcsim.ldp import rate_objective
 from nlcsim.spectral import TWO_PI, ScalarField, TorusGrid, VectorField
 
 
@@ -89,3 +90,20 @@ def oracle_trilinear_m(t1: VectorField, t2: VectorField, u: VectorField, m: int 
                 )
                 total -= quad_integral(vals)
     return total
+
+
+def central_difference_gradient(prob, w: np.ndarray, step: float = 1e-4) -> np.ndarray:
+    """Central-difference gradient of the rate objective in w = log g: the adjoint's oracle.
+
+    Two skeleton solves per control coordinate, each through the public
+    ``rate_objective``; the truncation error is O(step^2).
+    """
+    def objective(x):
+        return rate_objective(prob.control_from_flat(np.exp(x)), prob)
+
+    grad = np.zeros_like(w)
+    for d in range(w.size):
+        e = np.zeros_like(w)
+        e[d] = step
+        grad[d] = (objective(w + e) - objective(w - e)) / (2 * step)
+    return grad

@@ -4,7 +4,8 @@
 per-component field arithmetic; the field operators (``_nonlinear_terms``,
 ``energy_psi``, ``control_drift``, ``compensator_integral``, ``eval_G``)
 stay as the oracle they are checked against here, at 1e-12 relative.
-The FFT budget of a step and the checkpoint text format are pinned too.
+The FFT budget of a forward and of a backward (adjoint) step and the
+checkpoint text format are pinned too.
 """
 
 import io
@@ -20,6 +21,7 @@ from nlcsim.dynamics import (
     _run,
     _state_norms,
     cutoff_chi,
+    skeleton_adjoint,
     solve_sde_with_jumps,
     solve_skeleton,
     state_from_text,
@@ -278,6 +280,20 @@ def test_fft_budget_per_step(step_setup, fft_calls, diagnostics):
     else:
         assert len(fft_calls) == explicit
         assert sorted(set(fft_calls)) == ["irfft2", "rfft2"]
+
+
+def test_fft_budget_backward_step(step_setup, fft_calls):
+    cfg, init = step_setup
+    cfg = SolverConfig(
+        grid=cfg.grid, dt=cfg.dt, t_final=10 * cfg.dt, mark_space=cfg.mark_space,
+        jump_spec=cfg.jump_spec, energy_diagnostics=False,
+    )
+    g = Control(cfg.t_final, np.array([[1.6, 0.4]]))
+    traj = solve_skeleton(init, g, cfg)
+    final = traj.final_state()
+    fft_calls.clear()
+    skeleton_adjoint(traj, g, cfg, final.u_hat, final.theta_hat)
+    assert fft_calls == ["irfft2", "rfft2"] * cfg.n_steps
 
 
 def test_fft_budget_sde_step(step_setup, fft_calls):
