@@ -1,20 +1,15 @@
 """Pseudospectral 2D nematic liquid-crystal flow with jump noise.
 
-Layers: ``spectral`` (torus fields and transforms), ``operators``
-(bilinear forms, nonlinearity, energies), ``noise`` (marked Poisson
-machinery, entropy cost, exponential tilts), ``dynamics`` (skeleton and
-jump-SDE solvers), ``ldp`` (rate-function optimization, small-noise
+Layers: ``spectral`` (half-layout coefficient arrays and transforms, plus
+the field classes of the reference operators), ``operators`` (the fused
+explicit step, its transpose, the nonlinearity and energies), ``noise``
+(marked Poisson machinery, entropy cost, exponential tilts), ``dynamics``
+(skeleton and jump-SDE solvers), ``ldp`` (rate-function optimization, small-noise
 Monte Carlo, importance sampling), ``config``/``cli``/``verify``
 (experiment orchestration).
 """
 
-from .spectral import (
-    DivergenceFreeField,
-    ScalarField,
-    TorusGrid,
-    VectorField,
-    leray_project,
-)
+from .spectral import TorusGrid
 from .operators import EnergyReport, PolynomialNonlinearity, energy_psi
 from .noise import Control, JumpCoefficientSpec, JumpSample, MarkSpace, cost_LT, entropy_l
 from .dynamics import (
@@ -32,7 +27,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Control",
-    "DivergenceFreeField",
     "EnergyReport",
     "ExperimentConfig",
     "JumpCoefficientSpec",
@@ -41,16 +35,13 @@ __all__ = [
     "PolynomialNonlinearity",
     "RateProblem",
     "RateSolution",
-    "ScalarField",
     "SolverConfig",
     "SpectralState",
     "TorusGrid",
     "Trajectory",
-    "VectorField",
     "cost_LT",
     "energy_psi",
     "entropy_l",
-    "leray_project",
     "optimize_control",
     "parse_config",
     "rate_objective",

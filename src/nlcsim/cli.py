@@ -22,6 +22,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, config_hash, parse_config, serialize_config
 from .dynamics import (
     SolverError,
+    draw_jumps,
     solve_sde_with_jumps,
     solve_skeleton,
     solve_stochastic_convolution,
@@ -38,7 +39,8 @@ from .ldp import (
     study_rows_csv,
     sup_velocity_indicator,
 )
-from .noise import control_to_csv, rng_for, thin_to_control
+# thin_to_control is drawn through draw_jumps; bench/tracer.py wraps it under this attribute too
+from .noise import control_to_csv, thin_to_control  # noqa: F401
 from .verify import render_table, run_all
 
 EXIT_OK = 0
@@ -101,9 +103,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     phi = cfg.build_control()
     eps = cfg.simulate_eps
     # the SDE sees the tilt only through its jumps: draw them once, replay, and save them
-    jumps = thin_to_control(
-        solver_cfg.mark_space, solver_cfg.t_final, phi, 1.0 / eps, rng_for(cfg.seed, "sde-jumps")
-    )
+    _, jumps = draw_jumps(eps, phi, solver_cfg, cfg.seed)
     traj = solve_sde_with_jumps(init, eps, jumps, solver_cfg)
     _write(out_dir, "sde_trajectory.csv", traj.to_csv(_headers(cfg, (f"kind=sde eps={eps}",))))
     _write(out_dir, "jumps.txt", _with_headers(cfg, jumps.to_text()))

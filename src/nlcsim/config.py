@@ -8,7 +8,9 @@ required -- everything else has a documented default.
 Shape fields are described by a small vocabulary of named analytic fields
 (amplitude-scaled, optionally Leray-projected low Fourier modes) rather
 than raw coefficient dumps, so a config stays human-auditable.  Terms can
-be summed with ``+``.
+be summed with ``+``.  Each descriptor becomes a (2, N, N//2+1) half-layout
+coefficient array; a wavenumber outside the grid's band |k| <= N/2 - 1 is
+rejected, since it would alias onto another mode or onto a Nyquist line.
 """
 
 from __future__ import annotations
@@ -22,14 +24,7 @@ import numpy as np
 from .dynamics import SolverConfig, SpectralState
 from .noise import Control, JumpCoefficientSpec, MarkSpace
 from .operators import PolynomialNonlinearity
-from .spectral import (
-    DivergenceFreeField,
-    ScalarField,
-    TorusGrid,
-    VectorField,
-    field_from_function,
-    leray_project,
-)
+from .spectral import TorusGrid, from_grid, leray_half
 
 
 class ConfigError(ValueError):
@@ -38,6 +33,7 @@ class ConfigError(ValueError):
     def __init__(self, message: str, path: str = "<config>", line: int | None = None):
         loc = f"{path}:{line}: " if line is not None else f"{path}: "
         super().__init__(loc + message)
+        self.message = message
         self.path = path
         self.line = line
 
@@ -46,104 +42,109 @@ class ConfigError(ValueError):
 # field vocabulary
 
 
-def velocity_shape(grid: TorusGrid, token: str) -> DivergenceFreeField:
-    """Divergence-free field from a ``name:amp[:args]`` descriptor.
+def _sampled(grid: TorusGrid, c1, c2, *wavenumbers: float) -> np.ndarray:
+    """(2, N, N//2+1) coefficients of two component functions of (x1, x2) sampled on the grid.
+
+    ``wavenumbers`` are the descriptor's numbers that the functions use as
+    wavenumbers; each must be an integer in the band |k| <= N/2 - 1, where
+    sampling is exact.
+    """
+    band = grid.n // 2 - 1
+    for k in wavenumbers:
+        if not k.is_integer():
+            raise ConfigError(f"wavenumber {k:g} is not an integer")
+        if abs(k) > band:
+            raise ConfigError(f"wavenumber {k:g} is outside the band |k| <= {band} of grid.modes = {grid.n}")
+    x1, x2 = grid.nodes()
+    return from_grid(np.stack([np.broadcast_to(c(x1, x2), x1.shape) for c in (c1, c2)]), grid.n)
+
+
+def _terms(token: str):
+    """(name, numeric args, term) of each '+'-separated term of a descriptor."""
+    for term in token.split("+"):
+        parts = term.strip().split(":")
+        yield parts[0], [float(p) for p in parts[1:]], term
+
+
+def _amp_k(args, term: str) -> tuple[float, float]:
+    """(amp, k) of a ``name:amp[:k]`` term; k defaults to 1."""
+    if len(args) not in (1, 2):
+        raise ConfigError(f"'{term}' needs amp[:k]")
+    return args[0], args[1] if len(args) > 1 else 1.0
+
+
+def velocity_shape(grid: TorusGrid, token: str) -> np.ndarray:
+    """Divergence-free (2, N, N//2+1) velocity coefficients from a ``name:amp[:args]`` descriptor.
 
     zero | shear_x:amp[:k] | shear_y:amp[:k] | taylor_green:amp[:k]
     | mode:amp:k1:k2 ('+'-separated terms are summed).
     """
-    total = None
-    for term in token.split("+"):
-        parts = term.strip().split(":")
-        name = parts[0]
-        args = [float(p) for p in parts[1:]]
+    total = np.zeros((2, grid.n, grid.n // 2 + 1), dtype=complex)
+    for name, args, term in _terms(token):
         if name == "zero":
-            f = DivergenceFreeField(ScalarField.zeros(grid), ScalarField.zeros(grid))
-        elif name == "shear_x":
-            amp, k = args[0], int(args[1]) if len(args) > 1 else 1
-            f = leray_project(
-                VectorField(
-                    field_from_function(grid, lambda x1, x2: amp * np.sin(k * x2)),
-                    ScalarField.zeros(grid),
-                )
-            )
+            continue
+        if name == "shear_x":
+            amp, k = _amp_k(args, term)
+            f = _sampled(grid, lambda x1, x2: amp * np.sin(k * x2), lambda x1, x2: 0.0, k)
         elif name == "shear_y":
-            amp, k = args[0], int(args[1]) if len(args) > 1 else 1
-            f = leray_project(
-                VectorField(
-                    ScalarField.zeros(grid),
-                    field_from_function(grid, lambda x1, x2: amp * np.sin(k * x1)),
-                )
-            )
+            amp, k = _amp_k(args, term)
+            f = _sampled(grid, lambda x1, x2: 0.0, lambda x1, x2: amp * np.sin(k * x1), k)
         elif name == "taylor_green":
-            amp, k = args[0], int(args[1]) if len(args) > 1 else 1
-            f = leray_project(
-                VectorField(
-                    field_from_function(grid, lambda x1, x2: amp * np.sin(k * x1) * np.cos(k * x2)),
-                    field_from_function(grid, lambda x1, x2: -amp * np.cos(k * x1) * np.sin(k * x2)),
-                )
+            amp, k = _amp_k(args, term)
+            f = _sampled(
+                grid,
+                lambda x1, x2: amp * np.sin(k * x1) * np.cos(k * x2),
+                lambda x1, x2: -amp * np.cos(k * x1) * np.sin(k * x2),
+                k,
             )
         elif name == "mode":
             if len(args) != 3:
                 raise ConfigError(f"mode shape needs amp:k1:k2, got '{term}'")
-            amp, k1, k2 = args[0], int(args[1]), int(args[2])
-            f = amp * leray_project(
-                VectorField(
-                    field_from_function(grid, lambda x1, x2: np.cos(k1 * x1 + k2 * x2)),
-                    field_from_function(grid, lambda x1, x2: np.sin(k1 * x1 + k2 * x2)),
-                )
+            amp, k1, k2 = args
+            f = amp * _sampled(
+                grid,
+                lambda x1, x2: np.cos(k1 * x1 + k2 * x2),
+                lambda x1, x2: np.sin(k1 * x1 + k2 * x2),
+                k1,
+                k2,
             )
         else:
             raise ConfigError(f"unknown velocity shape '{name}'")
-        total = f if total is None else total + f
+        total += leray_half(f)
     return total
 
 
-def director_shape(grid: TorusGrid, token: str) -> VectorField:
-    """Director field from a descriptor.
+def director_shape(grid: TorusGrid, token: str) -> np.ndarray:
+    """(2, N, N//2+1) director coefficients from a descriptor.
 
     zero | constant:a:b | stripe_x:amp[:k] | stripe_y:amp[:k]
     | mode:amp:k1:k2:comp ('+'-separated terms are summed).
     """
-    total = None
-    for term in token.split("+"):
-        parts = term.strip().split(":")
-        name = parts[0]
-        args = [float(p) for p in parts[1:]]
+    total = np.zeros((2, grid.n, grid.n // 2 + 1), dtype=complex)
+    for name, args, term in _terms(token):
         if name == "zero":
-            f = VectorField.zeros(grid)
-        elif name == "constant":
+            continue
+        if name == "constant":
             if len(args) != 2:
                 raise ConfigError(f"constant director needs a:b, got '{term}'")
             a, b = args
-            f = VectorField.from_values(
-                grid, np.full((grid.n, grid.n), a), np.full((grid.n, grid.n), b)
-            )
+            f = _sampled(grid, lambda x1, x2: a, lambda x1, x2: b)
         elif name == "stripe_x":
-            amp, k = args[0], int(args[1]) if len(args) > 1 else 1
-            f = VectorField(
-                field_from_function(grid, lambda x1, x2: amp * np.sin(k * x1)),
-                ScalarField.zeros(grid),
-            )
+            amp, k = _amp_k(args, term)
+            f = _sampled(grid, lambda x1, x2: amp * np.sin(k * x1), lambda x1, x2: 0.0, k)
         elif name == "stripe_y":
-            amp, k = args[0], int(args[1]) if len(args) > 1 else 1
-            f = VectorField(
-                ScalarField.zeros(grid),
-                field_from_function(grid, lambda x1, x2: amp * np.sin(k * x2)),
-            )
+            amp, k = _amp_k(args, term)
+            f = _sampled(grid, lambda x1, x2: 0.0, lambda x1, x2: amp * np.sin(k * x2), k)
         elif name == "mode":
-            if len(args) != 4:
-                raise ConfigError(f"mode director needs amp:k1:k2:comp, got '{term}'")
-            amp, k1, k2, comp = args[0], int(args[1]), int(args[2]), int(args[3])
-            scalar = field_from_function(grid, lambda x1, x2: amp * np.cos(k1 * x1 + k2 * x2))
-            f = (
-                VectorField(scalar, ScalarField.zeros(grid))
-                if comp == 1
-                else VectorField(ScalarField.zeros(grid), scalar)
-            )
+            if len(args) != 4 or args[3] not in (1, 2):
+                raise ConfigError(f"mode director needs amp:k1:k2:comp with comp 1 or 2, got '{term}'")
+            amp, k1, k2, comp = args
+            wave = lambda x1, x2: amp * np.cos(k1 * x1 + k2 * x2)  # noqa: E731
+            zero = lambda x1, x2: 0.0  # noqa: E731
+            f = _sampled(grid, *((wave, zero) if comp == 1 else (zero, wave)), k1, k2)
         else:
             raise ConfigError(f"unknown director shape '{name}'")
-        total = f if total is None else total + f
+        total += f
     return total
 
 
@@ -203,7 +204,7 @@ class ExperimentConfig:
         return MarkSpace(weights=self.noise_weights)
 
     def build_jump_spec(self, grid: TorusGrid) -> JumpCoefficientSpec:
-        shapes = tuple(velocity_shape(grid, token) for token in self.noise_shapes)
+        shapes = np.stack([velocity_shape(grid, token) for token in self.noise_shapes])
         return JumpCoefficientSpec(shapes=shapes, gains=self.noise_gains)
 
     def build_solver_config(self, energy_diagnostics: bool = True) -> SolverConfig:
@@ -222,9 +223,7 @@ class ExperimentConfig:
         )
 
     def build_init(self, grid: TorusGrid) -> SpectralState:
-        return SpectralState(
-            velocity_shape(grid, self.init_u), director_shape(grid, self.init_theta), 0.0
-        )
+        return SpectralState(grid, velocity_shape(grid, self.init_u), director_shape(grid, self.init_theta))
 
     def build_control(self) -> Control:
         k, m = self.control_cells, len(self.noise_weights)
@@ -346,14 +345,15 @@ def _validate(cfg: ExperimentConfig, lines: dict[str, int], path: str):
         fail("rate.penalty", "rate.penalty must be > 0")
     # vocabulary check: build on a throwaway grid so bad descriptors fail here
     grid = cfg.build_grid()
-    try:
-        cfg.build_init(grid)
-    except (ConfigError, ValueError, IndexError) as exc:
-        raise ConfigError(f"bad init descriptor: {exc}", path, lines.get("init.u")) from exc
-    try:
-        cfg.build_jump_spec(grid)
-    except (ConfigError, ValueError, IndexError) as exc:
-        raise ConfigError(f"bad noise shape: {exc}", path, lines.get("noise.shapes")) from exc
+    for key, what, build in (
+        ("init.u", "bad init descriptor", lambda: velocity_shape(grid, cfg.init_u)),
+        ("init.theta", "bad init descriptor", lambda: director_shape(grid, cfg.init_theta)),
+        ("noise.shapes", "bad noise shape", lambda: cfg.build_jump_spec(grid)),
+    ):
+        try:
+            build()
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"{what}: {getattr(exc, 'message', exc)}", path, lines.get(key)) from exc
 
 
 def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:

@@ -7,10 +7,8 @@ relaxation, control drift, and jump increments enter explicitly.
 
 The solver state is array-native: a ``SpectralState`` holds u and theta
 as (2, N, N//2+1) rfft coefficient arrays (the half layout of
-``spectral``), with the Nyquist lines zeroed once, when the state is
-built, so the divergence form of convection is exact on the grid.  Field
-views (``state.u``, ``state.theta``) are built on demand for the
-field-level reference operators and checks.
+``spectral``) with zero Nyquist lines, checked when the state is built, so
+the divergence form of convection is exact on the grid.
 
 ``_run`` is the one stepping loop: the skeleton flow, the small-noise jump
 SDE, and the auxiliary jump convolution all pass through it, so zeroing
@@ -49,9 +47,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# The loop calls none of eval_G, compensator_integral, control_drift and energy_psi
-# (they are the field-level reference of its array code); bench/tracer.py wraps
-# them under these module attributes, so they stay importable from here.
+# The loop calls none of eval_G, compensator_integral, control_drift, energy_psi and
+# the field operators below (they are the field-level reference of its array code);
+# bench/tracer.py wraps them under these module attributes, so they stay importable here.
 from .noise import (
     Control,
     JumpCoefficientSpec,
@@ -78,16 +76,12 @@ from .operators import (
     potential_energy_hat,
 )
 from .spectral import (
-    DivergenceFreeField,
-    ScalarField,
     TorusGrid,
-    VectorField,
     full_from_half,
-    half_from_full,
     half_inner,
     half_norms_sq,
     half_tables,
-    l2_norm,
+    nyquist_free,
     pad_half,
 )
 
@@ -96,60 +90,30 @@ class SolverError(ValueError):
     """Invalid solver configuration or state."""
 
 
-def _field_coeffs(w: VectorField) -> np.ndarray:
-    """(2, N, N//2+1) half-layout coefficients of a vector field, Nyquist lines zeroed."""
-    return half_from_full(np.stack((w.c1.coeffs, w.c2.coeffs)))
-
-
 class SpectralState:
     """Velocity/director pair at a fixed time, as half-layout coefficient arrays.
 
-    ``SpectralState(u, theta, time)`` takes the two fields and stores
-    ``u_hat`` and ``theta_hat``, (2, N, N//2+1) read-only rfft coefficient
-    arrays with zero Nyquist lines.  ``u`` and ``theta`` are field views of
-    those arrays, built on each access.
+    ``SpectralState(grid, u_hat, theta_hat, time)`` stores read-only copies
+    of two (2, N, N//2+1) rfft coefficient arrays.  It rejects a wrong
+    shape, non-finite coefficients and nonzero Nyquist lines; that the
+    velocity is divergence-free is the caller's to ensure (the config
+    vocabulary projects it, and every step keeps it).
     """
 
-    def __init__(self, u: VectorField, theta: VectorField, time: float = 0.0):
-        if u.grid != theta.grid:
-            raise SolverError("velocity and director must share a grid")
-        u_hat, theta_hat = _field_coeffs(u), _field_coeffs(theta)
-        if not (np.all(np.isfinite(u_hat)) and np.all(np.isfinite(theta_hat))):
+    def __init__(self, grid: TorusGrid, u_hat: np.ndarray, theta_hat: np.ndarray, time: float = 0.0):
+        shape = (2, grid.n, grid.n // 2 + 1)
+        if np.shape(u_hat) != shape or np.shape(theta_hat) != shape:
+            raise SolverError(
+                f"u_hat and theta_hat must have shape {shape}, got {np.shape(u_hat)} and {np.shape(theta_hat)}"
+            )
+        pair = np.array((u_hat, theta_hat), dtype=complex)
+        if not np.isfinite(pair).all():
             raise SolverError("state contains non-finite coefficients")
-        self._set(u.grid, u_hat, theta_hat, time)
-
-    def _set(self, grid: TorusGrid, u_hat: np.ndarray, theta_hat: np.ndarray, time: float):
-        u_hat.setflags(write=False)
-        theta_hat.setflags(write=False)
-        self.grid, self.u_hat, self.theta_hat, self.time = grid, u_hat, theta_hat, time
-
-    @classmethod
-    def from_arrays(
-        cls, grid: TorusGrid, u_hat: np.ndarray, theta_hat: np.ndarray, time: float = 0.0
-    ) -> "SpectralState":
-        """Wrap half-layout arrays that already meet the state's conventions (no copy)."""
-        state = cls.__new__(cls)
-        state._set(grid, u_hat, theta_hat, time)
-        return state
-
-    @classmethod
-    def zero(cls, grid: TorusGrid, time: float = 0.0) -> "SpectralState":
-        zeros = np.zeros((2, grid.n, grid.n // 2 + 1), dtype=complex)
-        return cls.from_arrays(grid, zeros, zeros, time)
-
-    @property
-    def u(self) -> DivergenceFreeField:
-        c1, c2 = full_from_half(self.u_hat)
-        return DivergenceFreeField(
-            ScalarField.from_coeffs(self.grid, c1), ScalarField.from_coeffs(self.grid, c2)
-        )
-
-    @property
-    def theta(self) -> VectorField:
-        c1, c2 = full_from_half(self.theta_hat)
-        return VectorField(
-            ScalarField.from_coeffs(self.grid, c1), ScalarField.from_coeffs(self.grid, c2)
-        )
+        if not nyquist_free(pair):
+            raise SolverError("state has nonzero Nyquist lines")
+        pair.setflags(write=False)
+        self.grid, self.time = grid, time
+        self.u_hat, self.theta_hat = pair
 
 
 @dataclass(frozen=True)
@@ -272,23 +236,6 @@ def _cutoff_slope(norm_value: float, level: float) -> float:
 
 # ---------------------------------------------------------------------------
 # right-hand side
-
-
-def _nonlinear_terms(u, theta, cfg: SolverConfig):
-    """Explicit part of both equations (no control drift, no noise).
-
-    ``nonlinearity=None`` drops the polynomial relaxation entirely (a test
-    configuration; the modeled system always carries positive coefficients).
-    """
-    chi1 = chi2 = 1.0
-    if cfg.cutoff_level is not None:
-        chi1 = cutoff_chi(l2_norm(u), cfg.cutoff_level)
-        chi2 = cutoff_chi(l2_norm(theta), cfg.cutoff_level)
-    nu = -1.0 * (chi1 * convection_B(u, u)) - chi2 * director_stress_M(theta, theta)
-    ntheta = -1.0 * (chi1 * advection_Btilde(u, theta))
-    if cfg.nonlinearity is not None:
-        ntheta = ntheta - polynomial_f(theta, cfg.nonlinearity)
-    return nu, ntheta
 
 
 def _psi(theta_hat: np.ndarray, theta_h1, grid: TorusGrid, nl):
@@ -440,7 +387,7 @@ def _run(
     if ms is not None:
         weights = ms.weight_array()
         # real views of the complex coefficients: a real coefficient scales both parts
-        shapes = np.stack([_field_coeffs(s) for s in spec.shapes]).view(float)
+        shapes = spec.shapes.view(float)
         flat_shapes = shapes.reshape(ms.size, -1)
         gains = np.asarray(spec.gains, dtype=float)
 
@@ -502,9 +449,9 @@ def _run(
         n_snaps += 1
         if keep_snapshots or final:
             for i, p in enumerate(paths.tolist()):
-                snaps[p].append(SpectralState.from_arrays(grid, u[i], theta[i], t))
+                snaps[p].append(SpectralState(grid, u[i], theta[i], t))
                 if track_convolution:
-                    xi_snaps[p].append(SpectralState.from_arrays(grid, xi[i], zero, t))
+                    xi_snaps[p].append(SpectralState(grid, xi[i], zero, t))
 
     for k in range(n_steps):
         t = k * dt
@@ -694,7 +641,7 @@ def skeleton_adjoint(
     if control is None:
         control = Control.unit(cfg.t_final, 1, ms.size)
     weights, gains = ms.weight_array(), np.asarray(spec.gains, dtype=float)
-    shapes = np.stack([_field_coeffs(s) for s in spec.shapes])
+    shapes = spec.shapes
     cells = _step_cells(control, dt, n_steps)
     drift_gain = (weights * (control.values - 1.0)) @ gains  # c_k, per cell
     factor = np.exp(-half_tables(grid.n)[2] * dt)
@@ -744,7 +691,7 @@ def galerkin_project(state: SpectralState, n_modes: int) -> SpectralState:
     k1, k2 = half_tables(grid.n)[:2]
     half = n_modes // 2
     mask = (np.abs(k1) <= half - 1) & (k2 <= half - 1)
-    return SpectralState.from_arrays(
+    return SpectralState(
         grid, np.where(mask, state.u_hat, 0.0), np.where(mask, state.theta_hat, 0.0), state.time
     )
 
@@ -831,9 +778,7 @@ def embed_state(state: SpectralState, fine_grid: TorusGrid) -> SpectralState:
     if fine_grid.n < state.grid.n:
         raise SolverError("target grid must be at least as fine")
     m = fine_grid.n
-    return SpectralState.from_arrays(
-        fine_grid, pad_half(state.u_hat, m), pad_half(state.theta_hat, m), state.time
-    )
+    return SpectralState(fine_grid, pad_half(state.u_hat, m), pad_half(state.theta_hat, m), state.time)
 
 
 # ---------------------------------------------------------------------------
@@ -862,29 +807,40 @@ def state_to_text(state: SpectralState) -> str:
 
 
 def state_from_text(text: str) -> SpectralState:
-    modes = None
+    """The state of a :func:`state_to_text` checkpoint; malformed text raises SolverError.
+
+    Coefficients with k2 < 0 are the conjugates of listed ones and are
+    skipped; a wavenumber outside the band |k_j| <= N/2 - 1 is rejected.
+    """
+    modes = arrays = current = None
     time = 0.0
-    arrays: dict[str, np.ndarray] = {}
-    current = None
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
-        if not line:
-            continue
-        if line.startswith("# modes="):
-            parts = line.lstrip("# ").split()
-            modes = int(parts[0].split("=")[1])
-            time = float(parts[1].split("=")[1])
-            for name in _COMPONENTS:
-                arrays[name] = np.zeros((modes, modes), dtype=complex)
-        elif line.startswith("# component"):
-            current = line.split()[-1]
-        elif line.startswith("#"):
-            continue
-        else:
-            k1, k2, re, im = line.split()
-            arrays[current][int(k1) % modes, int(k2) % modes] = float(re) + 1j * float(im)
+        try:
+            if line.startswith("# modes="):
+                head = dict(tok.split("=", 1) for tok in line[1:].split())
+                modes, time = int(head["modes"]), float(head["time"])
+                grid = TorusGrid(modes)
+                arrays = np.zeros((4, modes, modes // 2 + 1), dtype=complex)
+            elif line.startswith("# component"):
+                name = line.split()[-1]
+                if name not in _COMPONENTS:
+                    raise SolverError(f"unknown component '{name}'")
+                current = _COMPONENTS.index(name)
+            elif line and not line.startswith("#"):
+                if arrays is None:
+                    raise SolverError("checkpoint is missing the modes header")
+                if current is None:
+                    raise SolverError("coefficient line before any component header")
+                k1, k2, re, im = line.split()
+                k1, k2, value = int(k1), int(k2), complex(float(re), float(im))
+                if max(abs(k1), abs(k2)) > modes // 2 - 1:
+                    raise SolverError(f"wavenumber ({k1}, {k2}) is outside the band of N={modes}")
+                if k2 >= 0:
+                    arrays[current, k1 % modes, k2] = value
+        except (ValueError, KeyError) as exc:
+            msg = exc.args[0] if isinstance(exc, SolverError) else f"cannot parse '{line}' ({exc})"
+            raise SolverError(f"checkpoint line {lineno}: {msg}") from None
     if modes is None:
         raise SolverError("checkpoint is missing the modes header")
-    grid = TorusGrid(modes)
-    fields = [ScalarField.from_coeffs(grid, arrays[name]) for name in _COMPONENTS]
-    return SpectralState(DivergenceFreeField(*fields[:2]), VectorField(*fields[2:]), time)
+    return SpectralState(grid, arrays[:2], arrays[2:], time)

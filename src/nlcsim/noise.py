@@ -3,12 +3,14 @@
 The mark space is a finite set with strictly positive weights, realizing a
 sigma-finite jump intensity at desk scale.  The jump coefficient is affine
 per mark, G(t, u, v) = shape_v + gain_v * u, which keeps every Lipschitz
-and growth constant computable in closed form.  ``eval_G`` gives the
-increment of one jump; every weighted sum over marks (the compensator and
-the skeleton's control drift) is one affine mark sum,
-sum_i c_i shape_i + (sum_i c_i gain_i) u.  Controls are nonnegative
-intensity tilts, piecewise constant over uniform time cells, priced by the
-relative-entropy functional built on l(r) = r log r - r + 1.
+and growth constant computable in closed form.  The shapes are one
+half-layout array; the solver forms its mark sums on it directly.
+``eval_G`` (the increment of one jump), ``compensator_integral`` and
+``control_drift`` are their field-level reference: each is one affine
+mark sum sum_i c_i shape_i + (sum_i c_i gain_i) u of a velocity field.
+Controls are nonnegative intensity tilts, piecewise constant over uniform
+time cells, priced by the relative-entropy functional built on
+l(r) = r log r - r + 1.
 
 All sampling takes an explicit seed and derives a counter-based (Philox)
 stream per (purpose, path), so parallel Monte Carlo is reproducible.
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import DivergenceFreeField, l2_norm
+from .spectral import DivergenceFreeField, half_norms_sq, nyquist_free, vector_field
 
 
 class NoiseError(ValueError):
@@ -82,16 +84,28 @@ class MarkSpace:
         return np.asarray(self.weights, dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JumpCoefficientSpec:
-    """Affine-in-velocity jump coefficient per mark: G(t,u,v) = shape_v + gain_v u."""
+    """Affine-in-velocity jump coefficient per mark: G(t,u,v) = shape_v + gain_v u.
 
-    shapes: tuple[DivergenceFreeField, ...]
+    ``shapes`` is one read-only (marks, 2, N, N//2+1) array of half-layout
+    velocity coefficients with zero Nyquist lines, one divergence-free
+    shape per mark.
+    """
+
+    shapes: np.ndarray
     gains: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.shapes) != len(self.gains):
+        shapes = np.array(self.shapes, dtype=complex)
+        if shapes.ndim != 4 or shapes.shape[1] != 2 or shapes.shape[3] != shapes.shape[2] // 2 + 1:
+            raise NoiseError(f"shapes must be a (marks, 2, N, N//2+1) array, got {shapes.shape}")
+        if len(shapes) != len(self.gains):
             raise NoiseError("one shape and one gain per mark required")
+        if not (np.all(np.isfinite(shapes)) and nyquist_free(shapes)):
+            raise NoiseError("shapes must be finite with zero Nyquist lines")
+        shapes.setflags(write=False)
+        object.__setattr__(self, "shapes", shapes)
 
     @property
     def size(self) -> int:
@@ -99,7 +113,7 @@ class JumpCoefficientSpec:
 
     def g0_norm(self, idx: int) -> float:
         """sup_u |G(t,u,v)| / (1 + |u|), exact for the affine form."""
-        return max(l2_norm(self.shapes[idx]), abs(self.gains[idx]))
+        return max(float(np.sqrt(half_norms_sq(self.shapes[idx])[0])), abs(self.gains[idx]))
 
     def lipschitz_bound(self, ms: MarkSpace) -> float:
         """L with int |G(t,u1,v)-G(t,u2,v)|^2 dtheta(v) = L |u1-u2|^2."""
@@ -310,17 +324,16 @@ def eval_G(
     """G(t, u, v_mark) = shape + gain * u (time-homogeneous by default)."""
     if mark < 0 or mark >= spec.size:
         raise NoiseError(f"unknown mark index {mark}")
-    out = spec.shapes[mark] + spec.gains[mark] * u
+    out = vector_field(u.grid, spec.shapes[mark]) + spec.gains[mark] * u
     return DivergenceFreeField(out.c1, out.c2)
 
 
 def _mark_sum(
     coeffs: np.ndarray, u: DivergenceFreeField, spec: JumpCoefficientSpec
 ) -> DivergenceFreeField:
-    """sum_i c_i G(t, u, v_i) = sum_i c_i shape_i + (sum_i c_i gain_i) u."""
-    acc = float(np.dot(coeffs, spec.gains)) * u
-    for c, shape in zip(coeffs, spec.shapes):
-        acc = acc + float(c) * shape
+    """sum_i c_i G(t, u, v_i) = sum_i c_i shape_i + (sum_i c_i gain_i) u, as a field."""
+    acc = vector_field(u.grid, np.tensordot(coeffs, spec.shapes, axes=1))
+    acc = acc + float(np.dot(coeffs, spec.gains)) * u
     return DivergenceFreeField(acc.c1, acc.c2)
 
 

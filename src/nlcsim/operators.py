@@ -1,23 +1,22 @@
 """Bilinear and trilinear operators of the coupled velocity/director system.
 
-Weak forms are realized as fields paired through the L2 inner product:
-the convection term satisfies <B(u,v), w> = b(u,v,w), the director stress
-satisfies <M(t1,t2), u> = m(t1,t2,u) for divergence-free u, and both
-trilinear forms are evaluated with exact (dealiased) quadrature.  The
-polynomial nonlinearity f(theta) = f_tilde(|theta|^2) theta and its
-potential drive the energy functional used by the solver ledger.
-
-``explicit_rhs`` is the solver's fused form of the same terms on
-half-layout (rfft) arrays, for one path or a batch along a leading path
-axis: one batched inverse transform of u, grad theta and theta to the
-padded grid, and one batched forward transform of the symmetric tensor
-chi1 u (x) u + chi2 grad theta^T grad theta (which merges B and M into
--P div) and of chi1 (u . grad) theta + f(theta).
+``explicit_rhs`` is the solver's form of the explicit terms on half-layout
+(rfft) arrays, for one path or a batch along a leading path axis: one
+batched inverse transform of u, grad theta and theta to the padded grid,
+and one batched forward transform of the symmetric tensor
+chi1 u (x) u + chi2 grad theta^T grad theta (which merges convection and
+the director stress into -P div) and of chi1 (u . grad) theta + f(theta).
 ``explicit_rhs_transpose`` is the transpose of its linearization, for the
 adjoint of the skeleton step: the same two transforms around the
-transposed pointwise Jacobian.  The field-level operators
-(``convection_B``, ``director_stress_M``, ``advection_Btilde``,
-``polynomial_f``, ``energy_psi``, ``potential_energy``) are its reference.
+transposed pointwise Jacobian.  The polynomial nonlinearity
+f(theta) = f_tilde(|theta|^2) theta and its potential drive the energy
+functional of the solver ledger.
+
+The field-level operators (``convection_B``, ``director_stress_M``,
+``advection_Btilde``, ``polynomial_f``, ``energy_psi``,
+``potential_energy``) are the reference of the fused form: weak forms are
+fields paired through the L2 inner product, <B(u,v), w> = b(u,v,w) and
+<M(t1,t2), u> = m(t1,t2,u) for divergence-free u, with dealiased products.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
-    TORUS_AREA,
     TWO_PI,
     DivergenceFreeField,
     ScalarField,
@@ -35,17 +33,16 @@ from .spectral import (
     VectorField,
     dealias_product,
     derivative,
+    from_grid,
     h1_seminorm,
     half_tables,
-    integrate_product,
     l2_norm,
     laplacian_vec,
+    leray_half,
     leray_project,
-    lq_norm,
     pad_coeffs,
-    pad_half,
+    to_grid,
     truncate_coeffs,
-    truncate_half,
 )
 
 
@@ -110,26 +107,8 @@ class EnergyReport:
     dissipation: float
 
 
-@dataclass(frozen=True)
-class CoercivityReport:
-    lhs: float
-    rhs_main: float
-    constant: float
-    margin: float
-    guaranteed: bool
-
-
 # ---------------------------------------------------------------------------
 # convection and director stress
-
-
-def trilinear_b(u: VectorField, v: VectorField, w: VectorField) -> float:
-    """b(u,v,w) = sum_{i,j} int u_i (d_i v_j) w_j dx, exact quadrature."""
-    total = 0.0
-    for j, (vj, wj) in enumerate(zip(v.components(), w.components())):
-        for i, ui in enumerate(u.components()):
-            total += integrate_product(ui, derivative(vj, i), wj)
-    return total
 
 
 def convection_B(u: DivergenceFreeField, v: VectorField) -> DivergenceFreeField:
@@ -150,20 +129,6 @@ def advection_Btilde(u: DivergenceFreeField, theta: VectorField) -> VectorField:
             dealias_product(u.c1, derivative(tj, 0)) + dealias_product(u.c2, derivative(tj, 1))
         )
     return VectorField(comps[0], comps[1])
-
-
-def trilinear_m(theta1: VectorField, theta2: VectorField, u: VectorField) -> float:
-    """m(t1,t2,u) = -sum_{i,j,k} int (d_i t1_k)(d_j t2_k)(d_j u_i) dx."""
-    total = 0.0
-    for k in range(2):
-        t1k = theta1.components()[k]
-        t2k = theta2.components()[k]
-        for i in range(2):
-            d_i_t1k = derivative(t1k, i)
-            ui = u.components()[i]
-            for j in range(2):
-                total -= integrate_product(d_i_t1k, derivative(t2k, j), derivative(ui, j))
-    return total
 
 
 def director_stress_M(theta1: VectorField, theta2: VectorField) -> DivergenceFreeField:
@@ -211,13 +176,6 @@ def polynomial_f(
     return VectorField(out[0], out[1])
 
 
-def f_aliasing_error(theta: VectorField, nl: PolynomialNonlinearity = DEFAULT_NONLINEARITY) -> float:
-    """L2 distance between f at the default padding and at exact padding."""
-    approx = polynomial_f(theta, nl)
-    exact = polynomial_f(theta, nl, factor=nl.degree + 1.0)
-    return l2_norm(approx - exact)
-
-
 def potential_energy(theta: VectorField, nl: PolynomialNonlinearity = DEFAULT_NONLINEARITY) -> float:
     """(1/2) int phi(|theta|^2) dx with exact quadrature."""
     grid = theta.grid
@@ -261,7 +219,7 @@ def potential_energy_hat(theta_hat: np.ndarray, grid: TorusGrid, nl: PolynomialN
     stays below the padded size and the quadrature is exact.
     """
     m = grid.padded_size(factor=nl.degree + 1.0)
-    v = np.fft.irfft2(pad_half(theta_hat, m, width=grid.n // 2), s=(m, m), norm="forward")
+    v = to_grid(theta_hat, m)
     vals = nl.phi(v[..., 0, :, :] ** 2 + v[..., 1, :, :] ** 2)
     return 0.5 * (vals.reshape(vals.shape[:-2] + (m * m,)).sum(axis=-1) * (TWO_PI / m) ** 2)
 
@@ -301,10 +259,10 @@ def explicit_rhs(
     relaxation.
     """
     n, m = grid.n, grid.padded_size()
-    k1, k2, _, _, inv_ksq = half_tables(n)
+    k1, k2 = half_tables(n)[:2]
     ik1, ik2 = 1j * k1, 1j * k2
     fields = np.concatenate(_state_fields(u_hat, theta_hat, ik1, ik2), axis=-3)
-    grids = np.fft.irfft2(pad_half(fields, m, width=n // 2), s=(m, m), norm="forward")
+    grids = to_grid(fields, m)
     # x = (u1, d1 theta1, d1 theta2), y = (u2, d2 theta1, d2 theta2), t = theta on the padded grid
     x, y, t = grids[..., 0:3, :, :], grids[..., 3:6, :, :], grids[..., 6:8, :, :]
     cx, cy, _ = _chi_scaled(x, y, chi1, chi2)
@@ -321,14 +279,9 @@ def explicit_rhs(
         w = nl.f_tilde(np.sum(t * t, axis=-3))[..., None, :, :]
         f = np.multiply(w, t, out=out[..., 5:7, :, :] if n_out == 7 else None)
         adv += f
-    coeffs = truncate_half(np.fft.rfft2(out, norm="forward"), n)
-    t11, t12, t22 = coeffs[..., 0, :, :], coeffs[..., 1, :, :], coeffs[..., 2, :, :]
-    # nu = -P d with d = div T: P d = d - k (k . d) / |k|^2, and the mean of d is zero
-    d1, d2 = ik1 * t11 + ik2 * t12, ik1 * t12 + ik2 * t22
-    kd = (k1 * d1 + k2 * d2) * inv_ksq
-    nu = np.empty(coeffs.shape[:-3] + (2, n, n // 2 + 1), dtype=complex)
-    np.subtract(k1 * kd, d1, out=nu[..., 0, :, :])
-    np.subtract(k2 * kd, d2, out=nu[..., 1, :, :])
+    coeffs = from_grid(out, n)
+    # nu = -P div T, with div T = (d1 T11 + d2 T12, d1 T12 + d2 T22) and T = (T11, T12, T22)
+    nu = leray_half(-ik1 * coeffs[..., 0:2, :, :] - ik2 * coeffs[..., 1:3, :, :])
     return nu, -coeffs[..., 3:5, :, :], coeffs[..., 5:7, :, :] if n_out == 7 else None
 
 
@@ -362,15 +315,14 @@ def explicit_rhs_transpose(
     path, for the chain rule through the norm cutoffs; else it is None.
     """
     n, m = grid.n, grid.padded_size()
-    k1, k2, _, _, inv_ksq = half_tables(n)
+    k1, k2 = half_tables(n)[:2]
     ik1, ik2 = 1j * k1, 1j * k2
     # nu = -P div T: the adjoint of T11, T12, T22 is ik applied to P mu_u
-    mu1, mu2 = mu_u[..., 0, :, :], mu_u[..., 1, :, :]
-    kmu = (k1 * mu1 + k2 * mu2) * inv_ksq
-    p1, p2 = mu1 - k1 * kmu, mu2 - k2 * kmu
+    proj = leray_half(mu_u)
+    p1, p2 = proj[..., 0, :, :], proj[..., 1, :, :]
     tensor = np.stack((ik1 * p1, ik2 * p1 + ik1 * p2, ik2 * p2), axis=-3)
     fields = np.concatenate(_state_fields(u_hat, theta_hat, ik1, ik2) + (tensor, -mu_theta), axis=-3)
-    grids = np.fft.irfft2(pad_half(fields, m, width=n // 2), s=(m, m), norm="forward")
+    grids = to_grid(fields, m)
     x, y, t = grids[..., 0:3, :, :], grids[..., 3:6, :, :], grids[..., 6:8, :, :]
     s11, s12, s22 = grids[..., 8:9, :, :], grids[..., 9:10, :, :], grids[..., 10:11, :, :]
     sa = grids[..., 11:13, :, :]  # adjoint of chi1 (u . grad) theta + f(theta)
@@ -395,7 +347,7 @@ def explicit_rhs_transpose(
         r = np.sum(t * t, axis=-3, keepdims=True)
         np.multiply(nl.f_tilde(r), sa, out=gt)
         gt += (2.0 * nl.f_tilde_prime(r) * np.sum(t * sa, axis=-3, keepdims=True)) * t
-    coeffs = truncate_half(np.fft.rfft2(out, norm="forward"), n)
+    coeffs = from_grid(out, n)
     a_u = coeffs[..., [0, 3], :, :]
     a_theta = coeffs[..., 6:8, :, :] - ik1 * coeffs[..., 1:3, :, :] - ik2 * coeffs[..., 4:6, :, :]
     dchi = None
@@ -407,39 +359,3 @@ def explicit_rhs_transpose(
         quad = (TWO_PI / m) ** 2
         dchi = tuple(quad * o.reshape(o.shape[:-3] + (m * m,)).sum(axis=-1) for o in (o1, o2))
     return a_u, a_theta, dchi
-
-
-def coercivity_check(
-    theta: VectorField, nl: PolynomialNonlinearity = DEFAULT_NONLINEARITY
-) -> CoercivityReport:
-    """Margin of <f(theta), theta> >= |theta|^{2N+2}_{L^{2N+2}} - C |theta|^2.
-
-    With leading coefficient b_N >= 1 the bound holds with C = 0 and the
-    margin is guaranteed nonnegative; otherwise the margin is reported
-    as measured (no universal constant exists in that regime).
-    """
-    grid = theta.grid
-    m = grid.padded_size(factor=nl.degree + 2.0)
-    v1 = np.real(np.fft.ifft2(pad_coeffs(theta.c1.coeffs, m)) * m * m)
-    v2 = np.real(np.fft.ifft2(pad_coeffs(theta.c2.coeffs, m)) * m * m)
-    r = v1**2 + v2**2
-    lhs = float(np.sum(nl.f_tilde(r) * r) * (TWO_PI / m) ** 2)
-    rhs_main = lq_norm(theta, 2 * nl.degree + 2) ** (2 * nl.degree + 2)
-    constant = 0.0
-    guaranteed = nl.coefficients[-1] >= 1.0
-    margin = lhs - rhs_main + constant * l2_norm(theta) ** 2
-    return CoercivityReport(lhs, rhs_main, constant, margin, guaranteed)
-
-
-# ---------------------------------------------------------------------------
-# dual norms for the continuity-bound checks
-
-
-def dual_vprime_norm(w: VectorField) -> float:
-    """Discrete V' norm: sum over modes of |w_k|^2 / (1 + |k|^2)."""
-    ksq = w.grid.ksq()
-    weight = 1.0 / (1.0 + ksq)
-    total = 0.0
-    for c in w.components():
-        total += float(np.sum(weight * np.abs(c.coeffs) ** 2))
-    return float(np.sqrt(TORUS_AREA * total))

@@ -8,10 +8,7 @@ convention
 
 so that |f|^2_{L2} = (2pi)^2 sum_k |c_k|^2.
 
-Two coefficient layouts coexist.  The field classes (``ScalarField``,
-``VectorField``, ``DivergenceFreeField``) hold the full N x N spectrum,
-convert to samples on demand, and back the named reference operators and
-the invariant checks.  The solver works on the half (rfft) layout: a real
+The solver, its states and its inputs use the half (rfft) layout: a real
 field is determined by its coefficients with k2 >= 0, so a stack of c
 components is one (c, N, N//2 + 1) array in ``np.fft.rfft2`` order.  Rows
 follow FFT order in k1, columns run k2 = 0 .. N/2, and Parseval sums count
@@ -19,7 +16,14 @@ every column except k2 = 0 (and N/2) twice for the implicit conjugates.
 States in this layout keep their Nyquist lines (k1 = -N/2 or k2 = N/2)
 at zero: odd derivatives are then exact, the spectrally divergence-free
 velocity is divergence-free pointwise, and convection can be taken in the
-divergence form (u . grad) u = div(u (x) u).
+divergence form (u . grad) u = div(u (x) u).  ``leray_half`` is the one
+Leray projection.
+
+The field classes (``ScalarField``, ``VectorField``,
+``DivergenceFreeField``) hold the full N x N spectrum and convert to
+samples on demand.  They back the named field-level reference operators
+of ``operators`` and ``noise``, the oracle the array core is checked
+against; ``vector_field`` views a half-layout array as a field.
 
 Nonlinear products are evaluated on a padded grid (zero-padding in Fourier
 space) and truncated back, which makes them exact whenever the combined
@@ -33,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -286,10 +289,6 @@ def derivative(f: ScalarField, axis: int) -> ScalarField:
     return ScalarField.from_coeffs(f.grid, coeffs)
 
 
-def gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
-    return derivative(f, 0), derivative(f, 1)
-
-
 def laplacian(f: ScalarField) -> ScalarField:
     """Laplacian of f (multiplier -|k|^2); the caller negates for -Delta."""
     return ScalarField.from_coeffs(f.grid, -f.grid.ksq() * f.coeffs)
@@ -299,36 +298,10 @@ def laplacian_vec(w: VectorField) -> VectorField:
     return VectorField(laplacian(w.c1), laplacian(w.c2))
 
 
-def divergence(w: VectorField) -> ScalarField:
-    return derivative(w.c1, 0) + derivative(w.c2, 1)
-
-
 def leray_project(w: VectorField) -> DivergenceFreeField:
-    """L2-orthogonal projection onto divergence-free, mean-zero fields.
-
-    Per Fourier mode k != 0 applies I - k k^T / |k|^2 and zeroes the mean.
-    Idempotent and self-adjoint.
-    """
-    grid = w.grid
-    k1, k2 = grid.wavenumbers()
-    ksq = k1**2 + k2**2
-    ksq_safe = np.where(ksq == 0, 1.0, ksq)
-    a1, a2 = w.c1.coeffs, w.c2.coeffs
-    kdot = (k1 * a1 + k2 * a2) / ksq_safe
-    p1 = a1 - k1 * kdot
-    p2 = a2 - k2 * kdot
-    p1[0, 0] = 0.0
-    p2[0, 0] = 0.0
-    return DivergenceFreeField(
-        ScalarField.from_coeffs(grid, p1), ScalarField.from_coeffs(grid, p2)
-    )
-
-
-def divergence_residual(w: VectorField) -> float:
-    """Relative L2 norm of the spectral divergence of ``w``."""
-    div = l2_norm(divergence(w))
-    scale = h1_seminorm(w)
-    return div / scale if scale > 0 else div
+    """:func:`leray_half` of a vector field; its Nyquist lines are dropped."""
+    half = half_from_full(np.stack((w.c1.coeffs, w.c2.coeffs)))
+    return vector_field(w.grid, leray_half(half), DivergenceFreeField)
 
 
 # ---------------------------------------------------------------------------
@@ -360,45 +333,6 @@ def h1_seminorm(f: ScalarField | VectorField) -> float:
     return float(np.sqrt(max(h1_inner(f, f), 0.0)))
 
 
-def v_norm(f: ScalarField | VectorField) -> float:
-    """Graph norm sqrt(|f|^2 + |grad f|^2)."""
-    return float(np.sqrt(l2_norm(f) ** 2 + h1_seminorm(f) ** 2))
-
-
-def lq_norm(f: ScalarField | VectorField, q: int) -> float:
-    """L^q norm for even q >= 2, via exact padded-grid quadrature.
-
-    For vector fields the pointwise Euclidean magnitude is used.  The
-    integrand |f|^q has polynomial degree q, so padding by (q + 2)/2
-    makes the quadrature exact for band-limited fields.
-    """
-    if q < 2 or q % 2 != 0:
-        raise SpectralError(f"lq norm requires even q >= 2, got {q}")
-    grid = f.grid if isinstance(f, VectorField) else f.grid
-    m = grid.padded_size(factor=(q + 2) / 2.0)
-    if isinstance(f, VectorField):
-        v1 = np.real(np.fft.ifft2(pad_coeffs(f.c1.coeffs, m)) * m * m)
-        v2 = np.real(np.fft.ifft2(pad_coeffs(f.c2.coeffs, m)) * m * m)
-        mag_sq = v1**2 + v2**2
-    else:
-        v = np.real(np.fft.ifft2(pad_coeffs(f.coeffs, m)) * m * m)
-        mag_sq = v**2
-    integral = float(np.sum(mag_sq ** (q // 2)) * (TWO_PI / m) ** 2)
-    return integral ** (1.0 / q)
-
-
-def norms(f: ScalarField | VectorField, lq: Iterable[int] = ()) -> dict:
-    """Bundle of the norms used by the energy estimates."""
-    out = {
-        "l2": l2_norm(f),
-        "h1_semi": h1_seminorm(f),
-        "v_norm": v_norm(f),
-    }
-    for q in lq:
-        out[f"l{q}"] = lq_norm(f, q)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # dealiased products
 
@@ -426,33 +360,20 @@ def dealias_product(*fields: ScalarField, factor: float | None = None) -> Scalar
     return ScalarField.from_coeffs(grid, coeffs)
 
 
-def integrate_product(*fields: ScalarField) -> float:
-    """Exact integral of a pointwise product of band-limited fields.
-
-    Pads by (n_fields + 1)/2 so no aliasing can reach the mean mode.
-    """
-    grid = fields[0].grid
-    m = grid.padded_size(factor=(len(fields) + 1) / 2.0)
-    prod = np.ones((m, m))
-    for f in fields:
-        prod = prod * np.real(np.fft.ifft2(pad_coeffs(f.coeffs, m)) * m * m)
-    return float(np.sum(prod) * (TWO_PI / m) ** 2)
-
-
 # ---------------------------------------------------------------------------
 # half-spectrum (rfft) coefficient arrays
 
 
 @lru_cache(maxsize=64)
 def half_tables(n: int):
-    """(k1, k2, ksq, weights, inv_ksq) of the (..., N, N//2+1) layout (read-only).
+    """(k1, k2, ksq, weights, inv_ksq, kvec) of the (..., N, N//2+1) layout (read-only).
 
     k1 is a (N, 1) column in FFT order and k2 the row 0 .. N/2, so both
     broadcast against a coefficient array.  ``weights[0]`` is the Parseval
     weight (2pi)^2 * (1 on the k2 = 0 and k2 = N/2 columns, 2 elsewhere)
     and ``weights[1]`` = weights[0] * |k|^2, for gradient norms;
-    ``inv_ksq`` is 1/|k|^2 with 0 at the mean mode, for the Leray
-    projection.
+    ``inv_ksq`` is 1/|k|^2 with 0 at the mean mode and ``kvec`` the
+    (2, N, N//2+1) stack of k1 and k2, for the Leray projection.
     """
     k1 = np.fft.fftfreq(n, d=1.0 / n)[:, None]
     k2 = np.arange(n // 2 + 1, dtype=float)
@@ -460,7 +381,8 @@ def half_tables(n: int):
     weight = np.full((n, n // 2 + 1), 2.0 * TORUS_AREA)
     weight[:, 0] = weight[:, -1] = TORUS_AREA
     inv_ksq = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq != 0)
-    tables = (k1, k2, ksq, np.stack((weight, weight * ksq)), inv_ksq)
+    kvec = np.stack(np.broadcast_arrays(k1, k2))
+    tables = (k1, k2, ksq, np.stack((weight, weight * ksq)), inv_ksq, kvec)
     for arr in tables:
         arr.setflags(write=False)
     return tables
@@ -482,6 +404,31 @@ def full_from_half(half: np.ndarray) -> np.ndarray:
     out = np.empty(half.shape[:-1] + (n,), dtype=complex)
     out[..., : h + 1] = half
     out[..., h + 1 :] = np.conj(half[..., (-np.arange(n)) % n, h - 1 : 0 : -1])
+    return out
+
+
+def vector_field(grid: TorusGrid, half: np.ndarray, cls=VectorField) -> VectorField:
+    """Field view (``cls``, a VectorField class) of a (2, N, N//2+1) half-layout array."""
+    c1, c2 = full_from_half(half)
+    return cls(ScalarField.from_coeffs(grid, c1), ScalarField.from_coeffs(grid, c2))
+
+
+def nyquist_free(a: np.ndarray) -> bool:
+    """True when the k1 = -N/2 row and k2 = N/2 column of (..., N, N//2+1) coefficients are zero."""
+    return not (a[..., a.shape[-2] // 2, :].any() or a[..., -1].any())
+
+
+def leray_half(a: np.ndarray) -> np.ndarray:
+    """Leray projection of (..., 2, N, N//2+1) vector coefficients.
+
+    The L2-orthogonal projection onto divergence-free, mean-zero fields:
+    per Fourier mode k != 0 it applies I - k k^T / |k|^2, and it zeroes the
+    mean.  Idempotent and self-adjoint in ``half_inner``.
+    """
+    k1, k2, _, _, inv_ksq, kvec = half_tables(a.shape[-2])
+    kdot = (k1 * a[..., 0, :, :] + k2 * a[..., 1, :, :]) * inv_ksq
+    out = a - kvec * kdot[..., None, :, :]
+    out[..., 0, 0] = 0.0
     return out
 
 
@@ -534,60 +481,11 @@ def truncate_half(a: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# field constructors used across tests, configs, and experiments
+def to_grid(a: np.ndarray, m: int) -> np.ndarray:
+    """Values on the m x m grid of (..., N, N//2+1) coefficients with zero Nyquist lines (one ``irfft2``)."""
+    return np.fft.irfft2(pad_half(a, m, width=a.shape[-2] // 2), s=(m, m), norm="forward")
 
 
-def field_from_function(grid: TorusGrid, fn) -> ScalarField:
-    x1, x2 = grid.nodes()
-    return ScalarField.from_values(grid, np.asarray(fn(x1, x2), dtype=float))
-
-
-def random_scalar_field(
-    grid: TorusGrid,
-    rng: np.random.Generator,
-    kmax: int | None = None,
-    amplitude: float = 1.0,
-    decay: float = 0.0,
-    zero_mean: bool = False,
-) -> ScalarField:
-    """Real random field with coefficients in the band |k|_inf <= kmax.
-
-    Coefficient magnitudes fall off like exp(-decay |k|); symmetrization
-    keeps the field exactly real.
-    """
-    n = grid.n
-    kmax = kmax if kmax is not None else n // 3
-    if kmax > n // 2 - 1:
-        raise SpectralError(f"kmax={kmax} not representable on N={n} grid")
-    k1, k2 = grid.wavenumbers()
-    mask = (np.abs(k1) <= kmax) & (np.abs(k2) <= kmax)
-    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    raw *= mask * np.exp(-decay * np.sqrt(k1**2 + k2**2))
-    # c(-k) = conj(c(k)) by averaging with the reflected conjugate
-    refl = np.conj(raw[np.ix_((-np.arange(n)) % n, (-np.arange(n)) % n)])
-    coeffs = 0.5 * (raw + refl)
-    coeffs[0, 0] = 0.0 if zero_mean else coeffs[0, 0].real
-    coeffs[n // 2, :] = 0.0
-    coeffs[:, n // 2] = 0.0
-    f = ScalarField.from_coeffs(grid, coeffs)
-    cur = l2_norm(f)
-    if cur > 0:
-        f = f * (amplitude / cur)
-    return f
-
-
-def random_vector_field(grid, rng, kmax=None, amplitude=1.0, decay=0.0) -> VectorField:
-    a = amplitude / np.sqrt(2.0)
-    return VectorField(
-        random_scalar_field(grid, rng, kmax, a, decay),
-        random_scalar_field(grid, rng, kmax, a, decay),
-    )
-
-
-def random_divergence_free_field(grid, rng, kmax=None, amplitude=1.0, decay=0.0) -> DivergenceFreeField:
-    u = leray_project(random_vector_field(grid, rng, kmax, 1.0, decay))
-    cur = l2_norm(u)
-    if cur > 0:
-        u = u * (amplitude / cur)
-    return u
+def from_grid(values: np.ndarray, n: int) -> np.ndarray:
+    """(..., n, n//2+1) coefficients of the band |k_j| <= n/2 - 1 of values on an m x m grid (one ``rfft2``)."""
+    return truncate_half(np.fft.rfft2(values, norm="forward"), n)

@@ -4,9 +4,13 @@ Each check exercises one contract of a module -- orthogonality and
 symmetry of the bilinear forms, the advection/stress cancellation, energy
 balance under refinement, entropy-cost exactness, thinning statistics,
 the exponential tilt normalization, and solver consistency -- at desk
-scale, and reports a pass/fail with the measured quantity.  The test
-suite runs the same checks (plus heavier acceptance versions), so a
-``verify`` run is a quick field audit of an installed package.
+scale, and reports a pass/fail with the measured quantity.  Every check
+runs on the half-layout arrays the solver steps: the operator checks call
+the fused step ``operators.explicit_rhs`` (chi1 = 0, chi2 = 0 or
+``nl=None`` isolate a term) or its transpose, and compare with direct
+quadratures of the trilinear forms.  The test suite runs the same checks
+(plus heavier acceptance versions), so a ``verify`` run is a quick field
+audit of an installed package.
 """
 
 from __future__ import annotations
@@ -15,11 +19,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import dynamics, ldp, noise, operators, spectral
-from .config import ExperimentConfig
+from . import dynamics, ldp, noise, operators
+from .config import ExperimentConfig, director_shape, velocity_shape
 from .dynamics import SolverConfig, SpectralState
 from .noise import Control, JumpCoefficientSpec, MarkSpace, rng_for
-from .spectral import ScalarField, TorusGrid, VectorField
+from .spectral import (
+    TWO_PI,
+    TorusGrid,
+    from_grid,
+    half_inner,
+    half_norms_sq,
+    half_tables,
+    leray_half,
+    to_grid,
+)
 
 
 @dataclass
@@ -31,57 +44,110 @@ class CheckResult:
 
 
 def _shapes_for(grid, amps=(0.05, 0.05), gains=(0.0, 0.1)):
-    s1 = amps[0] * spectral.leray_project(
-        VectorField(
-            spectral.field_from_function(grid, lambda x1, x2: np.sin(x2)),
-            ScalarField.zeros(grid),
-        )
-    )
-    s2 = amps[1] * spectral.leray_project(
-        VectorField(
-            ScalarField.zeros(grid),
-            spectral.field_from_function(grid, lambda x1, x2: np.sin(x1)),
-        )
-    )
-    return JumpCoefficientSpec(shapes=(s1, s2), gains=gains)
+    shapes = [velocity_shape(grid, f"shear_x:{amps[0]}"), velocity_shape(grid, f"shear_y:{amps[1]}")]
+    return JumpCoefficientSpec(shapes=np.stack(shapes), gains=gains)
+
+
+def _random(grid, rng, kmax, amplitude=1.0, decay=0.0, solenoidal=False) -> np.ndarray:
+    """Random real (2, N, N//2+1) coefficients in the band |k_j| <= kmax with L2 norm ``amplitude``.
+
+    Magnitudes fall off like exp(-decay |k|); ``solenoidal`` projects onto
+    divergence-free, mean-zero fields.
+    """
+    n = grid.n
+    k1, k2, ksq = half_tables(n)[:3]
+    a = np.fft.rfft2(rng.standard_normal((2, n, n)), norm="forward")
+    a = a * (((np.abs(k1) <= kmax) & (k2 <= kmax)) * np.exp(-decay * np.sqrt(ksq)))
+    if solenoidal:
+        a = leray_half(a)
+    return a * (amplitude / _l2(a))
+
+
+def _l2(a) -> float:
+    return float(np.sqrt(half_norms_sq(a)[0]))
+
+
+def _h1(a) -> float:
+    return float(np.sqrt(half_norms_sq(a)[1]))
+
+
+def _grad(a) -> tuple[np.ndarray, np.ndarray]:
+    """(d1 a, d2 a) of half-layout coefficients."""
+    k1, k2 = half_tables(a.shape[-2])[:2]
+    return 1j * k1 * a, 1j * k2 * a
+
+
+def _divergence_residual(u) -> float:
+    """|div u| / |grad u| in L2."""
+    d1, d2 = _grad(u)
+    return _l2((d1[0] + d2[1])[None]) / _h1(u)
+
+
+def _integral(values, m: int) -> float:
+    return float(np.sum(values) * (TWO_PI / m) ** 2)
+
+
+def _trilinear_b(u, v, w) -> float:
+    """b(u,v,w) = sum_{i,j} int u_i (d_i v_j) w_j dx by quadrature on a 2N grid (exact for the band)."""
+    m = 2 * u.shape[-2]
+    ug, wg = to_grid(u, m), to_grid(w, m)
+    return sum(_integral(ug[i] * to_grid(dv, m) * wg, m) for i, dv in enumerate(_grad(v)))
+
+
+def _trilinear_m(t1, t2, u) -> float:
+    """m(t1,t2,u) = -sum_{i,j,k} int (d_i t1_k)(d_j t2_k)(d_j u_i) dx by quadrature on a 2N grid."""
+    m = 2 * u.shape[-2]
+    d1 = [to_grid(d, m) for d in _grad(t1)]
+    d2 = [to_grid(d, m) for d in _grad(t2)]
+    du = [to_grid(d, m) for d in _grad(u)]
+    return -sum(_integral(d1[i] * d2[j] * du[j][i], m) for i in range(2) for j in range(2))
+
+
+def _advection(u, v, grid) -> np.ndarray:
+    """(u . grad) v from the director slot of the fused step (no stress, no relaxation)."""
+    return -operators.explicit_rhs(u, v, grid, chi2=0.0, nl=None)[1]
+
+
+def _convection(u, grid) -> np.ndarray:
+    """P (u . grad) u = P div(u (x) u) from the velocity slot of the fused step (no stress)."""
+    return -operators.explicit_rhs(u, np.zeros_like(u), grid, chi2=0.0, nl=None)[0]
 
 
 def check_spectral(seed: int) -> list[CheckResult]:
     rng = rng_for(seed, "verify-spectral")
     grid = TorusGrid(32)
+    n, m = grid.n, grid.padded_size()
     out = []
 
-    f = ScalarField.from_values(grid, rng.standard_normal((32, 32)))
-    back = ScalarField.from_coeffs(grid, f.coeffs.copy())
-    err = float(np.max(np.abs(back.values - f.values)) / np.max(np.abs(f.values)))
+    a = _random(grid, rng, kmax=n // 2 - 1)
+    back = from_grid(to_grid(a, m), n)
+    err = float(np.max(np.abs(back - a)) / np.max(np.abs(a)))
     out.append(CheckResult("spectral", "transform-roundtrip", err <= 1e-13, f"rel err {err:.2e}"))
 
-    g = spectral.random_scalar_field(grid, rng, kmax=12)
-    spec_sq = spectral.l2_norm(g) ** 2
-    phys_sq = float(np.sum(g.values**2)) * (2 * np.pi / 32) ** 2
+    g = _random(grid, rng, kmax=12)
+    spec_sq = _l2(g) ** 2
+    phys_sq = _integral(to_grid(g, n) ** 2, n)
     err = abs(spec_sq - phys_sq) / spec_sq
     out.append(CheckResult("spectral", "parseval", err <= 1e-12, f"rel err {err:.2e}"))
 
-    w = spectral.random_vector_field(grid, rng, kmax=10)
-    once = spectral.leray_project(w)
-    twice = spectral.leray_project(once)
-    err = spectral.l2_norm(twice - once) / spectral.l2_norm(once)
+    w = _random(grid, rng, kmax=10)
+    once = leray_half(w)
+    err = _l2(leray_half(once) - once) / _l2(once)
     out.append(CheckResult("spectral", "projection-idempotent", err <= 1e-13, f"rel err {err:.2e}"))
 
-    v = spectral.random_divergence_free_field(grid, rng, kmax=10)
-    lhs = spectral.l2_inner(once, v)
-    rhs = spectral.l2_inner(w, v)
+    v = _random(grid, rng, kmax=10, solenoidal=True)
+    lhs, rhs = half_inner(once, v), half_inner(w, v)
     err = abs(lhs - rhs) / max(abs(rhs), 1e-30)
     out.append(CheckResult("spectral", "projection-self-adjoint", err <= 1e-12, f"rel err {err:.2e}"))
 
-    res = max(spectral.divergence_residual(spectral.random_divergence_free_field(grid, rng, kmax=12)) for _ in range(5))
+    res = max(_divergence_residual(_random(grid, rng, kmax=12, solenoidal=True)) for _ in range(5))
     out.append(CheckResult("spectral", "divergence-residual", res <= 1e-12, f"max {res:.2e}"))
 
-    a = spectral.random_scalar_field(grid, rng, kmax=10)
-    b = spectral.random_scalar_field(grid, rng, kmax=5)
-    p = spectral.dealias_product(a, b)
-    exact = spectral.dealias_product(a, b, factor=3.0)
-    err = spectral.l2_norm(p - exact)
+    # the quadratic terms of the fused step: 3/2 padding already gives the 3x padded result
+    u, theta = _random(grid, rng, kmax=10, solenoidal=True), _random(grid, rng, kmax=10)
+    p = operators.explicit_rhs(u, theta, grid, nl=None)
+    exact = operators.explicit_rhs(u, theta, TorusGrid(n, dealias_factor=3.0), nl=None)
+    err = max(_l2(p[0] - exact[0]), _l2(p[1] - exact[1]))
     out.append(CheckResult("spectral", "dealias-quadratic-exact", err <= 1e-12, f"abs err {err:.2e}"))
     return out
 
@@ -89,87 +155,104 @@ def check_spectral(seed: int) -> list[CheckResult]:
 def check_operators(seed: int) -> list[CheckResult]:
     rng = rng_for(seed, "verify-operators")
     grid = TorusGrid(32)
+    k_sq = half_tables(grid.n)[2]
     out = []
 
     worst_anti = worst_zero_b = worst_zero_bt = 0.0
     for _ in range(20):
-        u = spectral.random_divergence_free_field(grid, rng, kmax=10)
-        v = spectral.random_vector_field(grid, rng, kmax=10)
-        w = spectral.random_vector_field(grid, rng, kmax=10)
-        norm = spectral.h1_seminorm(u) * spectral.h1_seminorm(v) * spectral.h1_seminorm(w) + 1.0
-        worst_anti = max(
-            worst_anti,
-            abs(operators.trilinear_b(u, v, w) + operators.trilinear_b(u, w, v)) / norm,
-        )
-        worst_zero_b = max(worst_zero_b, abs(operators.trilinear_b(u, v, v)))
-        worst_zero_bt = max(worst_zero_bt, abs(spectral.l2_inner(operators.advection_Btilde(u, v), v)))
+        u = _random(grid, rng, kmax=10, solenoidal=True)
+        v, w = _random(grid, rng, kmax=10), _random(grid, rng, kmax=10)
+        norm = _h1(u) * _h1(v) * _h1(w) + 1.0
+        anti = half_inner(_advection(u, v, grid), w) + half_inner(_advection(u, w, grid), v)
+        worst_anti = max(worst_anti, abs(anti) / norm)
+        worst_zero_b = max(worst_zero_b, abs(half_inner(_convection(u, grid), u)))
+        worst_zero_bt = max(worst_zero_bt, abs(half_inner(_advection(u, v, grid), v)))
     out.append(CheckResult("operators", "convection-antisymmetry", worst_anti <= 1e-10, f"max {worst_anti:.2e}"))
     out.append(CheckResult("operators", "convection-zero-form", worst_zero_b <= 1e-10, f"max {worst_zero_b:.2e}"))
     out.append(CheckResult("operators", "advection-zero-form", worst_zero_bt <= 1e-10, f"max {worst_zero_bt:.2e}"))
 
-    u = spectral.random_divergence_free_field(grid, rng, kmax=10)
-    v = spectral.random_vector_field(grid, rng, kmax=10)
-    bf = operators.convection_B(u, v)
+    # <B(u,u), w> in the divergence form, and <(u . grad) v, w>, against b by quadrature
+    u, v = _random(grid, rng, kmax=10, solenoidal=True), _random(grid, rng, kmax=10)
+    bf, adv = _convection(u, grid), _advection(u, v, grid)
     worst = 0.0
     for _ in range(10):
-        wt = spectral.random_divergence_free_field(grid, rng, kmax=10)
-        lhs = spectral.l2_inner(bf, wt)
-        rhs = operators.trilinear_b(u, v, wt)
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
+        wt = _random(grid, rng, kmax=10, solenoidal=True)
+        for lhs, rhs in ((half_inner(bf, wt), _trilinear_b(u, u, wt)),
+                         (half_inner(adv, wt), _trilinear_b(u, v, wt))):
+            worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
     out.append(CheckResult("operators", "convection-weak-form", worst <= 1e-10, f"max rel {worst:.2e}"))
 
-    theta = spectral.random_vector_field(grid, rng, kmax=10)
-    mf = operators.director_stress_M(theta, theta)
+    # chi1 = 0 leaves nu = -M(theta, theta)
+    theta = _random(grid, rng, kmax=10)
+    mf = -operators.explicit_rhs(np.zeros_like(theta), theta, grid, chi1=0.0, nl=None)[0]
     worst = 0.0
     for _ in range(10):
-        ut = spectral.random_divergence_free_field(grid, rng, kmax=10)
-        lhs = spectral.l2_inner(mf, ut)
-        rhs = operators.trilinear_m(theta, theta, ut)
+        ut = _random(grid, rng, kmax=10, solenoidal=True)
+        lhs, rhs = half_inner(mf, ut), _trilinear_m(theta, theta, ut)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
     out.append(CheckResult("operators", "stress-weak-form", worst <= 1e-10, f"max rel {worst:.2e}"))
 
+    # the full step: <nu, u> = -<M, u> (as <B(u,u), u> = 0) must equal
+    # <(u . grad) theta, -Lap theta + f> = -<ntheta + f, |k|^2 theta + f>
     worst = 0.0
     for _ in range(20):
-        u = spectral.random_divergence_free_field(grid, rng, kmax=5)
-        theta = spectral.random_vector_field(grid, rng, kmax=5)
-        adv = operators.advection_Btilde(u, theta)
-        target = operators.polynomial_f(theta) - spectral.laplacian_vec(theta)
-        lhs = spectral.l2_inner(adv, target)
-        rhs = -spectral.l2_inner(operators.director_stress_M(theta, theta), u)
+        u, theta = _random(grid, rng, kmax=5, solenoidal=True), _random(grid, rng, kmax=5)
+        nu, ntheta, f = operators.explicit_rhs(u, theta, grid, with_f=True)
+        lhs, rhs = -half_inner(ntheta + f, k_sq * theta + f), half_inner(nu, u)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-3))
     out.append(CheckResult("operators", "advection-stress-cancellation", worst <= 1e-8, f"max rel {worst:.2e}"))
 
-    theta = spectral.random_vector_field(grid, rng, kmax=5)
-    delta = spectral.random_vector_field(grid, rng, kmax=5)
-    grad = operators.polynomial_f(theta) - spectral.laplacian_vec(theta)
-    analytic = spectral.l2_inner(grad, delta)
+    def psi(th):  # |grad theta|^2 / 2 + potential
+        return 0.5 * half_norms_sq(th)[1] + operators.potential_energy_hat(th, grid, operators.DEFAULT_NONLINEARITY)
+
+    theta, delta = _random(grid, rng, kmax=5), _random(grid, rng, kmax=5)
+    f = operators.explicit_rhs(np.zeros_like(theta), theta, grid, with_f=True)[2]
+    analytic = half_inner(f + k_sq * theta, delta)
     h = 1e-5
-    fd = (
-        operators.energy_psi(None, theta + h * delta).psi_total
-        - operators.energy_psi(None, theta - h * delta).psi_total
-    ) / (2 * h)
+    fd = (psi(theta + h * delta) - psi(theta - h * delta)) / (2 * h)
     err = abs(fd - analytic) / max(abs(analytic), 1e-10)
     out.append(CheckResult("operators", "energy-gradient-chain-rule", err <= 1e-4, f"rel err {err:.2e}"))
 
+    # ||B(u,v)||_{V'} <= C |u| |v|, with B(u,v) = P (u . grad) v
+    vprime_weight = half_tables(grid.n)[3][0] / (1.0 + k_sq)
     ratios = []
     for _ in range(50):
-        u = spectral.random_divergence_free_field(grid, rng, kmax=10)
-        v = spectral.random_vector_field(grid, rng, kmax=10)
-        ratios.append(
-            operators.dual_vprime_norm(operators.convection_B(u, v))
-            / (spectral.l2_norm(u) * spectral.l2_norm(v))
-        )
+        u, v = _random(grid, rng, kmax=10, solenoidal=True), _random(grid, rng, kmax=10)
+        b = leray_half(_advection(u, v, grid))
+        ratios.append(np.sqrt(np.sum(vprime_weight * np.abs(b) ** 2)) / (_l2(u) * _l2(v)))
     bounded = np.max(ratios) <= 4.0 * max(np.median(ratios), 0.1)
     out.append(CheckResult("operators", "dual-norm-bound-shape", bool(bounded), f"max/med {np.max(ratios)/np.median(ratios):.2f}"))
 
+    # <f(theta), theta> >= |theta|^4_{L4} for the default f_tilde(r) = 1 + r
     worst = -np.inf
     ok = True
     for _ in range(5):
-        theta = spectral.random_vector_field(grid, rng, kmax=5, amplitude=2.0)
-        rep = operators.coercivity_check(theta)
-        ok = ok and rep.margin >= -1e-12 * max(rep.lhs, 1.0)
-        worst = max(worst, -rep.margin)
+        theta = _random(grid, rng, kmax=5, amplitude=2.0)
+        f = operators.explicit_rhs(np.zeros_like(theta), theta, grid, with_f=True)[2]
+        lhs = half_inner(f, theta)
+        m = 2 * grid.n
+        rhs_main = _integral(np.sum(to_grid(theta, m) ** 2, axis=0) ** 2, m)
+        margin = lhs - rhs_main
+        ok = ok and margin >= -1e-12 * max(lhs, 1.0)
+        worst = max(worst, -margin)
     out.append(CheckResult("operators", "coercivity-margin", ok, f"min margin {-worst:.2e}"))
+
+    # <J delta, mu> = <delta, J^T mu> for the linearized step at fixed cutoffs; the
+    # fourth-order stencil is exact because the step is cubic in the state
+    u = _random(grid, rng, kmax=8, amplitude=0.6, solenoidal=True)
+    theta = _random(grid, rng, kmax=8, amplitude=0.8)
+    du, dtheta = _random(grid, rng, kmax=8, solenoidal=True), _random(grid, rng, kmax=8)
+    mu_u, mu_theta = _random(grid, rng, kmax=8), _random(grid, rng, kmax=8)
+    chi1, chi2, h = 0.8, 0.6, 0.25
+    jd = sum(
+        c * np.array(operators.explicit_rhs(u + s * h * du, theta + s * h * dtheta, grid, chi1, chi2)[:2])
+        for s, c in ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
+    ) / (12 * h)
+    a_u, a_theta, _ = operators.explicit_rhs_transpose(u, theta, mu_u, mu_theta, grid, chi1, chi2)
+    lhs = half_inner(jd[0], mu_u) + half_inner(jd[1], mu_theta)
+    rhs = half_inner(du, a_u) + half_inner(dtheta, a_theta)
+    err = abs(lhs - rhs) / abs(rhs)
+    out.append(CheckResult("operators", "transpose-dot-product", err <= 1e-10, f"rel err {err:.2e}"))
     return out
 
 
@@ -197,21 +280,21 @@ def check_noise(seed: int) -> list[CheckResult]:
     spec = _shapes_for(grid)
     ms = MarkSpace(weights=(1.0, 0.5))
     rng = rng_for(seed, "verify-noise")
-    u1 = spectral.random_divergence_free_field(grid, rng, kmax=4)
-    u2 = spectral.random_divergence_free_field(grid, rng, kmax=4)
+
+    def jump(u, i):  # G(u, v_i) = shape_i + gain_i u
+        return spec.shapes[i] + spec.gains[i] * u
+
+    u1, u2 = _random(grid, rng, kmax=4, solenoidal=True), _random(grid, rng, kmax=4, solenoidal=True)
     L = spec.lipschitz_bound(ms)
-    total = sum(
-        ms.weights[i] * spectral.l2_norm(noise.eval_G(0.0, u1, i, spec) - noise.eval_G(0.0, u2, i, spec)) ** 2
-        for i in range(2)
-    )
-    lip_ok = abs(total - L * spectral.l2_norm(u1 - u2) ** 2) <= 1e-12 * max(total, 1.0)
+    total = sum(ms.weights[i] * _l2(jump(u1, i) - jump(u2, i)) ** 2 for i in range(2))
+    lip_ok = abs(total - L * _l2(u1 - u2) ** 2) <= 1e-12 * max(total, 1.0)
     growth_ok = True
     for p in (1, 2, 4):
         cp = spec.growth_constant(ms, p)
         for amp in (0.0, 1.0, 4.0):
-            uu = spectral.random_divergence_free_field(grid, rng, kmax=4, amplitude=amp)
-            tot = sum(ms.weights[i] * spectral.l2_norm(noise.eval_G(0.0, uu, i, spec)) ** p for i in range(2))
-            growth_ok = growth_ok and tot <= cp * (1 + spectral.l2_norm(uu) ** p) + 1e-12
+            uu = amp * _random(grid, rng, kmax=4, solenoidal=True)
+            tot = sum(ms.weights[i] * _l2(jump(uu, i)) ** p for i in range(2))
+            growth_ok = growth_ok and tot <= cp * (1 + _l2(uu) ** p) + 1e-12
     out.append(CheckResult("noise", "coefficient-lipschitz-exact", bool(lip_ok), f"L={L:.4f}"))
     out.append(CheckResult("noise", "coefficient-growth-bounds", bool(growth_ok), "p in {1,2,4}"))
 
@@ -256,58 +339,49 @@ def check_dynamics(seed: int) -> list[CheckResult]:
     rng = rng_for(seed, "verify-dynamics")
     out = []
     grid = TorusGrid(16)
+    zero = np.zeros((2, grid.n, grid.n // 2 + 1), dtype=complex)
     spec = _shapes_for(grid)
     ms = MarkSpace(weights=(1.0, 0.5))
     cfg = SolverConfig(grid=grid, dt=1e-2, t_final=0.5, mark_space=ms, jump_spec=spec)
     init = SpectralState(
-        spectral.random_divergence_free_field(grid, rng, kmax=3, amplitude=0.4, decay=0.4),
-        spectral.random_vector_field(grid, rng, kmax=3, amplitude=0.6, decay=0.4),
+        grid,
+        _random(grid, rng, kmax=3, amplitude=0.4, decay=0.4, solenoidal=True),
+        _random(grid, rng, kmax=3, amplitude=0.6, decay=0.4),
     )
 
-    traj0 = dynamics.solve_skeleton(SpectralState.zero(grid), None, cfg)
+    def same(a, b, director=True):
+        """Bitwise-equal snapshots (velocity, and director unless not asked)."""
+        return len(a.snapshots) == len(b.snapshots) and all(
+            np.array_equal(sa.u_hat, sb.u_hat) and (not director or np.array_equal(sa.theta_hat, sb.theta_hat))
+            for sa, sb in zip(a.snapshots, b.snapshots)
+        )
+
+    traj0 = dynamics.solve_skeleton(SpectralState(grid, zero, zero), None, cfg)
     out.append(CheckResult("dynamics", "zero-state-fixed-point", bool(np.all(traj0.u_l2 == 0) and np.all(traj0.psi == 0)), "all diagnostics zero"))
 
     heat_cfg = SolverConfig(grid=grid, dt=1e-2, t_final=1.0, nonlinearity=None)
-    theta = VectorField(
-        spectral.field_from_function(grid, lambda x1, x2: np.sin(x1)), ScalarField.zeros(grid)
-    )
-    heat = dynamics.solve_skeleton(
-        SpectralState(spectral.leray_project(VectorField.zeros(grid)), theta), None, heat_cfg
-    )
-    ratio = spectral.l2_norm(heat.final_state().theta) / spectral.l2_norm(theta)
+    theta = director_shape(grid, "stripe_x:1.0")
+    heat = dynamics.solve_skeleton(SpectralState(grid, zero, theta), None, heat_cfg)
+    ratio = _l2(heat.final_state().theta_hat) / _l2(theta)
     err = abs(ratio - np.exp(-1.0))
     out.append(CheckResult("dynamics", "heat-decay-exact-factor", err <= 1e-12, f"|ratio - e^-1| = {err:.2e}"))
 
     a = dynamics.solve_small_noise_sde(init, 0.25, None, cfg, seed=seed + 1)
     b = dynamics.solve_small_noise_sde(init, 0.25, None, cfg, seed=seed + 1)
-    det = all(
-        np.array_equal(sa.u.c1.coeffs, sb.u.c1.coeffs) for sa, sb in zip(a.snapshots, b.snapshots)
-    )
-    out.append(CheckResult("dynamics", "seeded-determinism", det, f"{len(a.snapshots)} snapshots compared"))
+    out.append(CheckResult("dynamics", "seeded-determinism", same(a, b), f"{len(a.snapshots)} snapshots compared"))
 
-    ms0 = MarkSpace(weights=(1.0, 0.5))
     spec0 = _shapes_for(grid, amps=(0.0, 0.0), gains=(0.0, 0.0))
-    cfg0 = SolverConfig(grid=grid, dt=1e-2, t_final=0.3, mark_space=ms0, jump_spec=spec0)
+    cfg0 = SolverConfig(grid=grid, dt=1e-2, t_final=0.3, mark_space=ms, jump_spec=spec0)
     phi = Control(0.3, np.array([[1.4, 0.7]]))
     sde = dynamics.solve_small_noise_sde(init, 0.25, phi, cfg0, seed=seed + 2)
     skel = dynamics.solve_skeleton(init, phi, cfg0)
-    consistent = all(
-        np.array_equal(sa.u.c1.coeffs, sb.u.c1.coeffs)
-        and np.array_equal(sa.theta.c1.coeffs, sb.theta.c1.coeffs)
-        for sa, sb in zip(sde.snapshots, skel.snapshots)
-    )
-    out.append(CheckResult("dynamics", "zero-noise-sde-equals-skeleton", consistent, "coefficientwise equality"))
+    out.append(CheckResult("dynamics", "zero-noise-sde-equals-skeleton", same(sde, skel), "coefficientwise equality"))
 
     plain = dynamics.solve_skeleton(init, None, cfg)
-    cut = dynamics.solve_skeleton(
-        init, None, SolverConfig(grid=grid, dt=1e-2, t_final=0.5, mark_space=ms, jump_spec=spec, cutoff_level=50)
-    )
-    cut_ok = all(
-        np.array_equal(sa.u.c1.coeffs, sb.u.c1.coeffs) for sa, sb in zip(plain.snapshots, cut.snapshots)
-    )
-    out.append(CheckResult("dynamics", "inactive-cutoff-no-op", cut_ok, "level far above norms"))
+    cut = dynamics.solve_skeleton(init, None, replace(cfg, cutoff_level=50))
+    out.append(CheckResult("dynamics", "inactive-cutoff-no-op", same(plain, cut, director=False), "level far above norms"))
 
-    worst = max(spectral.divergence_residual(s.u) for s in plain.snapshots[::10])
+    worst = max(_divergence_residual(s.u_hat) for s in plain.snapshots[::10])
     out.append(CheckResult("dynamics", "velocity-stays-solenoidal", worst <= 1e-11, f"max residual {worst:.2e}"))
 
     g = Control(0.5, np.array([[1.6, 0.7]]))
@@ -332,10 +406,7 @@ def check_dynamics(seed: int) -> list[CheckResult]:
     out.append(CheckResult("dynamics", "energy-ceiling-respected", sup < ceiling, f"sup {sup:.3f} < ceiling {ceiling:.3f}"))
 
     proj = dynamics.galerkin_project(init, 8)
-    mono = (
-        spectral.l2_norm(proj.u) <= spectral.l2_norm(init.u) + 1e-14
-        and spectral.l2_norm(proj.theta) <= spectral.l2_norm(init.theta) + 1e-14
-    )
+    mono = _l2(proj.u_hat) <= _l2(init.u_hat) + 1e-14 and _l2(proj.theta_hat) <= _l2(init.theta_hat) + 1e-14
     out.append(CheckResult("dynamics", "band-projection-contracts", mono, "L2 norms non-increasing"))
     return out
 
@@ -344,18 +415,16 @@ def check_ldp(seed: int) -> list[CheckResult]:
     rng = rng_for(seed, "verify-ldp")
     out = []
     grid = TorusGrid(8)
-    shape = 0.15 * spectral.leray_project(
-        VectorField(spectral.field_from_function(grid, lambda x1, x2: np.sin(x2)), ScalarField.zeros(grid))
-    )
     ms = MarkSpace(weights=(1.0,))
-    spec = JumpCoefficientSpec(shapes=(shape,), gains=(0.0,))
+    spec = JumpCoefficientSpec(shapes=velocity_shape(grid, "shear_x:0.15")[None], gains=(0.0,))
     cfg = SolverConfig(
         grid=grid, dt=0.0125, t_final=0.25, mark_space=ms, jump_spec=spec,
         snapshot_stride=1000, diag_stride=1000, energy_diagnostics=False,
     )
     init = SpectralState(
-        spectral.random_divergence_free_field(grid, rng, kmax=2, amplitude=0.3, decay=0.3),
-        spectral.random_vector_field(grid, rng, kmax=2, amplitude=0.4, decay=0.3),
+        grid,
+        _random(grid, rng, kmax=2, amplitude=0.3, decay=0.3, solenoidal=True),
+        _random(grid, rng, kmax=2, amplitude=0.4, decay=0.3),
     )
     target = dynamics.solve_skeleton(init, None, cfg).final_state()
     prob = ldp.RateProblem(init=init, target=target, cfg=cfg, max_iters=20)

@@ -30,7 +30,6 @@ from nlcsim.ldp import (
 )
 from nlcsim.noise import (
     Control,
-    JumpCoefficientSpec,
     MarkSpace,
     cost_LT,
     entropy_l,
@@ -39,23 +38,26 @@ from nlcsim.noise import (
     sample_prm,
     thin_to_control,
 )
-from nlcsim.operators import (
-    advection_Btilde,
-    director_stress_M,
-    polynomial_f,
-    trilinear_b,
-)
+from nlcsim.operators import advection_Btilde, director_stress_M, polynomial_f
 from nlcsim.spectral import (
     ScalarField,
     TorusGrid,
     VectorField,
-    field_from_function,
     l2_inner,
     l2_norm,
     laplacian_vec,
     leray_project,
+    truncate_half,
+)
+
+from oracle import (
+    field_from_function,
+    half,
     random_divergence_free_field,
     random_vector_field,
+    spec_of,
+    state_of,
+    trilinear_b,
     v_norm,
 )
 
@@ -75,11 +77,11 @@ def _standard_noise(grid, weights=(1.0, 0.5), amps=(0.05, 0.05), gains=(0.0, 0.1
     s2 = amps[1] * leray_project(
         VectorField(ScalarField.zeros(grid), field_from_function(grid, lambda x1, x2: np.sin(x1)))
     )
-    return MarkSpace(weights=weights), JumpCoefficientSpec(shapes=(s1, s2), gains=gains)
+    return MarkSpace(weights=weights), spec_of((s1, s2), gains)
 
 
 def _smooth_state(grid, rng, u_amp, th_amp, kmax=3, decay=0.3):
-    return SpectralState(
+    return state_of(
         random_divergence_free_field(grid, rng, kmax=kmax, amplitude=u_amp, decay=decay),
         random_vector_field(grid, rng, kmax=kmax, amplitude=th_amp, decay=decay),
         0.0,
@@ -257,7 +259,7 @@ def test_c8_rate_optimizer_vs_oracle():
         VectorField(field_from_function(grid, lambda x1, x2: np.sin(x2)), ScalarField.zeros(grid))
     )
     ms = MarkSpace(weights=(1.0,))
-    spec = JumpCoefficientSpec(shapes=(shape,), gains=(0.0,))
+    spec = spec_of((shape,), (0.0,))
     cfg = SolverConfig(
         grid=grid,
         dt=0.0125,
@@ -366,7 +368,7 @@ def test_c11_continuous_dependence():
         du = random_divergence_free_field(grid, prng, kmax=3, amplitude=1.0, decay=0.2)
         dth = random_vector_field(grid, prng, kmax=3, amplitude=1.0, decay=0.2)
         scale = delta / (l2_norm(du) + v_norm(dth))
-        pert = SpectralState(init.u + scale * du, init.theta + scale * dth, 0.0)
+        pert = SpectralState(grid, init.u_hat + scale * half(du), init.theta_hat + scale * half(dth))
         traj = solve_skeleton(pert, g, cfg)
         series.append(
             [(a.time, state_distance_sq_split(a, b)) for a, b in zip(base.snapshots, traj.snapshots)]
@@ -408,16 +410,7 @@ def test_c12_galerkin_self_convergence():
     for n in (8, 16, 32):
         grid = TorusGrid(n)
         _, spec_n = _standard_noise(grid)
-        from nlcsim.spectral import DivergenceFreeField, truncate_coeffs
-
-        def down(sf, grid=grid, n=n):
-            return ScalarField.from_coeffs(grid, truncate_coeffs(sf.coeffs, n))
-
-        init_n = SpectralState(
-            DivergenceFreeField(down(init64.u.c1), down(init64.u.c2)),
-            VectorField(down(init64.theta.c1), down(init64.theta.c2)),
-            0.0,
-        )
+        init_n = SpectralState(grid, truncate_half(init64.u_hat, n), truncate_half(init64.theta_hat, n))
         cfg_n = SolverConfig(
             grid=grid,
             dt=2.5e-3,

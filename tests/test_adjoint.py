@@ -22,26 +22,29 @@ from nlcsim.config import parse_config_text
 from nlcsim.dynamics import (
     SolverConfig,
     SolverError,
-    SpectralState,
     cutoff_chi,
     skeleton_adjoint,
     solve_skeleton,
 )
 from nlcsim.ldp import RateProblem, rate_gradient, rate_objective
-from nlcsim.noise import Control, JumpCoefficientSpec, MarkSpace
+from nlcsim.noise import Control, MarkSpace
 from nlcsim.operators import PolynomialNonlinearity, explicit_rhs, explicit_rhs_transpose
 from nlcsim.spectral import (
     ScalarField,
     TorusGrid,
     VectorField,
-    field_from_function,
-    half_from_full,
     half_inner,
     half_norms_sq,
     half_tables,
     leray_project,
+)
+
+from oracle import (
+    field_from_function,
     random_divergence_free_field,
     random_vector_field,
+    spec_of,
+    state_of,
 )
 
 DOT_TOL = 1e-10
@@ -62,7 +65,7 @@ def random_state(grid, rng, u_amp=0.4, th_amp=0.6):
     kmax = grid.n // 2 - 1
     u = random_divergence_free_field(grid, rng, kmax=kmax, amplitude=u_amp, decay=0.3)
     th = random_vector_field(grid, rng, kmax=kmax, amplitude=th_amp, decay=0.3)
-    return SpectralState(u, th, 0.0)
+    return state_of(u, th, 0.0)
 
 
 def make_noise(grid):
@@ -75,7 +78,7 @@ def make_noise(grid):
             VectorField(ScalarField.zeros(grid), field_from_function(grid, lambda x1, x2: np.cos(2 * x1)))
         ),
     )
-    return MarkSpace(weights=(1.0, 0.5)), JumpCoefficientSpec(shapes=shapes, gains=(0.02, 0.1))
+    return MarkSpace(weights=(1.0, 0.5)), spec_of(shapes, (0.02, 0.1))
 
 
 def l2(a):
@@ -127,8 +130,7 @@ def tangent_step(state, k, du, dth, dg, control, cfg):
         w, gains = ms.weight_array(), np.asarray(spec.gains)
         drift = float(np.sum(w * (control.values[cell] - 1.0) * gains)) * du
         for i, shape in enumerate(spec.shapes):
-            shape_hat = half_from_full(np.stack((shape.c1.coeffs, shape.c2.coeffs)))
-            drift = drift + w[i] * dg[cell, i] * (shape_hat + gains[i] * u)
+            drift = drift + w[i] * dg[cell, i] * (shape + gains[i] * u)
         du = factor * (du + dt * (ju + drift))
     return du, factor * (dth + dt * jt)
 

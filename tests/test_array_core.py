@@ -1,7 +1,7 @@
 """The array-native stepping core against its field-level reference.
 
 ``operators.explicit_rhs`` and the array loop in ``dynamics._run`` replace
-per-component field arithmetic; the field operators (``_nonlinear_terms``,
+per-component field arithmetic; the field operators (``nonlinear_terms``,
 ``energy_psi``, ``control_drift``, ``compensator_integral``, ``eval_G``)
 stay as the oracle they are checked against here, at 1e-12 relative.
 The FFT budget of a forward and of a backward (adjoint) step and the
@@ -17,7 +17,6 @@ from nlcsim.dynamics import (
     SolverConfig,
     SpectralState,
     _energy_row,
-    _nonlinear_terms,
     _run,
     _state_norms,
     cutoff_chi,
@@ -29,7 +28,6 @@ from nlcsim.dynamics import (
 )
 from nlcsim.noise import (
     Control,
-    JumpCoefficientSpec,
     JumpSample,
     MarkSpace,
     NoiseError,
@@ -42,15 +40,24 @@ from nlcsim.spectral import (
     ScalarField,
     TorusGrid,
     VectorField,
-    field_from_function,
-    full_from_half,
     h1_seminorm,
     l2_inner,
     l2_norm,
     laplacian_vec,
     leray_project,
+    vector_field,
+)
+
+from oracle import (
+    field_from_function,
+    nonlinear_terms,
     random_divergence_free_field,
     random_vector_field,
+    spec_of,
+    state_of,
+    theta_of,
+    u_of,
+    zero_state,
 )
 
 TOL = 1e-12
@@ -68,7 +75,7 @@ def random_state(grid, rng, u_amp=0.4, th_amp=0.6):
     kmax = grid.n // 2 - 1
     u = random_divergence_free_field(grid, rng, kmax=kmax, amplitude=u_amp, decay=0.2)
     th = random_vector_field(grid, rng, kmax=kmax, amplitude=th_amp, decay=0.2)
-    return SpectralState(u, th, 0.0)
+    return state_of(u, th, 0.0)
 
 
 def make_noise(grid):
@@ -80,13 +87,7 @@ def make_noise(grid):
             VectorField(ScalarField.zeros(grid), field_from_function(grid, lambda x1, x2: np.cos(2 * x1)))
         ),
     )
-    return MarkSpace(weights=(1.0, 0.5)), JumpCoefficientSpec(shapes=shapes, gains=(0.02, 0.1))
-
-
-def field(grid, half):
-    """VectorField view of a (2, N, N//2+1) array."""
-    c1, c2 = full_from_half(half)
-    return VectorField(ScalarField.from_coeffs(grid, c1), ScalarField.from_coeffs(grid, c2))
+    return MarkSpace(weights=(1.0, 0.5)), spec_of(shapes, (0.02, 0.1))
 
 
 def rel_err(a, b):
@@ -114,19 +115,19 @@ def test_explicit_rhs_matches_nonlinear_terms(n, case, rng):
     state = random_state(grid, rng, 1.4, 1.7) if case == "cutoff-active" else random_state(grid, rng)
     chi1 = chi2 = 1.0
     if cfg.cutoff_level is not None:
-        chi1 = cutoff_chi(l2_norm(state.u), cfg.cutoff_level)
-        chi2 = cutoff_chi(l2_norm(state.theta), cfg.cutoff_level)
+        chi1 = cutoff_chi(l2_norm(u_of(state)), cfg.cutoff_level)
+        chi2 = cutoff_chi(l2_norm(theta_of(state)), cfg.cutoff_level)
         assert 0.0 < chi1 < 1.0 and 0.0 < chi2 < 1.0
-    nu_ref, nth_ref = _nonlinear_terms(state.u, state.theta, cfg)
+    nu_ref, nth_ref = nonlinear_terms(u_of(state), theta_of(state), cfg)
     nu, nth, f_hat = explicit_rhs(
         state.u_hat, state.theta_hat, grid, chi1, chi2, cfg.nonlinearity, with_f=True
     )
-    assert rel_err(field(grid, nu), nu_ref) <= TOL
-    assert rel_err(field(grid, nth), nth_ref) <= TOL
+    assert rel_err(vector_field(grid, nu), nu_ref) <= TOL
+    assert rel_err(vector_field(grid, nth), nth_ref) <= TOL
     if cfg.nonlinearity is None:
         assert f_hat is None
     else:
-        assert rel_err(field(grid, f_hat), polynomial_f(state.theta, cfg.nonlinearity)) <= TOL
+        assert rel_err(vector_field(grid, f_hat), polynomial_f(theta_of(state), cfg.nonlinearity)) <= TOL
 
 
 def test_with_f_leaves_the_step_unchanged(rng):
@@ -146,7 +147,7 @@ def test_with_f_leaves_the_step_unchanged(rng):
 def test_diagnostic_row_matches_energy_psi(nl, rng):
     grid = TorusGrid(32)
     state = random_state(grid, rng)
-    u, theta = state.u, state.theta
+    u, theta = u_of(state), theta_of(state)
     norms = _state_norms(state.u_hat, state.theta_hat)
     expect = (l2_norm(u), h1_seminorm(u), l2_norm(theta), h1_seminorm(theta))
     assert norms == pytest.approx(expect, rel=TOL)
@@ -169,10 +170,10 @@ def test_diagnostic_row_matches_energy_psi(nl, rng):
 def reference_step(state, cfg, drift=None, jump=None):
     """exp(-|k|^2 dt) applied to u + dt (N(u) + drift) + jump and theta + dt N(theta)."""
     grid, dt = cfg.grid, cfg.dt
-    nu, nth = _nonlinear_terms(state.u, state.theta, cfg)
+    nu, nth = nonlinear_terms(u_of(state), theta_of(state), cfg)
     if drift is not None:
         nu = nu + drift
-    incr = state.u + dt * nu
+    incr = u_of(state) + dt * nu
     if jump is not None:
         incr = incr + jump
     factor = np.exp(-grid.ksq() * dt)
@@ -180,12 +181,12 @@ def reference_step(state, cfg, drift=None, jump=None):
     def apply(w):
         return VectorField(*(ScalarField.from_coeffs(grid, factor * c.coeffs) for c in w.components()))
 
-    return apply(incr), apply(state.theta + dt * nth)
+    return apply(incr), apply(theta_of(state) + dt * nth)
 
 
 def assert_states_close(state, ref_u, ref_theta):
-    assert rel_err(state.u, ref_u) <= TOL
-    assert rel_err(state.theta, ref_theta) <= TOL
+    assert rel_err(u_of(state), ref_u) <= TOL
+    assert rel_err(theta_of(state), ref_theta) <= TOL
 
 
 @pytest.fixture
@@ -203,9 +204,9 @@ def test_skeleton_step_matches_field_step(step_setup):
     traj = solve_skeleton(init, g, cfg)
     for k in range(2):
         start, t = traj.snapshots[k], k * cfg.dt
-        drift = control_drift(t, start.u, g, ms, spec)
+        drift = control_drift(t, u_of(start), g, ms, spec)
         assert_states_close(traj.snapshots[k + 1], *reference_step(start, cfg, drift=drift))
-        assert traj.drift_pairing[k] == pytest.approx(l2_inner(drift, start.u), rel=TOL)
+        assert traj.drift_pairing[k] == pytest.approx(l2_inner(drift, u_of(start)), rel=TOL)
 
 
 def test_sde_and_convolution_steps_match_field_steps(step_setup):
@@ -228,13 +229,13 @@ def test_sde_and_convolution_steps_match_field_steps(step_setup):
         in_step = (jumps.times >= t) & (jumps.times < t + cfg.dt)
         jump_sum = VectorField.zeros(cfg.grid)
         for tj, mark in zip(jumps.times[in_step], jumps.marks[in_step]):
-            jump_sum = jump_sum + eps * eval_G(tj, start.u, int(mark), spec)
-        comp = compensator_integral(t, start.u, ms, spec)
+            jump_sum = jump_sum + eps * eval_G(tj, u_of(start), int(mark), spec)
+        comp = compensator_integral(t, u_of(start), ms, spec)
         jump = (-cfg.dt) * comp + jump_sum
         assert_states_close(traj.snapshots[k + 1], *reference_step(start, cfg, jump=jump))
-        xi_incr = xi + jump_sum + (-cfg.dt) * (comp + control_drift(t, start.u, phi, ms, spec))
+        xi_incr = xi + jump_sum + (-cfg.dt) * (comp + control_drift(t, u_of(start), phi, ms, spec))
         xi = VectorField(*(ScalarField.from_coeffs(cfg.grid, factor * c.coeffs) for c in xi_incr.components()))
-        assert rel_err(conv.snapshots[k + 1].u, xi) <= TOL
+        assert rel_err(u_of(conv.snapshots[k + 1]), xi) <= TOL
 
 
 def test_replay_rejects_unknown_marks(step_setup):
@@ -318,7 +319,8 @@ def loop_state_to_text(state):
     grid = state.grid
     buf.write(f"# modes={grid.n} time={state.time:.17g}\n")
     k1g, k2g = grid.wavenumbers()
-    comps = {"u1": state.u.c1, "u2": state.u.c2, "theta1": state.theta.c1, "theta2": state.theta.c2}
+    u, theta = u_of(state), theta_of(state)
+    comps = {"u1": u.c1, "u2": u.c2, "theta1": theta.c1, "theta2": theta.c2}
     for name, comp in comps.items():
         buf.write(f"# component {name}\n")
         c = comp.coeffs
@@ -333,10 +335,10 @@ def loop_state_to_text(state):
 def test_state_text_matches_loop_and_round_trips(rng):
     grid = TorusGrid(32)
     sparse = random_state(grid, rng)
-    sparse = SpectralState(sparse.u, sparse.theta, 0.125)
+    sparse = SpectralState(grid, sparse.u_hat, sparse.theta_hat, 0.125)
     cfg = SolverConfig(grid=grid, dt=1e-2, t_final=3e-2)
     dense = solve_skeleton(sparse, None, cfg).final_state()
-    for state in (sparse, dense, SpectralState.zero(grid)):
+    for state in (sparse, dense, zero_state(grid)):
         text = state_to_text(state)
         assert text == loop_state_to_text(state)
         back = state_from_text(text)

@@ -13,7 +13,6 @@ import pytest
 import nlcsim.ldp as ldp
 from nlcsim.dynamics import (
     SolverConfig,
-    SpectralState,
     _run,
     draw_jumps,
     solve_path_batch,
@@ -34,7 +33,6 @@ from nlcsim.ldp import (
 )
 from nlcsim.noise import (
     Control,
-    JumpCoefficientSpec,
     JumpSample,
     MarkSpace,
     girsanov_log_density,
@@ -45,10 +43,15 @@ from nlcsim.spectral import (
     ScalarField,
     TorusGrid,
     VectorField,
-    field_from_function,
     leray_project,
+)
+
+from oracle import (
+    field_from_function,
     random_divergence_free_field,
     random_vector_field,
+    spec_of,
+    state_of,
 )
 
 N_PATHS = 10  # not a multiple of 3 or 8: the last chunk is partial
@@ -64,14 +67,14 @@ def make_cfg(amps=(0.2, 0.1), gains=(0.05, 0.02), **kwargs):
     return SolverConfig(
         grid=grid,
         mark_space=MarkSpace(weights=(1.0, 0.5)),
-        jump_spec=JumpCoefficientSpec(shapes=shapes, gains=gains),
+        jump_spec=spec_of(shapes, gains),
         **opts,
     )
 
 
 def make_init(grid, amplitude=0.3):
     rng = np.random.default_rng(5)
-    return SpectralState(
+    return state_of(
         random_divergence_free_field(grid, rng, kmax=2, amplitude=amplitude, decay=0.3),
         random_vector_field(grid, rng, kmax=2, amplitude=0.4, decay=0.3),
     )

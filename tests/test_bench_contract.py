@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 import nlcsim.dynamics as dynamics
+from nlcsim.config import velocity_shape
 from nlcsim.noise import Control, JumpCoefficientSpec, MarkSpace, rng_for, thin_to_control
-from nlcsim.spectral import ScalarField, TorusGrid, VectorField, field_from_function, leray_project
+from nlcsim.spectral import TorusGrid
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -55,18 +56,16 @@ def test_every_binding_resolves_and_uninstall_restores():
 
 def _tiny_problem():
     grid = TorusGrid(8)
-    shape = 0.1 * leray_project(
-        VectorField(field_from_function(grid, lambda x1, x2: np.sin(x2)), ScalarField.zeros(grid))
-    )
+    shape = velocity_shape(grid, "shear_x:0.1")
     ms = MarkSpace(weights=(2.0,))
     cfg = dynamics.SolverConfig(
         grid=grid,
         dt=1e-2,
         t_final=0.03,
         mark_space=ms,
-        jump_spec=JumpCoefficientSpec(shapes=(shape,), gains=(0.05,)),
+        jump_spec=JumpCoefficientSpec(shapes=shape[None], gains=(0.05,)),
     )
-    init = dynamics.SpectralState(shape, VectorField.zeros(grid))
+    init = dynamics.SpectralState(grid, shape, np.zeros_like(shape))
     phi = Control.constant(cfg.t_final, 1.5)
     jumps = thin_to_control(ms, cfg.t_final, phi, 1.0 / 0.2, rng_for(3, "contract"))
     return cfg, init, phi, jumps

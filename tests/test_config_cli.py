@@ -14,7 +14,9 @@ from nlcsim.config import (
 )
 from nlcsim.dynamics import solve_sde_with_jumps, state_to_text
 from nlcsim.noise import JumpSample
-from nlcsim.spectral import TorusGrid, divergence_residual, l2_norm
+from nlcsim.spectral import TorusGrid, l2_norm, vector_field
+
+from oracle import divergence_residual
 
 MINIMAL = "seed = 7\n"
 
@@ -44,18 +46,19 @@ class TestShapes:
         grid = TorusGrid(16)
         for token in ("zero", "shear_x:0.3", "shear_y:0.5:2", "taylor_green:0.2", "mode:0.1:1:1"):
             f = velocity_shape(grid, token)
+            assert f.shape == (2, 16, 9)
             if token != "zero":
-                assert divergence_residual(f) <= 1e-12
+                assert divergence_residual(vector_field(grid, f)) <= 1e-12
         combo = velocity_shape(grid, "taylor_green:0.2+mode:0.1:2:1")
-        assert l2_norm(combo) > 0
+        assert l2_norm(vector_field(grid, combo)) > 0
 
     def test_director_vocabulary(self):
         grid = TorusGrid(16)
-        c = director_shape(grid, "constant:0.5:-0.25")
+        c = vector_field(grid, director_shape(grid, "constant:0.5:-0.25"))
         assert np.allclose(c.c1.values, 0.5)
         assert np.allclose(c.c2.values, -0.25)
         s = director_shape(grid, "stripe_x:0.4:2+mode:0.1:1:1:2")
-        assert l2_norm(s) > 0
+        assert l2_norm(vector_field(grid, s)) > 0
 
     def test_unknown_shape_rejected(self):
         grid = TorusGrid(16)
@@ -63,6 +66,39 @@ class TestShapes:
             velocity_shape(grid, "vortex_sheet:1.0")
         with pytest.raises(ConfigError):
             director_shape(grid, "spiral:1.0")
+        for token in ("shear_x", "taylor_green:0.2:1:7"):
+            with pytest.raises(ConfigError, match="needs amp"):
+                velocity_shape(grid, token)
+        with pytest.raises(ConfigError, match="needs amp"):
+            director_shape(grid, "stripe_x:0.4:1:2")
+
+    # at grid.modes = 8 the band is |k| <= 3: k = 5 aliases to k = 3, k = 4 is the Nyquist
+    # line (a zero director), and k = 6 aliases to k = 2
+
+    def test_aliasing_director_wavenumber_rejected(self):
+        with pytest.raises(ConfigError, match=r":3: .*wavenumber 5 is outside the band \|k\| <= 3"):
+            parse_config_text("seed = 1\ngrid.modes = 8\ninit.theta = stripe_x:0.5:5\n")
+
+    def test_nyquist_director_wavenumber_rejected(self):
+        with pytest.raises(ConfigError, match=r":3: .*wavenumber 4 is outside the band"):
+            parse_config_text("seed = 1\ngrid.modes = 8\ninit.theta = stripe_x:0.5:4\n")
+
+    def test_aliasing_velocity_wavenumber_rejected(self):
+        with pytest.raises(ConfigError, match=r":4: .*wavenumber 6 is outside the band"):
+            parse_config_text("seed = 1\ngrid.modes = 8\ninit.theta = zero\ninit.u = shear_x:0.3:6\n")
+
+    def test_non_integer_wavenumber_rejected(self):
+        grid = TorusGrid(16)
+        for token in ("shear_x:0.3:2.5", "mode:0.1:1:0.5", "taylor_green:0.2:inf"):
+            with pytest.raises(ConfigError, match="is not an integer"):
+                velocity_shape(grid, token)
+        with pytest.raises(ConfigError, match="is not an integer"):
+            director_shape(grid, "stripe_y:0.4:1.5")
+
+    def test_band_edge_wavenumber_accepted(self):
+        cfg = parse_config_text("seed = 1\ngrid.modes = 8\ninit.theta = stripe_x:0.5:3\n")
+        theta = cfg.build_init(cfg.build_grid()).theta_hat
+        assert theta[0, 3, 0] == pytest.approx(-0.25j, abs=1e-15)
 
 
 class TestParsing:
@@ -118,7 +154,7 @@ class TestParsing:
         cfg = parse_config_text(FULL)
         grid = cfg.build_grid()
         init = cfg.build_init(grid)
-        assert init.u.grid.n == 16
+        assert init.grid.n == 16 and init.u_hat.shape == init.theta_hat.shape == (2, 16, 9)
         control = cfg.build_control()
         assert control.values.shape == (2, 2)
         sc = cfg.build_solver_config()

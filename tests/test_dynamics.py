@@ -5,7 +5,6 @@ from nlcsim.dynamics import (
     SolverConfig,
     SolverError,
     SpectralState,
-    _nonlinear_terms,
     apriori_bound,
     cutoff_chi,
     embed_state,
@@ -20,18 +19,27 @@ from nlcsim.dynamics import (
     sup_state_distance,
     trajectory_sup_energy,
 )
-from nlcsim.noise import Control, JumpCoefficientSpec, MarkSpace, control_drift
+from nlcsim.noise import Control, MarkSpace, control_drift
 from nlcsim.spectral import (
     DivergenceFreeField,
     ScalarField,
     TorusGrid,
     VectorField,
-    divergence_residual,
-    field_from_function,
     l2_norm,
     leray_project,
+)
+
+from oracle import (
+    divergence_residual,
+    field_from_function,
+    nonlinear_terms,
     random_divergence_free_field,
     random_vector_field,
+    spec_of,
+    state_of,
+    theta_of,
+    u_of,
+    zero_state,
 )
 
 
@@ -46,13 +54,13 @@ def make_noise(grid, shape_amp=(0.05, 0.05), gains=(0.0, 0.1), weights=(1.0, 0.5
             VectorField(ScalarField.zeros(grid), field_from_function(grid, lambda x1, x2: np.sin(x1)))
         ),
     )
-    return MarkSpace(weights=weights), JumpCoefficientSpec(shapes=shapes, gains=gains)
+    return MarkSpace(weights=weights), spec_of(shapes, gains)
 
 
 def smooth_state(grid, rng, u_amp=0.4, th_amp=0.6, kmax=3):
     u = random_divergence_free_field(grid, rng, kmax=kmax, amplitude=u_amp, decay=0.4)
     th = random_vector_field(grid, rng, kmax=kmax, amplitude=th_amp, decay=0.4)
-    return SpectralState(u, th, 0.0)
+    return state_of(u, th, 0.0)
 
 
 @pytest.fixture
@@ -60,6 +68,34 @@ def cfg16():
     grid = TorusGrid(16)
     ms, spec = make_noise(grid)
     return SolverConfig(grid=grid, dt=1e-2, t_final=0.5, mark_space=ms, jump_spec=spec)
+
+
+class TestState:
+    def test_arrays_are_read_only_copies(self, rng):
+        grid = TorusGrid(16)
+        u, theta = smooth_state(grid, rng).u_hat, smooth_state(grid, rng).theta_hat
+        u_in = u.copy()
+        state = SpectralState(grid, u_in, theta, 0.5)
+        u_in[0, 1, 1] = 7.0
+        assert np.array_equal(state.u_hat, u) and state.time == 0.5
+        assert not state.u_hat.flags.writeable and not state.theta_hat.flags.writeable
+
+    def test_validation(self, rng):
+        grid = TorusGrid(16)
+        good = smooth_state(grid, rng)
+        with pytest.raises(SolverError, match="shape"):
+            SpectralState(grid, good.u_hat[:, :, :8], good.theta_hat)
+        with pytest.raises(SolverError, match="shape"):
+            SpectralState(TorusGrid(32), good.u_hat, good.theta_hat)
+        bad = good.theta_hat.copy()
+        bad[1, 2, 3] = np.nan
+        with pytest.raises(SolverError, match="non-finite"):
+            SpectralState(grid, good.u_hat, bad)
+        for idx in ((0, 8, 1), (1, 3, 8)):  # the k1 = -N/2 row and the k2 = N/2 column
+            bad = good.u_hat.copy()
+            bad[idx] = 1e-3
+            with pytest.raises(SolverError, match="Nyquist"):
+                SpectralState(grid, bad, good.theta_hat)
 
 
 class TestCutoff:
@@ -102,14 +138,14 @@ class TestConfig:
 
 class TestSkeletonRhs:
     """The skeleton right-hand side as the stepping core assembles it:
-    explicit terms from ``_nonlinear_terms``, the control drift, and the
+    explicit terms from the oracle's ``nonlinear_terms``, the control drift, and the
     linear part -|k|^2 applied through the integrating factor."""
 
     def test_zero_state(self, cfg16):
-        state = SpectralState.zero(cfg16.grid)
+        state = zero_state(cfg16.grid)
         g = Control.unit(cfg16.t_final, 1, cfg16.mark_space.size)
-        nu, nth = _nonlinear_terms(state.u, state.theta, cfg16)
-        drift = control_drift(0.0, state.u, g, cfg16.mark_space, cfg16.jump_spec)
+        nu, nth = nonlinear_terms(u_of(state), theta_of(state), cfg16)
+        drift = control_drift(0.0, u_of(state), g, cfg16.mark_space, cfg16.jump_spec)
         assert l2_norm(nu + drift) == 0.0
         assert l2_norm(nth) == 0.0
 
@@ -120,7 +156,7 @@ class TestSkeletonRhs:
             field_from_function(grid, lambda x1, x2: np.sin(2 * x1)), ScalarField.zeros(grid)
         )
         zero_u = DivergenceFreeField(ScalarField.zeros(grid), ScalarField.zeros(grid))
-        _, nth = _nonlinear_terms(zero_u, theta, cfg)
+        _, nth = nonlinear_terms(zero_u, theta, cfg)
         linear = VectorField(
             ScalarField.from_coeffs(grid, grid.ksq() * theta.c1.coeffs),
             ScalarField.from_coeffs(grid, grid.ksq() * theta.c2.coeffs),
@@ -134,12 +170,12 @@ class TestSkeletonRhs:
         from nlcsim.spectral import l2_inner
 
         state = smooth_state(cfg16.grid, rng)
-        assert abs(l2_inner(convection_B(state.u, state.u), state.u)) <= 1e-10
+        assert abs(l2_inner(convection_B(u_of(state), u_of(state)), u_of(state))) <= 1e-10
 
 
 class TestSkeletonSolver:
     def test_zero_init_stays_zero(self, cfg16):
-        traj = solve_skeleton(SpectralState.zero(cfg16.grid), None, cfg16)
+        traj = solve_skeleton(zero_state(cfg16.grid), None, cfg16)
         assert traj.status == "ok"
         assert np.all(traj.u_l2 == 0.0)
         assert np.all(traj.psi == 0.0)
@@ -151,13 +187,13 @@ class TestSkeletonSolver:
         theta = VectorField(
             field_from_function(grid, lambda x1, x2: np.sin(x1)), ScalarField.zeros(grid)
         )
-        init = SpectralState(
+        init = state_of(
             DivergenceFreeField(ScalarField.zeros(grid), ScalarField.zeros(grid)), theta
         )
         traj = solve_skeleton(init, None, cfg)
         final = traj.final_state()
         expect = float(np.exp(-1.0))
-        assert l2_norm(final.theta) / l2_norm(theta) == pytest.approx(expect, rel=1e-12)
+        assert l2_norm(theta_of(final)) / l2_norm(theta) == pytest.approx(expect, rel=1e-12)
 
     def test_director_mean_mode_retained(self):
         # constants lie in the kernel of the director Laplacian and, with the
@@ -167,20 +203,20 @@ class TestSkeletonSolver:
         theta = VectorField.from_values(
             grid, np.full((16, 16), 0.25), np.full((16, 16), -0.5)
         )
-        init = SpectralState(
+        init = state_of(
             DivergenceFreeField(ScalarField.zeros(grid), ScalarField.zeros(grid)), theta
         )
         final = solve_skeleton(init, None, cfg).final_state()
-        assert final.theta.c1.coeff_at(0, 0) == pytest.approx(0.25, abs=1e-15)
-        assert final.theta.c2.coeff_at(0, 0) == pytest.approx(-0.5, abs=1e-15)
-        assert final.u.c1.coeff_at(0, 0) == 0.0
+        assert theta_of(final).c1.coeff_at(0, 0) == pytest.approx(0.25, abs=1e-15)
+        assert theta_of(final).c2.coeff_at(0, 0) == pytest.approx(-0.5, abs=1e-15)
+        assert u_of(final).c1.coeff_at(0, 0) == 0.0
 
     def test_divergence_free_preserved(self, cfg16, rng):
         init = smooth_state(cfg16.grid, rng)
         g = Control(cfg16.t_final, np.array([[1.5, 0.5]]))
         traj = solve_skeleton(init, g, cfg16)
         for snap in traj.snapshots[:: max(len(traj.snapshots) // 5, 1)]:
-            assert divergence_residual(snap.u) <= 1e-11
+            assert divergence_residual(u_of(snap)) <= 1e-11
 
     def test_self_convergence_first_order(self, rng):
         grid = TorusGrid(16)
@@ -210,7 +246,7 @@ class TestSkeletonSolver:
         cfg = SolverConfig(grid=grid, dt=0.05, t_final=1.0, blowup_threshold=1e6)
         u = random_divergence_free_field(grid, rng, kmax=4, amplitude=3e4)
         th = random_vector_field(grid, rng, kmax=4, amplitude=3e4)
-        traj = solve_skeleton(SpectralState(u, th), None, cfg)
+        traj = solve_skeleton(state_of(u, th), None, cfg)
         assert traj.status == "diverged"
 
 
@@ -221,8 +257,8 @@ class TestStochasticSolver:
         b = solve_small_noise_sde(init, 0.2, None, cfg16, seed=99)
         assert np.array_equal(a.u_l2, b.u_l2)
         for sa, sb in zip(a.snapshots, b.snapshots):
-            assert np.array_equal(sa.u.c1.coeffs, sb.u.c1.coeffs)
-            assert np.array_equal(sa.theta.c2.coeffs, sb.theta.c2.coeffs)
+            assert np.array_equal(sa.u_hat[0], sb.u_hat[0])
+            assert np.array_equal(sa.theta_hat[1], sb.theta_hat[1])
 
     def test_zero_noise_matches_skeleton(self, rng):
         grid = TorusGrid(16)
@@ -233,9 +269,9 @@ class TestStochasticSolver:
         sde = solve_small_noise_sde(init, 0.25, phi, cfg, seed=5)
         skel = solve_skeleton(init, phi, cfg)
         for sa, sb in zip(sde.snapshots, skel.snapshots):
-            assert np.array_equal(sa.u.c1.coeffs, sb.u.c1.coeffs)
-            assert np.array_equal(sa.u.c2.coeffs, sb.u.c2.coeffs)
-            assert np.array_equal(sa.theta.c1.coeffs, sb.theta.c1.coeffs)
+            assert np.array_equal(sa.u_hat[0], sb.u_hat[0])
+            assert np.array_equal(sa.u_hat[1], sb.u_hat[1])
+            assert np.array_equal(sa.theta_hat[0], sb.theta_hat[0])
 
     def test_noise_perturbs_and_shrinks_with_eps(self, cfg16, rng):
         init = smooth_state(cfg16.grid, rng)
@@ -255,7 +291,7 @@ class TestStochasticSolver:
         init = smooth_state(cfg16.grid, rng)
         traj = solve_small_noise_sde(init, 0.2, None, cfg16, seed=3)
         for snap in traj.snapshots[::10]:
-            assert divergence_residual(snap.u) <= 1e-11
+            assert divergence_residual(u_of(snap)) <= 1e-11
 
 
 class TestCutoffBehavior:
@@ -266,8 +302,8 @@ class TestCutoffBehavior:
         plain = solve_skeleton(init, None, SolverConfig(**base_cfg))
         cut = solve_skeleton(init, None, SolverConfig(**base_cfg, cutoff_level=50))
         for sa, sb in zip(plain.snapshots, cut.snapshots):
-            assert np.array_equal(sa.u.c1.coeffs, sb.u.c1.coeffs)
-            assert np.array_equal(sa.theta.c1.coeffs, sb.theta.c1.coeffs)
+            assert np.array_equal(sa.u_hat[0], sb.u_hat[0])
+            assert np.array_equal(sa.theta_hat[0], sb.theta_hat[0])
 
 
 class TestConvolution:
@@ -302,8 +338,8 @@ class TestGalerkinProject:
         grid = TorusGrid(16)
         state = smooth_state(grid, rng, kmax=5)
         out = galerkin_project(state, 16)
-        assert np.array_equal(out.u.c1.coeffs, state.u.c1.coeffs)
-        assert np.array_equal(out.theta.c2.coeffs, state.theta.c2.coeffs)
+        assert np.array_equal(out.u_hat[0], state.u_hat[0])
+        assert np.array_equal(out.theta_hat[1], state.theta_hat[1])
 
     def test_single_retained_mode(self):
         grid = TorusGrid(16)
@@ -311,15 +347,15 @@ class TestGalerkinProject:
             VectorField(field_from_function(grid, lambda x1, x2: np.sin(x2)), ScalarField.zeros(grid))
         )
         th = VectorField.zeros(grid)
-        out = galerkin_project(SpectralState(u, th), 8)
-        assert l2_norm(out.u - u) < 1e-14
+        out = galerkin_project(state_of(u, th), 8)
+        assert l2_norm(u_of(out) - u) < 1e-14
 
     def test_norm_non_increasing(self, rng):
         grid = TorusGrid(32)
         state = smooth_state(grid, rng, kmax=10)
         out = galerkin_project(state, 8)
-        assert l2_norm(out.u) <= l2_norm(state.u) + 1e-14
-        assert l2_norm(out.theta) <= l2_norm(state.theta) + 1e-14
+        assert l2_norm(u_of(out)) <= l2_norm(u_of(state)) + 1e-14
+        assert l2_norm(theta_of(out)) <= l2_norm(theta_of(state)) + 1e-14
 
     def test_validation(self, rng):
         grid = TorusGrid(16)
@@ -330,7 +366,7 @@ class TestGalerkinProject:
 
 class TestEnergyLedger:
     def test_zero_trajectory(self, cfg16):
-        traj = solve_skeleton(SpectralState.zero(cfg16.grid), None, cfg16)
+        traj = solve_skeleton(zero_state(cfg16.grid), None, cfg16)
         ledger = energy_ledger(traj)
         assert ledger["max_abs"] == 0.0
 
@@ -347,7 +383,7 @@ class TestEnergyLedger:
     def test_director_only_identity(self, rng):
         # frozen velocity: d psi + |Delta theta - f(theta)|^2 dt balances alone
         grid = TorusGrid(16)
-        init = SpectralState(
+        init = state_of(
             DivergenceFreeField(ScalarField.zeros(grid), ScalarField.zeros(grid)),
             random_vector_field(grid, rng, kmax=3, amplitude=0.8, decay=0.4),
         )
@@ -372,7 +408,7 @@ class TestEnergyLedger:
 
 class TestAprioriBound:
     def test_zero_init_unit_control(self, cfg16):
-        init = SpectralState.zero(cfg16.grid)
+        init = zero_state(cfg16.grid)
         assert apriori_bound(init, None, cfg16) == 0.0
 
     def test_formula_matches_manual(self, cfg16, rng):
@@ -382,7 +418,7 @@ class TestAprioriBound:
         from nlcsim.operators import energy_psi
 
         c = apriori_control_constant(g, cfg16.mark_space, cfg16.jump_spec)
-        e0 = energy_psi(init.u, init.theta, cfg16.nonlinearity).psi_total + l2_norm(init.u) ** 2
+        e0 = energy_psi(u_of(init), theta_of(init), cfg16.nonlinearity).psi_total + l2_norm(u_of(init)) ** 2
         expect = (e0 + c) * cfg16.t_final * np.exp(c * cfg16.t_final)
         assert apriori_bound(init, g, cfg16) == pytest.approx(expect, rel=1e-14)
 
@@ -402,8 +438,8 @@ class TestComparisons:
         fine = TorusGrid(32)
         state = smooth_state(coarse, rng, kmax=5)
         up = embed_state(state, fine)
-        assert l2_norm(up.u) == pytest.approx(l2_norm(state.u), rel=1e-14)
-        assert l2_norm(up.theta) == pytest.approx(l2_norm(state.theta), rel=1e-14)
+        assert l2_norm(u_of(up)) == pytest.approx(l2_norm(u_of(state)), rel=1e-14)
+        assert l2_norm(theta_of(up)) == pytest.approx(l2_norm(theta_of(state)), rel=1e-14)
 
     def test_distance_split(self, rng):
         grid = TorusGrid(16)
@@ -419,9 +455,35 @@ class TestSerialization:
         grid = TorusGrid(16)
         state = smooth_state(grid, rng)
         back = state_from_text(state_to_text(state))
-        assert np.allclose(back.u.c1.coeffs, state.u.c1.coeffs, atol=1e-16)
-        assert np.allclose(back.theta.c1.coeffs, state.theta.c1.coeffs, atol=1e-16)
+        assert np.allclose(u_of(back).c1.coeffs, u_of(state).c1.coeffs, atol=1e-16)
+        assert np.allclose(theta_of(back).c1.coeffs, theta_of(state).c1.coeffs, atol=1e-16)
         assert back.time == state.time
+
+    # malformed checkpoints raise SolverError, not a KeyError or a silent wrap
+
+    def test_coefficient_before_component_rejected(self):
+        with pytest.raises(SolverError, match="line 2: coefficient line before any component"):
+            state_from_text("# modes=8 time=0\n1 0 0.5 0\n")
+
+    def test_unknown_component_rejected(self):
+        with pytest.raises(SolverError, match="line 2: unknown component 'w9'"):
+            state_from_text("# modes=8 time=0\n# component w9\n1 0 0.5 0\n")
+
+    def test_missing_modes_header_rejected(self):
+        with pytest.raises(SolverError, match="missing the modes header"):
+            state_from_text("# component theta1\n1 0 0.5 0\n")
+        with pytest.raises(SolverError, match="missing the modes header"):
+            state_from_text("")
+
+    def test_out_of_band_wavenumber_rejected(self):
+        with pytest.raises(SolverError, match=r"line 3: wavenumber \(9, 0\) is outside the band of N=8"):
+            state_from_text("# modes=8 time=0\n# component theta1\n9 0 0.5 0\n")
+        with pytest.raises(SolverError, match="outside the band"):
+            state_from_text("# modes=8 time=0\n# component theta1\n-4 0 0.5 0\n")
+
+    def test_unparsable_line_rejected(self):
+        with pytest.raises(SolverError, match="line 3: cannot parse"):
+            state_from_text("# modes=8 time=0\n# component u1\n1 0 x 0\n")
 
     def test_trajectory_csv(self, cfg16, rng):
         init = smooth_state(cfg16.grid, rng)
@@ -441,4 +503,4 @@ class TestSerialization:
         ]
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == 0.0
-        assert first[1] == pytest.approx(l2_norm(init.u), rel=1e-15)
+        assert first[1] == pytest.approx(l2_norm(u_of(init)), rel=1e-15)

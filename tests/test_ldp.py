@@ -4,7 +4,6 @@ import pytest
 from nlcsim.config import parse_config_text
 from nlcsim.dynamics import (
     SolverConfig,
-    SpectralState,
     solve_sde_with_jumps,
     solve_skeleton,
     solve_small_noise_sde,
@@ -27,7 +26,6 @@ from nlcsim.ldp import (
 )
 from nlcsim.noise import (
     Control,
-    JumpCoefficientSpec,
     MarkSpace,
     cost_LT,
     girsanov_log_density,
@@ -38,10 +36,16 @@ from nlcsim.spectral import (
     ScalarField,
     TorusGrid,
     VectorField,
-    field_from_function,
     leray_project,
+)
+
+from oracle import (
+    field_from_function,
     random_divergence_free_field,
     random_vector_field,
+    spec_of,
+    state_of,
+    zero_state,
 )
 
 ELL2 = 0.3862943611198906
@@ -52,7 +56,7 @@ def one_mark_setup(grid, shape_amp=0.15, gain=0.0, weight=1.0):
         VectorField(field_from_function(grid, lambda x1, x2: np.sin(x2)), ScalarField.zeros(grid))
     )
     ms = MarkSpace(weights=(weight,))
-    spec = JumpCoefficientSpec(shapes=(shape,), gains=(gain,))
+    spec = spec_of((shape,), (gain,))
     return ms, spec
 
 
@@ -69,7 +73,7 @@ def small_problem(rng, horizon=0.25, dt=0.0125, penalty=100.0, target_tilt=None)
         diag_stride=1000,
         energy_diagnostics=False,
     )
-    init = SpectralState(
+    init = state_of(
         random_divergence_free_field(grid, rng, kmax=2, amplitude=0.3, decay=0.3),
         random_vector_field(grid, rng, kmax=2, amplitude=0.4, decay=0.3),
     )
@@ -189,7 +193,7 @@ class TestSmallNoiseStudy:
             diag_stride=1000,
             energy_diagnostics=False,
         )
-        init = SpectralState(
+        init = state_of(
             random_divergence_free_field(grid, rng, kmax=2, amplitude=0.3, decay=0.3),
             random_vector_field(grid, rng, kmax=2, amplitude=0.4, decay=0.3),
         )
@@ -207,7 +211,7 @@ class TestSmallNoiseStudy:
             diag_stride=1000,
             energy_diagnostics=False,
         )
-        init = SpectralState.zero(grid)
+        init = zero_state(grid)
         rows = mc_small_noise_study([0.4, 0.2], 8, cfg, init, seed=1)
         assert all(r["median"] == 0.0 for r in rows)
 
@@ -255,7 +259,7 @@ class TestSmallNoiseStudy:
             VectorField(field_from_function(grid, lambda x1, x2: np.sin(x2)), ScalarField.zeros(grid))
         )
         ms = MarkSpace(weights=(3.0,))
-        spec = JumpCoefficientSpec(shapes=(shape,), gains=(0.05,))
+        spec = spec_of((shape,), (0.05,))
         cfg = SolverConfig(
             grid=grid,
             dt=1e-2,
@@ -265,7 +269,7 @@ class TestSmallNoiseStudy:
             diag_stride=1000,
             energy_diagnostics=False,
         )
-        init = SpectralState.zero(grid)
+        init = zero_state(grid)
         rows = convolution_scaling_study([0.4, 0.05], 12, cfg, init, seed=5)
         assert rows[0]["mean_sup_sq"] > rows[1]["mean_sup_sq"]
 
@@ -284,7 +288,7 @@ class TestSmallNoiseStudy:
             energy_diagnostics=False,
         )
         with pytest.raises(StudyError, match="diverged"):
-            convolution_scaling_study([0.4, 0.2], 8, cfg, SpectralState.zero(grid), seed=5)
+            convolution_scaling_study([0.4, 0.2], 8, cfg, zero_state(grid), seed=5)
 
 
 class TestImportance:
@@ -300,7 +304,7 @@ class TestImportance:
             snapshot_stride=1000,
             energy_diagnostics=False,
         )
-        init = SpectralState.zero(grid)
+        init = zero_state(grid)
         return cfg, init
 
     def test_indicator_one_mean_one(self, rng):
@@ -332,7 +336,7 @@ class TestImportance:
         )
         phi = Control.constant(cfg.t_final, 3.0)
         n = 8
-        out = importance_weights(lambda traj: 1.0, phi, 0.001, n, cfg, SpectralState.zero(grid), seed=31)
+        out = importance_weights(lambda traj: 1.0, phi, 0.001, n, cfg, zero_state(grid), seed=31)
         assert np.isfinite(out["log_estimate"])
         assert out["log_estimate"] < np.log(np.finfo(float).tiny)
         assert 1.0 <= out["ess"] <= n

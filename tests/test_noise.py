@@ -26,11 +26,11 @@ from nlcsim.spectral import (
     ScalarField,
     TorusGrid,
     VectorField,
-    field_from_function,
     l2_norm,
     leray_project,
-    random_divergence_free_field,
 )
+
+from oracle import field_from_function, random_divergence_free_field, shape_field, spec_of
 
 ELL2 = 0.3862943611198906  # 2 log 2 - 1
 
@@ -44,7 +44,7 @@ def make_spec(grid, gains=(0.0, 0.1)):
             VectorField(ScalarField.zeros(grid), field_from_function(grid, lambda x1, x2: np.sin(x1)))
         ),
     )
-    return JumpCoefficientSpec(shapes=shapes, gains=tuple(gains))
+    return spec_of(shapes, gains)
 
 
 @pytest.fixture
@@ -205,13 +205,13 @@ class TestJumpCoefficient:
         spec = make_spec(grid8, gains=(0.0, 0.0))
         u = random_divergence_free_field(grid8, rng, kmax=2)
         out = eval_G(0.0, u, 0, spec)
-        assert l2_norm(out - spec.shapes[0]) < 1e-14
+        assert l2_norm(out - shape_field(spec, 0, grid8)) < 1e-14
 
     def test_eval_zero_velocity(self, grid8):
         spec = make_spec(grid8, gains=(0.3, 0.5))
         z = leray_project(VectorField.zeros(grid8))
         for i in range(2):
-            assert l2_norm(eval_G(0.0, z, i, spec) - spec.shapes[i]) < 1e-14
+            assert l2_norm(eval_G(0.0, z, i, spec) - shape_field(spec, i, grid8)) < 1e-14
 
     def test_lipschitz_exact(self, grid8, rng):
         spec = make_spec(grid8, gains=(0.0, 0.4))
@@ -219,6 +219,18 @@ class TestJumpCoefficient:
         u2 = random_divergence_free_field(grid8, rng, kmax=2)
         d = l2_norm(eval_G(0.0, u1, 1, spec) - eval_G(0.0, u2, 1, spec))
         assert d == pytest.approx(0.4 * l2_norm(u1 - u2), rel=1e-12)
+
+    def test_shapes_are_one_read_only_half_layout_array(self, grid8):
+        spec = make_spec(grid8)
+        assert spec.shapes.shape == (2, 2, 8, 5) and not spec.shapes.flags.writeable
+        with pytest.raises(NoiseError, match="one shape and one gain"):
+            JumpCoefficientSpec(shapes=spec.shapes, gains=(0.0,))
+        with pytest.raises(NoiseError, match="marks, 2, N, N//2"):
+            JumpCoefficientSpec(shapes=spec.shapes[0], gains=(0.0, 0.1))
+        nyquist = spec.shapes.copy()
+        nyquist[0, 0, 4, 1] = 1e-3
+        with pytest.raises(NoiseError, match="Nyquist"):
+            JumpCoefficientSpec(shapes=nyquist, gains=(0.0, 0.1))
 
     def test_unknown_mark(self, grid8, rng):
         spec = make_spec(grid8)
@@ -258,7 +270,7 @@ class TestJumpCoefficient:
             g0 = spec.g0_norm(i)
             worst = 0.0
             for amp in (0.0, 0.5, 1.0, 5.0, 50.0, 5000.0):
-                u = amp * spec.shapes[i] if l2_norm(spec.shapes[i]) > 0 else (
+                u = amp * shape_field(spec, i, grid8) if l2_norm(shape_field(spec, i, grid8)) > 0 else (
                     amp * random_divergence_free_field(grid8, rng, kmax=2)
                 )
                 ratio = l2_norm(eval_G(0.0, u, i, spec)) / (1.0 + l2_norm(u))
@@ -273,7 +285,7 @@ class TestCompensatorAndDrift:
         shape = leray_project(
             VectorField(field_from_function(grid8, lambda x1, x2: np.sin(x2)), ScalarField.zeros(grid8))
         )
-        spec = JumpCoefficientSpec(shapes=(shape,), gains=(0.0,))
+        spec = spec_of((shape,), (0.0,))
         z = leray_project(VectorField.zeros(grid8))
         out = compensator_integral(0.0, z, ms, spec)
         assert l2_norm(out - 2.0 * shape) < 1e-14
@@ -283,7 +295,7 @@ class TestCompensatorAndDrift:
         spec = make_spec(grid8, gains=(0.3, 0.7))
         z = leray_project(VectorField.zeros(grid8))
         out = compensator_integral(0.0, z, ms, spec)
-        expect = 1.0 * spec.shapes[0] + 0.5 * spec.shapes[1]
+        expect = 1.0 * shape_field(spec, 0, grid8) + 0.5 * shape_field(spec, 1, grid8)
         assert l2_norm(out - expect) < 1e-14
 
     def test_compensator_matches_manual_sum(self, grid8, rng):
@@ -306,7 +318,7 @@ class TestCompensatorAndDrift:
         shape = leray_project(
             VectorField(field_from_function(grid8, lambda x1, x2: np.sin(x2)), ScalarField.zeros(grid8))
         )
-        spec = JumpCoefficientSpec(shapes=(shape,), gains=(0.1,))
+        spec = spec_of((shape,), (0.1,))
         u = random_divergence_free_field(grid8, rng, kmax=2)
         out = control_drift(0.2, u, Control.constant(1.0, 2.0), ms, spec)
         assert l2_norm(out - eval_G(0.2, u, 0, spec)) < 1e-13

@@ -5,33 +5,37 @@ from nlcsim.operators import (
     DEFAULT_NONLINEARITY,
     PolynomialNonlinearity,
     advection_Btilde,
-    coercivity_check,
     convection_B,
     director_stress_M,
-    dual_vprime_norm,
     energy_psi,
-    f_aliasing_error,
     polynomial_f,
     potential_energy,
     potential_energy_hat,
-    trilinear_b,
-    trilinear_m,
 )
 from nlcsim.spectral import (
     ScalarField,
     TorusGrid,
     VectorField,
-    field_from_function,
     h1_seminorm,
     l2_inner,
     l2_norm,
     laplacian_vec,
     leray_project,
-    random_divergence_free_field,
-    random_vector_field,
 )
 
 from conftest import oracle_trilinear_b, oracle_trilinear_m
+from oracle import (
+    coercivity_check,
+    dual_vprime_norm,
+    f_aliasing_error,
+    field_from_function,
+    random_divergence_free_field,
+    random_vector_field,
+    state_of,
+    theta_of,
+    trilinear_b,
+    trilinear_m,
+)
 
 
 def ksq_multiplier(w):
@@ -326,13 +330,11 @@ class TestEnergy:
     @pytest.mark.parametrize("degree", (1, 2, 3))
     def test_potential_hat_matches_field_potential(self, n, degree, rng):
         # degree + 1 padding is exact for Nyquist-free states; the field oracle pads by degree + 2
-        from nlcsim.dynamics import SpectralState
-
         grid = TorusGrid(n)
         nl = PolynomialNonlinearity(tuple(1.0 / (j + 1) for j in range(degree + 1)))
         for _ in range(2):
-            state = SpectralState(VectorField.zeros(grid), random_vector_field(grid, rng, amplitude=0.8))
-            expect = potential_energy(state.theta, nl)
+            state = state_of(VectorField.zeros(grid), random_vector_field(grid, rng, amplitude=0.8))
+            expect = potential_energy(theta_of(state), nl)
             assert potential_energy_hat(state.theta_hat, grid, nl) == pytest.approx(expect, rel=1e-13)
 
     def test_chain_rule(self, grid32, rng):

@@ -8,26 +8,28 @@ from nlcsim.spectral import (
     VectorField,
     dealias_product,
     derivative,
-    divergence,
-    divergence_residual,
-    field_from_function,
-    gradient,
     h1_seminorm,
-    integrate_product,
     l2_inner,
     l2_norm,
     laplacian,
     leray_project,
-    lq_norm,
-    norms,
     pad_coeffs,
-    random_divergence_free_field,
-    random_scalar_field,
     truncate_coeffs,
     TORUS_AREA,
 )
 
 from conftest import direct_eval, oracle_integral_product, oracle_l2_inner, quad_integral
+from oracle import (
+    divergence,
+    divergence_residual,
+    field_from_function,
+    gradient,
+    integrate_product,
+    lq_norm,
+    norms,
+    random_divergence_free_field,
+    random_scalar_field,
+)
 
 SQRT_TWO_PISQ = 4.442882938158366  # sqrt(2 pi^2) = |sin x1|_{L2} on the torus
 
