@@ -85,7 +85,7 @@ def cmd_skeleton(cfg: ExperimentConfig, out_dir: Path) -> int:
     solver_cfg = cfg.build_solver_config()
     init = cfg.build_init(solver_cfg.grid)
     g = cfg.build_control()
-    traj = solve_skeleton(init, g, solver_cfg)
+    traj = solve_skeleton(init, g, solver_cfg, keep_snapshots=False)
     _write(out_dir, "skeleton_trajectory.csv", traj.to_csv(_headers(cfg, ("kind=skeleton",))))
     _write(out_dir, "final_state.txt", _with_headers(cfg, state_to_text(traj.final_state())))
     _write(out_dir, "control.csv", control_to_csv(g, _headers(cfg)))

@@ -115,6 +115,21 @@ class SpectralState:
         self.grid, self.time = grid, time
         self.u_hat, self.theta_hat = pair
 
+    @classmethod
+    def _wrap(cls, grid: TorusGrid, u_hat: np.ndarray, theta_hat: np.ndarray, time: float) -> "SpectralState":
+        """A state over read-only views of arrays the stepping loop has already checked.
+
+        No copy and no validation: the loop's arrays passed the blow-up
+        guard, keep zero Nyquist lines by construction and are never
+        written in place once made.
+        """
+        state = cls.__new__(cls)
+        state.grid, state.time = grid, time
+        state.u_hat, state.theta_hat = u_hat.view(), theta_hat.view()
+        state.u_hat.setflags(write=False)
+        state.theta_hat.setflags(write=False)
+        return state
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -449,9 +464,9 @@ def _run(
         n_snaps += 1
         if keep_snapshots or final:
             for i, p in enumerate(paths.tolist()):
-                snaps[p].append(SpectralState(grid, u[i], theta[i], t))
+                snaps[p].append(SpectralState._wrap(grid, u[i], theta[i], t))
                 if track_convolution:
-                    xi_snaps[p].append(SpectralState(grid, xi[i], zero, t))
+                    xi_snaps[p].append(SpectralState._wrap(grid, xi[i], zero, t))
 
     for k in range(n_steps):
         t = k * dt
@@ -521,9 +536,14 @@ def _run(
 # public solvers (each calls only private helpers: one solver call, one run)
 
 
-def solve_skeleton(init: SpectralState, g: Control | None, cfg: SolverConfig) -> Trajectory:
-    """Deterministic controlled flow; g = None means the unit (zero-cost) tilt."""
-    return _run(init, cfg, control=g)[0]
+def solve_skeleton(
+    init: SpectralState, g: Control | None, cfg: SolverConfig, keep_snapshots: bool = True
+) -> Trajectory:
+    """Deterministic controlled flow; g = None means the unit (zero-cost) tilt.
+
+    ``keep_snapshots=False`` keeps only the final state.
+    """
+    return _run(init, cfg, control=g, keep_snapshots=keep_snapshots)[0]
 
 
 def solve_small_noise_sde(

@@ -41,6 +41,7 @@ from .spectral import (
     leray_half,
     leray_project,
     pad_coeffs,
+    scratch,
     to_grid,
     truncate_coeffs,
 )
@@ -91,7 +92,8 @@ class PolynomialNonlinearity:
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
         for j in reversed(range(len(self.coefficients))):
-            out = (out + self.coefficients[j] / (j + 1)) * r
+            out += self.coefficients[j] / (j + 1)
+            out *= r
         return out
 
 
@@ -219,8 +221,9 @@ def potential_energy_hat(theta_hat: np.ndarray, grid: TorusGrid, nl: PolynomialN
     stays below the padded size and the quadrature is exact.
     """
     m = grid.padded_size(factor=nl.degree + 1.0)
-    v = to_grid(theta_hat, m)
-    vals = nl.phi(v[..., 0, :, :] ** 2 + v[..., 1, :, :] ** 2)
+    # the step's grid buffer: the step is done with it when the diagnostic runs
+    v = to_grid(theta_hat, m, out=scratch("grid", theta_hat.shape[:-2] + (m, m)))
+    vals = nl.phi(np.sum(np.multiply(v, v, out=v), axis=-3))
     return 0.5 * (vals.reshape(vals.shape[:-2] + (m * m,)).sum(axis=-1) * (TWO_PI / m) ** 2)
 
 
@@ -250,38 +253,44 @@ def explicit_rhs(
 
     nu = -P div(chi1 u (x) u + chi2 grad theta^T grad theta) and
     ntheta = -(chi1 (u . grad) theta + f(theta)), with every product formed
-    on the grid's padded grid: 8 fields per path go there in one ``irfft2``
-    call and 5 products per path come back in one ``rfft2`` call, for a
-    whole batch of paths at once.  ``chi1``/``chi2`` are scalars or one
-    value per path.  The divergence form of convection needs u
-    divergence-free with zero Nyquist lines.  With ``with_f`` two more
-    products return f(theta) alone (else f is None); ``nl=None`` drops the
-    relaxation.
+    on the grid's padded grid: 8 fields per path go there in one ``to_grid``
+    call and 5 products per path come back in one ``from_grid`` call, for a
+    whole batch of paths at once.  The padded arrays are per-thread
+    ``scratch`` buffers; the returned arrays are new.  ``chi1``/``chi2``
+    are scalars or one value per path.  The divergence form of convection
+    needs u divergence-free with zero Nyquist lines.  With ``with_f`` two
+    more products return f(theta) alone (else f is None); ``nl=None``
+    drops the relaxation.
     """
     n, m = grid.n, grid.padded_size()
     k1, k2 = half_tables(n)[:2]
     ik1, ik2 = 1j * k1, 1j * k2
-    fields = np.concatenate(_state_fields(u_hat, theta_hat, ik1, ik2), axis=-3)
-    grids = to_grid(fields, m)
+    lead = u_hat.shape[:-3]
+    fields = scratch("fields", lead + (8,) + u_hat.shape[-2:], complex)
+    np.concatenate(_state_fields(u_hat, theta_hat, ik1, ik2), axis=-3, out=fields)
+    grids = to_grid(fields, m, out=scratch("grid", lead + (8, m, m)))
     # x = (u1, d1 theta1, d1 theta2), y = (u2, d2 theta1, d2 theta2), t = theta on the padded grid
     x, y, t = grids[..., 0:3, :, :], grids[..., 3:6, :, :], grids[..., 6:8, :, :]
     cx, cy, _ = _chi_scaled(x, y, chi1, chi2)
     n_out = 7 if with_f and nl is not None else 5
-    out = np.empty(grids.shape[:-3] + (n_out, m, m))
+    out = scratch("products", lead + (n_out, m, m))
+    terms = scratch("terms", lead + (3, m, m))
     # symmetric tensor T_ab = chi1 u_a u_b + chi2 d_a theta . d_b theta, then chi1 (u . grad) theta
-    np.sum(cx * x, axis=-3, out=out[..., 0, :, :])
-    np.sum(cx * y, axis=-3, out=out[..., 1, :, :])
-    np.sum(cy * y, axis=-3, out=out[..., 2, :, :])
+    np.sum(np.multiply(cx, x, out=terms), axis=-3, out=out[..., 0, :, :])
+    np.sum(np.multiply(cx, y, out=terms), axis=-3, out=out[..., 1, :, :])
+    np.sum(np.multiply(cy, y, out=terms), axis=-3, out=out[..., 2, :, :])
     adv = out[..., 3:5, :, :]
     np.multiply(cx[..., :1, :, :], x[..., 1:, :, :], out=adv)
-    adv += cy[..., :1, :, :] * y[..., 1:, :, :]
+    adv += np.multiply(cy[..., :1, :, :], y[..., 1:, :, :], out=terms[..., :2, :, :])
     if nl is not None:
-        w = nl.f_tilde(np.sum(t * t, axis=-3))[..., None, :, :]
-        f = np.multiply(w, t, out=out[..., 5:7, :, :] if n_out == 7 else None)
-        adv += f
+        w = nl.f_tilde(np.sum(np.multiply(t, t, out=terms[..., :2, :, :]), axis=-3))
+        adv += np.multiply(w[..., None, :, :], t, out=out[..., 5:7, :, :] if n_out == 7 else terms[..., :2, :, :])
+        del w
     coeffs = from_grid(out, n)
     # nu = -P div T, with div T = (d1 T11 + d2 T12, d1 T12 + d2 T22) and T = (T11, T12, T22)
-    nu = leray_half(-ik1 * coeffs[..., 0:2, :, :] - ik2 * coeffs[..., 1:3, :, :])
+    div = np.multiply(-ik1, coeffs[..., 0:2, :, :])
+    div -= ik2 * coeffs[..., 1:3, :, :]
+    nu = leray_half(div)
     return nu, -coeffs[..., 3:5, :, :], coeffs[..., 5:7, :, :] if n_out == 7 else None
 
 
@@ -309,8 +318,8 @@ def explicit_rhs_transpose(
     makes the same two transform calls around the transposed pointwise
     Jacobian: ik becomes -ik, the Leray projection is self-adjoint, and the
     relaxation's Jacobian f~ I + 2 f~' theta theta^T is symmetric.  The 8
-    state fields and the 5 adjoint fields share one ``irfft2`` call, the 8
-    results one ``rfft2`` call.  With ``with_chi``, dchi holds
+    state fields and the 5 adjoint fields share one ``to_grid`` call, the 8
+    results one ``from_grid`` call.  With ``with_chi``, dchi holds
     (d/dchi1, d/dchi2) of <nu, mu_u> + <ntheta, mu_theta>, one value per
     path, for the chain rule through the norm cutoffs; else it is None.
     """
@@ -322,12 +331,12 @@ def explicit_rhs_transpose(
     p1, p2 = proj[..., 0, :, :], proj[..., 1, :, :]
     tensor = np.stack((ik1 * p1, ik2 * p1 + ik1 * p2, ik2 * p2), axis=-3)
     fields = np.concatenate(_state_fields(u_hat, theta_hat, ik1, ik2) + (tensor, -mu_theta), axis=-3)
-    grids = to_grid(fields, m)
+    grids = to_grid(fields, m, out=scratch("grid", fields.shape[:-2] + (m, m)))
     x, y, t = grids[..., 0:3, :, :], grids[..., 3:6, :, :], grids[..., 6:8, :, :]
     s11, s12, s22 = grids[..., 8:9, :, :], grids[..., 9:10, :, :], grids[..., 10:11, :, :]
     sa = grids[..., 11:13, :, :]  # adjoint of chi1 (u . grad) theta + f(theta)
     cx, cy, c1 = _chi_scaled(x, y, chi1, chi2)
-    out = np.empty(grids.shape[:-3] + (8, m, m))
+    out = scratch("products", grids.shape[:-3] + (8, m, m))
     gx, gy, gt = out[..., 0:3, :, :], out[..., 3:6, :, :], out[..., 6:8, :, :]
     # T11 = cx . x, T12 = cx . y, T22 = cy . y
     np.multiply(cx, 2.0 * s11, out=gx)

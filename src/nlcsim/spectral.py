@@ -30,15 +30,26 @@ space) and truncated back, which makes them exact whenever the combined
 polynomial degree is resolved on the padded grid (the 3/2 rule for
 quadratic terms).  Truncation zeroes the unpaired Nyquist lines so
 real-valuedness is preserved exactly.  Per-N wavenumber tables are built
-on first use and cached.
+on first use and cached.  The padded transform pair ``to_grid``/
+``from_grid`` runs the one-axis passes of ``irfft2``/``rfft2`` through
+per-thread buffers (``scratch``) that are reused from call to call, so the
+solver's step allocates no padded field stack; ``from_grid`` returns a new
+band array, and ``to_grid`` writes into a new array unless the caller
+passes a scratch ``out``.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+# per-thread transform buffers (see ``scratch`` and ``to_grid``)
+_workspace = threading.local()
+_MAX_PADS = 16
 
 
 @lru_cache(maxsize=64)
@@ -427,7 +438,9 @@ def leray_half(a: np.ndarray) -> np.ndarray:
     """
     k1, k2, _, _, inv_ksq, kvec = half_tables(a.shape[-2])
     kdot = (k1 * a[..., 0, :, :] + k2 * a[..., 1, :, :]) * inv_ksq
-    out = a - kvec * kdot[..., None, :, :]
+    out = np.multiply(kvec, kdot[..., None, :, :])
+    del kdot
+    np.subtract(a, out, out=out)
     out[..., 0, 0] = 0.0
     return out
 
@@ -454,25 +467,26 @@ def half_inner(a: np.ndarray, b: np.ndarray):
     return (prod.reshape(prod.shape[:-2] + (weight.size,)) * weight.ravel()).sum(axis=-1)
 
 
-def pad_half(a: np.ndarray, m: int, width: int | None = None) -> np.ndarray:
-    """Embed (..., N, N//2+1) coefficients into (..., M, width), M >= N, same modes.
+def pad_half(a: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Embed (..., N, N//2+1) coefficients into (..., M, M//2+1), M >= N, same modes.
 
-    ``width`` defaults to M//2+1, the full half layout of the M grid.
-    ``width=N//2`` keeps only the source's columns: the input of
-    ``irfft2(..., s=(M, M))``, which zero-fills the remaining columns
-    itself instead of transforming them.  The Nyquist lines of the source
-    are skipped (they are zero).
+    The Nyquist lines of the source are skipped (they are zero).  With
+    ``out``, of shape (..., M, W) with W >= N//2, only the band is written
+    and every other entry of ``out`` is left as it is.  A zero
+    (..., M, N//2) ``out`` is the input of ``irfft2(..., s=(M, M))``, which
+    zero-fills the remaining columns itself instead of transforming them.
     """
     n = a.shape[-2]
     h = n // 2
-    out = np.zeros(a.shape[:-2] + (m, m // 2 + 1 if width is None else width), dtype=complex)
+    if out is None:
+        out = np.zeros(a.shape[:-2] + (m, m // 2 + 1), dtype=complex)
     out[..., :h, :h] = a[..., :h, :h]
     out[..., m - h + 1 :, :h] = a[..., h + 1 :, :h]
     return out
 
 
 def truncate_half(a: np.ndarray, n: int) -> np.ndarray:
-    """Restrict (..., M, M//2+1) coefficients to the N band |k_j| <= N/2 - 1 (Nyquist lines zero)."""
+    """Restrict (..., M, W) coefficients, W >= N//2, to the N band |k_j| <= N/2 - 1 (Nyquist lines zero)."""
     m = a.shape[-2]
     h = n // 2
     out = np.zeros(a.shape[:-2] + (n, h + 1), dtype=complex)
@@ -481,11 +495,56 @@ def truncate_half(a: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def to_grid(a: np.ndarray, m: int) -> np.ndarray:
-    """Values on the m x m grid of (..., N, N//2+1) coefficients with zero Nyquist lines (one ``irfft2``)."""
-    return np.fft.irfft2(pad_half(a, m, width=a.shape[-2] // 2), s=(m, m), norm="forward")
+def scratch(role: str, shape: tuple, dtype=float) -> np.ndarray:
+    """A per-thread work array of ``shape``, carved from the reusable buffer of ``role``.
+
+    The buffer grows to the largest request and is then reused, so calls at
+    different shapes share it; its contents are undefined on entry.  Two
+    arrays live at the same time need two roles.
+    """
+    buffers = _workspace.__dict__.setdefault("buffers", {})
+    size = math.prod(shape) * (2 if dtype is complex else 1)
+    buf = buffers.get(role)
+    if buf is None or buf.size < size:
+        buf = buffers[role] = np.empty(size)
+    out = buf[:size]
+    return (out.view(complex) if dtype is complex else out).reshape(shape)
+
+
+def _padded(shape: tuple) -> np.ndarray:
+    """The per-thread zero-padded input of ``to_grid`` for ``shape``; only its band is ever written."""
+    pads = _workspace.__dict__.setdefault("pads", {})
+    buf = pads.get(shape)
+    if buf is None:
+        if len(pads) >= _MAX_PADS:
+            del pads[next(iter(pads))]
+        buf = pads[shape] = np.zeros(shape, dtype=complex)
+    return buf
+
+
+def to_grid(a: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Values on the m x m grid of (..., N, N//2+1) coefficients with zero Nyquist lines.
+
+    The two one-axis passes of ``irfft2`` on ``pad_half`` of the N/2 band
+    columns, bit for bit: ``ifft`` down the columns of a reusable padded
+    input, then ``irfft`` along the rows, into ``out`` when given (for
+    instance a ``scratch`` array) or a new array.
+    """
+    pad = pad_half(a, m, out=_padded(a.shape[:-2] + (m, a.shape[-2] // 2)))
+    cols = np.fft.ifft(pad, axis=-2, norm="forward", out=scratch("spectrum", pad.shape, complex))
+    return np.fft.irfft(cols, m, axis=-1, norm="forward", out=out)
 
 
 def from_grid(values: np.ndarray, n: int) -> np.ndarray:
-    """(..., n, n//2+1) coefficients of the band |k_j| <= n/2 - 1 of values on an m x m grid (one ``rfft2``)."""
-    return truncate_half(np.fft.rfft2(values, norm="forward"), n)
+    """(..., n, n//2+1) coefficients of the band |k_j| <= n/2 - 1 of values on an m x m grid.
+
+    The two one-axis passes of ``rfft2`` followed by ``truncate_half``, bit
+    for bit: ``rfft`` along the rows, then ``fft`` down only the n/2
+    columns the band keeps, both into ``scratch`` arrays.  The band is
+    copied into a new array.
+    """
+    m = values.shape[-1]
+    lead = values.shape[:-2]
+    rows = np.fft.rfft(values, axis=-1, norm="forward", out=scratch("rows", lead + (m, m // 2 + 1), complex))
+    cols = np.fft.fft(rows[..., : n // 2], axis=-2, norm="forward", out=scratch("spectrum", lead + (m, n // 2), complex))
+    return truncate_half(cols, n)

@@ -15,6 +15,7 @@ audit of an installed package.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -149,7 +150,34 @@ def check_spectral(seed: int) -> list[CheckResult]:
     exact = operators.explicit_rhs(u, theta, TorusGrid(n, dealias_factor=3.0), nl=None)
     err = max(_l2(p[0] - exact[0]), _l2(p[1] - exact[1]))
     out.append(CheckResult("spectral", "dealias-quadratic-exact", err <= 1e-12, f"abs err {err:.2e}"))
+
+    # the transforms reuse per-thread buffers: calls that alternate between two batch shapes
+    # (and the diagnostic's padding) return what each returns on a new thread's empty buffers
+    nl = operators.DEFAULT_NONLINEARITY
+
+    def step(u, th):
+        return (*operators.explicit_rhs(u, th, grid, with_f=True), operators.potential_energy_hat(th, grid, nl))
+
+    fields = [(_random(grid, rng, kmax=12, solenoidal=True), _random(grid, rng, kmax=12)) for _ in range(4)]
+    cases = [fields[0], tuple(np.stack(f) for f in zip(*fields[1:]))]
+    isolated = [_on_new_thread(step, *case) for case in cases]
+    same = all(
+        np.array_equal(a, b)
+        for _ in range(2)
+        for case, ref in zip(cases, isolated)
+        for a, b in zip(step(*case), ref)
+    )
+    out.append(CheckResult("spectral", "workspace-reuse", same, "batches of 1 and 3, interleaved"))
     return out
+
+
+def _on_new_thread(fn, *args):
+    """fn(*args) run on a new thread, whose transform buffers start empty."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(fn(*args)))
+    worker.start()
+    worker.join()
+    return result[0]
 
 
 def check_operators(seed: int) -> list[CheckResult]:

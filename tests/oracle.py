@@ -5,8 +5,10 @@ The package steps half-layout coefficient arrays.  The field classes of
 and ``nlcsim.noise`` stay in the package as the reference the array core is
 checked against; the field helpers that only the tests call live here:
 norms, trilinear forms, the coercivity and dual-norm checks, random
-fields, and the field-level explicit terms of one step
-(``nonlinear_terms``).  ``half``/``state_of``/``u_of``/``theta_of``/
+fields, the field-level explicit terms of one step
+(``nonlinear_terms``), and the allocate-per-call padded transform pair
+(``plain_to_grid``/``plain_from_grid``) that the package's
+workspace-backed pair must equal bit for bit.  ``half``/``state_of``/``u_of``/``theta_of``/
 ``spec_of`` convert between fields and the arrays the package takes.
 """
 
@@ -39,6 +41,8 @@ from nlcsim.spectral import (
     l2_norm,
     leray_project,
     pad_coeffs,
+    pad_half,
+    truncate_half,
     vector_field,
 )
 
@@ -223,6 +227,25 @@ def dual_vprime_norm(w: VectorField) -> float:
     for c in w.components():
         total += float(np.sum(weight * np.abs(c.coeffs) ** 2))
     return float(np.sqrt(TORUS_AREA * total))
+
+
+# ---------------------------------------------------------------------------
+# the padded transform pair, one allocating 2-D transform per call
+
+
+def plain_to_grid(a: np.ndarray, m: int, out=None) -> np.ndarray:
+    """``spectral.to_grid`` as one ``irfft2`` of freshly zero-padded band columns.
+
+    ``out`` is accepted and ignored, so the pair can stand in for the
+    package's own in ``nlcsim.operators``.
+    """
+    padded = pad_half(a, m, out=np.zeros(a.shape[:-2] + (m, a.shape[-2] // 2), dtype=complex))
+    return np.fft.irfft2(padded, s=(m, m), norm="forward")
+
+
+def plain_from_grid(values: np.ndarray, n: int) -> np.ndarray:
+    """``spectral.from_grid`` as one ``rfft2`` and a band truncation."""
+    return truncate_half(np.fft.rfft2(values, norm="forward"), n)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,11 @@ def fft_calls(monkeypatch):
     return calls
 
 
+# to_grid: ifft down the band columns, irfft along the rows; from_grid: rfft, then fft down the kept columns
+TO_GRID_FFTS = ["ifft", "irfft"]
+STEP_FFTS = TO_GRID_FFTS + ["rfft", "fft"]
+
+
 @pytest.mark.parametrize("diagnostics", (False, True))
 def test_fft_budget_per_step(step_setup, fft_calls, diagnostics):
     cfg, init = step_setup
@@ -274,13 +279,13 @@ def test_fft_budget_per_step(step_setup, fft_calls, diagnostics):
     g = Control(cfg.t_final, np.array([[1.6, 0.4]]))
     fft_calls.clear()
     traj = solve_skeleton(init, g, cfg)
-    explicit = 2 * cfg.n_steps
     if diagnostics:
-        # each diagnostic row (one per step, plus the final state) adds at most 2
-        assert explicit < len(fft_calls) <= explicit + 2 * len(traj.times)
+        # a diagnostic row at every step and at the final state: the step's transforms (f(theta)
+        # comes back with the step's products), then one to_grid for the potential
+        assert len(traj.times) == cfg.n_steps + 1
+        assert fft_calls == (STEP_FFTS + TO_GRID_FFTS) * (cfg.n_steps + 1)
     else:
-        assert len(fft_calls) == explicit
-        assert sorted(set(fft_calls)) == ["irfft2", "rfft2"]
+        assert fft_calls == STEP_FFTS * cfg.n_steps
 
 
 def test_fft_budget_backward_step(step_setup, fft_calls):
@@ -294,7 +299,7 @@ def test_fft_budget_backward_step(step_setup, fft_calls):
     final = traj.final_state()
     fft_calls.clear()
     skeleton_adjoint(traj, g, cfg, final.u_hat, final.theta_hat)
-    assert fft_calls == ["irfft2", "rfft2"] * cfg.n_steps
+    assert fft_calls == STEP_FFTS * cfg.n_steps
 
 
 def test_fft_budget_sde_step(step_setup, fft_calls):
@@ -306,7 +311,7 @@ def test_fft_budget_sde_step(step_setup, fft_calls):
     jumps = JumpSample(np.array([0.015, 0.05, 0.07]), np.array([1, 0, 1]), cfg.t_final, 5.0)
     fft_calls.clear()
     solve_sde_with_jumps(init, 0.2, jumps, cfg)
-    assert len(fft_calls) == 2 * cfg.n_steps
+    assert fft_calls == STEP_FFTS * cfg.n_steps
 
 
 # ---------------------------------------------------------------------------

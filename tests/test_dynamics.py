@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,30 @@ class TestState:
             bad[idx] = 1e-3
             with pytest.raises(SolverError, match="Nyquist"):
                 SpectralState(grid, bad, good.theta_hat)
+
+
+    def test_run_snapshots_are_read_only_and_never_rewritten(self, rng, cfg16):
+        # snapshot k of a long run equals the final state of a k-step run: no later step writes into it
+        init = smooth_state(cfg16.grid, rng)
+        traj = solve_skeleton(init, None, cfg16)
+        assert len(traj.snapshots) == cfg16.n_steps + 1
+        for k in (1, 7, cfg16.n_steps // 2):
+            end = solve_skeleton(init, None, replace(cfg16, t_final=k * cfg16.dt)).final_state()
+            snap = traj.snapshots[k]
+            assert snap.time == end.time
+            assert np.array_equal(snap.u_hat, end.u_hat) and np.array_equal(snap.theta_hat, end.theta_hat)
+        for snap in traj.snapshots:
+            assert not snap.u_hat.flags.writeable and not snap.theta_hat.flags.writeable
+
+    def test_skeleton_without_snapshots_keeps_the_final_state(self, rng, cfg16):
+        init = smooth_state(cfg16.grid, rng)
+        full = solve_skeleton(init, None, cfg16)
+        final_only = solve_skeleton(init, None, cfg16, keep_snapshots=False)
+        assert len(final_only.snapshots) == 1
+        assert np.array_equal(final_only.snapshot_times, full.snapshot_times[-1:])
+        a, b = final_only.final_state(), full.final_state()
+        assert np.array_equal(a.u_hat, b.u_hat) and np.array_equal(a.theta_hat, b.theta_hat)
+        assert np.array_equal(final_only.psi, full.psi)
 
 
 class TestCutoff:
