@@ -1,9 +1,11 @@
 """Experiment configuration: parsing, validation, and field vocabulary.
 
 Configs are flat ``key = value`` text files with ``#`` comments and dotted
-key names (documented in the README).  Every diagnostic carries the line
-number it came from; unknown keys are rejected.  Only ``seed`` is
-required -- everything else has a documented default.
+key names (documented in the README).  Each key is an ``ExperimentConfig``
+field, named by the field with its first ``_`` as ``.`` and parsed after
+its annotation.  Every diagnostic carries the line number it came from;
+unknown keys are rejected.  Only ``seed`` is required -- everything else
+has a documented default.
 
 Shape fields are described by a small vocabulary of named analytic fields
 (amplitude-scaled, optionally Leray-projected low Fourier modes) rather
@@ -162,7 +164,6 @@ class ExperimentConfig:
     nonlinearity_coefficients: tuple[float, ...] = (1.0, 1.0)
     solver_dt: float = 0.01
     solver_t_final: float = 0.5
-    solver_snapshot_stride: int = 1
     solver_diag_stride: int = 0  # 0 = automatic
     solver_cutoff_level: float = 0.0  # 0 = disabled
     init_u: str = "taylor_green:0.3"
@@ -217,7 +218,6 @@ class ExperimentConfig:
             mark_space=self.build_mark_space(),
             jump_spec=self.build_jump_spec(grid),
             cutoff_level=self.solver_cutoff_level if self.solver_cutoff_level > 0 else None,
-            snapshot_stride=self.solver_snapshot_stride,
             diag_stride=self.solver_diag_stride if self.solver_diag_stride > 0 else None,
             energy_diagnostics=energy_diagnostics,
         )
@@ -243,56 +243,21 @@ class ExperimentConfig:
         return Control.constant(self.solver_t_final, self.importance_phi, 1, m)
 
 
-_KEYMAP = {
-    "seed": ("seed", int),
-    "grid.modes": ("grid_modes", int),
-    "grid.dealias_factor": ("grid_dealias_factor", float),
-    "nonlinearity.coefficients": ("nonlinearity_coefficients", "floats"),
-    "solver.dt": ("solver_dt", float),
-    "solver.t_final": ("solver_t_final", float),
-    "solver.snapshot_stride": ("solver_snapshot_stride", int),
-    "solver.diag_stride": ("solver_diag_stride", int),
-    "solver.cutoff_level": ("solver_cutoff_level", float),
-    "init.u": ("init_u", str),
-    "init.theta": ("init_theta", str),
-    "noise.weights": ("noise_weights", "floats"),
-    "noise.shapes": ("noise_shapes", "strs"),
-    "noise.gains": ("noise_gains", "floats"),
-    "control.cells": ("control_cells", int),
-    "control.values": ("control_values", "floats"),
-    "experiment.eps_list": ("experiment_eps_list", "floats"),
-    "experiment.n_paths": ("experiment_n_paths", int),
-    "simulate.eps": ("simulate_eps", float),
-    "rate.penalty": ("rate_penalty", float),
-    "rate.cells": ("rate_cells", int),
-    "rate.max_iters": ("rate_max_iters", int),
-    "rate.step_size": ("rate_step_size", float),
-    "rate.tolerance": ("rate_tolerance", float),
-    "rate.target_tilt": ("rate_target_tilt", float),
-    "importance.eps": ("importance_eps", float),
-    "importance.phi": ("importance_phi", float),
-    "importance.threshold": ("importance_threshold", float),
-    "importance.n_paths": ("importance_n_paths", int),
+def _strs(raw: str) -> tuple[str, ...]:
+    return tuple(p.strip() for p in raw.split(",") if p.strip())
+
+
+# the parser of each annotation an ExperimentConfig field may carry
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[float, ...]": lambda raw: tuple(map(float, _strs(raw))),
+    "tuple[str, ...]": _strs,
 }
 
-_ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEYMAP.items()}
-
-
-def _convert(raw: str, kind, key: str, path: str, line: int):
-    try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            return raw
-        if kind == "floats":
-            return tuple(float(p.strip()) for p in raw.split(",") if p.strip())
-        if kind == "strs":
-            return tuple(p.strip() for p in raw.split(",") if p.strip())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse value for '{key}': {exc}", path, line) from exc
-    raise ConfigError(f"internal: unhandled kind for '{key}'", path, line)
+# config key -> (field name, parser); the key is the field name with its first '_' as '.'
+_SCHEMA = {f.name.replace("_", ".", 1): (f.name, _PARSERS[f.type]) for f in fields(ExperimentConfig)}
 
 
 def _validate(cfg: ExperimentConfig, lines: dict[str, int], path: str):
@@ -319,6 +284,10 @@ def _validate(cfg: ExperimentConfig, lines: dict[str, int], path: str):
     steps = cfg.solver_t_final / cfg.solver_dt
     if abs(steps - round(steps)) > 1e-6:
         fail("solver.dt", f"t_final/dt = {steps} is not integral within rounding")
+    if cfg.solver_diag_stride < 0:
+        fail("solver.diag_stride", f"solver.diag_stride must be >= 0 (0 = auto), got {cfg.solver_diag_stride}")
+    if cfg.solver_cutoff_level != 0 and cfg.solver_cutoff_level < 1:
+        fail("solver.cutoff_level", f"solver.cutoff_level must be 0 or >= 1, got {cfg.solver_cutoff_level}")
     if any(w <= 0 for w in cfg.noise_weights):
         fail("noise.weights", f"mark weights must be positive, got {cfg.noise_weights}")
     m = len(cfg.noise_weights)
@@ -337,12 +306,18 @@ def _validate(cfg: ExperimentConfig, lines: dict[str, int], path: str):
         fail("experiment.eps_list", "eps list must be positive and strictly decreasing")
     if cfg.experiment_n_paths < 8:
         fail("experiment.n_paths", "experiment.n_paths must be >= 8")
-    if cfg.simulate_eps <= 0 or cfg.importance_eps <= 0:
-        fail("simulate.eps", "noise sizes must be > 0")
+    if cfg.simulate_eps <= 0:
+        fail("simulate.eps", "simulate.eps must be > 0")
+    if cfg.importance_eps <= 0:
+        fail("importance.eps", "importance.eps must be > 0")
+    if cfg.importance_n_paths < 1:
+        fail("importance.n_paths", "importance.n_paths must be >= 1")
     if cfg.importance_phi <= 0:
         fail("importance.phi", "importance tilt must be > 0")
     if cfg.rate_penalty <= 0:
         fail("rate.penalty", "rate.penalty must be > 0")
+    if cfg.rate_cells < 1:
+        fail("rate.cells", "rate.cells must be >= 1")
     # vocabulary check: build on a throwaway grid so bad descriptors fail here
     grid = cfg.build_grid()
     for key, what, build in (
@@ -369,12 +344,15 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
         key, _, raw_value = line.partition("=")
         key = key.strip()
         raw_value = raw_value.split("#", 1)[0].strip()
-        if key not in _KEYMAP:
+        if key not in _SCHEMA:
             raise ConfigError(f"unknown key '{key}'", path, lineno)
         if key in lines:
             raise ConfigError(f"duplicate key '{key}' (first at line {lines[key]})", path, lineno)
-        attr, kind = _KEYMAP[key]
-        values[attr] = _convert(raw_value, kind, key, path, lineno)
+        name, parse = _SCHEMA[key]
+        try:
+            values[name] = parse(raw_value)
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse value for '{key}': {exc}", path, lineno) from exc
         lines[key] = lineno
         if key == "seed":
             seen_seed = True
@@ -398,9 +376,8 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; parsing it returns an equal config."""
     buf = io.StringIO()
     buf.write("# experiment configuration (canonical form)\n")
-    for f in fields(ExperimentConfig):
-        key = _ATTR_TO_KEY[f.name]
-        value = getattr(cfg, f.name)
+    for key, (name, _) in _SCHEMA.items():
+        value = getattr(cfg, name)
         if isinstance(value, tuple):
             rendered = ", ".join(str(v) for v in value)
         else:

@@ -25,14 +25,17 @@ serve the next diagnostic row and the per-path cutoffs.  No operation
 mixes paths, so path k of a batch equals its one-path run bit for bit; a
 path that diverges is dropped from the batch and the rest continue.
 
-The public ``solve_*`` functions are one-path calls of ``_run`` and call
-no other public solver; ``solve_path_batch`` runs many jump-driven paths
-at once for the Monte Carlo studies, keeping per path only its diagnostic
-rows and final state (an ``on_snapshot`` hook sees the others as they
-pass).  ``draw_jumps`` is the one draw of a seed's jump configuration.
-``skeleton_adjoint`` is the backward sweep of the skeleton step, run on
-the snapshots of one skeleton solve: it gives the gradient of a function
-of the final state in every tilt value and in the initial state.
+A run records a snapshot of the state at the start of every step and
+one of the final state, n_steps + 1 in all; ``keep_snapshots=False``
+keeps only the final one.  The public ``solve_*`` functions are one-path
+calls of ``_run`` and call no other public solver; ``solve_path_batch``
+runs many jump-driven paths at once for the Monte Carlo studies, keeping
+per path only its diagnostic rows and final state (an ``on_snapshot``
+hook sees the others as they pass).  ``draw_jumps`` is the one draw of a
+seed's jump configuration.  ``skeleton_adjoint`` is the backward sweep of
+the skeleton step: the n_steps + 1 snapshots of one skeleton solve are its
+tape, and it gives the gradient of a function of the final state in every
+tilt value and in the initial state.
 
 Jumps realized in [t, t + dt) are aggregated at the step boundary using
 the pre-step left limit of the velocity.  Every update leaves the velocity
@@ -135,10 +138,10 @@ class SpectralState:
 class SolverConfig:
     """Discretization and model parameters shared by all solvers.
 
-    ``cutoff_level`` enables the smooth norm cutoffs on the convection,
-    stress, and advection terms (disabled when None, the default: the
-    cutoffs exist to globalize local solutions and must not alter
-    trajectories whose norms stay below the level).  ``diag_stride``
+    ``cutoff_level`` (>= 1) enables the smooth norm cutoffs on the
+    convection, stress, and advection terms (disabled when None, the
+    default: the cutoffs exist to globalize local solutions and must not
+    alter trajectories whose norms stay below the level).  ``diag_stride``
     defaults to every step for horizons up to 2, every 10th otherwise.
     ``energy_diagnostics=False`` skips the energy and dissipation columns
     (recorded as zero) -- Monte Carlo paths that only need norms use it.
@@ -151,9 +154,7 @@ class SolverConfig:
     mark_space: MarkSpace | None = None
     jump_spec: JumpCoefficientSpec | None = None
     cutoff_level: float | None = None
-    snapshot_stride: int = 1
     diag_stride: int | None = None
-    freeze_velocity: bool = False
     blowup_threshold: float = 1.0e6
     energy_diagnostics: bool = True
 
@@ -163,8 +164,8 @@ class SolverConfig:
         steps = self.t_final / self.dt
         if abs(steps - round(steps)) > 1e-6:
             raise SolverError(f"t_final/dt = {steps} is not integral within rounding")
-        if self.snapshot_stride < 1:
-            raise SolverError("snapshot_stride must be >= 1")
+        if self.cutoff_level is not None and self.cutoff_level < 1:
+            raise SolverError(f"cutoff level must be >= 1, got {self.cutoff_level}")
         if (self.mark_space is None) != (self.jump_spec is None):
             raise SolverError("mark_space and jump_spec must be provided together")
         if self.jump_spec is not None and self.jump_spec.size != self.mark_space.size:
@@ -186,7 +187,7 @@ DIAG_COLUMNS = ("t", "u_l2", "u_h1", "theta_l2", "theta_h1", "psi", "dissipation
 
 @dataclass
 class Trajectory:
-    """Diagnostics time series plus strided state snapshots.
+    """Diagnostics time series plus the state snapshots the run kept (see ``_run``).
 
     ``energy_residual`` at a row holds the one-step balance defect of the
     step starting there (skeleton runs with per-step diagnostics only;
@@ -233,8 +234,6 @@ class Trajectory:
 
 def cutoff_chi(norm_value: float, level: float) -> float:
     """C^1 smoothstep cutoff: 1 up to the level, 0 beyond level + 1."""
-    if level < 1:
-        raise SolverError("cutoff level must be >= 1")
     if norm_value <= level:
         return 1.0
     if norm_value > level + 1.0:
@@ -385,10 +384,12 @@ def _run(
     dropped from the batch; the others continue.
 
     Returns one Trajectory per path, plus one convolution Trajectory per
-    path with ``track_convolution``.  ``keep_snapshots=False`` keeps only
-    the final snapshot of each path that did not diverge;
-    ``on_snapshot(j, paths, u_hat, theta_hat)`` sees the j-th strided
-    snapshot of the paths still in the batch (``paths`` their indices).
+    path with ``track_convolution``.  A path keeps a snapshot at the start
+    of every step and one of its final state (n_steps + 1 for a finished
+    path); ``keep_snapshots=False`` keeps only the final snapshot of each
+    path that did not diverge.  ``on_snapshot(j, paths, u_hat, theta_hat)``
+    sees the snapshot of step j of the paths still in the batch (``paths``
+    their indices), whether kept or not.
     """
     grid, dt, n_steps, diag_stride = cfg.grid, cfg.dt, cfg.n_steps, cfg.effective_diag_stride
     if init.grid != grid:
@@ -481,8 +482,7 @@ def _run(
         drift = mark_sum(drift_coeffs[k], u) if drifted else None
         if row_due:
             record(k // diag_stride, drift, f_hat)
-        if k % cfg.snapshot_stride == 0:
-            snapshot(t)
+        snapshot(t)
 
         if drift is not None:
             nu = nu + drift
@@ -490,11 +490,10 @@ def _run(
             jump = mark_sum(jump_coeffs[k], u)
         if track_convolution:
             xi = factor * (xi + jump + mark_sum(xi_shift[k], u))
-        if not cfg.freeze_velocity:
-            incr = u + dt * nu
-            if stochastic:
-                incr = incr + jump
-            u = factor * incr
+        incr = u + dt * nu
+        if stochastic:
+            incr = incr + jump
+        u = factor * incr
         theta = factor * (theta + dt * ntheta)
 
         norms = _state_norms(u, theta)
@@ -611,7 +610,7 @@ def solve_path_batch(
     ``convolution_phi`` the convolution trajectories (compensator tilt
     ``convolution_phi``) are returned instead, as by
     :func:`solve_stochastic_convolution`.  ``on_snapshot(j, paths, u_hat,
-    theta_hat)`` sees every strided snapshot of the paths still running,
+    theta_hat)`` sees the snapshot of every step of the paths still running,
     for statistics that would otherwise need all snapshots kept.
     """
     out = _run(
@@ -635,8 +634,8 @@ def skeleton_adjoint(
 ):
     """Backward sweep of the skeleton's IMEX-Euler step: (dJ/dg, lam_u(0), lam_theta(0)).
 
-    ``traj`` is ``solve_skeleton(init, control, cfg)`` run with
-    ``snapshot_stride=1``: its snapshots are the tape.  (lam_u, lam_theta)
+    ``traj`` is ``solve_skeleton(init, control, cfg)`` with its snapshots
+    kept: its n_steps + 1 snapshots are the tape.  (lam_u, lam_theta)
     is the gradient of a function J of the final state in the Parseval
     inner product of ``half_inner``.  From the last step to the first the
     sweep applies the transposed linearized step,
@@ -657,7 +656,7 @@ def skeleton_adjoint(
     if ms is None:
         raise SolverError("config carries no mark space / jump spec")
     if traj.kind != "skeleton" or traj.diverged or len(snaps) != n_steps + 1:
-        raise SolverError("the adjoint sweep needs a finished skeleton run with snapshot_stride 1")
+        raise SolverError("the adjoint sweep needs a finished skeleton run with a snapshot per step")
     if control is None:
         control = Control.unit(cfg.t_final, 1, ms.size)
     weights, gains = ms.weight_array(), np.asarray(spec.gains, dtype=float)
@@ -665,13 +664,10 @@ def skeleton_adjoint(
     cells = _step_cells(control, dt, n_steps)
     drift_gain = (weights * (control.values - 1.0)) @ gains  # c_k, per cell
     factor = np.exp(-half_tables(grid.n)[2] * dt)
-    frozen = cfg.freeze_velocity
     grad = np.zeros(control.values.shape)
     for k in range(n_steps - 1, -1, -1):
         u, theta = snaps[k].u_hat, snaps[k].theta_hat
-        # a frozen velocity is carried over unchanged: no factor, no drift, no velocity equation
-        mu_u = np.zeros_like(lam_u) if frozen else factor * lam_u
-        mu_theta = factor * lam_theta
+        mu_u, mu_theta = factor * lam_u, factor * lam_theta
         chi1 = chi2 = 1.0
         if level is not None:
             u_l2, _, theta_l2, _ = _state_norms(u, theta)
@@ -679,12 +675,9 @@ def skeleton_adjoint(
         a_u, a_theta, dchi = explicit_rhs_transpose(
             u, theta, mu_u, mu_theta, grid, chi1, chi2, nl, with_chi=level is not None
         )
-        if frozen:
-            lam_u = lam_u + dt * a_u
-        else:
-            c = cells[k]
-            grad[c] += dt * weights * (half_inner(shapes, mu_u) + gains * half_inner(mu_u, u))
-            lam_u = mu_u + dt * (drift_gain[c] * mu_u + a_u)
+        c = cells[k]
+        grad[c] += dt * weights * (half_inner(shapes, mu_u) + gains * half_inner(mu_u, u))
+        lam_u = mu_u + dt * (drift_gain[c] * mu_u + a_u)
         lam_theta = mu_theta + dt * a_theta
         if level is not None:  # chi1 = chi(|u|), chi2 = chi(|theta|), d|v| = <v, dv> / |v|
             slope_u, slope_theta = _cutoff_slope(u_l2, level), _cutoff_slope(theta_l2, level)

@@ -21,7 +21,8 @@ most two control coordinates.
 Monte Carlo studies quantify how jump-driven paths concentrate on the
 deterministic flow as the noise size shrinks, and the importance sampler
 reweights tilted simulations back to the reference measure through the
-exponential martingale density.  All four Monte Carlo drivers run their
+exponential martingale density; plain Monte Carlo is that estimator at the
+unit tilt, where every weight is one.  All Monte Carlo drivers run their
 paths through ``_run_paths``, which steps them in chunks of ``_CHUNK``
 paths as one batch (``dynamics.solve_path_batch``) on one thread, excludes
 and counts diverged paths, and fails the study above 1% of them.  Each
@@ -31,18 +32,19 @@ one-path solves bit for bit, whatever the chunk size.  Per path a driver
 keeps only what it reads: the study its sup distance to the skeleton
 (measured snapshot by snapshot), the convolution study max |xi|, the
 estimators the diagnostic rows their event indicator sees.  The
-importance and plain estimators share ``_weighted_estimate``, which keeps
-the weights as logarithms: the estimate and its standard error are formed
-with a max shift (log-sum-exp), and the result carries ``log_estimate``,
-the effective sample size, the largest weight share, the hit count and a
-flag for a degenerate sample (no path or every path hits).
+importance and plain estimators are one loop, ``_tilted_estimate``, whose
+``_weighted_estimate`` keeps the weights as logarithms: the estimate and
+its standard error are formed with a max shift (log-sum-exp), and the
+result carries ``log_estimate``, the effective sample size, the largest
+weight share, the hit count and a flag for a degenerate sample (no path
+or every path hits).
 """
 
 from __future__ import annotations
 
 import io
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -133,24 +135,22 @@ def _mismatch(traj: Trajectory, target: SpectralState) -> float:
     return state_distance_sq_split(traj.final_state(), target)
 
 
-def _evaluate(g: Control, prob: RateProblem, cfg: SolverConfig):
-    """((objective, entropy cost, endpoint mismatch), skeleton run of ``g`` under ``cfg``)."""
+def _evaluate(g: Control, prob: RateProblem, keep_snapshots: bool):
+    """((objective, entropy cost, endpoint mismatch), skeleton run of ``g``).
+
+    A run that keeps its snapshots is the tape of :func:`rate_gradient`.
+    """
     cost = cost_LT(g, prob.cfg.mark_space)
-    traj = solve_skeleton(prob.init, g, cfg)
+    traj = solve_skeleton(prob.init, g, prob.cfg, keep_snapshots=keep_snapshots)
     if traj.diverged:
         return (float("inf"), cost, float("inf")), traj
     mis = _mismatch(traj, prob.target)
     return (cost + prob.penalty_weight * mis, cost, mis), traj
 
 
-def _tape_cfg(prob: RateProblem) -> SolverConfig:
-    """The problem's solver config with a snapshot at every step: the adjoint's tape."""
-    return replace(prob.cfg, snapshot_stride=1)
-
-
 def rate_objective_parts(g: Control, prob: RateProblem) -> tuple[float, float, float]:
     """(objective, entropy cost, endpoint mismatch); infinite on divergence."""
-    return _evaluate(g, prob, prob.cfg)[0]
+    return _evaluate(g, prob, keep_snapshots=False)[0]
 
 
 def rate_objective(g: Control, prob: RateProblem) -> float:
@@ -165,11 +165,11 @@ def rate_gradient(g: Control, prob: RateProblem, traj: Trajectory | None = None)
     (theta_T - theta*)), and one backward sweep
     (``dynamics.skeleton_adjoint``) gives its derivative in every g_{c,i};
     the entropy cost adds g log g |cell| w_i in closed form.  ``traj`` is the
-    skeleton run of ``g`` with a snapshot at every step, when the caller
-    has it; otherwise it is run here.  The objective must be finite at g.
+    skeleton run of ``g`` with its snapshots kept, when the caller has it;
+    otherwise it is run here.  The objective must be finite at g.
     """
     if traj is None:
-        traj = solve_skeleton(prob.init, g, _tape_cfg(prob))
+        traj = solve_skeleton(prob.init, g, prob.cfg)
     final, target = traj.final_state(), prob.target
     scale = 2.0 * prob.penalty_weight
     lam_u = scale * (final.u_hat - target.u_hat)
@@ -192,10 +192,9 @@ def optimize_control(prob: RateProblem, g0: Control | None = None) -> RateSoluti
     if g0 is None:
         g0 = prob.unit_control()
     w = np.log(np.maximum(g0.values.ravel(), 1e-8))
-    tape_cfg = _tape_cfg(prob)
 
     def objective_of(wvec: np.ndarray):
-        return _evaluate(prob.control_from_flat(np.exp(wvec)), prob, tape_cfg)
+        return _evaluate(prob.control_from_flat(np.exp(wvec)), prob, keep_snapshots=True)
 
     (obj, cost, mis), traj = objective_of(w)
     history = [(0, obj, cost, mis)]
@@ -355,8 +354,6 @@ def mc_small_noise_study(
         a <= b for a, b in zip(eps_list, list(eps_list)[1:])
     ):
         raise StudyError("eps_list must be positive and strictly decreasing")
-    if cfg.snapshot_stride != 1:
-        raise StudyError("study requires snapshot_stride == 1 for sup distances")
     skel = solve_skeleton(init, phi, cfg)
     if skel.diverged:
         raise StudyError("the skeleton run itself diverged")
@@ -432,6 +429,45 @@ def convolution_scaling_study(
 # importance sampling
 
 
+def _tilted_estimate(
+    event_indicator: Callable[[Trajectory], float],
+    phi: Control | None,
+    epsilon: float,
+    n_paths: int,
+    cfg: SolverConfig,
+    init: SpectralState,
+    path_rng: Callable[[int], np.random.Generator],
+    what: str,
+) -> dict:
+    """The one Monte Carlo estimator loop; ``phi=None`` is the unit tilt.
+
+    Path k draws its jumps at intensity (1/epsilon) phi theta from
+    ``path_rng(k)`` and contributes its indicator weighted by the
+    exponential likelihood ratio of those jumps (exactly one at the unit
+    tilt).
+    """
+    ms = cfg.mark_space
+    if ms is None:
+        raise SolverError("config carries no mark space / jump spec")
+    if epsilon <= 0:
+        raise SolverError("epsilon must be positive")
+    if phi is None:
+        phi = Control.unit(cfg.t_final, 1, ms.size)
+    if np.any(phi.values <= 0):
+        raise ValueError("importance sampling requires a strictly positive tilt")
+
+    def chunk(ks: range) -> list[tuple[float, float]]:
+        jumps = [thin_to_control(ms, cfg.t_final, phi, 1.0 / epsilon, path_rng(k)) for k in ks]
+        trajs = solve_path_batch(init, epsilon, jumps, cfg)
+        return [
+            (float("nan"), float("nan")) if traj.diverged
+            else (girsanov_log_density(phi, sample, epsilon, ms), float(event_indicator(traj)))
+            for traj, sample in zip(trajs, jumps)
+        ]
+
+    return _weighted_estimate(*_run_paths(chunk, n_paths, what))
+
+
 def importance_weights(
     event_indicator: Callable[[Trajectory], float],
     phi: Control,
@@ -452,25 +488,10 @@ def importance_weights(
     ``max_weight_share`` (see :func:`_weighted_estimate`).  The indicator
     sees each path's diagnostic rows and final snapshot.
     """
-    if np.any(phi.values <= 0):
-        raise ValueError("importance sampling requires a strictly positive tilt")
-    ms = cfg.mark_space
-    if ms is None:
-        raise SolverError("config carries no mark space / jump spec")
-
-    def chunk(ks: range) -> list[tuple[float, float]]:
-        jumps = [
-            thin_to_control(ms, cfg.t_final, phi, 1.0 / epsilon, rng_for(seed, "importance", k))
-            for k in ks
-        ]
-        trajs = solve_path_batch(init, epsilon, jumps, cfg)
-        return [
-            (float("nan"), float("nan")) if traj.diverged
-            else (girsanov_log_density(phi, sample, epsilon, ms), float(event_indicator(traj)))
-            for traj, sample in zip(trajs, jumps)
-        ]
-
-    return _weighted_estimate(*_run_paths(chunk, n_paths, "importance sampling"))
+    return _tilted_estimate(
+        event_indicator, phi, epsilon, n_paths, cfg, init,
+        lambda k: rng_for(seed, "importance", k), "importance sampling",
+    )
 
 
 def plain_mc_probability(
@@ -481,18 +502,16 @@ def plain_mc_probability(
     init: SpectralState,
     seed: int,
 ) -> dict:
-    """Untilted Monte Carlo estimate of the same path probability (unit weights)."""
+    """Untilted Monte Carlo estimate of the same path probability (unit weights).
 
-    def chunk(ks: range) -> list[tuple[float, float]]:
-        seeds = [int(rng_for(seed, "plain-mc", k).integers(0, 2**62)) for k in ks]
-        jumps = [draw_jumps(epsilon, None, cfg, s)[1] for s in seeds]
-        trajs = solve_path_batch(init, epsilon, jumps, cfg)
-        return [
-            (float("nan"), float("nan")) if traj.diverged else (0.0, float(event_indicator(traj)))
-            for traj in trajs
-        ]
+    The importance estimator at the unit tilt; path k draws its jumps as
+    ``draw_jumps`` does at its own seed, taken from the "plain-mc" stream.
+    """
 
-    return _weighted_estimate(*_run_paths(chunk, n_paths, "plain Monte Carlo"))
+    def path_rng(k: int) -> np.random.Generator:
+        return rng_for(int(rng_for(seed, "plain-mc", k).integers(0, 2**62)), "sde-jumps")
+
+    return _tilted_estimate(event_indicator, None, epsilon, n_paths, cfg, init, path_rng, "plain Monte Carlo")
 
 
 def sup_velocity_indicator(threshold: float) -> Callable[[Trajectory], float]:

@@ -60,17 +60,12 @@ class MarkSpace:
     """Finite mark set with strictly positive intensity weights."""
 
     weights: tuple[float, ...]
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         if len(self.weights) == 0:
             raise NoiseError("mark space must contain at least one mark")
         if any(not np.isfinite(w) or w <= 0 for w in self.weights):
             raise NoiseError(f"mark weights must be positive and finite, got {self.weights}")
-        if self.labels and len(self.labels) != len(self.weights):
-            raise NoiseError("labels and weights must have equal length")
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(f"v{i+1}" for i in range(len(self.weights))))
 
     @property
     def size(self) -> int:
@@ -182,7 +177,6 @@ class JumpSample:
     times: np.ndarray
     marks: np.ndarray
     horizon: float
-    intensity_scale: float
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -206,7 +200,7 @@ class JumpSample:
         return buf.getvalue()
 
     @classmethod
-    def from_text(cls, text: str, horizon: float, intensity_scale: float) -> "JumpSample":
+    def from_text(cls, text: str, horizon: float) -> "JumpSample":
         times, marks = [], []
         for line in text.splitlines():
             line = line.strip()
@@ -215,38 +209,36 @@ class JumpSample:
             t, m = line.split()
             times.append(float(t))
             marks.append(int(m))
-        return cls(np.asarray(times), np.asarray(marks, dtype=int), horizon, intensity_scale)
+        return cls(np.asarray(times), np.asarray(marks, dtype=int), horizon)
 
 
 # ---------------------------------------------------------------------------
 # sampling
 
 
-def sample_prm(
-    ms: MarkSpace, horizon: float, intensity_scale: float, rng: np.random.Generator
-) -> JumpSample:
+def sample_prm(ms: MarkSpace, horizon: float, scale: float, rng: np.random.Generator) -> JumpSample:
     """Poisson random measure on (0,T] x marks with intensity scale * theta.
 
     Event count is Poisson(scale * total_mass * T); times are iid uniform,
     marks categorical with probabilities theta_i / total_mass.
     """
-    if horizon <= 0 or intensity_scale <= 0:
-        raise NoiseError("horizon and intensity_scale must be positive")
-    lam = intensity_scale * ms.total_mass * horizon
+    if horizon <= 0 or scale <= 0:
+        raise NoiseError("horizon and scale must be positive")
+    lam = scale * ms.total_mass * horizon
     n = int(rng.poisson(lam))
     times = np.sort(rng.uniform(0.0, horizon, size=n))
     if n and times[0] == 0.0:
         times[times == 0.0] = np.nextafter(0.0, horizon)
     probs = ms.weight_array() / ms.total_mass
     marks = rng.choice(ms.size, size=n, p=probs)
-    return JumpSample(times, marks, horizon, intensity_scale)
+    return JumpSample(times, marks, horizon)
 
 
 def thin_to_control(
     ms: MarkSpace,
     horizon: float,
     control: Control,
-    intensity_scale: float,
+    scale: float,
     rng: np.random.Generator,
 ) -> JumpSample:
     """Counting process with intensity scale * g(t,v) theta(dv) dt, by thinning.
@@ -262,7 +254,7 @@ def thin_to_control(
         s = float(sups[i])
         if s == 0.0:
             continue
-        lam = intensity_scale * ms.weights[i] * s * horizon
+        lam = scale * ms.weights[i] * s * horizon
         n = int(rng.poisson(lam))
         times = rng.uniform(0.0, horizon, size=n)
         accept_u = rng.uniform(0.0, 1.0, size=n)
@@ -280,7 +272,7 @@ def thin_to_control(
     if times.size and times[0] == 0.0:
         times = times.copy()
         times[times == 0.0] = np.nextafter(0.0, horizon)
-    return JumpSample(times, marks, horizon, intensity_scale)
+    return JumpSample(times, marks, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +296,6 @@ def cost_LT(control: Control, ms: MarkSpace) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         lv = np.where(vals > 0, vals * np.log(np.where(vals > 0, vals, 1.0)) - vals + 1.0, 1.0)
     return float(np.sum(lv * ms.weight_array()[None, :]) * control.cell_width)
-
-
-def check_SM(control: Control, ms: MarkSpace, budget: float) -> bool:
-    """True iff the control lies in the entropy ball of radius ``budget``."""
-    return cost_LT(control, ms) <= budget
 
 
 # ---------------------------------------------------------------------------

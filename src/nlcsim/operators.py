@@ -65,11 +65,6 @@ class PolynomialNonlinearity:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    @property
-    def growth_exponent(self) -> int:
-        """q = 4N + 2, the Lebesgue exponent of the growth bound on f."""
-        return 4 * self.degree + 2
-
     def f_tilde(self, r):
         r = np.asarray(r, dtype=float)
         out = np.full_like(r, self.coefficients[-1])

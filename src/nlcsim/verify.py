@@ -415,8 +415,9 @@ def check_dynamics(seed: int) -> list[CheckResult]:
     g = Control(0.5, np.array([[1.6, 0.7]]))
     maxima = []
     for dt in (2e-3, 1e-3):
-        c = SolverConfig(grid=grid, dt=dt, t_final=0.5, mark_space=ms, jump_spec=spec, snapshot_stride=1000)
-        maxima.append(dynamics.energy_ledger(dynamics.solve_skeleton(init, g, c))["max_abs"])
+        c = SolverConfig(grid=grid, dt=dt, t_final=0.5, mark_space=ms, jump_spec=spec)
+        traj = dynamics.solve_skeleton(init, g, c, keep_snapshots=False)
+        maxima.append(dynamics.energy_ledger(traj)["max_abs"])
     out.append(
         CheckResult(
             "dynamics",
@@ -447,14 +448,14 @@ def check_ldp(seed: int) -> list[CheckResult]:
     spec = JumpCoefficientSpec(shapes=velocity_shape(grid, "shear_x:0.15")[None], gains=(0.0,))
     cfg = SolverConfig(
         grid=grid, dt=0.0125, t_final=0.25, mark_space=ms, jump_spec=spec,
-        snapshot_stride=1000, diag_stride=1000, energy_diagnostics=False,
+        diag_stride=1000, energy_diagnostics=False,
     )
     init = SpectralState(
         grid,
         _random(grid, rng, kmax=2, amplitude=0.3, decay=0.3, solenoidal=True),
         _random(grid, rng, kmax=2, amplitude=0.4, decay=0.3),
     )
-    target = dynamics.solve_skeleton(init, None, cfg).final_state()
+    target = dynamics.solve_skeleton(init, None, cfg, keep_snapshots=False).final_state()
     prob = ldp.RateProblem(init=init, target=target, cfg=cfg, max_iters=20)
 
     obj_unit = ldp.rate_objective(prob.unit_control(), prob)
@@ -472,7 +473,7 @@ def check_ldp(seed: int) -> list[CheckResult]:
 
     # two marks, one with a gain, off the unit tilt: adjoint gradient vs central differences
     cfg2 = replace(cfg, mark_space=MarkSpace(weights=(1.0, 0.5)), jump_spec=_shapes_for(grid))
-    target2 = dynamics.solve_skeleton(init, None, cfg2).final_state()
+    target2 = dynamics.solve_skeleton(init, None, cfg2, keep_snapshots=False).final_state()
     prob2 = ldp.RateProblem(init=init, target=target2, cfg=cfg2)
     w = np.log([1.37, 0.8])
     grad = ldp.rate_gradient(prob2.control_from_flat(np.exp(w)), prob2)

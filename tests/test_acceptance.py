@@ -135,10 +135,8 @@ def test_c3_energy_ledger_first_order():
     init = _smooth_state(grid, rng_for(SEED, "c3"), 0.4, 0.6, decay=0.4)
     rates = []
     for dt in (1e-3, 5e-4):
-        cfg = SolverConfig(
-            grid=grid, dt=dt, t_final=1.0, mark_space=ms, jump_spec=spec, snapshot_stride=10**6
-        )
-        rates.append(energy_ledger(solve_skeleton(init, g, cfg))["max_rate"])
+        cfg = SolverConfig(grid=grid, dt=dt, t_final=1.0, mark_space=ms, jump_spec=spec)
+        rates.append(energy_ledger(solve_skeleton(init, g, cfg, keep_snapshots=False))["max_rate"])
     ratio = rates[0] / rates[1]
     elapsed = time.time() - t0
     _report(
@@ -161,10 +159,8 @@ def test_c4_gronwall_ceiling():
     details = []
     ok = True
     for name, horizon, g in cases:
-        cfg = SolverConfig(
-            grid=grid, dt=5e-3, t_final=horizon, mark_space=ms, jump_spec=spec, snapshot_stride=10**6
-        )
-        traj = solve_skeleton(init, g, cfg)
+        cfg = SolverConfig(grid=grid, dt=5e-3, t_final=horizon, mark_space=ms, jump_spec=spec)
+        traj = solve_skeleton(init, g, cfg, keep_snapshots=False)
         sup = trajectory_sup_energy(traj)
         ceiling = apriori_bound(init, g, cfg)
         margin = (ceiling - sup) / ceiling
@@ -266,7 +262,6 @@ def test_c8_rate_optimizer_vs_oracle():
         t_final=0.25,
         mark_space=ms,
         jump_spec=spec,
-        snapshot_stride=10**6,
         diag_stride=10**6,
         energy_diagnostics=False,
     )
@@ -276,7 +271,7 @@ def test_c8_rate_optimizer_vs_oracle():
     ok = True
     for name, tilt in (("unit-target", None), ("boost-target", 1.7), ("damp-target", 0.5)):
         g_target = Control.constant(0.25, tilt) if tilt else Control.unit(0.25)
-        target = solve_skeleton(init, g_target, cfg).final_state()
+        target = solve_skeleton(init, g_target, cfg, keep_snapshots=False).final_state()
         prob = RateProblem(init=init, target=target, cfg=cfg, penalty_weight=200.0, max_iters=40)
         sol = optimize_control(prob)
         oracle = brute_force_rate(prob, fine_grid_values)
@@ -302,7 +297,6 @@ def _mc_setup():
         t_final=0.5,
         mark_space=ms,
         jump_spec=spec,
-        snapshot_stride=1,
         diag_stride=10**6,
         energy_diagnostics=False,
     )
@@ -354,7 +348,6 @@ def test_c11_continuous_dependence():
         t_final=1.0,
         mark_space=ms,
         jump_spec=spec,
-        snapshot_stride=10,
         diag_stride=10**6,
         energy_diagnostics=False,
     )
@@ -370,9 +363,9 @@ def test_c11_continuous_dependence():
         scale = delta / (l2_norm(du) + v_norm(dth))
         pert = SpectralState(grid, init.u_hat + scale * half(du), init.theta_hat + scale * half(dth))
         traj = solve_skeleton(pert, g, cfg)
-        series.append(
-            [(a.time, state_distance_sq_split(a, b)) for a, b in zip(base.snapshots, traj.snapshots)]
-        )
+        # every 10th snapshot: t = 0.05 j
+        pairs = zip(base.snapshots[::10], traj.snapshots[::10])
+        series.append([(a.time, state_distance_sq_split(a, b)) for a, b in pairs])
     c_fit = 0.0
     for rows in series:
         for t, r in rows:
@@ -401,7 +394,6 @@ def test_c12_galerkin_self_convergence():
         t_final=0.5,
         mark_space=ms,
         jump_spec=spec64,
-        snapshot_stride=20,
         diag_stride=10**6,
         energy_diagnostics=False,
     )
@@ -417,13 +409,14 @@ def test_c12_galerkin_self_convergence():
             t_final=0.5,
             mark_space=ms,
             jump_spec=spec_n,
-            snapshot_stride=20,
             diag_stride=10**6,
             energy_diagnostics=False,
         )
         traj = solve_skeleton(init_n, g, cfg_n)
+        # every 20th snapshot: t = 0.05 j
         err = max(
-            state_distance(embed_state(a, fine), b) for a, b in zip(traj.snapshots, ref.snapshots)
+            state_distance(embed_state(a, fine), b)
+            for a, b in zip(traj.snapshots[::20], ref.snapshots[::20])
         )
         errors.append(err)
     mono = errors[0] > errors[1] > errors[2] > 1e-14

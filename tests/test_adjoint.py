@@ -11,8 +11,6 @@ against the central-difference oracle, a Taylor remainder and its exact
 zero at the unit tilt.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -57,7 +55,6 @@ CASES = {
     "cubic": dict(nonlinearity=CUBIC),
     "no-relaxation": dict(nonlinearity=None),
     "cutoff-active": dict(cutoff_level=1.0),
-    "frozen-velocity": dict(freeze_velocity=True),
 }
 
 
@@ -125,14 +122,12 @@ def tangent_step(state, k, du, dth, dg, control, cfg):
     u, th = state.u_hat, state.theta_hat
     ju, jt = rhs_tangent(u, th, du, dth, cfg)
     factor = np.exp(-half_tables(cfg.grid.n)[2] * dt)
-    if not cfg.freeze_velocity:
-        cell = control.cell_of(k * dt)
-        w, gains = ms.weight_array(), np.asarray(spec.gains)
-        drift = float(np.sum(w * (control.values[cell] - 1.0) * gains)) * du
-        for i, shape in enumerate(spec.shapes):
-            drift = drift + w[i] * dg[cell, i] * (shape + gains[i] * u)
-        du = factor * (du + dt * (ju + drift))
-    return du, factor * (dth + dt * jt)
+    cell = control.cell_of(k * dt)
+    w, gains = ms.weight_array(), np.asarray(spec.gains)
+    drift = float(np.sum(w * (control.values[cell] - 1.0) * gains)) * du
+    for i, shape in enumerate(spec.shapes):
+        drift = drift + w[i] * dg[cell, i] * (shape + gains[i] * u)
+    return factor * (du + dt * (ju + drift)), factor * (dth + dt * jt)
 
 
 def case_setup(n, case, n_steps, rng):
@@ -168,8 +163,6 @@ def test_dot_product_identity(case, n, n_steps, rng):
     grad, lam_u0, lam_th0 = skeleton_adjoint(traj, control, cfg, lam.u_hat, lam.theta_hat)
     rhs = half_inner(d0.u_hat, lam_u0) + half_inner(d0.theta_hat, lam_th0) + float(np.sum(dg * grad))
     assert abs(lhs - rhs) <= DOT_TOL * abs(lhs)
-    if cfg.freeze_velocity:
-        assert np.all(grad == 0.0)
 
 
 @pytest.mark.parametrize("nl", (PolynomialNonlinearity((1.0, 1.0)), CUBIC, None))
@@ -242,8 +235,8 @@ def test_each_iteration_sweeps_the_run_of_its_iterate(monkeypatch):
     objective_of_run, sweeps, solves = {}, [], []
     evaluate, adjoint, solve = ldp._evaluate, ldp.skeleton_adjoint, ldp.solve_skeleton
 
-    def traced_evaluate(g, p, cfg):
-        parts, traj = evaluate(g, p, cfg)
+    def traced_evaluate(g, p, keep_snapshots):
+        parts, traj = evaluate(g, p, keep_snapshots)
         objective_of_run[id(traj)] = parts[0]
         return parts, traj
 
@@ -251,9 +244,9 @@ def test_each_iteration_sweeps_the_run_of_its_iterate(monkeypatch):
         sweeps.append(objective_of_run[id(traj)])
         return adjoint(traj, *args)
 
-    def traced_solve(init, g, cfg):
-        solves.append(cfg.snapshot_stride)
-        return solve(init, g, cfg)
+    def traced_solve(init, g, cfg, keep_snapshots=True):
+        solves.append(keep_snapshots)
+        return solve(init, g, cfg, keep_snapshots)
 
     monkeypatch.setattr(ldp, "_evaluate", traced_evaluate)
     monkeypatch.setattr(ldp, "skeleton_adjoint", traced_adjoint)
@@ -261,13 +254,13 @@ def test_each_iteration_sweeps_the_run_of_its_iterate(monkeypatch):
     sol = ldp.optimize_control(prob)
     assert len(sol.history) == 4
     assert sweeps == [row[1] for row in sol.history[:3]]
-    assert set(solves) == {1} and len(solves) < 1 + 2 * prob.n_dims
+    assert set(solves) == {True} and len(solves) < 1 + 2 * prob.n_dims
 
 
 def test_adjoint_needs_a_snapshot_per_step():
     prob = rate_n16_problem()
     g = prob.unit_control()
-    sparse = solve_skeleton(prob.init, g, replace(prob.cfg, snapshot_stride=4))
+    sparse = solve_skeleton(prob.init, g, prob.cfg, keep_snapshots=False)
     with pytest.raises(SolverError):
         rate_gradient(g, prob, sparse)
 

@@ -85,7 +85,7 @@ def with_burst(sample: JumpSample, t: float, count: int) -> JumpSample:
     times = np.concatenate((sample.times, np.full(count, t)))
     marks = np.concatenate((sample.marks, np.zeros(count, dtype=int)))
     order = np.argsort(times, kind="stable")
-    return JumpSample(times[order], marks[order], sample.horizon, sample.intensity_scale)
+    return JumpSample(times[order], marks[order], sample.horizon)
 
 
 def assert_same_path(batched, solo, all_snapshots=True):

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,38 @@ from nlcsim.spectral import TorusGrid, l2_norm, vector_field
 from oracle import divergence_residual
 
 MINIMAL = "seed = 7\n"
+
+# serialize_config(ExperimentConfig(seed=0)) before solver.snapshot_stride was removed, minus that line
+CANONICAL_DEFAULT = """# experiment configuration (canonical form)
+seed = 0
+grid.modes = 16
+grid.dealias_factor = 1.5
+nonlinearity.coefficients = 1.0, 1.0
+solver.dt = 0.01
+solver.t_final = 0.5
+solver.diag_stride = 0
+solver.cutoff_level = 0.0
+init.u = taylor_green:0.3
+init.theta = stripe_x:0.5:1
+noise.weights = 1.0, 0.5, 0.5, 0.25
+noise.shapes = shear_x:0.05, shear_y:0.05, taylor_green:0.03, mode:0.03:1:1
+noise.gains = 0.0, 0.0, 0.05, 0.05
+control.cells = 1
+control.values = 1.0
+experiment.eps_list = 0.4, 0.2, 0.1, 0.05
+experiment.n_paths = 32
+simulate.eps = 0.25
+rate.penalty = 100.0
+rate.cells = 1
+rate.max_iters = 40
+rate.step_size = 0.5
+rate.tolerance = 1e-06
+rate.target_tilt = 1.5
+importance.eps = 0.25
+importance.phi = 1.5
+importance.threshold = 0.3
+importance.n_paths = 400
+"""
 
 FULL = """
 # full experiment file
@@ -164,6 +199,45 @@ class TestParsing:
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(str(tmp_path / "absent.ini"))
 
+    @pytest.mark.parametrize(
+        "line",
+        (
+            "solver.cutoff_level = 0.5",
+            "solver.cutoff_level = -2",
+            "solver.diag_stride = -4",
+            "importance.n_paths = 0",
+            "importance.eps = -1",
+            "rate.cells = 0",
+        ),
+    )
+    def test_out_of_range_value_rejected_at_its_key_and_line(self, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=rf"^<config>:3: {re.escape(key)} must be"):
+            parse_config_text(f"seed = 1\n# fine\n{line}\n")
+
+
+class TestSchema:
+    def readme_key_block(self) -> list[str]:
+        """The lines of the README's key block, comments stripped."""
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("## Configuration", 1)[1].split("```")[1]
+        return [ln.split("#", 1)[0].strip() for ln in block.splitlines() if ln.split("#", 1)[0].strip()]
+
+    def test_readme_lists_the_parsed_keys_with_their_defaults(self):
+        lines = self.readme_key_block()
+        keys = [ln.split("=")[0].split()[0] for ln in lines]
+        canonical = [ln.split(" = ")[0] for ln in serialize_config(ExperimentConfig(seed=0)).splitlines()[1:]]
+        assert keys == canonical
+        assert lines[0].split() == ["seed", "(required)"]
+        assert parse_config_text("\n".join(["seed = 0"] + lines[1:])) == ExperimentConfig(seed=0)
+
+    def test_default_serialization_is_unchanged_but_for_the_stride(self):
+        assert serialize_config(ExperimentConfig(seed=0)) == CANONICAL_DEFAULT
+
+    def test_snapshot_stride_is_an_unknown_key(self):
+        with pytest.raises(ConfigError, match=r"^<config>:2: unknown key 'solver.snapshot_stride'"):
+            parse_config_text("seed = 1\nsolver.snapshot_stride = 1\n")
+
 
 class TestCli:
     def _write_cfg(self, tmp_path, text):
@@ -195,9 +269,7 @@ class TestCli:
         assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
         cfg = parse_config(cfg_path)
         solver_cfg = cfg.build_solver_config()
-        jumps = JumpSample.from_text(
-            (out / "jumps.txt").read_text(), solver_cfg.t_final, 1.0 / cfg.simulate_eps
-        )
+        jumps = JumpSample.from_text((out / "jumps.txt").read_text(), solver_cfg.t_final)
         assert jumps.size > 0
         traj = solve_sde_with_jumps(cfg.build_init(solver_cfg.grid), cfg.simulate_eps, jumps, solver_cfg)
         assert (out / "final_state.txt").read_text().endswith(state_to_text(traj.final_state()))

@@ -69,7 +69,6 @@ def small_problem(rng, horizon=0.25, dt=0.0125, penalty=100.0, target_tilt=None)
         t_final=horizon,
         mark_space=ms,
         jump_spec=spec,
-        snapshot_stride=1000,
         diag_stride=1000,
         energy_diagnostics=False,
     )
@@ -78,7 +77,7 @@ def small_problem(rng, horizon=0.25, dt=0.0125, penalty=100.0, target_tilt=None)
         random_vector_field(grid, rng, kmax=2, amplitude=0.4, decay=0.3),
     )
     g_target = Control.constant(horizon, target_tilt) if target_tilt else Control.unit(horizon)
-    target = solve_skeleton(init, g_target, cfg).final_state()
+    target = solve_skeleton(init, g_target, cfg, keep_snapshots=False).final_state()
     return RateProblem(init=init, target=target, cfg=cfg, penalty_weight=penalty)
 
 
@@ -104,7 +103,7 @@ class TestRateObjective:
         g = Control(prob.cfg.t_final, np.array([[1.37]]))
         obj = rate_objective(g, prob)
         cost = cost_LT(g, prob.cfg.mark_space)
-        traj = solve_skeleton(prob.init, g, prob.cfg)
+        traj = solve_skeleton(prob.init, g, prob.cfg, keep_snapshots=False)
         from nlcsim.dynamics import state_distance_sq_split
 
         mis = state_distance_sq_split(traj.final_state(), prob.target)
@@ -301,7 +300,6 @@ class TestImportance:
             t_final=0.5,
             mark_space=ms,
             jump_spec=spec,
-            snapshot_stride=1000,
             energy_diagnostics=False,
         )
         init = zero_state(grid)
@@ -331,7 +329,6 @@ class TestImportance:
             t_final=0.25,
             mark_space=ms,
             jump_spec=spec,
-            snapshot_stride=1000,
             energy_diagnostics=False,
         )
         phi = Control.constant(cfg.t_final, 3.0)

@@ -9,7 +9,6 @@ from nlcsim.noise import (
     MarkSpace,
     NoiseError,
     apriori_control_constant,
-    check_SM,
     compensator_integral,
     control_drift,
     control_from_csv,
@@ -65,7 +64,6 @@ class TestMarkSpace:
         ms = MarkSpace(weights=(1.0, 0.5, 0.25))
         assert ms.total_mass == pytest.approx(1.75)
         assert ms.size == 3
-        assert ms.labels == ("v1", "v2", "v3")
 
 
 class TestSamplePrm:
@@ -192,12 +190,6 @@ class TestCost:
         ms = MarkSpace(weights=(1.0, 0.5))
         control = Control(1.0, np.array([[1.0, 1.0], [1.0, 1.0 + 1e-6]]))
         assert cost_LT(control, ms) > 0
-
-    def test_check_sm(self):
-        ms = MarkSpace(weights=(1.0,))
-        assert check_SM(Control.unit(1.0), ms, 0.0)
-        assert not check_SM(Control.constant(1.0, 2.0), ms, 0.3)
-        assert check_SM(Control.constant(1.0, 2.0), ms, 0.4)
 
 
 class TestJumpCoefficient:
@@ -353,14 +345,14 @@ class TestGirsanov:
     def test_empty_sample_constant(self):
         # exponent formula reduces to the compensator term alone
         ms = MarkSpace(weights=(1.0,))
-        empty = JumpSample(np.empty(0), np.empty(0, dtype=int), 1.0, 2.0)
+        empty = JumpSample(np.empty(0), np.empty(0, dtype=int), 1.0)
         c = 1.5
         out = girsanov_log_density(Control.constant(1.0, c), empty, 0.5, ms)
         assert out == pytest.approx((1.0 / 0.5) * (c - 1.0) * 1.0, rel=1e-14)
 
     def test_zero_at_event_invalid(self):
         ms = MarkSpace(weights=(1.0,))
-        sample = JumpSample(np.array([0.25]), np.array([0]), 1.0, 2.0)
+        sample = JumpSample(np.array([0.25]), np.array([0]), 1.0)
         control = Control(1.0, np.array([[0.0], [1.0]]))
         with pytest.raises(InvalidChangeOfMeasure):
             girsanov_log_density(control, sample, 0.5, ms)
@@ -417,7 +409,7 @@ class TestSerialization:
     def test_jump_sample_roundtrip(self):
         ms = MarkSpace(weights=(1.0, 2.0))
         sample = sample_prm(ms, 1.0, 20.0, rng_for(37, "ser"))
-        back = JumpSample.from_text(sample.to_text(), 1.0, 20.0)
+        back = JumpSample.from_text(sample.to_text(), 1.0)
         assert np.allclose(back.times, sample.times)
         assert np.array_equal(back.marks, sample.marks)
 

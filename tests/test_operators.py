@@ -65,7 +65,6 @@ class TestNonlinearity:
     def test_default_shape(self):
         nl = DEFAULT_NONLINEARITY
         assert nl.degree == 1
-        assert nl.growth_exponent == 6
         assert nl.f_tilde(0.0) == 1.0
         assert nl.f_tilde(2.0) == 3.0
         assert nl.phi(1.0) == pytest.approx(1.5)
