@@ -5,9 +5,13 @@ controlled run), ``simulate`` (jump-driven run), ``convolution`` (auxiliary
 jump convolution), ``rate`` (tilt optimization), ``mc-ldp`` (small-noise
 distance study), ``importance`` (tilted estimator vs plain Monte Carlo).
 
-Every artifact starts with comment lines carrying the config hash and the
-root seed, so a run can be reproduced exactly from its outputs.  Exit
-codes: 0 success, 1 configuration/validation error, 2 numerical failure.
+This module is the one writer of the artifact formats.  Every artifact
+starts with comment lines carrying the config hash and the root seed, so a
+run can be reproduced exactly from its outputs.  The CSVs are built by
+``_csv`` (numbers as ``%.17g``, strings verbatim); ``state_to_text`` writes
+the final-state checkpoint and ``_jumps_text`` the ``jumps.txt`` table.
+Exit codes: 0 success, 1 configuration/validation error, 2 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, config_hash, parse_config, serialize_config
 from .dynamics import (
     SolverError,
+    SpectralState,
+    Trajectory,
     draw_jumps,
     solve_sde_with_jumps,
     solve_skeleton,
     solve_stochastic_convolution,
-    state_to_text,
 )
 from .ldp import (
     RateProblem,
@@ -36,11 +41,11 @@ from .ldp import (
     mc_small_noise_study,
     optimize_control,
     plain_mc_probability,
-    study_rows_csv,
     sup_velocity_indicator,
 )
 # thin_to_control is drawn through draw_jumps; bench/tracer.py wraps it under this attribute too
-from .noise import control_to_csv, thin_to_control  # noqa: F401
+from .noise import Control, JumpSample, thin_to_control  # noqa: F401
+from .spectral import full_from_half
 from .verify import render_table, run_all
 
 EXIT_OK = 0
@@ -59,24 +64,73 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
     return path
 
 
-def _headers(cfg: ExperimentConfig, extra: tuple[str, ...] = ()) -> tuple[str, ...]:
-    return (f"config_hash={config_hash(cfg)}", f"seed={cfg.seed}") + extra
-
-
 def _with_headers(cfg: ExperimentConfig, body: str, extra: tuple[str, ...] = ()) -> str:
-    return "".join(f"# {h}\n" for h in _headers(cfg, extra)) + body
+    headers = (f"config_hash={config_hash(cfg)}", f"seed={cfg.seed}") + extra
+    return "".join(f"# {h}\n" for h in headers) + body
 
 
 def _echo_config(cfg: ExperimentConfig, out_dir: Path):
     _write(out_dir, "config_echo.ini", _with_headers(cfg, serialize_config(cfg)))
 
 
+def _csv(cfg: ExperimentConfig, columns, rows, extra: tuple[str, ...] = ()) -> str:
+    """Headers as ``# ...`` lines, then the column line and one line per row.
+
+    Numbers are written as ``%.17g`` (an int as its digits), strings verbatim.
+    """
+    lines = [",".join(columns)]
+    lines += [",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) for row in rows]
+    return _with_headers(cfg, "\n".join(lines) + "\n", extra)
+
+
+# the Trajectory series of a trajectory CSV, after its time column "t"
+_DIAG_SERIES = ("u_l2", "u_h1", "theta_l2", "theta_h1", "psi", "dissipation", "energy_residual")
+
+
+def _trajectory_csv(cfg: ExperimentConfig, traj: Trajectory, kind: str) -> str:
+    cols = [traj.times] + [getattr(traj, name) for name in _DIAG_SERIES]
+    return _csv(cfg, ("t",) + _DIAG_SERIES, zip(*cols), (kind,))
+
+
+def _control_csv(cfg: ExperimentConfig, control: Control) -> str:
+    """One row per time cell and one column per mark."""
+    shape = f"horizon={control.horizon:.17g} cells={control.n_cells} marks={control.n_marks}"
+    columns = [f"g_mark{i+1}" for i in range(control.n_marks)]
+    return _csv(cfg, columns, control.values, (shape,))
+
+
+_COMPONENTS = ("u1", "u2", "theta1", "theta2")
+
+
+def state_to_text(state: SpectralState) -> str:
+    """Flat text checkpoint: per component, lines of k1 k2 re im.
+
+    Every nonzero coefficient of the full N x N spectrum is listed, in
+    FFT (row-major) order.
+    """
+    n = state.grid.n
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    parts = [f"# modes={n} time={state.time:.17g}\n"]
+    spectra = full_from_half(np.concatenate((state.u_hat, state.theta_hat)))
+    for name, c in zip(_COMPONENTS, spectra):
+        i, j = np.nonzero(c)
+        z = c[i, j]
+        rows = np.column_stack((k[i], k[j], z.real, z.imag))
+        parts.append(f"# component {name}\n")
+        parts.append("%d %d %.17g %.17g\n" * len(i) % tuple(rows.ravel().tolist()))
+    return "".join(parts)
+
+
+def _jumps_text(jumps: JumpSample) -> str:
+    """The ``jumps.txt`` table: one ``t mark_index`` line per event."""
+    return "# t mark_index\n" + "".join(f"{t:.17g} {m}\n" for t, m in zip(jumps.times, jumps.marks))
+
+
 def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     results = run_all(cfg)
     print(render_table(results))
-    rows = ["group,name,passed,detail"]
-    rows += [f"{r.group},{r.name},{int(r.passed)},\"{r.detail}\"" for r in results]
-    _write(out_dir, "verify_report.csv", "\n".join(f"# {h}" for h in _headers(cfg)) + "\n" + "\n".join(rows) + "\n")
+    rows = [(r.group, r.name, int(r.passed), f'"{r.detail}"') for r in results]
+    _write(out_dir, "verify_report.csv", _csv(cfg, ("group", "name", "passed", "detail"), rows))
     _echo_config(cfg, out_dir)
     return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERICAL
 
@@ -86,9 +140,9 @@ def cmd_skeleton(cfg: ExperimentConfig, out_dir: Path) -> int:
     init = cfg.build_init(solver_cfg.grid)
     g = cfg.build_control()
     traj = solve_skeleton(init, g, solver_cfg, keep_snapshots=False)
-    _write(out_dir, "skeleton_trajectory.csv", traj.to_csv(_headers(cfg, ("kind=skeleton",))))
+    _write(out_dir, "skeleton_trajectory.csv", _trajectory_csv(cfg, traj, "kind=skeleton"))
     _write(out_dir, "final_state.txt", _with_headers(cfg, state_to_text(traj.final_state())))
-    _write(out_dir, "control.csv", control_to_csv(g, _headers(cfg)))
+    _write(out_dir, "control.csv", _control_csv(cfg, g))
     _echo_config(cfg, out_dir)
     if traj.diverged:
         print(_error_record("diverged", "skeleton run hit the blow-up guard"), file=sys.stderr)
@@ -105,8 +159,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     # the SDE sees the tilt only through its jumps: draw them once, replay, and save them
     _, jumps = draw_jumps(eps, phi, solver_cfg, cfg.seed)
     traj = solve_sde_with_jumps(init, eps, jumps, solver_cfg)
-    _write(out_dir, "sde_trajectory.csv", traj.to_csv(_headers(cfg, (f"kind=sde eps={eps}",))))
-    _write(out_dir, "jumps.txt", _with_headers(cfg, jumps.to_text()))
+    _write(out_dir, "sde_trajectory.csv", _trajectory_csv(cfg, traj, f"kind=sde eps={eps}"))
+    _write(out_dir, "jumps.txt", _with_headers(cfg, _jumps_text(jumps)))
     _write(out_dir, "final_state.txt", _with_headers(cfg, state_to_text(traj.final_state())))
     _echo_config(cfg, out_dir)
     if traj.diverged:
@@ -121,11 +175,8 @@ def cmd_convolution(cfg: ExperimentConfig, out_dir: Path) -> int:
     init = cfg.build_init(solver_cfg.grid)
     phi = cfg.build_control()
     conv = solve_stochastic_convolution(init, cfg.simulate_eps, phi, solver_cfg, seed=cfg.seed)
-    _write(
-        out_dir,
-        "convolution_trajectory.csv",
-        conv.to_csv(_headers(cfg, (f"kind=convolution eps={cfg.simulate_eps}",))),
-    )
+    kind = f"kind=convolution eps={cfg.simulate_eps}"
+    _write(out_dir, "convolution_trajectory.csv", _trajectory_csv(cfg, conv, kind))
     _echo_config(cfg, out_dir)
     if conv.diverged:
         print(_error_record("diverged", "convolution run hit the blow-up guard"), file=sys.stderr)
@@ -139,8 +190,6 @@ def cmd_rate(cfg: ExperimentConfig, out_dir: Path) -> int:
     init = cfg.build_init(solver_cfg.grid)
     target_control = None
     if cfg.rate_target_tilt != 1.0:
-        from .noise import Control
-
         target_control = Control.constant(
             solver_cfg.t_final, cfg.rate_target_tilt, 1, solver_cfg.mark_space.size
         )
@@ -156,8 +205,8 @@ def cmd_rate(cfg: ExperimentConfig, out_dir: Path) -> int:
         tolerance=cfg.rate_tolerance,
     )
     sol = optimize_control(prob)
-    _write(out_dir, "rate_history.csv", sol.history_csv(_headers(cfg)))
-    _write(out_dir, "g_star.csv", control_to_csv(sol.g_star, _headers(cfg)))
+    _write(out_dir, "rate_history.csv", _csv(cfg, ("iteration", "objective", "cost", "mismatch"), sol.history))
+    _write(out_dir, "g_star.csv", _control_csv(cfg, sol.g_star))
     _echo_config(cfg, out_dir)
     print(
         f"rate: objective={sol.objective:.6g} cost={sol.cost:.6g} "
@@ -178,7 +227,8 @@ def cmd_mc_ldp(cfg: ExperimentConfig, out_dir: Path) -> int:
         seed=cfg.seed,
         phi=phi,
     )
-    _write(out_dir, "mc_ldp.csv", study_rows_csv(rows, _headers(cfg)))
+    columns = ("eps", "median", "q25", "q75", "n_diverged")
+    _write(out_dir, "mc_ldp.csv", _csv(cfg, columns, ([r[c] for c in columns] for r in rows)))
     conv_rows = convolution_scaling_study(
         cfg.experiment_eps_list,
         cfg.experiment_n_paths,
@@ -187,7 +237,7 @@ def cmd_mc_ldp(cfg: ExperimentConfig, out_dir: Path) -> int:
         seed=cfg.seed,
         phi=phi,
     )
-    conv_text = study_rows_csv(conv_rows, _headers(cfg), columns=("eps", "mean_sup_sq"))
+    conv_text = _csv(cfg, ("eps", "mean_sup_sq"), ((r["eps"], r["mean_sup_sq"]) for r in conv_rows))
     _write(out_dir, "convolution_scaling.csv", conv_text)
     _echo_config(cfg, out_dir)
     medians = [r["median"] for r in rows]
@@ -208,14 +258,10 @@ def cmd_importance(cfg: ExperimentConfig, out_dir: Path) -> int:
         indicator, cfg.importance_eps, cfg.importance_n_paths, solver_cfg, init,
         seed=cfg.seed,
     )
-    lines = "\n".join(f"# {h}" for h in _headers(cfg, (f"eps={cfg.importance_eps} threshold={cfg.importance_threshold}",)))
-    body = "method,estimate,std_error,n_paths,n_diverged,sample_variance\n"
-    for name, res in (("tilted", tilted), ("plain", plain)):
-        body += (
-            f"{name},{res['estimate']:.17g},{res['std_error']:.17g},"
-            f"{res['n_paths']},{res['n_diverged']},{res['sample_variance']:.17g}\n"
-        )
-    _write(out_dir, "importance.csv", lines + "\n" + body)
+    columns = ("estimate", "std_error", "n_paths", "n_diverged", "sample_variance")
+    rows = [(name, *(res[c] for c in columns)) for name, res in (("tilted", tilted), ("plain", plain))]
+    extra = (f"eps={cfg.importance_eps} threshold={cfg.importance_threshold}",)
+    _write(out_dir, "importance.csv", _csv(cfg, ("method", *columns), rows, extra))
     _echo_config(cfg, out_dir)
     print(
         f"importance: tilted={tilted['estimate']:.5g} (se {tilted['std_error']:.2g}) "

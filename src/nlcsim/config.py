@@ -318,6 +318,10 @@ def _validate(cfg: ExperimentConfig, lines: dict[str, int], path: str):
         fail("rate.penalty", "rate.penalty must be > 0")
     if cfg.rate_cells < 1:
         fail("rate.cells", "rate.cells must be >= 1")
+    if cfg.rate_max_iters < 1:
+        fail("rate.max_iters", f"rate.max_iters must be >= 1, got {cfg.rate_max_iters}")
+    if cfg.rate_step_size <= 0:
+        fail("rate.step_size", f"rate.step_size must be > 0, got {cfg.rate_step_size}")
     # vocabulary check: build on a throwaway grid so bad descriptors fail here
     grid = cfg.build_grid()
     for key, what, build in (

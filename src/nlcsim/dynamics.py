@@ -44,7 +44,6 @@ spectrally divergence-free with a zero mean mode.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -80,12 +79,10 @@ from .operators import (
 )
 from .spectral import (
     TorusGrid,
-    full_from_half,
     half_inner,
     half_norms_sq,
     half_tables,
     nyquist_free,
-    pad_half,
 )
 
 
@@ -182,9 +179,6 @@ class SolverConfig:
         return 1 if self.t_final <= 2.0 else 10
 
 
-DIAG_COLUMNS = ("t", "u_l2", "u_h1", "theta_l2", "theta_h1", "psi", "dissipation", "energy_residual")
-
-
 @dataclass
 class Trajectory:
     """Diagnostics time series plus the state snapshots the run kept (see ``_run``).
@@ -216,16 +210,6 @@ class Trajectory:
 
     def final_state(self) -> SpectralState:
         return self.snapshots[-1]
-
-    def to_csv(self, header_lines: tuple[str, ...] = ()) -> str:
-        buf = io.StringIO()
-        for line in header_lines:
-            buf.write(f"# {line}\n")
-        buf.write(",".join(DIAG_COLUMNS) + "\n")
-        cols = [self.times] + [getattr(self, name) for name in DIAG_COLUMNS[1:]]
-        for row in zip(*cols):
-            buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +554,7 @@ def solve_sde_with_jumps(
     """Jump-driven system on a caller-supplied point configuration.
 
     Used by importance sampling, where the jump configuration is coupled
-    to the base configuration the tilt weight is computed from, and to
-    replay a saved ``jumps.txt``.
+    to the base configuration the tilt weight is computed from.
     """
     return _run(init, cfg, epsilon=epsilon, jumps=[jumps])[0]
 
@@ -784,76 +767,3 @@ def sup_state_distance(traj_a: Trajectory, traj_b: Trajectory) -> float:
     if not np.allclose(traj_a.snapshot_times, traj_b.snapshot_times, atol=1e-12):
         raise SolverError("snapshot times differ")
     return max(state_distance(x, y) for x, y in zip(traj_a.snapshots, traj_b.snapshots))
-
-
-def embed_state(state: SpectralState, fine_grid: TorusGrid) -> SpectralState:
-    """Exact embedding of a coarse-grid state into a finer grid."""
-    if fine_grid.n < state.grid.n:
-        raise SolverError("target grid must be at least as fine")
-    m = fine_grid.n
-    return SpectralState(fine_grid, pad_half(state.u_hat, m), pad_half(state.theta_hat, m), state.time)
-
-
-# ---------------------------------------------------------------------------
-# checkpoint serialization
-
-_COMPONENTS = ("u1", "u2", "theta1", "theta2")
-
-
-def state_to_text(state: SpectralState) -> str:
-    """Flat text checkpoint: per component, lines of k1 k2 re im.
-
-    Every nonzero coefficient of the full N x N spectrum is listed, in
-    FFT (row-major) order.
-    """
-    n = state.grid.n
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    parts = [f"# modes={n} time={state.time:.17g}\n"]
-    spectra = full_from_half(np.concatenate((state.u_hat, state.theta_hat)))
-    for name, c in zip(_COMPONENTS, spectra):
-        i, j = np.nonzero(c)
-        z = c[i, j]
-        rows = np.column_stack((k[i], k[j], z.real, z.imag))
-        parts.append(f"# component {name}\n")
-        parts.append("%d %d %.17g %.17g\n" * len(i) % tuple(rows.ravel().tolist()))
-    return "".join(parts)
-
-
-def state_from_text(text: str) -> SpectralState:
-    """The state of a :func:`state_to_text` checkpoint; malformed text raises SolverError.
-
-    Coefficients with k2 < 0 are the conjugates of listed ones and are
-    skipped; a wavenumber outside the band |k_j| <= N/2 - 1 is rejected.
-    """
-    modes = arrays = current = None
-    time = 0.0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        try:
-            if line.startswith("# modes="):
-                head = dict(tok.split("=", 1) for tok in line[1:].split())
-                modes, time = int(head["modes"]), float(head["time"])
-                grid = TorusGrid(modes)
-                arrays = np.zeros((4, modes, modes // 2 + 1), dtype=complex)
-            elif line.startswith("# component"):
-                name = line.split()[-1]
-                if name not in _COMPONENTS:
-                    raise SolverError(f"unknown component '{name}'")
-                current = _COMPONENTS.index(name)
-            elif line and not line.startswith("#"):
-                if arrays is None:
-                    raise SolverError("checkpoint is missing the modes header")
-                if current is None:
-                    raise SolverError("coefficient line before any component header")
-                k1, k2, re, im = line.split()
-                k1, k2, value = int(k1), int(k2), complex(float(re), float(im))
-                if max(abs(k1), abs(k2)) > modes // 2 - 1:
-                    raise SolverError(f"wavenumber ({k1}, {k2}) is outside the band of N={modes}")
-                if k2 >= 0:
-                    arrays[current, k1 % modes, k2] = value
-        except (ValueError, KeyError) as exc:
-            msg = exc.args[0] if isinstance(exc, SolverError) else f"cannot parse '{line}' ({exc})"
-            raise SolverError(f"checkpoint line {lineno}: {msg}") from None
-    if modes is None:
-        raise SolverError("checkpoint is missing the modes header")
-    return SpectralState(grid, arrays[:2], arrays[2:], time)

@@ -42,7 +42,6 @@ or every path hits).
 
 from __future__ import annotations
 
-import io
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -96,6 +95,10 @@ class RateProblem:
             raise ValueError("penalty_weight must be positive")
         if self.n_cells < 1 or self.cfg.mark_space is None:
             raise ValueError("need at least one control cell and a mark space")
+        if self.step_size <= 0:
+            raise ValueError(f"step_size must be positive, got {self.step_size}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
     @property
     def n_marks(self) -> int:
@@ -120,15 +123,6 @@ class RateSolution:
     objective: float
     converged: bool
     history: list[tuple[int, float, float, float]] = field(default_factory=list)
-
-    def history_csv(self, header_lines: tuple[str, ...] = ()) -> str:
-        buf = io.StringIO()
-        for line in header_lines:
-            buf.write(f"# {line}\n")
-        buf.write("iteration,objective,cost,mismatch\n")
-        for it, obj, cost, mis in self.history:
-            buf.write(f"{it},{obj:.17g},{cost:.17g},{mis:.17g}\n")
-        return buf.getvalue()
 
 
 def _mismatch(traj: Trajectory, target: SpectralState) -> float:
@@ -382,20 +376,6 @@ def mc_small_noise_study(
             }
         )
     return rows
-
-
-def study_rows_csv(
-    rows: list[dict],
-    header_lines: tuple[str, ...] = (),
-    columns: tuple[str, ...] = ("eps", "median", "q25", "q75", "n_diverged"),
-) -> str:
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
-    buf.write(",".join(columns) + "\n")
-    for r in rows:
-        buf.write(",".join(f"{r[c]:.17g}" for c in columns) + "\n")
-    return buf.getvalue()
 
 
 def convolution_scaling_study(

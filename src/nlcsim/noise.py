@@ -19,7 +19,6 @@ stream per (purpose, path), so parallel Monte Carlo is reproducible.
 from __future__ import annotations
 
 import hashlib
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,25 +190,6 @@ class JumpSample:
     @property
     def size(self) -> int:
         return int(self.times.size)
-
-    def to_text(self) -> str:
-        buf = io.StringIO()
-        buf.write("# t mark_index\n")
-        for t, m in zip(self.times, self.marks):
-            buf.write(f"{t:.17g} {m}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_text(cls, text: str, horizon: float) -> "JumpSample":
-        times, marks = [], []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            t, m = line.split()
-            times.append(float(t))
-            marks.append(int(m))
-        return cls(np.asarray(times), np.asarray(marks, dtype=int), horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -388,40 +368,3 @@ def girsanov_log_density(
     comp = (vals - 1.0) * ms.weight_array()[None, :] * control.cell_width
     total += float(np.sum(comp) / epsilon)
     return total
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def control_to_csv(control: Control, header_lines: tuple[str, ...] = ()) -> str:
-    """CSV with one row per time cell and one column per mark."""
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
-    buf.write(f"# horizon={control.horizon:.17g} cells={control.n_cells} marks={control.n_marks}\n")
-    buf.write(",".join(f"g_mark{i+1}" for i in range(control.n_marks)) + "\n")
-    for row in control.values:
-        buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    return buf.getvalue()
-
-
-def control_from_csv(text: str) -> Control:
-    horizon = None
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if "horizon=" in line:
-                for token in line.lstrip("# ").split():
-                    if token.startswith("horizon="):
-                        horizon = float(token.split("=", 1)[1])
-            continue
-        if line.startswith("g_mark"):
-            continue
-        rows.append([float(v) for v in line.split(",")])
-    if horizon is None:
-        raise NoiseError("control CSV is missing the horizon header")
-    return Control(horizon, np.asarray(rows, dtype=float))

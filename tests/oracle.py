@@ -9,7 +9,10 @@ fields, the field-level explicit terms of one step
 (``nonlinear_terms``), and the allocate-per-call padded transform pair
 (``plain_to_grid``/``plain_from_grid``) that the package's
 workspace-backed pair must equal bit for bit.  ``half``/``state_of``/``u_of``/``theta_of``/
-``spec_of`` convert between fields and the arrays the package takes.
+``spec_of`` convert between fields and the arrays the package takes, and
+``embed_state`` moves a state onto a finer grid.  The package writes its
+artifacts (``nlcsim.cli``) and reads back only the echoed config; the
+minimal readers the round-trip tests use are at the end of this file.
 """
 
 from dataclasses import dataclass
@@ -17,8 +20,9 @@ from typing import Iterable
 
 import numpy as np
 
-from nlcsim.dynamics import SolverConfig, SpectralState, cutoff_chi
-from nlcsim.noise import JumpCoefficientSpec
+from nlcsim.cli import _COMPONENTS
+from nlcsim.dynamics import SolverConfig, SolverError, SpectralState, cutoff_chi
+from nlcsim.noise import Control, JumpCoefficientSpec, JumpSample
 from nlcsim.operators import (
     DEFAULT_NONLINEARITY,
     PolynomialNonlinearity,
@@ -64,6 +68,14 @@ def state_of(u: VectorField, theta: VectorField, time: float = 0.0) -> SpectralS
 def zero_state(grid: TorusGrid, time: float = 0.0) -> SpectralState:
     zeros = np.zeros((2, grid.n, grid.n // 2 + 1), dtype=complex)
     return SpectralState(grid, zeros, zeros, time)
+
+
+def embed_state(state: SpectralState, fine_grid: TorusGrid) -> SpectralState:
+    """Exact embedding of a coarse-grid state into a finer grid."""
+    if fine_grid.n < state.grid.n:
+        raise SolverError("target grid must be at least as fine")
+    m = fine_grid.n
+    return SpectralState(fine_grid, pad_half(state.u_hat, m), pad_half(state.theta_hat, m), state.time)
 
 
 def u_of(state: SpectralState) -> DivergenceFreeField:
@@ -326,3 +338,43 @@ def random_divergence_free_field(grid, rng, kmax=None, amplitude=1.0, decay=0.0)
     if cur > 0:
         u = u * (amplitude / cur)
     return u
+
+
+# ---------------------------------------------------------------------------
+# readers of the artifact formats (well-formed input only)
+
+
+def _data_lines(text: str) -> list[str]:
+    return [line for line in text.splitlines() if line and not line.startswith("#")]
+
+
+def state_from_text(text: str) -> SpectralState:
+    """The state of a ``cli.state_to_text`` checkpoint.
+
+    Coefficients with k2 < 0 are the conjugates of listed ones and are skipped.
+    """
+    for line in text.splitlines():
+        if line.startswith("# modes="):
+            head = dict(tok.split("=", 1) for tok in line[2:].split())
+            n, time = int(head["modes"]), float(head["time"])
+            arrays = np.zeros((4, n, n // 2 + 1), dtype=complex)
+        elif line.startswith("# component "):
+            comp = arrays[_COMPONENTS.index(line.split()[-1])]
+        elif line and not line.startswith("#"):
+            k1, k2, re, im = line.split()
+            if int(k2) >= 0:
+                comp[int(k1) % n, int(k2)] = complex(float(re), float(im))
+    return SpectralState(TorusGrid(n), arrays[:2], arrays[2:], time)
+
+
+def jumps_from_text(text: str, horizon: float) -> JumpSample:
+    """The jump configuration of a ``jumps.txt`` table."""
+    rows = [line.split() for line in _data_lines(text)]
+    return JumpSample(np.array([float(t) for t, _ in rows]), np.array([int(m) for _, m in rows]), horizon)
+
+
+def control_from_csv(text: str) -> Control:
+    """The tilt of a ``control.csv`` or ``g_star.csv`` artifact."""
+    horizon = next(float(tok[len("horizon="):]) for tok in text.split() if tok.startswith("horizon="))
+    rows = [[float(v) for v in line.split(",")] for line in _data_lines(text)[1:]]
+    return Control(horizon, np.array(rows))

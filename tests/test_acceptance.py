@@ -13,7 +13,6 @@ from nlcsim.dynamics import (
     SolverConfig,
     SpectralState,
     apriori_bound,
-    embed_state,
     energy_ledger,
     galerkin_project,
     solve_skeleton,
@@ -51,6 +50,7 @@ from nlcsim.spectral import (
 )
 
 from oracle import (
+    embed_state,
     field_from_function,
     half,
     random_divergence_free_field,

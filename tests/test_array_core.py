@@ -13,6 +13,7 @@ import io
 import numpy as np
 import pytest
 
+from nlcsim.cli import state_to_text
 from nlcsim.dynamics import (
     SolverConfig,
     SpectralState,
@@ -23,8 +24,6 @@ from nlcsim.dynamics import (
     skeleton_adjoint,
     solve_sde_with_jumps,
     solve_skeleton,
-    state_from_text,
-    state_to_text,
 )
 from nlcsim.noise import (
     Control,
@@ -54,6 +53,7 @@ from oracle import (
     random_divergence_free_field,
     random_vector_field,
     spec_of,
+    state_from_text,
     state_of,
     theta_of,
     u_of,

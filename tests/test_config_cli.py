@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlcsim.cli import main
+from nlcsim.cli import main, state_to_text
 from nlcsim.config import (
     ConfigError,
     ExperimentConfig,
@@ -15,11 +15,10 @@ from nlcsim.config import (
     serialize_config,
     velocity_shape,
 )
-from nlcsim.dynamics import solve_sde_with_jumps, state_to_text
-from nlcsim.noise import JumpSample
+from nlcsim.dynamics import solve_sde_with_jumps
 from nlcsim.spectral import TorusGrid, l2_norm, vector_field
 
-from oracle import divergence_residual
+from oracle import divergence_residual, jumps_from_text
 
 MINIMAL = "seed = 7\n"
 
@@ -208,6 +207,8 @@ class TestParsing:
             "importance.n_paths = 0",
             "importance.eps = -1",
             "rate.cells = 0",
+            "rate.max_iters = -3",
+            "rate.step_size = -0.5",
         ),
     )
     def test_out_of_range_value_rejected_at_its_key_and_line(self, line):
@@ -269,7 +270,7 @@ class TestCli:
         assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
         cfg = parse_config(cfg_path)
         solver_cfg = cfg.build_solver_config()
-        jumps = JumpSample.from_text((out / "jumps.txt").read_text(), solver_cfg.t_final)
+        jumps = jumps_from_text((out / "jumps.txt").read_text(), solver_cfg.t_final)
         assert jumps.size > 0
         traj = solve_sde_with_jumps(cfg.build_init(solver_cfg.grid), cfg.simulate_eps, jumps, solver_cfg)
         assert (out / "final_state.txt").read_text().endswith(state_to_text(traj.final_state()))

@@ -3,21 +3,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nlcsim.cli import _trajectory_csv, state_to_text
+from nlcsim.config import ExperimentConfig
 from nlcsim.dynamics import (
     SolverConfig,
     SolverError,
     SpectralState,
     apriori_bound,
     cutoff_chi,
-    embed_state,
     energy_ledger,
     galerkin_project,
     solve_skeleton,
     solve_small_noise_sde,
     solve_stochastic_convolution,
     state_distance_sq_split,
-    state_from_text,
-    state_to_text,
     sup_state_distance,
     trajectory_sup_energy,
 )
@@ -33,11 +32,13 @@ from nlcsim.spectral import (
 
 from oracle import (
     divergence_residual,
+    embed_state,
     field_from_function,
     nonlinear_terms,
     random_divergence_free_field,
     random_vector_field,
     spec_of,
+    state_from_text,
     state_of,
     theta_of,
     u_of,
@@ -466,36 +467,10 @@ class TestSerialization:
         assert np.allclose(theta_of(back).c1.coeffs, theta_of(state).c1.coeffs, atol=1e-16)
         assert back.time == state.time
 
-    # malformed checkpoints raise SolverError, not a KeyError or a silent wrap
-
-    def test_coefficient_before_component_rejected(self):
-        with pytest.raises(SolverError, match="line 2: coefficient line before any component"):
-            state_from_text("# modes=8 time=0\n1 0 0.5 0\n")
-
-    def test_unknown_component_rejected(self):
-        with pytest.raises(SolverError, match="line 2: unknown component 'w9'"):
-            state_from_text("# modes=8 time=0\n# component w9\n1 0 0.5 0\n")
-
-    def test_missing_modes_header_rejected(self):
-        with pytest.raises(SolverError, match="missing the modes header"):
-            state_from_text("# component theta1\n1 0 0.5 0\n")
-        with pytest.raises(SolverError, match="missing the modes header"):
-            state_from_text("")
-
-    def test_out_of_band_wavenumber_rejected(self):
-        with pytest.raises(SolverError, match=r"line 3: wavenumber \(9, 0\) is outside the band of N=8"):
-            state_from_text("# modes=8 time=0\n# component theta1\n9 0 0.5 0\n")
-        with pytest.raises(SolverError, match="outside the band"):
-            state_from_text("# modes=8 time=0\n# component theta1\n-4 0 0.5 0\n")
-
-    def test_unparsable_line_rejected(self):
-        with pytest.raises(SolverError, match="line 3: cannot parse"):
-            state_from_text("# modes=8 time=0\n# component u1\n1 0 x 0\n")
-
     def test_trajectory_csv(self, cfg16, rng):
         init = smooth_state(cfg16.grid, rng)
         traj = solve_skeleton(init, None, cfg16)
-        text = traj.to_csv(header_lines=("config_hash=deadbeef", "seed=1"))
+        text = _trajectory_csv(ExperimentConfig(seed=1), traj, "kind=skeleton")
         lines = [l for l in text.splitlines() if not l.startswith("#")]
         header = lines[0].split(",")
         assert header == [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nlcsim.cli import main
 from nlcsim.config import parse_config_text
 from nlcsim.dynamics import (
     SolverConfig,
@@ -21,7 +22,6 @@ from nlcsim.ldp import (
     plain_mc_probability,
     rate_objective,
     rate_objective_parts,
-    study_rows_csv,
     sup_velocity_indicator,
 )
 from nlcsim.noise import (
@@ -111,6 +111,12 @@ class TestRateObjective:
 
 
 class TestOptimizer:
+    @pytest.mark.parametrize("bad", ({"step_size": -0.5}, {"step_size": 0.0}, {"max_iters": 0}))
+    def test_nonpositive_step_or_iterations_rejected(self, rng, bad):
+        prob = small_problem(rng)
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be"):
+            RateProblem(init=prob.init, target=prob.target, cfg=prob.cfg, **bad)
+
     def test_unit_target_recovered(self, rng):
         prob = small_problem(rng)
         sol = optimize_control(prob)
@@ -226,11 +232,14 @@ class TestSmallNoiseStudy:
         with pytest.raises(StudyError):
             mc_small_noise_study([0.4, 0.1], 4, cfg, init, seed=1)
 
-    def test_csv(self, rng):
-        cfg, init = self._study_cfg(rng)
-        rows = mc_small_noise_study([0.4, 0.2], 8, cfg, init, seed=3)
-        text = study_rows_csv(rows, header_lines=("seed=3",))
-        lines = [l for l in text.splitlines() if not l.startswith("#")]
+    def test_csv(self, tmp_path):
+        config = tmp_path / "study.ini"
+        config.write_text(
+            "seed = 3\ngrid.modes = 8\nsolver.t_final = 0.05\n"
+            "experiment.eps_list = 0.4, 0.2\nexperiment.n_paths = 8\n"
+        )
+        assert main(["mc-ldp", "--config", str(config), "--out", str(tmp_path)]) == 0
+        lines = [l for l in (tmp_path / "mc_ldp.csv").read_text().splitlines() if not l.startswith("#")]
         assert lines[0] == "eps,median,q25,q75,n_diverged"
         assert len(lines) == 3
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from nlcsim.cli import _control_csv, _jumps_text
+from nlcsim.config import ExperimentConfig
 from nlcsim.noise import (
     Control,
     InvalidChangeOfMeasure,
@@ -11,8 +13,6 @@ from nlcsim.noise import (
     apriori_control_constant,
     compensator_integral,
     control_drift,
-    control_from_csv,
-    control_to_csv,
     cost_LT,
     entropy_l,
     eval_G,
@@ -29,7 +29,14 @@ from nlcsim.spectral import (
     leray_project,
 )
 
-from oracle import field_from_function, random_divergence_free_field, shape_field, spec_of
+from oracle import (
+    control_from_csv,
+    field_from_function,
+    jumps_from_text,
+    random_divergence_free_field,
+    shape_field,
+    spec_of,
+)
 
 ELL2 = 0.3862943611198906  # 2 log 2 - 1
 
@@ -401,7 +408,7 @@ class TestGirsanov:
 class TestSerialization:
     def test_control_roundtrip(self):
         control = Control(2.0, np.array([[0.5, 1.5], [2.0, 1.0], [1.0, 0.0]]))
-        text = control_to_csv(control, header_lines=("seed=42",))
+        text = _control_csv(ExperimentConfig(seed=42), control)
         back = control_from_csv(text)
         assert back.horizon == control.horizon
         assert np.array_equal(back.values, control.values)
@@ -409,7 +416,7 @@ class TestSerialization:
     def test_jump_sample_roundtrip(self):
         ms = MarkSpace(weights=(1.0, 2.0))
         sample = sample_prm(ms, 1.0, 20.0, rng_for(37, "ser"))
-        back = JumpSample.from_text(sample.to_text(), 1.0)
+        back = jumps_from_text(_jumps_text(sample), 1.0)
         assert np.allclose(back.times, sample.times)
         assert np.array_equal(back.marks, sample.marks)
 
