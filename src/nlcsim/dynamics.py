@@ -3,7 +3,8 @@
 One first-order IMEX scheme drives everything: the linear (Stokes and
 director Laplacian) parts are integrated exactly per Fourier mode with the
 factor exp(-|k|^2 dt), while convection, director stress, the polynomial
-relaxation, control drift, and jump increments enter explicitly.
+relaxation, and the forcing (control drift or jump increments) enter
+explicitly.
 
 The solver state is array-native: a ``SpectralState`` holds u and theta
 as (2, N, N//2+1) rfft coefficient arrays (the half layout of
@@ -15,15 +16,16 @@ SDE, and the auxiliary jump convolution all pass through it, so zeroing
 the noise makes the SDE agree with the skeleton bit for bit.  It steps a
 batch of paths along a leading path axis, (P, 2, N, N//2+1): each step
 makes one batched inverse and one batched forward transform call for the
-whole batch (``operators.explicit_rhs``).  The control drift and the
-compensated jumps are each one affine mark sum
-sum_i c_i shape_i + (sum_i c_i gain_i) u, with per-step coefficients that
-are shared (the drift) or per path (the jumps, from a per-path
-steps x marks count matrix); the convolution increment reuses the jump
-sum and adds one shared-row sum.  The norms computed for the blow-up check
-serve the next diagnostic row and the per-path cutoffs.  No operation
-mixes paths, so path k of a batch equals its one-path run bit for bit; a
-path that diverges is dropped from the batch and the rest continue.
+whole batch (``operators.explicit_rhs``).  The three drivers differ only
+in the increment over a step of the measure that drives the velocity, so
+each enters as one forcing sum_i c_i G(u, v_i) = sum_i c_i (shape_i +
+gain_i u) read from one per-step, per-path, per-mark coefficient table:
+dt w (g - 1) for the skeleton's controlled drift, eps n - dt w for the
+SDE's compensated jumps and eps n - dt w phi for the convolution's.  The
+norms computed for the blow-up check serve the next diagnostic row and
+the per-path cutoffs.  No operation mixes paths, so path k of a batch
+equals its one-path run bit for bit; a path that diverges is dropped from
+the batch and the tables, and the rest continue.
 
 A run records a snapshot of the state at the start of every step and
 one of the final state, n_steps + 1 in all; ``keep_snapshots=False``
@@ -156,13 +158,17 @@ class SolverConfig:
     energy_diagnostics: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_final <= 0:
-            raise SolverError("dt and t_final must be positive")
+        if not (0 < self.dt <= self.t_final < np.inf):
+            raise SolverError(f"need 0 < dt <= t_final < inf, got dt={self.dt} and t_final={self.t_final}")
         steps = self.t_final / self.dt
         if abs(steps - round(steps)) > 1e-6:
             raise SolverError(f"t_final/dt = {steps} is not integral within rounding")
         if self.cutoff_level is not None and self.cutoff_level < 1:
             raise SolverError(f"cutoff level must be >= 1, got {self.cutoff_level}")
+        if self.diag_stride is not None and self.diag_stride < 1:
+            raise SolverError(f"diag_stride must be >= 1 (None = automatic), got {self.diag_stride}")
+        if not self.blowup_threshold > 0:
+            raise SolverError(f"blowup_threshold must be > 0, got {self.blowup_threshold}")
         if (self.mark_space is None) != (self.jump_spec is None):
             raise SolverError("mark_space and jump_spec must be provided together")
         if self.jump_spec is not None and self.jump_spec.size != self.mark_space.size:
@@ -216,20 +222,17 @@ class Trajectory:
 # cutoffs
 
 
-def cutoff_chi(norm_value: float, level: float) -> float:
-    """C^1 smoothstep cutoff: 1 up to the level, 0 beyond level + 1."""
-    if norm_value <= level:
-        return 1.0
-    if norm_value > level + 1.0:
-        return 0.0
-    s = norm_value - level
-    return 1.0 - 3.0 * s**2 + 2.0 * s**3
+def cutoff_chi(norm_value, level: float):
+    """C^1 smoothstep cutoff, elementwise: 1 up to the level, 0 beyond level + 1."""
+    s = np.clip(norm_value - level, 0.0, 1.0)
+    # float_power is libm pow on every element, so an array agrees with its scalars bit for bit
+    return 1.0 - 3.0 * np.float_power(s, 2) + 2.0 * np.float_power(s, 3)
 
 
-def _cutoff_slope(norm_value: float, level: float) -> float:
-    """Derivative of :func:`cutoff_chi` in the norm (zero outside (level, level + 1])."""
-    s = norm_value - level
-    return 6.0 * s * (s - 1.0) if 0.0 < s <= 1.0 else 0.0
+def _cutoff_slope(norm_value, level: float):
+    """Derivative of :func:`cutoff_chi` in the norm, elementwise (zero outside (level, level + 1))."""
+    s = np.clip(norm_value - level, 0.0, 1.0)
+    return 6.0 * s * (s - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +334,31 @@ def _trajectory(kind: str, cfg: SolverConfig, status: str, rows: np.ndarray, sna
     )
 
 
-def _step_cells(control: Control, dt: float, n_rows: int) -> np.ndarray:
-    """The control cell of t = k dt for k = 0 .. n_rows - 1 (its rows are the tilt of step k)."""
-    return np.array([control.cell_of(k * dt) for k in range(n_rows)])
+def _skeleton_table(control: Control, cfg: SolverConfig):
+    """(cells, table): the control cell of t = k dt and the skeleton's forcing coefficients.
+
+    For k = 0 .. n_steps, ``table[k, 0, i]`` is dt w_i (g(t, v_i) - 1), the
+    increment of the controlled drift over step k: shape (n_steps + 1, 1,
+    marks), one path.  The last row forces no step; it gives the final
+    diagnostic row its drift pairing.
+    """
+    cells = control.cells_of(np.arange(cfg.n_steps + 1) * cfg.dt)
+    return cells, (cfg.dt * cfg.mark_space.weight_array() * (control.values[cells] - 1.0))[:, None]
+
+
+def _mark_sum(c: np.ndarray, spec: JumpCoefficientSpec, u_hat: np.ndarray) -> np.ndarray:
+    """sum_i c_i (shape_i + gain_i u) for each path, from (paths, marks) rows c.
+
+    Mark by mark, so no path's sum depends on the batch it sits in; a real
+    coefficient scales both parts of the complex shapes and velocity.
+    """
+    shapes, gains, u_real = spec.shapes.view(float), np.asarray(spec.gains, dtype=float), u_hat.view(float)
+    acc, gain = c[:, 0, None, None, None] * shapes[0], c[:, 0] * gains[0]
+    for i in range(1, c.shape[1]):
+        acc += c[:, i, None, None, None] * shapes[i]
+        gain = gain + c[:, i] * gains[i]
+    acc += gain[:, None, None, None] * u_real
+    return acc.view(complex)
 
 
 def _run(
@@ -348,24 +373,28 @@ def _run(
 ):
     """IMEX-Euler loop shared by every solver, over a leading path axis.
 
-    Without ``epsilon`` one path runs the skeleton flow and the control
-    enters through its deterministic drift.  With it, one path per sample
-    in ``jumps`` runs the jump SDE from ``init``: the velocity receives the
-    aggregated jump increments minus the unit compensator (the control tilt
-    is then carried by the realized jumps, and only sets the convolution's
-    compensator).  Each of these is the affine mark sum
-    sum_i c_i G(u, v_i) at the pre-step velocity, with per-step
-    coefficients w (g - 1) (skeleton drift, shared by the paths) and
-    eps n - dt w (compensated jumps, n the step's jump count per path and
-    mark).  The convolution's coefficients eps n - dt w phi are the jumps'
-    plus the shared row dt w (1 - phi), so its increment reuses the jump sum.
+    Without ``epsilon`` one path runs the skeleton flow under the tilt
+    ``control``.  With it, one path per sample in ``jumps`` runs the jump
+    SDE from ``init`` (the tilt is then carried by the realized jumps, and
+    ``control`` only sets the convolution's compensator).  Every path makes
+    the same update
+
+        u <- F (u + dt nu(u, theta) + sum_i c_i (shape_i + gain_i u)),
+
+    with F = exp(-|k|^2 dt) and one forcing table c of coefficients per
+    step, path and mark: the increment over the step of the measure that
+    drives the velocity, dt w (g - 1) for the skeleton (from
+    ``_skeleton_table``) and eps n - dt w for the SDE, n the step's jump
+    count per path and mark.  The convolution's own table eps n - dt w phi
+    drives xi <- F (xi + sum_i c_i G(u, v_i)).  The unit tilt and a config
+    without marks force nothing.
 
     The state of P paths is (P, 2, N, N//2+1): each step makes one inverse
     and one forward transform call for the whole batch, and the norms,
-    cutoffs and mark-sum coefficients are vectors over P.  No operation
-    mixes paths, so path k of a batch equals a one-path run of it bit for
-    bit.  A path that fails the blow-up guard is reported diverged and
-    dropped from the batch; the others continue.
+    cutoffs and forcing rows are vectors over P.  No operation mixes paths,
+    so path k of a batch equals a one-path run of it bit for bit.  A path
+    that fails the blow-up guard is reported diverged and its row leaves
+    the batch and the tables; the others continue.
 
     Returns one Trajectory per path, plus one convolution Trajectory per
     path with ``track_convolution``.  A path keeps a snapshot at the start
@@ -383,35 +412,15 @@ def _run(
         _require_noise(epsilon, cfg)
     n_paths = len(jumps) if stochastic else 1
     ms, spec, nl, level = cfg.mark_space, cfg.jump_spec, cfg.nonlinearity, cfg.cutoff_level
-    drifted = control is not None and ms is not None and not stochastic
-    if ms is not None:
-        weights = ms.weight_array()
-        # real views of the complex coefficients: a real coefficient scales both parts
-        shapes = spec.shapes.view(float)
-        flat_shapes = shapes.reshape(ms.size, -1)
-        gains = np.asarray(spec.gains, dtype=float)
-
-        def mark_sum(c: np.ndarray, u_hat: np.ndarray) -> np.ndarray:
-            """sum_i c_i shape_i + (sum_i c_i gain_i) u for a shared row c or per-path rows."""
-            u_real = u_hat.view(float)
-            if c.ndim == 1:
-                acc = (c @ flat_shapes).reshape(shapes.shape[1:]) + float(c @ gains) * u_real
-                return acc.view(complex)
-            # mark by mark, so no path's sum depends on the batch it sits in
-            acc, gain = c[:, 0, None, None, None] * shapes[0], c[:, 0] * gains[0]
-            for i in range(1, ms.size):
-                acc += c[:, i, None, None, None] * shapes[i]
-                gain = gain + c[:, i] * gains[i]
-            acc += gain[:, None, None, None] * u_real
-            return acc.view(complex)
-
-    if drifted:
-        drift_coeffs = weights * (control.values[_step_cells(control, dt, n_steps + 1)] - 1.0)
+    table = xi_table = None  # (steps, paths, marks) forcing coefficients of u and of xi
     if stochastic:
-        jump_coeffs = epsilon * _jump_counts(jumps, cfg) - dt * weights
+        counts, dt_w = epsilon * _jump_counts(jumps, cfg), dt * ms.weight_array()
+        table = counts - dt_w
         if track_convolution:
-            # the convolution's coefficients eps n - dt w phi are the jumps' plus this shared row
-            xi_shift = dt * weights * (1.0 - control.values[_step_cells(control, dt, n_steps)])
+            xi_table = counts - (dt_w * control.values[control.cells_of(np.arange(n_steps) * dt)])[:, None]
+    elif control is not None and ms is not None:
+        table = _skeleton_table(control, cfg)[1]
+    pairing = table is not None and not stochastic  # the skeleton's drift pairing <drift, u>
     factor = np.exp(-half_tables(grid.n)[2] * dt)
     threshold = cfg.blowup_threshold
 
@@ -433,12 +442,12 @@ def _run(
     xi_snaps = [[] for _ in range(n_paths)]
     n_snaps = 0
 
-    def record(r: int, drift, f_hat):
+    def record(r: int, forcing, f_hat):
         rows[1:5, r, sel] = norms
         if cfg.energy_diagnostics:
             rows[5:7, r, sel] = _energy_row(theta, norms[1], norms[3], grid, nl, f_hat)
-        if drift is not None:
-            rows[7, r, sel] = half_inner(drift, u)
+        if pairing:
+            rows[7, r, sel] = half_inner(forcing, u) / dt
         if track_convolution:
             xi_rows[1:3, r, sel] = np.sqrt(np.stack(half_norms_sq(xi)))
 
@@ -454,30 +463,21 @@ def _run(
                     xi_snaps[p].append(SpectralState._wrap(grid, xi[i], zero, t))
 
     for k in range(n_steps):
-        t = k * dt
         row_due = k % diag_stride == 0
         chi1 = chi2 = 1.0
         if level is not None:
-            chi1 = np.array([cutoff_chi(x, level) for x in norms[0]])
-            chi2 = np.array([cutoff_chi(x, level) for x in norms[2]])
+            chi1, chi2 = cutoff_chi(norms[0], level), cutoff_chi(norms[2], level)
         nu, ntheta, f_hat = explicit_rhs(
             u, theta, grid, chi1, chi2, nl, with_f=row_due and cfg.energy_diagnostics
         )
-        drift = mark_sum(drift_coeffs[k], u) if drifted else None
+        forcing = 0.0 if table is None else _mark_sum(table[k], spec, u)
         if row_due:
-            record(k // diag_stride, drift, f_hat)
-        snapshot(t)
+            record(k // diag_stride, forcing, f_hat)
+        snapshot(k * dt)
 
-        if drift is not None:
-            nu = nu + drift
-        if stochastic:
-            jump = mark_sum(jump_coeffs[k], u)
         if track_convolution:
-            xi = factor * (xi + jump + mark_sum(xi_shift[k], u))
-        incr = u + dt * nu
-        if stochastic:
-            incr = incr + jump
-        u = factor * incr
+            xi = factor * (xi + _mark_sum(xi_table[k], spec, u))
+        u = factor * (u + dt * nu + forcing)
         theta = factor * (theta + dt * ntheta)
 
         norms = _state_norms(u, theta)
@@ -486,20 +486,17 @@ def _run(
         if not ok.all():
             rows_kept[paths[~ok]] = k // diag_stride + 1
             paths, u, theta, xi, norms = paths[ok], u[ok], theta[ok], xi[ok], norms[:, ok]
+            table, xi_table = (c if c is None else c[:, ok] for c in (table, xi_table))
             sel = paths
-            if stochastic:
-                jump_coeffs = jump_coeffs[:, ok]
             if not paths.size:
                 break
 
     if paths.size:
-        t_end = n_steps * dt
         f_hat = None
         if cfg.energy_diagnostics and nl is not None:
             f_hat = explicit_rhs(u, theta, grid, nl=nl, with_f=True)[2]
-        drift = mark_sum(drift_coeffs[n_steps], u) if drifted else None
-        record(n_rows - 1, drift, f_hat)
-        snapshot(t_end, final=True)
+        record(n_rows - 1, _mark_sum(table[n_steps], spec, u) if pairing else None, f_hat)
+        snapshot(n_steps * dt, final=True)
 
     kind = "sde" if stochastic else "skeleton"
     status = ["ok" if kept == n_rows else "diverged" for kept in rows_kept.tolist()]
@@ -620,16 +617,17 @@ def skeleton_adjoint(
     ``traj`` is ``solve_skeleton(init, control, cfg)`` with its snapshots
     kept: its n_steps + 1 snapshots are the tape.  (lam_u, lam_theta)
     is the gradient of a function J of the final state in the Parseval
-    inner product of ``half_inner``.  From the last step to the first the
-    sweep applies the transposed linearized step,
+    inner product of ``half_inner``.  The forward step is
+    u <- F (u + dt nu + sum_i c_i (shape_i + gain_i u)) with the forcing
+    row c_k of ``_skeleton_table``, the table ``_run`` steps with; from the
+    last step to the first the sweep applies its transpose,
 
-        mu = F lam_{k+1},   lam_k = mu + dt (D rhs_k)^T mu + dt c_k mu_u,
+        mu = F lam_{k+1},   lam_k = mu + dt (D rhs_k)^T mu + (c_k . gain) mu_u,
 
-    with F = exp(-|k|^2 dt) (self-adjoint), ``explicit_rhs_transpose`` for
-    (D rhs_k)^T (plus the chain rule through the norm cutoffs when
-    ``cutoff_level`` is set) and c_k = sum_i w_i (g_i - 1) gain_i the
-    drift's gain.  The tilt enters the step affinely, so
-    dJ/dg_{c,i} = sum over the steps k of cell c of
+    with F = exp(-|k|^2 dt) (self-adjoint) and ``explicit_rhs_transpose``
+    for (D rhs_k)^T (plus the chain rule through the norm cutoffs when
+    ``cutoff_level`` is set).  c_k = dt w (g - 1) is affine in the tilt of
+    step k's cell, so dJ/dg_{c,i} = sum over the steps k of cell c of
     dt w_i <F lam_{k+1}, shape_i + gain_i u_k>: one sweep gives the
     (cells, marks) gradient, whatever its size.  The returned lam at step 0
     is the gradient with respect to the initial state.
@@ -642,10 +640,8 @@ def skeleton_adjoint(
         raise SolverError("the adjoint sweep needs a finished skeleton run with a snapshot per step")
     if control is None:
         control = Control.unit(cfg.t_final, 1, ms.size)
-    weights, gains = ms.weight_array(), np.asarray(spec.gains, dtype=float)
-    shapes = spec.shapes
-    cells = _step_cells(control, dt, n_steps)
-    drift_gain = (weights * (control.values - 1.0)) @ gains  # c_k, per cell
+    weights, gains, shapes = ms.weight_array(), np.asarray(spec.gains, dtype=float), spec.shapes
+    cells, table = _skeleton_table(control, cfg)
     factor = np.exp(-half_tables(grid.n)[2] * dt)
     grad = np.zeros(control.values.shape)
     for k in range(n_steps - 1, -1, -1):
@@ -660,7 +656,7 @@ def skeleton_adjoint(
         )
         c = cells[k]
         grad[c] += dt * weights * (half_inner(shapes, mu_u) + gains * half_inner(mu_u, u))
-        lam_u = mu_u + dt * (drift_gain[c] * mu_u + a_u)
+        lam_u = mu_u + dt * a_u + (table[k, 0] @ gains) * mu_u
         lam_theta = mu_theta + dt * a_theta
         if level is not None:  # chi1 = chi(|u|), chi2 = chi(|theta|), d|v| = <v, dv> / |v|
             slope_u, slope_theta = _cutoff_slope(u_l2, level), _cutoff_slope(theta_l2, level)

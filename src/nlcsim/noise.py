@@ -131,12 +131,12 @@ class Control:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2:
-            raise NoiseError("control values must be a (cells x marks) matrix")
+        if vals.ndim != 2 or 0 in vals.shape:
+            raise NoiseError(f"control values must be a nonempty (cells x marks) matrix, got shape {vals.shape}")
         if np.any(vals < 0) or not np.all(np.isfinite(vals)):
             raise NoiseError("control values must be finite and >= 0")
-        if self.horizon <= 0:
-            raise NoiseError("control horizon must be positive")
+        if not self.horizon > 0:
+            raise NoiseError(f"control horizon must be positive, got {self.horizon}")
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -159,11 +159,9 @@ class Control:
     def cell_width(self) -> float:
         return self.horizon / self.n_cells
 
-    def cell_of(self, t: float) -> int:
-        return min(int(t / self.cell_width), self.n_cells - 1)
-
-    def row(self, t: float) -> np.ndarray:
-        return self.values[self.cell_of(t)]
+    def cells_of(self, t):
+        """The cell of each time in ``t``: min(int(t / cell_width), n_cells - 1), elementwise."""
+        return np.minimum((np.asarray(t) / self.cell_width).astype(int), self.n_cells - 1)
 
     def sup_per_mark(self) -> np.ndarray:
         return self.values.max(axis=0)
@@ -238,8 +236,7 @@ def thin_to_control(
         n = int(rng.poisson(lam))
         times = rng.uniform(0.0, horizon, size=n)
         accept_u = rng.uniform(0.0, 1.0, size=n)
-        cells = np.minimum((times / control.cell_width).astype(int), control.n_cells - 1)
-        keep = accept_u * s < control.values[cells, i]
+        keep = accept_u * s < control.values[control.cells_of(times), i]
         all_times.append(times[keep])
         all_marks.append(np.full(int(keep.sum()), i, dtype=int))
     if all_times:
@@ -259,23 +256,20 @@ def thin_to_control(
 # entropy cost
 
 
-def entropy_l(r: float) -> float:
-    """l(r) = r log r - r + 1 for r >= 0, with l(0) = 1 by continuity."""
-    if r < 0:
+def entropy_l(r):
+    """l(r) = r log r - r + 1 elementwise for r >= 0, with l(0) = 1 by continuity."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0):
         raise NoiseError(f"entropy_l requires r >= 0, got {r}")
-    if r == 0.0:
-        return 1.0
-    return float(r * np.log(r) - r + 1.0)
+    # r log r is 0 at r = 0: the log of the placeholder 1 keeps it finite
+    return (r * np.log(np.where(r > 0, r, 1.0)) - r + 1.0)[()]
 
 
 def cost_LT(control: Control, ms: MarkSpace) -> float:
     """Relative-entropy cost: sum over cells and marks of l(g) dt theta_i."""
     if control.n_marks != ms.size:
         raise NoiseError("control mark dimension does not match mark space")
-    vals = control.values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lv = np.where(vals > 0, vals * np.log(np.where(vals > 0, vals, 1.0)) - vals + 1.0, 1.0)
-    return float(np.sum(lv * ms.weight_array()[None, :]) * control.cell_width)
+    return float(np.sum(entropy_l(control.values) * ms.weight_array()[None, :]) * control.cell_width)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +313,7 @@ def control_drift(
     spec: JumpCoefficientSpec,
 ) -> DivergenceFreeField:
     """Skeleton drift: sum_i theta_i (g(t, v_i) - 1) G(t, u, v_i)."""
-    return _mark_sum(ms.weight_array() * (control.row(t) - 1.0), u, spec)
+    return _mark_sum(ms.weight_array() * (control.values[control.cells_of(t)] - 1.0), u, spec)
 
 
 def apriori_control_constant(control: Control, ms: MarkSpace, spec: JumpCoefficientSpec) -> float:
@@ -358,10 +352,7 @@ def girsanov_log_density(
     vals = control.values
     total = 0.0
     if sample.size:
-        cells = np.minimum(
-            (sample.times / control.cell_width).astype(int), control.n_cells - 1
-        )
-        g_at_events = vals[cells, sample.marks]
+        g_at_events = vals[control.cells_of(sample.times), sample.marks]
         if np.any(g_at_events <= 0.0):
             raise InvalidChangeOfMeasure("control vanishes at an event time")
         total += float(np.sum(-np.log(g_at_events)))

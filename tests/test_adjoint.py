@@ -122,7 +122,7 @@ def tangent_step(state, k, du, dth, dg, control, cfg):
     u, th = state.u_hat, state.theta_hat
     ju, jt = rhs_tangent(u, th, du, dth, cfg)
     factor = np.exp(-half_tables(cfg.grid.n)[2] * dt)
-    cell = control.cell_of(k * dt)
+    cell = control.cells_of(k * dt)
     w, gains = ms.weight_array(), np.asarray(spec.gains)
     drift = float(np.sum(w * (control.values[cell] - 1.0) * gains)) * du
     for i, shape in enumerate(spec.shapes):

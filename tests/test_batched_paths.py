@@ -140,6 +140,21 @@ def test_divergence_leaves_the_rest_of_the_batch_unchanged():
     assert len(batch[1].times) == 6 and batch[1].snapshots == []
 
 
+def test_divergence_leaves_the_rest_of_the_convolution_batch_unchanged():
+    cfg = make_cfg(blowup_threshold=50.0)
+    init = make_init(cfg.grid)
+    phi = Control(cfg.t_final, np.array([[1.4, 0.6], [0.8, 1.2]]))
+    samples = [draw_jumps(0.5, phi, cfg, seed)[1] for seed in range(3)]
+    # path 1 diverges at step 5 and path 2 jumps after it, so path 2 reads a wrong table row
+    samples[1], samples[2] = with_burst(samples[1], 0.055, 500), with_burst(samples[2], 0.155, 3)
+    batch = solve_path_batch(init, 0.5, samples, cfg, convolution_phi=phi)
+    assert [traj.status for traj in batch] == ["ok", "diverged", "ok"]
+    for traj, sample in zip(batch, samples):
+        _, (solo,) = _run(init, cfg, control=phi, epsilon=0.5, jumps=[sample], track_convolution=True)
+        assert_same_path(traj, solo, all_snapshots=False)
+    assert len(batch[1].times) == 6 and batch[1].snapshots == []
+
+
 def test_empty_batch_has_no_paths():
     cfg = make_cfg(energy_diagnostics=True)
     phi = Control.unit(cfg.t_final, 1, 2)

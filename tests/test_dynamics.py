@@ -155,6 +155,15 @@ class TestConfig:
             SolverConfig(grid=grid, dt=3e-3, t_final=1.0)  # not integral
         with pytest.raises(SolverError):
             SolverConfig(grid=grid, dt=1e-2, t_final=1.0, mark_space=MarkSpace(weights=(1.0,)))
+        for dt, t_final in ((float("nan"), 1.0), (1e-2, float("nan")), (1e-2, float("inf"))):
+            with pytest.raises(SolverError, match="dt"):
+                SolverConfig(grid=grid, dt=dt, t_final=t_final)
+        for stride in (0, -2):
+            with pytest.raises(SolverError, match="diag_stride"):
+                SolverConfig(grid=grid, dt=1e-2, t_final=1.0, diag_stride=stride)
+        for threshold in (-1.0, 0.0, float("nan")):
+            with pytest.raises(SolverError, match="blowup_threshold"):
+                SolverConfig(grid=grid, dt=1e-2, t_final=1.0, blowup_threshold=threshold)
 
     def test_diag_stride_default(self):
         grid = TorusGrid(16)

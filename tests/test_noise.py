@@ -160,6 +160,11 @@ class TestThinning:
     def test_negative_control_rejected(self):
         with pytest.raises(NoiseError):
             Control(1.0, np.array([[-0.5]]))
+        for cells, marks in ((0, 1), (1, 0)):
+            with pytest.raises(NoiseError, match="nonempty"):
+                Control.constant(1.0, 1.0, n_cells=cells, n_marks=marks)
+        with pytest.raises(NoiseError, match="horizon"):
+            Control(float("nan"), np.ones((2, 1)))
 
 
 class TestEntropy:
