@@ -201,7 +201,6 @@ def cmd_rate(cfg: ExperimentConfig, out_dir: Path) -> int:
         penalty_weight=cfg.rate_penalty,
         n_cells=cfg.rate_cells,
         max_iters=cfg.rate_max_iters,
-        step_size=cfg.rate_step_size,
         tolerance=cfg.rate_tolerance,
     )
     sol = optimize_control(prob)

@@ -184,7 +184,6 @@ class ExperimentConfig:
     rate_penalty: float = 100.0
     rate_cells: int = 1
     rate_max_iters: int = 40
-    rate_step_size: float = 0.5
     rate_tolerance: float = 1e-6
     rate_target_tilt: float = 1.5
     importance_eps: float = 0.25
@@ -320,8 +319,6 @@ def _validate(cfg: ExperimentConfig, lines: dict[str, int], path: str):
         fail("rate.cells", "rate.cells must be >= 1")
     if cfg.rate_max_iters < 1:
         fail("rate.max_iters", f"rate.max_iters must be >= 1, got {cfg.rate_max_iters}")
-    if cfg.rate_step_size <= 0:
-        fail("rate.step_size", f"rate.step_size must be > 0, got {cfg.rate_step_size}")
     # vocabulary check: build on a throwaway grid so bad descriptors fail here
     grid = cfg.build_grid()
     for key, what, build in (

@@ -33,11 +33,15 @@ keeps only the final one.  The public ``solve_*`` functions are one-path
 calls of ``_run`` and call no other public solver; ``solve_path_batch``
 runs many jump-driven paths at once for the Monte Carlo studies, keeping
 per path only its diagnostic rows and final state (an ``on_snapshot``
-hook sees the others as they pass).  ``draw_jumps`` is the one draw of a
-seed's jump configuration.  ``skeleton_adjoint`` is the backward sweep of
-the skeleton step: the n_steps + 1 snapshots of one skeleton solve are its
-tape, and it gives the gradient of a function of the final state in every
-tilt value and in the initial state.
+hook sees the others as they pass).  ``SolverConfig`` declares a run's
+one horizon [0, t_final] and its marks, and ``SolverConfig.tilt`` gives
+every solver its tilt (the unit tilt for None) or rejects one that does
+not fit; a replayed ``JumpSample(times, marks)`` may not jump after
+t_final.  ``draw_jumps`` is the one draw of a seed's jump configuration,
+``thin_to_control(ms, tilt, 1/epsilon, rng)``.  ``skeleton_adjoint`` is
+the backward sweep of the skeleton step: the n_steps + 1 snapshots of one
+skeleton solve are its tape, and it gives the gradient of a function of
+the final state in every tilt value and in the initial state.
 
 Jumps realized in [t, t + dt) are aggregated at the step boundary using
 the pre-step left limit of the velocity.  Every update leaves the velocity
@@ -184,6 +188,21 @@ class SolverConfig:
             return self.diag_stride
         return 1 if self.t_final <= 2.0 else 10
 
+    def tilt(self, control: Control | None) -> Control:
+        """The run's tilt: the unit tilt for None, else ``control`` if it fits the run.
+
+        It fits if its horizon is t_final (to 1e-12 relative) and it has the mark space's marks.
+        """
+        if self.mark_space is None:
+            raise SolverError("config carries no mark space / jump spec")
+        if control is None:
+            return Control.unit(self.t_final, 1, self.mark_space.size)
+        if abs(control.horizon - self.t_final) > 1e-12 * self.t_final:
+            raise SolverError(f"tilt horizon {control.horizon:g} differs from t_final {self.t_final:g}")
+        if control.n_marks != self.mark_space.size:
+            raise SolverError(f"tilt has {control.n_marks} marks, the mark space has {self.mark_space.size}")
+        return control
+
 
 @dataclass
 class Trajectory:
@@ -288,22 +307,22 @@ def draw_jumps(epsilon: float, phi: Control | None, cfg: SolverConfig, seed: int
     """(tilt, jumps): the seed's configuration at intensity (1/epsilon) phi theta.
 
     The one draw behind :func:`solve_small_noise_sde` and
-    :func:`solve_stochastic_convolution`; ``phi=None`` is the unit tilt.
+    :func:`solve_stochastic_convolution`; the tilt is ``cfg.tilt(phi)``.
     """
     _require_noise(epsilon, cfg)
-    if phi is None:
-        phi = Control.unit(cfg.t_final, 1, cfg.mark_space.size)
-    rng = rng_for(seed, "sde-jumps")
-    return phi, thin_to_control(cfg.mark_space, cfg.t_final, phi, 1.0 / epsilon, rng)
+    phi = cfg.tilt(phi)
+    return phi, thin_to_control(cfg.mark_space, phi, 1.0 / epsilon, rng_for(seed, "sde-jumps"))
 
 
 def _jump_counts(jumps, cfg: SolverConfig) -> np.ndarray:
-    """(steps, paths, marks) jump counts: a jump in [t, t + dt) counts at the step at t."""
+    """(steps, paths, marks) jump counts: a jump in [t, t + dt) (or at t_final) counts at the step at t."""
     ms, dt, n_steps = cfg.mark_space, cfg.dt, cfg.n_steps
     counts = np.zeros((n_steps, len(jumps), ms.size))
     for p, sample in enumerate(jumps):
         if sample.size and not (0 <= sample.marks.min() and sample.marks.max() < ms.size):
             raise NoiseError(f"unknown mark index in jumps (mark space has {ms.size} marks)")
+        if sample.size and sample.times[-1] > cfg.t_final:
+            raise NoiseError(f"jump at t = {sample.times[-1]:g} after t_final = {cfg.t_final:g}")
         step_of = np.minimum((sample.times / dt).astype(int), n_steps - 1)
         np.add.at(counts[:, p], (step_of, sample.marks), 1.0)
     return counts
@@ -417,9 +436,10 @@ def _run(
         counts, dt_w = epsilon * _jump_counts(jumps, cfg), dt * ms.weight_array()
         table = counts - dt_w
         if track_convolution:
-            xi_table = counts - (dt_w * control.values[control.cells_of(np.arange(n_steps) * dt)])[:, None]
+            phi = cfg.tilt(control)
+            xi_table = counts - (dt_w * phi.values[phi.cells_of(np.arange(n_steps) * dt)])[:, None]
     elif control is not None and ms is not None:
-        table = _skeleton_table(control, cfg)[1]
+        table = _skeleton_table(cfg.tilt(control), cfg)[1]
     pairing = table is not None and not stochastic  # the skeleton's drift pairing <drift, u>
     factor = np.exp(-half_tables(grid.n)[2] * dt)
     threshold = cfg.blowup_threshold
@@ -615,8 +635,8 @@ def skeleton_adjoint(
     """Backward sweep of the skeleton's IMEX-Euler step: (dJ/dg, lam_u(0), lam_theta(0)).
 
     ``traj`` is ``solve_skeleton(init, control, cfg)`` with its snapshots
-    kept: its n_steps + 1 snapshots are the tape.  (lam_u, lam_theta)
-    is the gradient of a function J of the final state in the Parseval
+    kept: its n_steps + 1 snapshots are the tape, ``cfg.tilt(control)`` its
+    tilt.  (lam_u, lam_theta) is the gradient of a function J of the final state in the Parseval
     inner product of ``half_inner``.  The forward step is
     u <- F (u + dt nu + sum_i c_i (shape_i + gain_i u)) with the forcing
     row c_k of ``_skeleton_table``, the table ``_run`` steps with; from the
@@ -633,13 +653,9 @@ def skeleton_adjoint(
     is the gradient with respect to the initial state.
     """
     grid, dt, n_steps, nl, level = cfg.grid, cfg.dt, cfg.n_steps, cfg.nonlinearity, cfg.cutoff_level
-    snaps, ms, spec = traj.snapshots, cfg.mark_space, cfg.jump_spec
-    if ms is None:
-        raise SolverError("config carries no mark space / jump spec")
+    control, snaps, ms, spec = cfg.tilt(control), traj.snapshots, cfg.mark_space, cfg.jump_spec
     if traj.kind != "skeleton" or traj.diverged or len(snaps) != n_steps + 1:
         raise SolverError("the adjoint sweep needs a finished skeleton run with a snapshot per step")
-    if control is None:
-        control = Control.unit(cfg.t_final, 1, ms.size)
     weights, gains, shapes = ms.weight_array(), np.asarray(spec.gains, dtype=float), spec.shapes
     cells, table = _skeleton_table(control, cfg)
     factor = np.exp(-half_tables(grid.n)[2] * dt)
@@ -723,7 +739,7 @@ def apriori_bound(init: SpectralState, g: Control | None, cfg: SolverConfig) -> 
     e0 = _psi(init.theta_hat, theta_h1, init.grid, cfg.nonlinearity) + u_l2**2
     c = 0.0
     if g is not None and cfg.mark_space is not None:
-        c = apriori_control_constant(g, cfg.mark_space, cfg.jump_spec)
+        c = apriori_control_constant(cfg.tilt(g), cfg.mark_space, cfg.jump_spec)
     t = cfg.t_final
     return (e0 + c) * t * float(np.exp(c * t))
 

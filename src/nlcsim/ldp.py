@@ -32,7 +32,8 @@ one-path solves bit for bit, whatever the chunk size.  Per path a driver
 keeps only what it reads: the study its sup distance to the skeleton
 (measured snapshot by snapshot), the convolution study max |xi|, the
 estimators the diagnostic rows their event indicator sees.  The
-importance and plain estimators are one loop, ``_tilted_estimate``, whose
+importance and plain estimators are one loop, ``_tilted_estimate``: each
+path draws ``thin_to_control(ms, cfg.tilt(phi), 1/epsilon, rng)``, and
 ``_weighted_estimate`` keeps the weights as logarithms: the estimate and
 its standard error are formed with a max shift (log-sum-exp), and the
 result carries ``log_estimate``, the effective sample size, the largest
@@ -52,9 +53,9 @@ import numpy as np
 # snapshot; bench/tracer.py wraps it under this module attribute.
 from .dynamics import (
     SolverConfig,
-    SolverError,
     SpectralState,
     Trajectory,
+    _require_noise,
     draw_jumps,
     skeleton_adjoint,
     solve_path_batch,
@@ -63,13 +64,7 @@ from .dynamics import (
     state_distances,
     sup_state_distance,
 )
-from .noise import (
-    Control,
-    cost_LT,
-    girsanov_log_density,
-    rng_for,
-    thin_to_control,
-)
+from .noise import Control, cost_LT, girsanov_log_density, rng_for, thin_to_control
 from .spectral import half_tables
 
 
@@ -87,7 +82,6 @@ class RateProblem:
     penalty_weight: float = 100.0
     n_cells: int = 1
     max_iters: int = 60
-    step_size: float = 0.5
     tolerance: float = 1e-6
 
     def __post_init__(self):
@@ -95,8 +89,6 @@ class RateProblem:
             raise ValueError("penalty_weight must be positive")
         if self.n_cells < 1 or self.cfg.mark_space is None:
             raise ValueError("need at least one control cell and a mark space")
-        if self.step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {self.step_size}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
@@ -179,9 +171,10 @@ def optimize_control(prob: RateProblem, g0: Control | None = None) -> RateSoluti
 
     The gradient is :func:`rate_gradient`, taken on the skeleton run of the
     accepted iterate, so an iteration costs one backward sweep plus its
-    line-search solves.  Returns the best iterate; the recorded objective
-    history is non-increasing.  Initialization defaults to the zero-cost
-    tilt g = 1.
+    line-search solves.  Each line search starts at the step 0.5.  Armijo
+    acceptance makes every accepted iterate lower than the one before, so
+    the last one is returned; the recorded objective history is
+    non-increasing.  Initialization defaults to the zero-cost tilt g = 1.
     """
     if g0 is None:
         g0 = prob.unit_control()
@@ -192,7 +185,6 @@ def optimize_control(prob: RateProblem, g0: Control | None = None) -> RateSoluti
 
     (obj, cost, mis), traj = objective_of(w)
     history = [(0, obj, cost, mis)]
-    best = (obj, w.copy(), cost, mis)
     converged = False
 
     for it in range(1, prob.max_iters + 1):
@@ -203,7 +195,7 @@ def optimize_control(prob: RateProblem, g0: Control | None = None) -> RateSoluti
         if gnorm <= prob.tolerance:
             converged = True
             break
-        alpha = prob.step_size
+        alpha = 0.5
         accepted = False
         while alpha > 1e-12:
             trial = w - alpha * grad
@@ -217,13 +209,10 @@ def optimize_control(prob: RateProblem, g0: Control | None = None) -> RateSoluti
             converged = True  # no descent direction at line-search resolution
             break
         history.append((it, obj, cost, mis))
-        if obj < best[0]:
-            best = (obj, w.copy(), cost, mis)
-        if len(history) >= 2 and history[-2][1] - obj <= prob.tolerance * max(abs(obj), 1.0):
+        if history[-2][1] - obj <= prob.tolerance * max(abs(obj), 1.0):
             converged = True
             break
 
-    obj, w, cost, mis = best
     return RateSolution(
         g_star=prob.control_from_flat(np.exp(w)),
         cost=cost,
@@ -268,8 +257,11 @@ def _run_paths(chunk_fn: Callable[[range], Sequence], n_paths: int, what: str):
     ``chunk_fn(ks)`` steps the paths ``ks`` (consecutive indices, at most
     ``_CHUNK`` of them) as one batch and returns one result per path: NaN,
     or a tuple holding NaN, for a diverged path.  Diverged paths are
-    excluded and counted; more than 1% of them fails the study.
+    excluded and counted; more than 1% of them fails the study, and so does
+    a study of no path.
     """
+    if n_paths < 1:
+        raise StudyError(f"{what} needs at least one path, got n_paths = {n_paths}")
     vals = np.asarray(
         [v for s in range(0, n_paths, _CHUNK) for v in chunk_fn(range(s, min(s + _CHUNK, n_paths)))],
         dtype=float,
@@ -424,20 +416,15 @@ def _tilted_estimate(
     Path k draws its jumps at intensity (1/epsilon) phi theta from
     ``path_rng(k)`` and contributes its indicator weighted by the
     exponential likelihood ratio of those jumps (exactly one at the unit
-    tilt).
+    tilt).  The tilt is ``cfg.tilt(phi)``.
     """
-    ms = cfg.mark_space
-    if ms is None:
-        raise SolverError("config carries no mark space / jump spec")
-    if epsilon <= 0:
-        raise SolverError("epsilon must be positive")
-    if phi is None:
-        phi = Control.unit(cfg.t_final, 1, ms.size)
+    _require_noise(epsilon, cfg)
+    phi, ms = cfg.tilt(phi), cfg.mark_space
     if np.any(phi.values <= 0):
         raise ValueError("importance sampling requires a strictly positive tilt")
 
     def chunk(ks: range) -> list[tuple[float, float]]:
-        jumps = [thin_to_control(ms, cfg.t_final, phi, 1.0 / epsilon, path_rng(k)) for k in ks]
+        jumps = [thin_to_control(ms, phi, 1.0 / epsilon, path_rng(k)) for k in ks]
         trajs = solve_path_batch(init, epsilon, jumps, cfg)
         return [
             (float("nan"), float("nan")) if traj.diverged

@@ -9,8 +9,9 @@ half-layout array; the solver forms its mark sums on it directly.
 ``control_drift`` are their field-level reference: each is one affine
 mark sum sum_i c_i shape_i + (sum_i c_i gain_i) u of a velocity field.
 Controls are nonnegative intensity tilts, piecewise constant over uniform
-time cells, priced by the relative-entropy functional built on
-l(r) = r log r - r + 1.
+time cells of their horizon, priced by the relative-entropy functional
+built on l(r) = r log r - r + 1.  ``thin_to_control(ms, control, scale,
+rng)`` draws a ``JumpSample(times, marks)`` over the tilt's horizon.
 
 All sampling takes an explicit seed and derives a counter-based (Philox)
 stream per (purpose, path), so parallel Monte Carlo is reproducible.
@@ -31,7 +32,7 @@ class NoiseError(ValueError):
 
 
 class InvalidChangeOfMeasure(NoiseError):
-    """The tilt vanishes on a cell that carries an event."""
+    """The tilt vanishes on a cell that carries an event, or an event falls after its horizon."""
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +170,18 @@ class Control:
 
 @dataclass(frozen=True)
 class JumpSample:
-    """Realized point configuration: ordered (time, mark) events on (0, T]."""
+    """Realized point configuration: ordered (time, mark) events at positive times."""
 
     times: np.ndarray
     marks: np.ndarray
-    horizon: float
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         m = np.asarray(self.marks, dtype=int)
         if t.shape != m.shape or t.ndim != 1:
             raise NoiseError("times and marks must be 1-d arrays of equal length")
-        if t.size and (np.any(np.diff(t) < 0) or t[0] <= 0 or t[-1] > self.horizon):
-            raise NoiseError("event times must be increasing within (0, T]")
+        if t.size and (not np.all(np.isfinite(t)) or np.any(np.diff(t) < 0) or t[0] <= 0):
+            raise NoiseError("event times must be finite, positive and increasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "marks", m)
 
@@ -209,23 +209,19 @@ def sample_prm(ms: MarkSpace, horizon: float, scale: float, rng: np.random.Gener
         times[times == 0.0] = np.nextafter(0.0, horizon)
     probs = ms.weight_array() / ms.total_mass
     marks = rng.choice(ms.size, size=n, p=probs)
-    return JumpSample(times, marks, horizon)
+    return JumpSample(times, marks)
 
 
-def thin_to_control(
-    ms: MarkSpace,
-    horizon: float,
-    control: Control,
-    scale: float,
-    rng: np.random.Generator,
-) -> JumpSample:
-    """Counting process with intensity scale * g(t,v) theta(dv) dt, by thinning.
+def thin_to_control(ms: MarkSpace, control: Control, scale: float, rng: np.random.Generator) -> JumpSample:
+    """Counting process with intensity scale * g(t,v) theta(dv) dt on (0, T], by thinning.
 
-    Per mark, a dominating process at rate scale * theta_i * sup_t g(.,i) is
-    thinned with acceptance probability g(t,i) / sup_t g(.,i).
+    T is the tilt's horizon.  Per mark, a dominating process at rate
+    scale * theta_i * sup_t g(.,i) is thinned with acceptance probability
+    g(t,i) / sup_t g(.,i).
     """
     if control.n_marks != ms.size:
         raise NoiseError("control mark dimension does not match mark space")
+    horizon = control.horizon
     sups = control.sup_per_mark()
     all_times, all_marks = [], []
     for i in range(ms.size):
@@ -249,7 +245,7 @@ def thin_to_control(
     if times.size and times[0] == 0.0:
         times = times.copy()
         times[times == 0.0] = np.nextafter(0.0, horizon)
-    return JumpSample(times, marks, horizon)
+    return JumpSample(times, marks)
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +341,15 @@ def girsanov_log_density(
     tilted one; it has mean one over tilted samples, and weighting tilted
     path statistics by it recovers reference-measure expectations.  A
     vanishing tilt on a cell that carries an event makes the change of
-    measure invalid.
+    measure invalid, and so does an event after the tilt's horizon.
     """
     if control.n_marks != ms.size:
         raise NoiseError("control mark dimension does not match mark space")
     vals = control.values
     total = 0.0
     if sample.size:
+        if sample.times[-1] > control.horizon:
+            raise InvalidChangeOfMeasure(f"event at t = {sample.times[-1]:g} after the tilt's horizon")
         g_at_events = vals[control.cells_of(sample.times), sample.marks]
         if np.any(g_at_events <= 0.0):
             raise InvalidChangeOfMeasure("control vanishes at an event time")

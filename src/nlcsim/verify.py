@@ -332,11 +332,11 @@ def check_noise(seed: int) -> list[CheckResult]:
     totals = np.zeros((2, 2))
     totals_sq = np.zeros((2, 2))
     for k in range(n_rep):
-        s = noise.thin_to_control(ms, 1.0, control, scale, rng_for(seed, "verify-thin", k))
-        cells = np.minimum((s.times / 0.5).astype(int), 1) if s.size else np.empty(0, int)
+        s = noise.thin_to_control(ms, control, scale, rng_for(seed, "verify-thin", k))
+        cells = control.cells_of(s.times)
         for c in range(2):
             for i in range(2):
-                n_ev = int(np.sum((cells == c) & (s.marks == i))) if s.size else 0
+                n_ev = int(np.sum((cells == c) & (s.marks == i)))
                 totals[c, i] += n_ev
                 totals_sq[c, i] += n_ev * n_ev
     means = totals / n_rep
@@ -351,7 +351,7 @@ def check_noise(seed: int) -> list[CheckResult]:
         [
             np.exp(
                 noise.girsanov_log_density(
-                    tilt, noise.thin_to_control(ms1, 1.0, tilt, 1 / eps, rng_for(seed, "verify-mo", k)), eps, ms1
+                    tilt, noise.thin_to_control(ms1, tilt, 1 / eps, rng_for(seed, "verify-mo", k)), eps, ms1
                 )
             )
             for k in range(n)

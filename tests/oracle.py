@@ -367,10 +367,10 @@ def state_from_text(text: str) -> SpectralState:
     return SpectralState(TorusGrid(n), arrays[:2], arrays[2:], time)
 
 
-def jumps_from_text(text: str, horizon: float) -> JumpSample:
+def jumps_from_text(text: str) -> JumpSample:
     """The jump configuration of a ``jumps.txt`` table."""
     rows = [line.split() for line in _data_lines(text)]
-    return JumpSample(np.array([float(t) for t, _ in rows]), np.array([int(m) for _, m in rows]), horizon)
+    return JumpSample(np.array([float(t) for t, _ in rows]), np.array([int(m) for _, m in rows]))
 
 
 def control_from_csv(text: str) -> Control:

@@ -196,7 +196,7 @@ def test_c6_prm_and_thinning_statistics():
     scale = 20.0
     counts = np.zeros((n_rep, 2, 4))
     for k in range(n_rep):
-        s = thin_to_control(ms, 1.0, control, scale, rng_for(SEED, "c6-thin", k))
+        s = thin_to_control(ms, control, scale, rng_for(SEED, "c6-thin", k))
         if s.size:
             cells = np.minimum((s.times / 0.5).astype(int), 1)
             for c in range(2):
@@ -238,7 +238,7 @@ def test_c7_girsanov_mean_one():
     for idx, (name, eps, phi) in enumerate(settings):
         w = np.empty(n)
         for k in range(n):
-            sample = thin_to_control(ms, 1.0, phi, 1.0 / eps, rng_for(SEED, "c7", idx, k))
+            sample = thin_to_control(ms, phi, 1.0 / eps, rng_for(SEED, "c7", idx, k))
             w[k] = np.exp(girsanov_log_density(phi, sample, eps, ms))
         dev = abs(w.mean() - 1.0)
         band = 3 * w.std(ddof=1) / np.sqrt(n)

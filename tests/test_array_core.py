@@ -217,7 +217,6 @@ def test_sde_and_convolution_steps_match_field_steps(step_setup):
     jumps = JumpSample(
         np.array([0.002, 0.004, 0.0071, 0.013, 0.018, 0.0195]),
         np.array([0, 1, 1, 0, 0, 1]),
-        cfg.t_final,
     )
     traj = solve_sde_with_jumps(init, eps, jumps, cfg)
     _, (conv,) = _run(init, cfg, control=phi, epsilon=eps, jumps=[jumps], track_convolution=True)
@@ -240,9 +239,18 @@ def test_sde_and_convolution_steps_match_field_steps(step_setup):
 def test_replay_rejects_unknown_marks(step_setup):
     cfg, init = step_setup
     for bad in (-1, 2):
-        jumps = JumpSample(np.array([0.005]), np.array([bad]), cfg.t_final)
+        jumps = JumpSample(np.array([0.005]), np.array([bad]))
         with pytest.raises(NoiseError, match="unknown mark index"):
             solve_sde_with_jumps(init, 0.2, jumps, cfg)
+
+
+def test_replay_rejects_a_jump_after_t_final(step_setup):
+    cfg, init = step_setup
+    at_end = JumpSample(np.array([0.005, cfg.t_final]), np.array([0, 1]))
+    assert not solve_sde_with_jumps(init, 0.2, at_end, cfg).diverged  # a jump at t_final counts
+    late = JumpSample(np.array([0.005, 2 * cfg.t_final]), np.array([0, 1]))
+    with pytest.raises(NoiseError, match="after t_final"):
+        solve_sde_with_jumps(init, 0.2, late, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +315,7 @@ def test_fft_budget_sde_step(step_setup, fft_calls):
         grid=cfg.grid, dt=cfg.dt, t_final=10 * cfg.dt, mark_space=cfg.mark_space,
         jump_spec=cfg.jump_spec, energy_diagnostics=False,
     )
-    jumps = JumpSample(np.array([0.015, 0.05, 0.07]), np.array([1, 0, 1]), cfg.t_final)
+    jumps = JumpSample(np.array([0.015, 0.05, 0.07]), np.array([1, 0, 1]))
     fft_calls.clear()
     solve_sde_with_jumps(init, 0.2, jumps, cfg)
     assert fft_calls == STEP_FFTS * cfg.n_steps

@@ -13,8 +13,10 @@ import pytest
 import nlcsim.ldp as ldp
 from nlcsim.dynamics import (
     SolverConfig,
+    SolverError,
     _run,
     draw_jumps,
+    skeleton_adjoint,
     solve_path_batch,
     solve_sde_with_jumps,
     solve_skeleton,
@@ -85,7 +87,7 @@ def with_burst(sample: JumpSample, t: float, count: int) -> JumpSample:
     times = np.concatenate((sample.times, np.full(count, t)))
     marks = np.concatenate((sample.marks, np.zeros(count, dtype=int)))
     order = np.argsort(times, kind="stable")
-    return JumpSample(times[order], marks[order], sample.horizon)
+    return JumpSample(times[order], marks[order])
 
 
 def assert_same_path(batched, solo, all_snapshots=True):
@@ -219,7 +221,7 @@ def test_convolution_study_matches_one_path_solves(chunk):
 def _importance_rows(cfg, init, phi, eps, seed, indicator, n, replace=None):
     rows = []
     for k in range(n):
-        jumps = thin_to_control(cfg.mark_space, cfg.t_final, phi, 1.0 / eps, rng_for(seed, "importance", k))
+        jumps = thin_to_control(cfg.mark_space, phi, 1.0 / eps, rng_for(seed, "importance", k))
         if replace is not None and k in replace:
             jumps = replace[k](jumps)
         traj = solve_sde_with_jumps(init, eps, jumps, cfg)
@@ -288,3 +290,53 @@ def test_diverged_share_above_one_percent_fails(monkeypatch):
     _burst_on_call(monkeypatch, 3)
     with pytest.raises(StudyError, match="1/8 paths diverged"):
         importance_weights(lambda traj: 1.0, phi, 0.5, 8, cfg, make_init(cfg.grid), seed=26)
+
+
+# ---------------------------------------------------------------------------
+# one horizon and one mark space per run
+
+
+# tilts that do not fit make_cfg()'s run over [0, 0.2] with 2 marks
+MISFIT_TILTS = {
+    "other-horizon": lambda cfg: Control.constant(1.0, 1.5, 1, 2),
+    "one-mark": lambda cfg: Control.constant(cfg.t_final, 1.5),
+}
+
+TILT_ENTRY_POINTS = {
+    "solve_skeleton": lambda tilt, cfg, init: solve_skeleton(init, tilt, cfg),
+    "solve_small_noise_sde": lambda tilt, cfg, init: solve_small_noise_sde(init, 0.5, tilt, cfg, 3),
+    "solve_stochastic_convolution": lambda tilt, cfg, init: solve_stochastic_convolution(init, 0.5, tilt, cfg, 3),
+    "solve_path_batch": lambda tilt, cfg, init: solve_path_batch(
+        init, 0.5, [draw_jumps(0.5, None, cfg, 3)[1]], cfg, convolution_phi=tilt
+    ),
+    "skeleton_adjoint": lambda tilt, cfg, init: skeleton_adjoint(
+        solve_skeleton(init, None, cfg), tilt, cfg, np.zeros_like(init.u_hat), np.zeros_like(init.theta_hat)
+    ),
+    "importance_weights": lambda tilt, cfg, init: importance_weights(
+        lambda traj: 1.0, tilt, 0.5, 8, cfg, init, seed=3
+    ),
+}
+
+
+@pytest.mark.parametrize("misfit", MISFIT_TILTS)
+@pytest.mark.parametrize("entry", TILT_ENTRY_POINTS)
+def test_a_tilt_that_does_not_fit_the_run_is_rejected(entry, misfit):
+    cfg = make_cfg()
+    with pytest.raises(SolverError, match="tilt"):
+        TILT_ENTRY_POINTS[entry](MISFIT_TILTS[misfit](cfg), cfg, make_init(cfg.grid))
+
+
+EMPTY_RUNS = {
+    "importance sampling": lambda cfg, init: importance_weights(
+        lambda traj: 1.0, Control.constant(cfg.t_final, 1.5, 1, 2), 0.5, 0, cfg, init, seed=3
+    ),
+    "plain Monte Carlo": lambda cfg, init: plain_mc_probability(lambda traj: 1.0, 0.5, 0, cfg, init, seed=3),
+    "convolution study": lambda cfg, init: convolution_scaling_study([0.5], 0, cfg, init, seed=3),
+}
+
+
+@pytest.mark.parametrize("driver", EMPTY_RUNS)
+def test_a_monte_carlo_run_of_no_path_is_rejected(driver):
+    cfg = make_cfg()
+    with pytest.raises(StudyError, match=f"^{driver}.* needs at least one path"):
+        EMPTY_RUNS[driver](cfg, make_init(cfg.grid))

@@ -67,7 +67,7 @@ def _tiny_problem():
     )
     init = dynamics.SpectralState(grid, shape, np.zeros_like(shape))
     phi = Control.constant(cfg.t_final, 1.5)
-    jumps = thin_to_control(ms, cfg.t_final, phi, 1.0 / 0.2, rng_for(3, "contract"))
+    jumps = thin_to_control(ms, phi, 1.0 / 0.2, rng_for(3, "contract"))
     return cfg, init, phi, jumps
 
 

@@ -22,7 +22,8 @@ from oracle import divergence_residual, jumps_from_text
 
 MINIMAL = "seed = 7\n"
 
-# serialize_config(ExperimentConfig(seed=0)) before solver.snapshot_stride was removed, minus that line
+# serialize_config(ExperimentConfig(seed=0)) before solver.snapshot_stride and rate.step_size were
+# removed, minus those two lines
 CANONICAL_DEFAULT = """# experiment configuration (canonical form)
 seed = 0
 grid.modes = 16
@@ -45,7 +46,6 @@ simulate.eps = 0.25
 rate.penalty = 100.0
 rate.cells = 1
 rate.max_iters = 40
-rate.step_size = 0.5
 rate.tolerance = 1e-06
 rate.target_tilt = 1.5
 importance.eps = 0.25
@@ -208,7 +208,6 @@ class TestParsing:
             "importance.eps = -1",
             "rate.cells = 0",
             "rate.max_iters = -3",
-            "rate.step_size = -0.5",
         ),
     )
     def test_out_of_range_value_rejected_at_its_key_and_line(self, line):
@@ -238,6 +237,10 @@ class TestSchema:
     def test_snapshot_stride_is_an_unknown_key(self):
         with pytest.raises(ConfigError, match=r"^<config>:2: unknown key 'solver.snapshot_stride'"):
             parse_config_text("seed = 1\nsolver.snapshot_stride = 1\n")
+
+    def test_rate_step_size_is_an_unknown_key(self):
+        with pytest.raises(ConfigError, match=r"^<config>:2: unknown key 'rate.step_size'"):
+            parse_config_text("seed = 1\nrate.step_size = 0.5\n")
 
 
 class TestCli:
@@ -270,7 +273,7 @@ class TestCli:
         assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
         cfg = parse_config(cfg_path)
         solver_cfg = cfg.build_solver_config()
-        jumps = jumps_from_text((out / "jumps.txt").read_text(), solver_cfg.t_final)
+        jumps = jumps_from_text((out / "jumps.txt").read_text())
         assert jumps.size > 0
         traj = solve_sde_with_jumps(cfg.build_init(solver_cfg.grid), cfg.simulate_eps, jumps, solver_cfg)
         assert (out / "final_state.txt").read_text().endswith(state_to_text(traj.final_state()))

@@ -103,13 +103,18 @@ class TestSamplePrm:
         with pytest.raises(NoiseError):
             sample_prm(ms, 1.0, 0.0, rng_for(0))
 
+    @pytest.mark.parametrize("times", ([0.0, 0.5], [-0.1, 0.5], [0.5, 0.25], [0.25, np.nan], [0.25, np.inf]))
+    def test_jump_sample_rejects_bad_times(self, times):
+        with pytest.raises(NoiseError, match="event times"):
+            JumpSample(np.array(times), np.zeros(2, dtype=int))
+
 
 class TestThinning:
     def test_unit_control_matches_prm_rate(self):
         ms = MarkSpace(weights=(1.0, 0.5))
         control = Control.unit(1.0, n_cells=2, n_marks=2)
         counts = [
-            thin_to_control(ms, 1.0, control, 40.0, rng_for(5, "thin", k)).size for k in range(2000)
+            thin_to_control(ms, control, 40.0, rng_for(5, "thin", k)).size for k in range(2000)
         ]
         counts = np.asarray(counts, dtype=float)
         se = counts.std(ddof=1) / np.sqrt(len(counts))
@@ -118,14 +123,14 @@ class TestThinning:
     def test_zero_control_empty(self):
         ms = MarkSpace(weights=(1.0,))
         control = Control.constant(1.0, 0.0)
-        sample = thin_to_control(ms, 1.0, control, 50.0, rng_for(9, "thin"))
+        sample = thin_to_control(ms, control, 50.0, rng_for(9, "thin"))
         assert sample.size == 0
 
     def test_doubled_intensity(self):
         ms = MarkSpace(weights=(1.0,))
         control = Control.constant(1.0, 2.0)
         counts = [
-            thin_to_control(ms, 1.0, control, 50.0, rng_for(13, "thin", k)).size
+            thin_to_control(ms, control, 50.0, rng_for(13, "thin", k)).size
             for k in range(2000)
         ]
         counts = np.asarray(counts, dtype=float)
@@ -142,7 +147,7 @@ class TestThinning:
         totals = np.zeros((2, 2))
         totals_sq = np.zeros((2, 2))
         for k in range(n_rep):
-            s = thin_to_control(ms, 1.0, control, scale, rng_for(21, "thin-cells", k))
+            s = thin_to_control(ms, control, scale, rng_for(21, "thin-cells", k))
             if s.size == 0:
                 continue
             cells = np.minimum((s.times / 0.5).astype(int), 1)
@@ -357,17 +362,23 @@ class TestGirsanov:
     def test_empty_sample_constant(self):
         # exponent formula reduces to the compensator term alone
         ms = MarkSpace(weights=(1.0,))
-        empty = JumpSample(np.empty(0), np.empty(0, dtype=int), 1.0)
+        empty = JumpSample(np.empty(0), np.empty(0, dtype=int))
         c = 1.5
         out = girsanov_log_density(Control.constant(1.0, c), empty, 0.5, ms)
         assert out == pytest.approx((1.0 / 0.5) * (c - 1.0) * 1.0, rel=1e-14)
 
     def test_zero_at_event_invalid(self):
         ms = MarkSpace(weights=(1.0,))
-        sample = JumpSample(np.array([0.25]), np.array([0]), 1.0)
+        sample = JumpSample(np.array([0.25]), np.array([0]))
         control = Control(1.0, np.array([[0.0], [1.0]]))
         with pytest.raises(InvalidChangeOfMeasure):
             girsanov_log_density(control, sample, 0.5, ms)
+
+    def test_event_after_horizon_invalid(self):
+        ms = MarkSpace(weights=(1.0,))
+        sample = JumpSample(np.array([0.25, 1.5]), np.array([0, 0]))
+        with pytest.raises(InvalidChangeOfMeasure, match="after the tilt's horizon"):
+            girsanov_log_density(Control.constant(1.0, 1.5), sample, 0.5, ms)
 
     def test_mean_one_over_tilted_samples(self):
         ms = MarkSpace(weights=(1.0,))
@@ -378,7 +389,7 @@ class TestGirsanov:
                 np.exp(
                     girsanov_log_density(
                         control,
-                        thin_to_control(ms, 1.0, control, 1 / eps, rng_for(17, "mo", k)),
+                        thin_to_control(ms, control, 1 / eps, rng_for(17, "mo", k)),
                         eps,
                         ms,
                     )
@@ -398,7 +409,7 @@ class TestGirsanov:
                 np.exp(
                     girsanov_log_density(
                         control,
-                        thin_to_control(ms, 1.0, control, 1 / eps, rng_for(31, "mo-pw", k)),
+                        thin_to_control(ms, control, 1 / eps, rng_for(31, "mo-pw", k)),
                         eps,
                         ms,
                     )
@@ -421,7 +432,7 @@ class TestSerialization:
     def test_jump_sample_roundtrip(self):
         ms = MarkSpace(weights=(1.0, 2.0))
         sample = sample_prm(ms, 1.0, 20.0, rng_for(37, "ser"))
-        back = jumps_from_text(_jumps_text(sample), 1.0)
+        back = jumps_from_text(_jumps_text(sample))
         assert np.allclose(back.times, sample.times)
         assert np.array_equal(back.marks, sample.marks)
 
