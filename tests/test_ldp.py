@@ -111,7 +111,9 @@ class TestRateObjective:
 
 
 class TestOptimizer:
-    @pytest.mark.parametrize("bad", ({"max_iters": 0},))
+    @pytest.mark.parametrize(
+        "bad", ({"penalty_weight": -0.5}, {"penalty_weight": 0.0}, {"max_iters": 0})
+    )
     def test_nonpositive_step_or_iterations_rejected(self, rng, bad):
         prob = small_problem(rng)
         with pytest.raises(ValueError, match=f"{next(iter(bad))} must be"):
