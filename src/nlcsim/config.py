@@ -5,7 +5,10 @@ key names (documented in the README).  Each key is an ``ExperimentConfig``
 field, named by the field with its first ``_`` as ``.`` and parsed after
 its annotation.  Every diagnostic carries the line number it came from;
 unknown keys are rejected.  Only ``seed`` is required -- everything else
-has a documented default.
+has a documented default.  ``_RULES`` states each key's range once, as the
+condition its value meets, so NaN, infinities and empty lists fail at their
+line too; a few cross-key checks follow (t_final/dt integral, the noise
+lengths, the descriptors, the control matrix).
 
 Shape fields are described by a small vocabulary of named analytic fields
 (amplitude-scaled, optionally Leray-projected low Fourier modes) rather
@@ -225,17 +228,11 @@ class ExperimentConfig:
         return SpectralState(grid, velocity_shape(grid, self.init_u), director_shape(grid, self.init_theta))
 
     def build_control(self) -> Control:
-        k, m = self.control_cells, len(self.noise_weights)
-        vals = self.control_values
-        if len(vals) == 1:
-            matrix = np.full((k, m), vals[0])
-        elif len(vals) == k * m:
-            matrix = np.asarray(vals).reshape(k, m)
-        else:
-            raise ConfigError(
-                f"control.values needs 1 or cells*marks={k * m} entries, got {len(vals)}"
-            )
-        return Control(self.solver_t_final, matrix)
+        """The (cells x marks) tilt: one value broadcast, or cells*marks values row by row."""
+        k, m, vals = self.control_cells, len(self.noise_weights), self.control_values
+        if len(vals) not in (1, k * m):
+            raise ConfigError(f"control.values needs 1 or cells*marks={k * m} entries, got {len(vals)}")
+        return Control(self.solver_t_final, np.resize(vals, (k, m)))
 
     def build_importance_phi(self) -> Control:
         m = len(self.noise_weights)
@@ -259,83 +256,74 @@ _PARSERS = {
 _SCHEMA = {f.name.replace("_", ".", 1): (f.name, _PARSERS[f.type]) for f in fields(ExperimentConfig)}
 
 
+# config key -> (the condition its value meets, what the key must be); a condition that
+# holds only for finite values rejects NaN and +-inf too, and a tuple must also be nonempty
+_RULES = {
+    "seed": (lambda v: v >= 0, "be >= 0"),
+    "grid.modes": (lambda v: v >= 8 and v % 2 == 0, "be even and >= 8"),
+    "grid.dealias_factor": (lambda v: 1 <= v < np.inf, "be >= 1 and finite"),
+    "nonlinearity.coefficients": (
+        lambda v: len(v) <= 4 and all(0 < b < np.inf for b in v),
+        "all be > 0 and finite, 1 to 4 of them (degree <= 3)",
+    ),
+    "solver.dt": (lambda v: 0 < v < np.inf, "be > 0 and finite"),
+    "solver.t_final": (lambda v: 0 < v < np.inf, "be > 0 and finite"),
+    "solver.diag_stride": (lambda v: v >= 0, "be >= 0 (0 = auto)"),
+    "solver.cutoff_level": (lambda v: v == 0 or 1 <= v < np.inf, "be 0 or >= 1 and finite"),
+    "noise.weights": (lambda v: all(0 < w < np.inf for w in v), "all be positive and finite, at least one"),
+    "noise.gains": (lambda v: all(-np.inf < g < np.inf for g in v), "all be finite"),
+    "control.cells": (lambda v: v >= 1, "be >= 1"),
+    "control.values": (lambda v: all(0 <= g < np.inf for g in v), "all be >= 0 and finite, at least one"),
+    "experiment.eps_list": (
+        lambda v: all(0 < e < np.inf for e in v) and all(a > b for a, b in zip(v, v[1:])),
+        "be nonempty, positive, finite and strictly decreasing",
+    ),
+    "experiment.n_paths": (lambda v: v >= 8, "be >= 8"),
+    "simulate.eps": (lambda v: 0 < v < np.inf, "be > 0 and finite"),
+    "rate.penalty": (lambda v: 0 < v < np.inf, "be > 0 and finite"),
+    "rate.cells": (lambda v: v >= 1, "be >= 1"),
+    "rate.max_iters": (lambda v: v >= 1, "be >= 1"),
+    "rate.tolerance": (lambda v: 0 <= v < np.inf, "be >= 0 and finite"),
+    "rate.target_tilt": (lambda v: 0 <= v < np.inf, "be >= 0 and finite"),
+    "importance.eps": (lambda v: 0 < v < np.inf, "be > 0 and finite"),
+    "importance.phi": (lambda v: 0 < v < np.inf, "be > 0 and finite"),
+    "importance.threshold": (lambda v: -np.inf < v < np.inf, "be finite"),
+    "importance.n_paths": (lambda v: v >= 1, "be >= 1"),
+}
+
+
 def _validate(cfg: ExperimentConfig, lines: dict[str, int], path: str):
     def fail(key: str, message: str):
         raise ConfigError(message, path, lines.get(key))
 
-    if cfg.seed < 0:
-        fail("seed", "seed must be a nonnegative integer")
-    if cfg.grid_modes % 2 != 0 or cfg.grid_modes < 8:
-        fail("grid.modes", f"grid.modes must be even and >= 8, got {cfg.grid_modes}")
-    if cfg.grid_dealias_factor < 1.0:
-        fail("grid.dealias_factor", "dealias factor must be >= 1")
-    if any(b <= 0 for b in cfg.nonlinearity_coefficients):
-        fail(
-            "nonlinearity.coefficients",
-            f"polynomial coefficients must all be > 0, got {cfg.nonlinearity_coefficients}",
-        )
-    if len(cfg.nonlinearity_coefficients) > 4:
-        fail("nonlinearity.coefficients", "polynomial degree limited to 3")
-    if cfg.solver_dt <= 0:
-        fail("solver.dt", f"solver.dt must be > 0, got {cfg.solver_dt}")
-    if cfg.solver_t_final <= 0:
-        fail("solver.t_final", "solver.t_final must be > 0")
+    for key, (holds, what) in _RULES.items():
+        value = getattr(cfg, _SCHEMA[key][0])
+        if value == () or not holds(value):
+            fail(key, f"{key} must {what}, got {value}")
     steps = cfg.solver_t_final / cfg.solver_dt
-    if abs(steps - round(steps)) > 1e-6:
-        fail("solver.dt", f"t_final/dt = {steps} is not integral within rounding")
-    if cfg.solver_diag_stride < 0:
-        fail("solver.diag_stride", f"solver.diag_stride must be >= 0 (0 = auto), got {cfg.solver_diag_stride}")
-    if cfg.solver_cutoff_level != 0 and cfg.solver_cutoff_level < 1:
-        fail("solver.cutoff_level", f"solver.cutoff_level must be 0 or >= 1, got {cfg.solver_cutoff_level}")
-    if any(w <= 0 for w in cfg.noise_weights):
-        fail("noise.weights", f"mark weights must be positive, got {cfg.noise_weights}")
+    if not (round(steps) >= 1 and abs(steps - round(steps)) <= 1e-6):
+        fail("solver.dt", f"t_final/dt = {steps} is not a positive integer within rounding")
     m = len(cfg.noise_weights)
-    if len(cfg.noise_shapes) != m or len(cfg.noise_gains) != m:
-        fail(
-            "noise.shapes",
-            f"noise.shapes and noise.gains must match noise.weights length {m}",
-        )
-    if any(v < 0 for v in cfg.control_values):
-        fail("control.values", "control values must be >= 0")
-    if cfg.control_cells < 1:
-        fail("control.cells", "control.cells must be >= 1")
-    if any(e <= 0 for e in cfg.experiment_eps_list) or any(
-        a <= b for a, b in zip(cfg.experiment_eps_list, cfg.experiment_eps_list[1:])
-    ):
-        fail("experiment.eps_list", "eps list must be positive and strictly decreasing")
-    if cfg.experiment_n_paths < 8:
-        fail("experiment.n_paths", "experiment.n_paths must be >= 8")
-    if cfg.simulate_eps <= 0:
-        fail("simulate.eps", "simulate.eps must be > 0")
-    if cfg.importance_eps <= 0:
-        fail("importance.eps", "importance.eps must be > 0")
-    if cfg.importance_n_paths < 1:
-        fail("importance.n_paths", "importance.n_paths must be >= 1")
-    if cfg.importance_phi <= 0:
-        fail("importance.phi", "importance tilt must be > 0")
-    if cfg.rate_penalty <= 0:
-        fail("rate.penalty", "rate.penalty must be > 0")
-    if cfg.rate_cells < 1:
-        fail("rate.cells", "rate.cells must be >= 1")
-    if cfg.rate_max_iters < 1:
-        fail("rate.max_iters", f"rate.max_iters must be >= 1, got {cfg.rate_max_iters}")
-    # vocabulary check: build on a throwaway grid so bad descriptors fail here
+    for key, value in (("noise.shapes", cfg.noise_shapes), ("noise.gains", cfg.noise_gains)):
+        if len(value) != m:
+            fail(key, f"noise.shapes and noise.gains must match noise.weights length {m}")
+    # build what the lines describe, each once, so a bad descriptor or control fails at its line
     grid = cfg.build_grid()
     for key, what, build in (
         ("init.u", "bad init descriptor", lambda: velocity_shape(grid, cfg.init_u)),
         ("init.theta", "bad init descriptor", lambda: director_shape(grid, cfg.init_theta)),
         ("noise.shapes", "bad noise shape", lambda: cfg.build_jump_spec(grid)),
+        ("control.values", "bad control", cfg.build_control),
     ):
         try:
             build()
         except (ValueError, IndexError) as exc:
-            raise ConfigError(f"{what}: {getattr(exc, 'message', exc)}", path, lines.get(key)) from exc
+            fail(key, f"{what}: {getattr(exc, 'message', exc)}")
 
 
 def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
     values: dict[str, object] = {}
     lines: dict[str, int] = {}
-    seen_seed = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -355,9 +343,7 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"cannot parse value for '{key}': {exc}", path, lineno) from exc
         lines[key] = lineno
-        if key == "seed":
-            seen_seed = True
-    if not seen_seed:
+    if "seed" not in lines:
         raise ConfigError("missing required key 'seed'", path)
     cfg = ExperimentConfig(**values)
     _validate(cfg, lines, path)

@@ -405,8 +405,8 @@ def _run(
     drives the velocity, dt w (g - 1) for the skeleton (from
     ``_skeleton_table``) and eps n - dt w for the SDE, n the step's jump
     count per path and mark.  The convolution's own table eps n - dt w phi
-    drives xi <- F (xi + sum_i c_i G(u, v_i)).  The unit tilt and a config
-    without marks force nothing.
+    drives xi <- F (xi + sum_i c_i G(u, v_i)).  The unit tilt forces nothing,
+    and a tilt on a config without marks raises ``SolverError``.
 
     The state of P paths is (P, 2, N, N//2+1): each step makes one inverse
     and one forward transform call for the whole batch, and the norms,
@@ -438,7 +438,7 @@ def _run(
         if track_convolution:
             phi = cfg.tilt(control)
             xi_table = counts - (dt_w * phi.values[phi.cells_of(np.arange(n_steps) * dt)])[:, None]
-    elif control is not None and ms is not None:
+    elif control is not None:
         table = _skeleton_table(cfg.tilt(control), cfg)[1]
     pairing = table is not None and not stochastic  # the skeleton's drift pairing <drift, u>
     factor = np.exp(-half_tables(grid.n)[2] * dt)
@@ -737,9 +737,7 @@ def apriori_bound(init: SpectralState, g: Control | None, cfg: SolverConfig) -> 
     """
     u_l2, _, _, theta_h1 = _state_norms(init.u_hat, init.theta_hat)
     e0 = _psi(init.theta_hat, theta_h1, init.grid, cfg.nonlinearity) + u_l2**2
-    c = 0.0
-    if g is not None and cfg.mark_space is not None:
-        c = apriori_control_constant(cfg.tilt(g), cfg.mark_space, cfg.jump_spec)
+    c = 0.0 if g is None else apriori_control_constant(cfg.tilt(g), cfg.mark_space, cfg.jump_spec)
     t = cfg.t_final
     return (e0 + c) * t * float(np.exp(c * t))
 

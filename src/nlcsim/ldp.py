@@ -316,6 +316,12 @@ def _weighted_estimate(samples: np.ndarray, n_diverged: int) -> dict:
 # small-noise Monte Carlo study
 
 
+def _check_eps_list(eps_list: Sequence[float]):
+    """Reject a noise-size list that is empty, not positive or not strictly decreasing."""
+    if not (len(eps_list) and all(e > 0 for e in eps_list) and all(a > b for a, b in zip(eps_list, eps_list[1:]))):
+        raise StudyError(f"eps_list must be nonempty, positive and strictly decreasing, got {list(eps_list)}")
+
+
 def mc_small_noise_study(
     eps_list: Sequence[float],
     n_paths: int,
@@ -336,10 +342,7 @@ def mc_small_noise_study(
     """
     if n_paths < 8:
         raise StudyError("study needs at least 8 paths per noise level")
-    if any(e <= 0 for e in eps_list) or any(
-        a <= b for a, b in zip(eps_list, list(eps_list)[1:])
-    ):
-        raise StudyError("eps_list must be positive and strictly decreasing")
+    _check_eps_list(eps_list)
     skel = solve_skeleton(init, phi, cfg)
     if skel.diverged:
         raise StudyError("the skeleton run itself diverged")
@@ -383,6 +386,7 @@ def convolution_scaling_study(
     Path k runs ``solve_stochastic_convolution`` at its own seed, batched.
     Diverged paths are excluded and counted, as in the small-noise study.
     """
+    _check_eps_list(eps_list)
     path_seeds = rng_for(seed, "convolution-study").integers(0, 2**62, size=(len(eps_list), n_paths))
     rows = []
     for i, eps in enumerate(eps_list):

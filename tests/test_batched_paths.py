@@ -7,6 +7,8 @@ built from one-path public solves, whatever the chunk size.  A path that
 diverges leaves the rest of its batch untouched and is counted.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from nlcsim.dynamics import (
     SolverConfig,
     SolverError,
     _run,
+    apriori_bound,
     draw_jumps,
     skeleton_adjoint,
     solve_path_batch,
@@ -296,10 +299,12 @@ def test_diverged_share_above_one_percent_fails(monkeypatch):
 # one horizon and one mark space per run
 
 
-# tilts that do not fit make_cfg()'s run over [0, 0.2] with 2 marks
+# (run, tilt): tilts that do not fit make_cfg()'s run over [0, 0.2] with 2 marks, and a tilt on
+# that run without its marks
 MISFIT_TILTS = {
-    "other-horizon": lambda cfg: Control.constant(1.0, 1.5, 1, 2),
-    "one-mark": lambda cfg: Control.constant(cfg.t_final, 1.5),
+    "other-horizon": lambda cfg: (cfg, Control.constant(1.0, 1.5, 1, 2)),
+    "one-mark": lambda cfg: (cfg, Control.constant(cfg.t_final, 1.5)),
+    "no-marks": lambda cfg: (replace(cfg, mark_space=None, jump_spec=None), Control.constant(cfg.t_final, 1.5, 1, 2)),
 }
 
 TILT_ENTRY_POINTS = {
@@ -315,15 +320,16 @@ TILT_ENTRY_POINTS = {
     "importance_weights": lambda tilt, cfg, init: importance_weights(
         lambda traj: 1.0, tilt, 0.5, 8, cfg, init, seed=3
     ),
+    "apriori_bound": lambda tilt, cfg, init: apriori_bound(init, tilt, cfg),
 }
 
 
 @pytest.mark.parametrize("misfit", MISFIT_TILTS)
 @pytest.mark.parametrize("entry", TILT_ENTRY_POINTS)
 def test_a_tilt_that_does_not_fit_the_run_is_rejected(entry, misfit):
-    cfg = make_cfg()
-    with pytest.raises(SolverError, match="tilt"):
-        TILT_ENTRY_POINTS[entry](MISFIT_TILTS[misfit](cfg), cfg, make_init(cfg.grid))
+    cfg, tilt = MISFIT_TILTS[misfit](make_cfg())
+    with pytest.raises(SolverError, match="tilt" if cfg.mark_space else "no mark space"):
+        TILT_ENTRY_POINTS[entry](tilt, cfg, make_init(cfg.grid))
 
 
 EMPTY_RUNS = {
@@ -340,3 +346,11 @@ def test_a_monte_carlo_run_of_no_path_is_rejected(driver):
     cfg = make_cfg()
     with pytest.raises(StudyError, match=f"^{driver}.* needs at least one path"):
         EMPTY_RUNS[driver](cfg, make_init(cfg.grid))
+
+
+@pytest.mark.parametrize("eps_list", ([], [0.2, 0.4], [0.4, -0.1], [float("nan")]), ids=str)
+@pytest.mark.parametrize("study", (mc_small_noise_study, convolution_scaling_study), ids=lambda f: f.__name__)
+def test_a_study_rejects_an_eps_list_that_is_empty_or_not_positive_and_decreasing(study, eps_list):
+    cfg = make_cfg()
+    with pytest.raises(StudyError, match="eps_list must be nonempty, positive and strictly decreasing"):
+        study(eps_list, 8, cfg, make_init(cfg.grid), seed=3)

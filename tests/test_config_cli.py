@@ -1,11 +1,13 @@
+import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nlcsim.cli import main, state_to_text
+from nlcsim.cli import _COMMANDS, main, state_to_text
 from nlcsim.config import (
+    _SCHEMA,
     ConfigError,
     ExperimentConfig,
     config_hash,
@@ -208,12 +210,30 @@ class TestParsing:
             "importance.eps = -1",
             "rate.cells = 0",
             "rate.max_iters = -3",
+            "rate.tolerance = -1e-6",
+            "rate.target_tilt = -0.5",
+            "importance.threshold = nan",
+            "experiment.eps_list =",
+            "experiment.eps_list = 0.1, 0.4",
         ),
     )
     def test_out_of_range_value_rejected_at_its_key_and_line(self, line):
-        key = line.split(" = ")[0]
+        key = line.split("=")[0].strip()
         with pytest.raises(ConfigError, match=rf"^<config>:3: {re.escape(key)} must be"):
             parse_config_text(f"seed = 1\n# fine\n{line}\n")
+
+
+    # every key whose value is a float or a tuple of floats
+    FLOAT_KEYS = [
+        key for key, (name, _) in _SCHEMA.items()
+        if ExperimentConfig.__dataclass_fields__[name].type in ("float", "tuple[float, ...]")
+    ]
+
+    @pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_a_non_finite_float_is_rejected_at_its_key_and_line(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^<config>:3: {re.escape(key)} must "):
+            parse_config_text(f"seed = 1\n# fine\n{key} = {value}\n")
 
 
 class TestSchema:
@@ -284,6 +304,34 @@ class TestCli:
         assert main(["simulate", "--config", cfg_path, "--out", str(out1)]) == 0
         assert main(["simulate", "--config", cfg_path, "--out", str(out2), "--seed", "999"]) == 0
         assert (out1 / "jumps.txt").read_text() != (out2 / "jumps.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "lines",
+        (
+            "solver.dt = nan",
+            "grid.dealias_factor = nan",
+            "simulate.eps = nan",
+            "importance.threshold = nan",
+            "rate.tolerance = nan",
+            "experiment.eps_list =",
+            "nonlinearity.coefficients =",
+            "importance.phi = inf",
+            "noise.gains = nan, 0, 0.05, 0.05",
+            "control.cells = 3\ncontrol.values = 1, 2",
+        ),
+    )
+    def test_a_bad_value_fails_every_command_with_one_config_record(self, tmp_path, capsys, lines):
+        cfg_path = self._write_cfg(tmp_path, f"seed = 1\n# fine\n{lines}\n")
+        lineno = 2 + len(lines.splitlines())
+        key = lines.splitlines()[-1].split("=")[0].strip()
+        for command in _COMMANDS:
+            out = tmp_path / command
+            assert main([command, "--config", cfg_path, "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            record = json.loads(captured.err)
+            assert record["error"] == "config" and captured.out == ""
+            assert f"exp.ini:{lineno}: " in record["message"] and key in record["message"]
+            assert not out.exists()
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg_path = self._write_cfg(tmp_path, "grid.modes = 16\n")
