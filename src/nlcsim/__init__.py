@@ -10,7 +10,7 @@ Monte Carlo, importance sampling), ``config``/``cli``/``verify``
 """
 
 from .spectral import TorusGrid
-from .operators import EnergyReport, PolynomialNonlinearity, energy_psi
+from .operators import PolynomialNonlinearity
 from .noise import Control, JumpCoefficientSpec, JumpSample, MarkSpace, cost_LT, entropy_l
 from .dynamics import (
     SolverConfig,
@@ -27,7 +27,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Control",
-    "EnergyReport",
     "ExperimentConfig",
     "JumpCoefficientSpec",
     "JumpSample",
@@ -40,7 +39,6 @@ __all__ = [
     "TorusGrid",
     "Trajectory",
     "cost_LT",
-    "energy_psi",
     "entropy_l",
     "optimize_control",
     "parse_config",

@@ -22,23 +22,25 @@ Monte Carlo studies quantify how jump-driven paths concentrate on the
 deterministic flow as the noise size shrinks, and the importance sampler
 reweights tilted simulations back to the reference measure through the
 exponential martingale density; plain Monte Carlo is that estimator at the
-unit tilt, where every weight is one.  All Monte Carlo drivers run their
-paths through ``_run_paths``, which steps them in chunks of ``_CHUNK``
-paths as one batch (``dynamics.solve_path_batch``) on one thread, excludes
-and counts diverged paths, and fails the study above 1% of them.  Each
-path draws its jumps from its own Philox stream, keyed as for a one-path
-run, and no batch mixes paths, so every result equals the one built from
-one-path solves bit for bit, whatever the chunk size.  Per path a driver
-keeps only what it reads: the study its sup distance to the skeleton
+unit tilt, where every weight is one.  Every Monte Carlo driver draws
+its paths' jump samples up front, each from its own Philox stream keyed as
+for a one-path run, and runs them through the one loop ``_run_paths``: it
+steps ``_CHUNK`` samples at a time as one batch
+(``dynamics.solve_path_batch``) on one thread, reads divergence from the
+trajectories, and keeps per path only the value the driver's
+``value_of(k, traj)`` reads off it, so a batch is reduced before the next
+one runs.  Diverged paths are excluded and counted, and more than 1% of
+them fails the study.  No batch mixes paths, so every result equals the
+one built from one-path solves bit for bit, whatever the chunk size.  The
+small-noise study keeps each path's sup distance to the skeleton
 (measured snapshot by snapshot), the convolution study max |xi|, the
-estimators the diagnostic rows their event indicator sees.  The
-importance and plain estimators are one loop, ``_tilted_estimate``: each
-path draws ``thin_to_control(ms, cfg.tilt(phi), 1/epsilon, rng)``, and
-``_weighted_estimate`` keeps the weights as logarithms: the estimate and
-its standard error are formed with a max shift (log-sum-exp), and the
-result carries ``log_estimate``, the effective sample size, the largest
-weight share, the hit count and a flag for a degenerate sample (no path
-or every path hits).
+estimators their log weight and indicator.  The importance and plain
+estimators are one estimator, ``_tilted_estimate``, on samples drawn at
+the tilt ``cfg.tilt(phi)``; ``_weighted_estimate`` keeps the weights as
+logarithms: the estimate and its standard error are formed with a max
+shift (log-sum-exp), and the result carries ``log_estimate``, the
+effective sample size, the largest weight share, the hit count and a flag
+for a degenerate sample (no path or every path hits).
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from .dynamics import (
     state_distances,
     sup_state_distance,
 )
-from .noise import Control, cost_LT, girsanov_log_density, rng_for, thin_to_control
+from .noise import Control, JumpSample, cost_LT, girsanov_log_density, rng_for, thin_to_control
 from .spectral import half_tables
 
 
@@ -251,26 +253,32 @@ def brute_force_rate(prob: RateProblem, grid_values: Sequence[float]) -> RateSol
 _CHUNK = 8
 
 
-def _run_paths(chunk_fn: Callable[[range], Sequence], n_paths: int, what: str):
-    """(results of the paths that did not diverge, number of diverged paths).
+def _run_paths(
+    init: SpectralState, epsilon: float, jumps: Sequence[JumpSample], cfg: SolverConfig,
+    value_of: Callable[[int, Trajectory], object], what: str,
+    convolution_phi: Control | None = None, on_snapshot: Callable | None = None,
+) -> tuple[np.ndarray, int]:
+    """(``value_of(k, traj)`` of each path k that did not diverge, number of diverged paths).
 
-    ``chunk_fn(ks)`` steps the paths ``ks`` (consecutive indices, at most
-    ``_CHUNK`` of them) as one batch and returns one result per path: NaN,
-    or a tuple holding NaN, for a diverged path.  Diverged paths are
-    excluded and counted; more than 1% of them fails the study, and so does
-    a study of no path.
+    Path k runs on ``jumps[k]``, ``_CHUNK`` paths to one ``solve_path_batch``
+    call; a batch is reduced to its values before the next one runs, and
+    ``on_snapshot`` sees indices into ``jumps``.  Diverged paths are counted
+    and left out; above 1% of them, or with no path, the study fails.
     """
-    if n_paths < 1:
-        raise StudyError(f"{what} needs at least one path, got n_paths = {n_paths}")
-    vals = np.asarray(
-        [v for s in range(0, n_paths, _CHUNK) for v in chunk_fn(range(s, min(s + _CHUNK, n_paths)))],
-        dtype=float,
-    )
-    diverged = np.isnan(vals.reshape(n_paths, -1)).any(axis=1)
-    bad = int(diverged.sum())
-    if bad > 0.01 * n_paths:
-        raise StudyError(f"{bad}/{n_paths} paths diverged ({what})")
-    return vals[~diverged], bad
+    if not jumps:
+        raise StudyError(f"{what} needs at least one path, got none")
+    values, bad = [], 0
+    for s in range(0, len(jumps), _CHUNK):
+        hook = None if on_snapshot is None else lambda j, paths, u, theta: on_snapshot(j, paths + s, u, theta)
+        batch = solve_path_batch(init, epsilon, jumps[s : s + _CHUNK], cfg, convolution_phi, hook)
+        for k, traj in enumerate(batch, s):
+            if traj.diverged:
+                bad += 1
+            else:
+                values.append(value_of(k, traj))
+    if bad > 0.01 * len(jumps):
+        raise StudyError(f"{bad}/{len(jumps)} paths diverged ({what})")
+    return np.asarray(values, dtype=float), bad
 
 
 def _weighted_estimate(samples: np.ndarray, n_diverged: int) -> dict:
@@ -285,8 +293,8 @@ def _weighted_estimate(samples: np.ndarray, n_diverged: int) -> dict:
     about the estimate.
     """
     log_w, f = samples[:, 0], samples[:, 1]
-    if np.any(f < 0):
-        raise ValueError("event indicator values must be nonnegative")
+    if not np.all((f >= 0) & (f < np.inf)):
+        raise ValueError("event indicator values must be finite and nonnegative")
     n = f.size
     hits = int(np.count_nonzero(f > 0))
     with np.errstate(divide="ignore"):
@@ -348,19 +356,16 @@ def mc_small_noise_study(
         raise StudyError("the skeleton run itself diverged")
     path_seeds = rng_for(seed, "mc-small-noise").integers(0, 2**62, size=(len(eps_list), n_paths))
     rows = []
-    for i, eps in enumerate(eps_list):
-        def chunk(ks: range, eps=eps, i=i) -> np.ndarray:
-            jumps = [draw_jumps(eps, phi, cfg, int(path_seeds[i, k]))[1] for k in ks]
-            sup = np.zeros(len(ks))
+    for eps, seeds in zip(eps_list, path_seeds):
+        jumps = [draw_jumps(eps, phi, cfg, int(s))[1] for s in seeds]
+        sup = np.zeros(n_paths)
 
-            def observe(j, paths, u_hat, theta_hat):
-                dist = state_distances(u_hat, theta_hat, skel.snapshots[j])
-                sup[paths] = np.maximum(sup[paths], dist)
+        def observe(j, paths, u_hat, theta_hat):
+            sup[paths] = np.maximum(sup[paths], state_distances(u_hat, theta_hat, skel.snapshots[j]))
 
-            trajs = solve_path_batch(init, eps, jumps, cfg, on_snapshot=observe)
-            return np.where([traj.diverged for traj in trajs], np.nan, sup)
-
-        good, bad = _run_paths(chunk, n_paths, f"small-noise study, eps={eps}")
+        good, bad = _run_paths(
+            init, eps, jumps, cfg, lambda k, traj: sup[k], f"small-noise study, eps={eps}", on_snapshot=observe
+        )
         rows.append(
             {
                 "eps": float(eps),
@@ -389,14 +394,12 @@ def convolution_scaling_study(
     _check_eps_list(eps_list)
     path_seeds = rng_for(seed, "convolution-study").integers(0, 2**62, size=(len(eps_list), n_paths))
     rows = []
-    for i, eps in enumerate(eps_list):
-        def chunk(ks: range, eps=eps, i=i) -> list[float]:
-            draws = [draw_jumps(eps, phi, cfg, int(path_seeds[i, k])) for k in ks]
-            tilt = draws[0][0]
-            convs = solve_path_batch(init, eps, [d[1] for d in draws], cfg, convolution_phi=tilt)
-            return [float("nan") if c.diverged else float(np.max(c.u_l2) ** 2) for c in convs]
-
-        sups, bad = _run_paths(chunk, n_paths, f"convolution study, eps={eps}")
+    for eps, seeds in zip(eps_list, path_seeds):
+        jumps = [draw_jumps(eps, phi, cfg, int(s))[1] for s in seeds]
+        sups, bad = _run_paths(
+            init, eps, jumps, cfg, lambda k, conv: float(np.max(conv.u_l2) ** 2),
+            f"convolution study, eps={eps}", convolution_phi=cfg.tilt(phi),
+        )
         rows.append({"eps": float(eps), "mean_sup_sq": float(np.mean(sups)), "n_diverged": bad})
     return rows
 
@@ -406,37 +409,18 @@ def convolution_scaling_study(
 
 
 def _tilted_estimate(
-    event_indicator: Callable[[Trajectory], float],
-    phi: Control | None,
-    epsilon: float,
-    n_paths: int,
-    cfg: SolverConfig,
-    init: SpectralState,
-    path_rng: Callable[[int], np.random.Generator],
-    what: str,
+    event_indicator: Callable[[Trajectory], float], phi: Control, epsilon: float,
+    jumps: Sequence[JumpSample], cfg: SolverConfig, init: SpectralState, what: str,
 ) -> dict:
-    """The one Monte Carlo estimator loop; ``phi=None`` is the unit tilt.
+    """The one estimator, over ``jumps`` drawn at intensity (1/epsilon) phi theta, phi = ``cfg.tilt(...)``.
 
-    Path k draws its jumps at intensity (1/epsilon) phi theta from
-    ``path_rng(k)`` and contributes its indicator weighted by the
-    exponential likelihood ratio of those jumps (exactly one at the unit
-    tilt).  The tilt is ``cfg.tilt(phi)``.
+    ``_run_paths`` reduces each batch to one (log weight, indicator) row per
+    path whose trajectory did not diverge; the weight is one at the unit tilt.
     """
-    _require_noise(epsilon, cfg)
-    phi, ms = cfg.tilt(phi), cfg.mark_space
-    if np.any(phi.values <= 0):
-        raise ValueError("importance sampling requires a strictly positive tilt")
+    def value_of(k: int, traj: Trajectory) -> tuple[float, float]:
+        return girsanov_log_density(phi, jumps[k], epsilon, cfg.mark_space), float(event_indicator(traj))
 
-    def chunk(ks: range) -> list[tuple[float, float]]:
-        jumps = [thin_to_control(ms, phi, 1.0 / epsilon, path_rng(k)) for k in ks]
-        trajs = solve_path_batch(init, epsilon, jumps, cfg)
-        return [
-            (float("nan"), float("nan")) if traj.diverged
-            else (girsanov_log_density(phi, sample, epsilon, ms), float(event_indicator(traj)))
-            for traj, sample in zip(trajs, jumps)
-        ]
-
-    return _weighted_estimate(*_run_paths(chunk, n_paths, what))
+    return _weighted_estimate(*_run_paths(init, epsilon, jumps, cfg, value_of, what))
 
 
 def importance_weights(
@@ -459,10 +443,13 @@ def importance_weights(
     ``max_weight_share`` (see :func:`_weighted_estimate`).  The indicator
     sees each path's diagnostic rows and final snapshot.
     """
-    return _tilted_estimate(
-        event_indicator, phi, epsilon, n_paths, cfg, init,
-        lambda k: rng_for(seed, "importance", k), "importance sampling",
-    )
+    _require_noise(epsilon, cfg)
+    phi = cfg.tilt(phi)
+    if np.any(phi.values <= 0):
+        raise ValueError("importance sampling requires a strictly positive tilt")
+    rngs = (rng_for(seed, "importance", k) for k in range(n_paths))
+    jumps = [thin_to_control(cfg.mark_space, phi, 1.0 / epsilon, rng) for rng in rngs]
+    return _tilted_estimate(event_indicator, phi, epsilon, jumps, cfg, init, "importance sampling")
 
 
 def plain_mc_probability(
@@ -475,14 +462,12 @@ def plain_mc_probability(
 ) -> dict:
     """Untilted Monte Carlo estimate of the same path probability (unit weights).
 
-    The importance estimator at the unit tilt; path k draws its jumps as
-    ``draw_jumps`` does at its own seed, taken from the "plain-mc" stream.
+    The importance estimator at the unit tilt; path k draws its jumps with
+    ``draw_jumps`` at its own seed, taken from the "plain-mc" stream.
     """
-
-    def path_rng(k: int) -> np.random.Generator:
-        return rng_for(int(rng_for(seed, "plain-mc", k).integers(0, 2**62)), "sde-jumps")
-
-    return _tilted_estimate(event_indicator, None, epsilon, n_paths, cfg, init, path_rng, "plain Monte Carlo")
+    seeds = [int(rng_for(seed, "plain-mc", k).integers(0, 2**62)) for k in range(n_paths)]
+    jumps = [draw_jumps(epsilon, None, cfg, s)[1] for s in seeds]
+    return _tilted_estimate(event_indicator, cfg.tilt(None), epsilon, jumps, cfg, init, "plain Monte Carlo")
 
 
 def sup_velocity_indicator(threshold: float) -> Callable[[Trajectory], float]:

@@ -348,6 +348,8 @@ def girsanov_log_density(
     vals = control.values
     total = 0.0
     if sample.size:
+        if not (0 <= sample.marks.min() and sample.marks.max() < ms.size):
+            raise NoiseError(f"unknown mark index in jumps (mark space has {ms.size} marks)")
         if sample.times[-1] > control.horizon:
             raise InvalidChangeOfMeasure(f"event at t = {sample.times[-1]:g} after the tilt's horizon")
         g_at_events = vals[control.cells_of(sample.times), sample.marks]

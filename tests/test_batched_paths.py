@@ -259,17 +259,23 @@ def test_plain_estimate_matches_one_path_solves(chunk):
 # diverged paths inside a driver
 
 
-def _burst_on_call(monkeypatch, target: int):
-    """Make the ``target``-th importance draw (path index ``target``) diverge."""
+def _burst_on_call(monkeypatch, target: int, name: str = "thin_to_control"):
+    """Make the ``target``-th draw through ``ldp.<name>`` (path ``target`` of the first run) diverge.
+
+    ``thin_to_control`` is the importance sampler's draw, ``draw_jumps`` (which
+    returns the tilt too) the studies'.
+    """
     calls = []
-    draw = ldp.thin_to_control
+    draw = getattr(ldp, name)
 
     def patched(*args, **kwargs):
-        sample = draw(*args, **kwargs)
+        out = draw(*args, **kwargs)
         calls.append(None)
-        return with_burst(sample, 0.055, 500) if len(calls) - 1 == target else sample
+        if len(calls) - 1 != target:
+            return out
+        return with_burst(out, 0.055, 500) if name == "thin_to_control" else (out[0], with_burst(out[1], 0.055, 500))
 
-    monkeypatch.setattr(ldp, "thin_to_control", patched)
+    monkeypatch.setattr(ldp, name, patched)
 
 
 def test_diverged_path_is_counted_and_excluded(chunk, monkeypatch):
@@ -285,6 +291,35 @@ def test_diverged_path_is_counted_and_excluded(chunk, monkeypatch):
     out = importance_weights(indicator, phi, 0.5, n, cfg, init, seed=25)
     assert out["n_diverged"] == 1 and out["n_paths"] == n - 1
     assert out == expect
+
+
+# study -> (its seed stream, the value of path seed s from one-path solves, the row of the values)
+STUDIES_WITH_A_DIVERGED_PATH = {
+    "mc_small_noise_study": (
+        "mc-small-noise",
+        lambda init, phi, cfg, s, skel: sup_state_distance(solve_small_noise_sde(init, 0.5, phi, cfg, s), skel),
+        lambda d: {"eps": 0.5, "median": float(np.median(d)), "q25": float(np.quantile(d, 0.25)),
+                   "q75": float(np.quantile(d, 0.75)), "n_diverged": 1},
+    ),
+    "convolution_scaling_study": (
+        "convolution-study",
+        lambda init, phi, cfg, s, skel: float(np.max(solve_stochastic_convolution(init, 0.5, phi, cfg, s).u_l2) ** 2),
+        lambda sups: {"eps": 0.5, "mean_sup_sq": float(np.mean(sups)), "n_diverged": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("study", STUDIES_WITH_A_DIVERGED_PATH)
+def test_a_study_counts_a_diverged_path_and_leaves_it_out(study, chunk, monkeypatch):
+    cfg = make_cfg(blowup_threshold=50.0, t_final=0.1)
+    init = make_init(cfg.grid)
+    phi = Control.constant(cfg.t_final, 1.5, 1, 2)
+    stream, value, row_of = STUDIES_WITH_A_DIVERGED_PATH[study]
+    n, bad, skel = 100, 42, solve_skeleton(init, phi, cfg)
+    seeds = rng_for(27, stream).integers(0, 2**62, size=(1, n))[0]
+    expect = row_of(np.array([value(init, phi, cfg, int(s), skel) for k, s in enumerate(seeds) if k != bad]))
+    _burst_on_call(monkeypatch, bad, "draw_jumps")
+    assert getattr(ldp, study)([0.5], n, cfg, init, seed=27, phi=phi) == [expect]
 
 
 def test_diverged_share_above_one_percent_fails(monkeypatch):

@@ -419,6 +419,17 @@ class TestDegenerateEvent:
         assert plain["degenerate"] is True and plain["estimate"] == 1.0
         assert tilted["hits"] == 8 and tilted["degenerate"] is True
 
+    @pytest.mark.parametrize("value", (float("nan"), float("inf"), -1.0), ids=str)
+    @pytest.mark.parametrize("estimator", (importance_weights, plain_mc_probability), ids=lambda f: f.__name__)
+    def test_an_indicator_value_that_is_not_finite_and_nonnegative_is_rejected(self, estimator, value):
+        # no path diverges here: a NaN indicator is the indicator's fault, not a diverged path
+        cfg = parse_config_text("seed = 1\ngrid.modes = 8\nsolver.t_final = 0.05\n")
+        solver_cfg = cfg.build_solver_config(energy_diagnostics=False)
+        args = (0.25, 8, solver_cfg, cfg.build_init(solver_cfg.grid))
+        tilt = (cfg.build_importance_phi(),) if estimator is importance_weights else ()
+        with pytest.raises(ValueError, match="^event indicator values must be finite and nonnegative$"):
+            estimator(lambda traj: value, *tilt, *args, seed=cfg.seed)
+
     def test_mixed_sample_is_not_degenerate(self, rng):
         cfg, init = TestImportance()._is_cfg(rng)
         out = plain_mc_probability(sup_velocity_indicator(0.35), 0.25, 40, cfg, init, seed=17)

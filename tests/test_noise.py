@@ -380,6 +380,14 @@ class TestGirsanov:
         with pytest.raises(InvalidChangeOfMeasure, match="after the tilt's horizon"):
             girsanov_log_density(Control.constant(1.0, 1.5), sample, 0.5, ms)
 
+    @pytest.mark.parametrize("mark", (-1, 2))
+    def test_mark_outside_the_mark_space_invalid(self, mark):
+        # unchecked, mark -1 would read mark 1's tilt by negative indexing
+        ms = MarkSpace(weights=(1.0, 0.5))
+        sample = JumpSample(np.array([0.5]), np.array([mark]))
+        with pytest.raises(NoiseError, match="unknown mark index in jumps"):
+            girsanov_log_density(Control(1.0, np.array([[2.0, 0.5]])), sample, 0.5, ms)
+
     def test_mean_one_over_tilted_samples(self):
         ms = MarkSpace(weights=(1.0,))
         eps, c, n = 0.5, 1.5, 4000
