@@ -157,7 +157,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     phi = cfg.build_control()
     eps = cfg.simulate_eps
     # the SDE sees the tilt only through its jumps: draw them once, replay, and save them
-    _, jumps = draw_jumps(eps, phi, solver_cfg, cfg.seed)
+    jumps = draw_jumps(eps, phi, solver_cfg, cfg.seed)
     traj = solve_sde_with_jumps(init, eps, jumps, solver_cfg)
     _write(out_dir, "sde_trajectory.csv", _trajectory_csv(cfg, traj, f"kind=sde eps={eps}"))
     _write(out_dir, "jumps.txt", _with_headers(cfg, _jumps_text(jumps)))

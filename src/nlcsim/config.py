@@ -65,10 +65,13 @@ def _sampled(grid: TorusGrid, c1, c2, *wavenumbers: float) -> np.ndarray:
 
 
 def _terms(token: str):
-    """(name, numeric args, term) of each '+'-separated term of a descriptor."""
+    """(name, numeric args, term) per '+'-separated term; the first number (amplitude or value) must be finite."""
     for term in token.split("+"):
         parts = term.strip().split(":")
-        yield parts[0], [float(p) for p in parts[1:]], term
+        args = [float(p) for p in parts[1:]]
+        if args and not -np.inf < args[0] < np.inf:
+            raise ConfigError(f"'{term}' has a non-finite amplitude or value")
+        yield parts[0], args, term
 
 
 def _amp_k(args, term: str) -> tuple[float, float]:
@@ -130,8 +133,8 @@ def director_shape(grid: TorusGrid, token: str) -> np.ndarray:
         if name == "zero":
             continue
         if name == "constant":
-            if len(args) != 2:
-                raise ConfigError(f"constant director needs a:b, got '{term}'")
+            if len(args) != 2 or not -np.inf < args[1] < np.inf:
+                raise ConfigError(f"constant director needs finite a:b, got '{term}'")
             a, b = args
             f = _sampled(grid, lambda x1, x2: a, lambda x1, x2: b)
         elif name == "stripe_x":
@@ -309,16 +312,16 @@ def _validate(cfg: ExperimentConfig, lines: dict[str, int], path: str):
             fail(key, f"noise.shapes and noise.gains must match noise.weights length {m}")
     # build what the lines describe, each once, so a bad descriptor or control fails at its line
     grid = cfg.build_grid()
-    for key, what, build in (
-        ("init.u", "bad init descriptor", lambda: velocity_shape(grid, cfg.init_u)),
-        ("init.theta", "bad init descriptor", lambda: director_shape(grid, cfg.init_theta)),
-        ("noise.shapes", "bad noise shape", lambda: cfg.build_jump_spec(grid)),
-        ("control.values", "bad control", cfg.build_control),
+    for key, build in (
+        ("init.u", lambda: velocity_shape(grid, cfg.init_u)),
+        ("init.theta", lambda: director_shape(grid, cfg.init_theta)),
+        ("noise.shapes", lambda: cfg.build_jump_spec(grid)),
+        ("control.values", cfg.build_control),
     ):
         try:
             build()
         except (ValueError, IndexError) as exc:
-            fail(key, f"{what}: {getattr(exc, 'message', exc)}")
+            fail(key, f"bad {key}: {getattr(exc, 'message', exc)}")
 
 
 def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:

@@ -11,21 +11,23 @@ as (2, N, N//2+1) rfft coefficient arrays (the half layout of
 ``spectral``) with zero Nyquist lines, checked when the state is built, so
 the divergence form of convection is exact on the grid.
 
-``_run`` is the one stepping loop: the skeleton flow, the small-noise jump
-SDE, and the auxiliary jump convolution all pass through it, so zeroing
-the noise makes the SDE agree with the skeleton bit for bit.  It steps a
-batch of paths along a leading path axis, (P, 2, N, N//2+1): each step
-makes one batched inverse and one batched forward transform call for the
-whole batch (``operators.explicit_rhs``).  The three drivers differ only
-in the increment over a step of the measure that drives the velocity, so
-each enters as one forcing sum_i c_i G(u, v_i) = sum_i c_i (shape_i +
-gain_i u) read from one per-step, per-path, per-mark coefficient table:
-dt w (g - 1) for the skeleton's controlled drift, eps n - dt w for the
-SDE's compensated jumps and eps n - dt w phi for the convolution's.  The
-norms computed for the blow-up check serve the next diagnostic row and
-the per-path cutoffs.  No operation mixes paths, so path k of a batch
-equals its one-path run bit for bit; a path that diverges is dropped from
-the batch and the tables, and the rest continue.
+The skeleton flow, the small-noise jump SDE and the auxiliary jump
+convolution differ only in the increment over a step of the measure that
+drives the velocity, so each driver is one (steps, paths, marks) table of
+coefficients c of the forcing sum_i c_i G(u, v_i) = sum_i c_i (shape_i +
+gain_i u): dt w (g - 1) for the skeleton's controlled drift
+(``_skeleton_table``), eps n - dt w for the SDE's compensated jumps and
+eps n - dt w phi for the convolution's (``_jump_table``).  ``_run``, the
+one stepping loop, steps the tables it is given and knows nothing else of
+the drivers, so zeroing the noise makes the SDE agree with the skeleton
+bit for bit.  It runs one path per table column along a leading path
+axis, (P, 2, N, N//2+1): each step makes one batched inverse and one
+batched forward transform call for the whole batch
+(``operators.explicit_rhs``).  The norms computed for the blow-up check
+serve the next diagnostic row and the per-path cutoffs.  No operation
+mixes paths, so path k of a batch equals its one-path run bit for bit; a
+path that diverges is dropped from the batch and the tables, and the rest
+continue.
 
 A run records a snapshot of the state at the start of every step and
 one of the final state, n_steps + 1 in all; ``keep_snapshots=False``
@@ -167,16 +169,17 @@ class SolverConfig:
         steps = self.t_final / self.dt
         if abs(steps - round(steps)) > 1e-6:
             raise SolverError(f"t_final/dt = {steps} is not integral within rounding")
-        if self.cutoff_level is not None and self.cutoff_level < 1:
-            raise SolverError(f"cutoff level must be >= 1, got {self.cutoff_level}")
+        if self.cutoff_level is not None and not 1 <= self.cutoff_level < np.inf:
+            raise SolverError(f"cutoff level must be >= 1 and finite, got {self.cutoff_level}")
         if self.diag_stride is not None and self.diag_stride < 1:
             raise SolverError(f"diag_stride must be >= 1 (None = automatic), got {self.diag_stride}")
         if not self.blowup_threshold > 0:
             raise SolverError(f"blowup_threshold must be > 0, got {self.blowup_threshold}")
         if (self.mark_space is None) != (self.jump_spec is None):
             raise SolverError("mark_space and jump_spec must be provided together")
-        if self.jump_spec is not None and self.jump_spec.size != self.mark_space.size:
-            raise SolverError("jump spec size does not match mark space")
+        spec = self.jump_spec
+        if spec is not None and (spec.size, spec.shapes.shape[2]) != (self.mark_space.size, self.grid.n):
+            raise SolverError(f"jump spec has {spec.size} marks on an N={spec.shapes.shape[2]} grid, not the run's")
 
     @property
     def n_steps(self) -> int:
@@ -303,19 +306,26 @@ def _require_noise(epsilon: float, cfg: SolverConfig):
         raise SolverError("config carries no mark space / jump spec")
 
 
-def draw_jumps(epsilon: float, phi: Control | None, cfg: SolverConfig, seed: int):
-    """(tilt, jumps): the seed's configuration at intensity (1/epsilon) phi theta.
+def draw_jumps(epsilon: float, phi: Control | None, cfg: SolverConfig, seed: int) -> JumpSample:
+    """The seed's jump configuration at intensity (1/epsilon) phi theta, phi = ``cfg.tilt(phi)``.
 
     The one draw behind :func:`solve_small_noise_sde` and
-    :func:`solve_stochastic_convolution`; the tilt is ``cfg.tilt(phi)``.
+    :func:`solve_stochastic_convolution`.
     """
     _require_noise(epsilon, cfg)
-    phi = cfg.tilt(phi)
-    return phi, thin_to_control(cfg.mark_space, phi, 1.0 / epsilon, rng_for(seed, "sde-jumps"))
+    return thin_to_control(cfg.mark_space, cfg.tilt(phi), 1.0 / epsilon, rng_for(seed, "sde-jumps"))
 
 
-def _jump_counts(jumps, cfg: SolverConfig) -> np.ndarray:
-    """(steps, paths, marks) jump counts: a jump in [t, t + dt) (or at t_final) counts at the step at t."""
+def _jump_table(epsilon: float, jumps: Sequence[JumpSample], cfg: SolverConfig, phi: Control | None = None):
+    """(table, xi_table): the (steps, paths, marks) forcing of the jump SDE and of its convolution.
+
+    ``table`` is eps n - dt w, n the step's jump count per path (one per
+    sample in ``jumps``) and mark: a jump in [t, t + dt) (or at t_final)
+    counts at the step at t.  ``xi_table`` is eps n - dt w phi, the
+    convolution's table under the compensator tilt ``phi``, or None
+    without it.
+    """
+    _require_noise(epsilon, cfg)
     ms, dt, n_steps = cfg.mark_space, cfg.dt, cfg.n_steps
     counts = np.zeros((n_steps, len(jumps), ms.size))
     for p, sample in enumerate(jumps):
@@ -325,7 +335,11 @@ def _jump_counts(jumps, cfg: SolverConfig) -> np.ndarray:
             raise NoiseError(f"jump at t = {sample.times[-1]:g} after t_final = {cfg.t_final:g}")
         step_of = np.minimum((sample.times / dt).astype(int), n_steps - 1)
         np.add.at(counts[:, p], (step_of, sample.marks), 1.0)
-    return counts
+    counts, dt_w = epsilon * counts, dt * ms.weight_array()
+    if phi is None:
+        return counts - dt_w, None
+    phi = cfg.tilt(phi)
+    return counts - dt_w, counts - (dt_w * phi.values[phi.cells_of(np.arange(n_steps) * dt)])[:, None]
 
 
 # per-row diagnostics recorded by _run, in row order
@@ -383,30 +397,26 @@ def _mark_sum(c: np.ndarray, spec: JumpCoefficientSpec, u_hat: np.ndarray) -> np
 def _run(
     init: SpectralState,
     cfg: SolverConfig,
-    control: Control | None = None,
-    epsilon: float | None = None,
-    jumps: Sequence[JumpSample] = (),
-    track_convolution: bool = False,
+    kind: str = "skeleton",
+    table: np.ndarray | None = None,
+    xi_table: np.ndarray | None = None,
     keep_snapshots: bool = True,
     on_snapshot: Callable | None = None,
 ):
-    """IMEX-Euler loop shared by every solver, over a leading path axis.
+    """IMEX-Euler loop shared by every solver, one path per column of ``table``.
 
-    Without ``epsilon`` one path runs the skeleton flow under the tilt
-    ``control``.  With it, one path per sample in ``jumps`` runs the jump
-    SDE from ``init`` (the tilt is then carried by the realized jumps, and
-    ``control`` only sets the convolution's compensator).  Every path makes
-    the same update
+    Every path makes the same update
 
         u <- F (u + dt nu(u, theta) + sum_i c_i (shape_i + gain_i u)),
 
-    with F = exp(-|k|^2 dt) and one forcing table c of coefficients per
-    step, path and mark: the increment over the step of the measure that
-    drives the velocity, dt w (g - 1) for the skeleton (from
-    ``_skeleton_table``) and eps n - dt w for the SDE, n the step's jump
-    count per path and mark.  The convolution's own table eps n - dt w phi
-    drives xi <- F (xi + sum_i c_i G(u, v_i)).  The unit tilt forces nothing,
-    and a tilt on a config without marks raises ``SolverError``.
+    with F = exp(-|k|^2 dt) and c the path's row of ``table`` at the step:
+    a (steps, paths, marks) table of the increments over each step of the
+    measure that drives the velocity, dt w (g - 1) for the skeleton (from
+    ``_skeleton_table``) and eps n - dt w for the jump SDE (from
+    ``_jump_table``).  ``table=None`` runs one unforced path.  ``kind``
+    names the trajectories; a "skeleton" run with a table records its drift
+    pairing.  With ``xi_table`` (eps n - dt w phi) each path also runs its
+    convolution xi <- F (xi + sum_i c_i G(u, v_i)).
 
     The state of P paths is (P, 2, N, N//2+1): each step makes one inverse
     and one forward transform call for the whole batch, and the norms,
@@ -416,31 +426,19 @@ def _run(
     the batch and the tables; the others continue.
 
     Returns one Trajectory per path, plus one convolution Trajectory per
-    path with ``track_convolution``.  A path keeps a snapshot at the start
-    of every step and one of its final state (n_steps + 1 for a finished
-    path); ``keep_snapshots=False`` keeps only the final snapshot of each
-    path that did not diverge.  ``on_snapshot(j, paths, u_hat, theta_hat)``
-    sees the snapshot of step j of the paths still in the batch (``paths``
-    their indices), whether kept or not.
+    path with ``xi_table``.  A path keeps a snapshot at the start of every
+    step and one of its final state (n_steps + 1 for a finished path);
+    ``keep_snapshots=False`` keeps only the final snapshot of each path
+    that did not diverge.  ``on_snapshot(k, paths, u_hat, theta_hat)`` sees
+    the snapshot of step k of the paths still in the batch (``paths`` their
+    indices), whether kept or not.
     """
     grid, dt, n_steps, diag_stride = cfg.grid, cfg.dt, cfg.n_steps, cfg.effective_diag_stride
     if init.grid != grid:
         raise SolverError("initial state grid does not match config grid")
-    stochastic = epsilon is not None
-    if stochastic:
-        _require_noise(epsilon, cfg)
-    n_paths = len(jumps) if stochastic else 1
-    ms, spec, nl, level = cfg.mark_space, cfg.jump_spec, cfg.nonlinearity, cfg.cutoff_level
-    table = xi_table = None  # (steps, paths, marks) forcing coefficients of u and of xi
-    if stochastic:
-        counts, dt_w = epsilon * _jump_counts(jumps, cfg), dt * ms.weight_array()
-        table = counts - dt_w
-        if track_convolution:
-            phi = cfg.tilt(control)
-            xi_table = counts - (dt_w * phi.values[phi.cells_of(np.arange(n_steps) * dt)])[:, None]
-    elif control is not None:
-        table = _skeleton_table(cfg.tilt(control), cfg)[1]
-    pairing = table is not None and not stochastic  # the skeleton's drift pairing <drift, u>
+    n_paths = 1 if table is None else table.shape[1]
+    spec, nl, level = cfg.jump_spec, cfg.nonlinearity, cfg.cutoff_level
+    pairing = kind == "skeleton" and table is not None  # the skeleton's drift pairing <drift, u>
     factor = np.exp(-half_tables(grid.n)[2] * dt)
     threshold = cfg.blowup_threshold
 
@@ -450,7 +448,6 @@ def _run(
     xi = np.zeros(u.shape, dtype=complex)
     zero = np.zeros_like(init.u_hat)
     paths = np.arange(n_paths)  # path index of each batch row
-    sel = slice(None)  # batch rows in the row tables: all of them until a path diverges
     norms = _state_norms(u, theta)
     row_steps = list(range(0, n_steps, diag_stride)) + [n_steps]
     n_rows = len(row_steps)
@@ -460,27 +457,24 @@ def _run(
     rows_kept = np.full(n_paths, n_rows)
     snaps = [[] for _ in range(n_paths)]
     xi_snaps = [[] for _ in range(n_paths)]
-    n_snaps = 0
 
     def record(r: int, forcing, f_hat):
-        rows[1:5, r, sel] = norms
+        rows[1:5, r, paths] = norms
         if cfg.energy_diagnostics:
-            rows[5:7, r, sel] = _energy_row(theta, norms[1], norms[3], grid, nl, f_hat)
+            rows[5:7, r, paths] = _energy_row(theta, norms[1], norms[3], grid, nl, f_hat)
         if pairing:
-            rows[7, r, sel] = half_inner(forcing, u) / dt
-        if track_convolution:
-            xi_rows[1:3, r, sel] = np.sqrt(np.stack(half_norms_sq(xi)))
+            rows[7, r, paths] = half_inner(forcing, u) / dt
+        if xi_table is not None:
+            xi_rows[1:3, r, paths] = np.sqrt(np.stack(half_norms_sq(xi)))
 
-    def snapshot(t: float, final: bool = False):
-        nonlocal n_snaps
+    def snapshot(k: int):
         if on_snapshot is not None:
-            on_snapshot(n_snaps, paths, u, theta)
-        n_snaps += 1
-        if keep_snapshots or final:
+            on_snapshot(k, paths, u, theta)
+        if keep_snapshots or k == n_steps:
             for i, p in enumerate(paths.tolist()):
-                snaps[p].append(SpectralState._wrap(grid, u[i], theta[i], t))
-                if track_convolution:
-                    xi_snaps[p].append(SpectralState._wrap(grid, xi[i], zero, t))
+                snaps[p].append(SpectralState._wrap(grid, u[i], theta[i], k * dt))
+                if xi_table is not None:
+                    xi_snaps[p].append(SpectralState._wrap(grid, xi[i], zero, k * dt))
 
     for k in range(n_steps):
         row_due = k % diag_stride == 0
@@ -493,9 +487,9 @@ def _run(
         forcing = 0.0 if table is None else _mark_sum(table[k], spec, u)
         if row_due:
             record(k // diag_stride, forcing, f_hat)
-        snapshot(k * dt)
+        snapshot(k)
 
-        if track_convolution:
+        if xi_table is not None:
             xi = factor * (xi + _mark_sum(xi_table[k], spec, u))
         u = factor * (u + dt * nu + forcing)
         theta = factor * (theta + dt * ntheta)
@@ -507,7 +501,6 @@ def _run(
             rows_kept[paths[~ok]] = k // diag_stride + 1
             paths, u, theta, xi, norms = paths[ok], u[ok], theta[ok], xi[ok], norms[:, ok]
             table, xi_table = (c if c is None else c[:, ok] for c in (table, xi_table))
-            sel = paths
             if not paths.size:
                 break
 
@@ -516,15 +509,14 @@ def _run(
         if cfg.energy_diagnostics and nl is not None:
             f_hat = explicit_rhs(u, theta, grid, nl=nl, with_f=True)[2]
         record(n_rows - 1, _mark_sum(table[n_steps], spec, u) if pairing else None, f_hat)
-        snapshot(n_steps * dt, final=True)
+        snapshot(n_steps)
 
-    kind = "sde" if stochastic else "skeleton"
     status = ["ok" if kept == n_rows else "diverged" for kept in rows_kept.tolist()]
     main = [
         _trajectory(kind, cfg, status[p], rows[:, : rows_kept[p], p], snaps[p])
         for p in range(n_paths)
     ]
-    if track_convolution:
+    if xi_table is not None:
         return main, [
             _trajectory("convolution", cfg, status[p], xi_rows[:, : rows_kept[p], p], xi_snaps[p])
             for p in range(n_paths)
@@ -543,7 +535,8 @@ def solve_skeleton(
 
     ``keep_snapshots=False`` keeps only the final state.
     """
-    return _run(init, cfg, control=g, keep_snapshots=keep_snapshots)[0]
+    table = None if g is None else _skeleton_table(cfg.tilt(g), cfg)[1]
+    return _run(init, cfg, "skeleton", table, keep_snapshots=keep_snapshots)[0]
 
 
 def solve_small_noise_sde(
@@ -558,8 +551,8 @@ def solve_small_noise_sde(
     Deterministic given the seed: the jump configuration is drawn once by
     thinning and replayed through the fixed-step loop.
     """
-    _, jumps = draw_jumps(epsilon, phi, cfg, seed)
-    return _run(init, cfg, epsilon=epsilon, jumps=[jumps])[0]
+    jumps = draw_jumps(epsilon, phi, cfg, seed)
+    return _run(init, cfg, "sde", *_jump_table(epsilon, [jumps], cfg))[0]
 
 
 def solve_sde_with_jumps(
@@ -573,7 +566,7 @@ def solve_sde_with_jumps(
     Used by importance sampling, where the jump configuration is coupled
     to the base configuration the tilt weight is computed from.
     """
-    return _run(init, cfg, epsilon=epsilon, jumps=[jumps])[0]
+    return _run(init, cfg, "sde", *_jump_table(epsilon, [jumps], cfg))[0]
 
 
 def solve_stochastic_convolution(
@@ -590,9 +583,8 @@ def solve_stochastic_convolution(
     jump coefficient to that path; returns the convolution trajectory
     (velocity slot holds the convolution, director slot is zero).
     """
-    phi, jumps = draw_jumps(epsilon, phi, cfg, seed)
-    _, conv = _run(init, cfg, control=phi, epsilon=epsilon, jumps=[jumps], track_convolution=True)
-    return conv[0]
+    jumps = draw_jumps(epsilon, phi, cfg, seed)
+    return _run(init, cfg, "sde", *_jump_table(epsilon, [jumps], cfg, cfg.tilt(phi)))[1][0]
 
 
 def solve_path_batch(
@@ -613,11 +605,8 @@ def solve_path_batch(
     theta_hat)`` sees the snapshot of every step of the paths still running,
     for statistics that would otherwise need all snapshots kept.
     """
-    out = _run(
-        init, cfg, control=convolution_phi, epsilon=epsilon, jumps=jumps,
-        track_convolution=convolution_phi is not None, keep_snapshots=False,
-        on_snapshot=on_snapshot,
-    )
+    tables = _jump_table(epsilon, jumps, cfg, convolution_phi)
+    out = _run(init, cfg, "sde", *tables, keep_snapshots=False, on_snapshot=on_snapshot)
     return out if convolution_phi is None else out[1]
 
 

@@ -87,8 +87,10 @@ class RateProblem:
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        if self.penalty_weight <= 0:
-            raise ValueError("penalty_weight must be positive")
+        if not 0 < self.penalty_weight < np.inf:
+            raise ValueError(f"penalty_weight must be positive and finite, got {self.penalty_weight}")
+        if not 0 <= self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be >= 0 and finite, got {self.tolerance}")
         if self.n_cells < 1 or self.cfg.mark_space is None:
             raise ValueError("need at least one control cell and a mark space")
         if self.max_iters < 1:
@@ -357,7 +359,7 @@ def mc_small_noise_study(
     path_seeds = rng_for(seed, "mc-small-noise").integers(0, 2**62, size=(len(eps_list), n_paths))
     rows = []
     for eps, seeds in zip(eps_list, path_seeds):
-        jumps = [draw_jumps(eps, phi, cfg, int(s))[1] for s in seeds]
+        jumps = [draw_jumps(eps, phi, cfg, int(s)) for s in seeds]
         sup = np.zeros(n_paths)
 
         def observe(j, paths, u_hat, theta_hat):
@@ -391,11 +393,13 @@ def convolution_scaling_study(
     Path k runs ``solve_stochastic_convolution`` at its own seed, batched.
     Diverged paths are excluded and counted, as in the small-noise study.
     """
+    if n_paths < 1:
+        raise StudyError(f"convolution study needs at least one path, got {n_paths}")
     _check_eps_list(eps_list)
     path_seeds = rng_for(seed, "convolution-study").integers(0, 2**62, size=(len(eps_list), n_paths))
     rows = []
     for eps, seeds in zip(eps_list, path_seeds):
-        jumps = [draw_jumps(eps, phi, cfg, int(s))[1] for s in seeds]
+        jumps = [draw_jumps(eps, phi, cfg, int(s)) for s in seeds]
         sups, bad = _run_paths(
             init, eps, jumps, cfg, lambda k, conv: float(np.max(conv.u_l2) ** 2),
             f"convolution study, eps={eps}", convolution_phi=cfg.tilt(phi),
@@ -466,7 +470,7 @@ def plain_mc_probability(
     ``draw_jumps`` at its own seed, taken from the "plain-mc" stream.
     """
     seeds = [int(rng_for(seed, "plain-mc", k).integers(0, 2**62)) for k in range(n_paths)]
-    jumps = [draw_jumps(epsilon, None, cfg, s)[1] for s in seeds]
+    jumps = [draw_jumps(epsilon, None, cfg, s) for s in seeds]
     return _tilted_estimate(event_indicator, cfg.tilt(None), epsilon, jumps, cfg, init, "plain Monte Carlo")
 
 

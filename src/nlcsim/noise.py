@@ -97,8 +97,8 @@ class JumpCoefficientSpec:
             raise NoiseError(f"shapes must be a (marks, 2, N, N//2+1) array, got {shapes.shape}")
         if len(shapes) != len(self.gains):
             raise NoiseError("one shape and one gain per mark required")
-        if not (np.all(np.isfinite(shapes)) and nyquist_free(shapes)):
-            raise NoiseError("shapes must be finite with zero Nyquist lines")
+        if not (np.all(np.isfinite(shapes)) and np.isfinite(self.gains).all() and nyquist_free(shapes)):
+            raise NoiseError("shapes and gains must be finite, the shapes with zero Nyquist lines")
         shapes.setflags(write=False)
         object.__setattr__(self, "shapes", shapes)
 

@@ -58,8 +58,8 @@ class PolynomialNonlinearity:
             raise ValueError("need at least the constant coefficient b_0")
         if len(self.coefficients) > 4:
             raise ValueError("polynomial degree limited to 3")
-        if any(b <= 0 for b in self.coefficients):
-            raise ValueError(f"all coefficients must be > 0, got {self.coefficients}")
+        if not all(0 < b < np.inf for b in self.coefficients):
+            raise ValueError(f"all coefficients must be > 0 and finite, got {self.coefficients}")
 
     @property
     def degree(self) -> int:

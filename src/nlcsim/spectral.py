@@ -86,8 +86,8 @@ class TorusGrid:
         n = self.modes_per_dim
         if n % 2 != 0 or n < 8:
             raise SpectralError(f"modes_per_dim must be even and >= 8, got {n}")
-        if self.dealias_factor < 1.0:
-            raise SpectralError("dealias_factor must be >= 1")
+        if not 1.0 <= self.dealias_factor < np.inf:
+            raise SpectralError(f"dealias_factor must be >= 1 and finite, got {self.dealias_factor}")
 
     @property
     def n(self) -> int:

@@ -18,6 +18,7 @@ from nlcsim.dynamics import (
     SolverConfig,
     SpectralState,
     _energy_row,
+    _jump_table,
     _run,
     _state_norms,
     cutoff_chi,
@@ -219,7 +220,7 @@ def test_sde_and_convolution_steps_match_field_steps(step_setup):
         np.array([0, 1, 1, 0, 0, 1]),
     )
     traj = solve_sde_with_jumps(init, eps, jumps, cfg)
-    _, (conv,) = _run(init, cfg, control=phi, epsilon=eps, jumps=[jumps], track_convolution=True)
+    _, (conv,) = _run(init, cfg, "sde", *_jump_table(eps, [jumps], cfg, phi))
     xi = VectorField.zeros(cfg.grid)
     factor = np.exp(-cfg.grid.ksq() * cfg.dt)
     for k in range(2):

@@ -16,6 +16,7 @@ import nlcsim.ldp as ldp
 from nlcsim.dynamics import (
     SolverConfig,
     SolverError,
+    _jump_table,
     _run,
     apriori_bound,
     draw_jumps,
@@ -124,18 +125,18 @@ def test_batch_paths_equal_one_path_runs(opts):
     cfg = make_cfg(**opts)
     init = make_init(cfg.grid, amplitude=1.5)  # |u| above the cutoff level
     phi = Control(cfg.t_final, np.array([[1.4, 0.6], [0.8, 1.2]]))
-    samples = [draw_jumps(0.3, phi, cfg, seed)[1] for seed in range(5)]
-    main, conv = _run(init, cfg, control=phi, epsilon=0.3, jumps=samples, track_convolution=True)
+    samples = [draw_jumps(0.3, phi, cfg, seed) for seed in range(5)]
+    main, conv = _run(init, cfg, "sde", *_jump_table(0.3, samples, cfg, phi))
     for k, sample in enumerate(samples):
         assert_same_path(main[k], solve_sde_with_jumps(init, 0.3, sample, cfg))
-        _, (solo_conv,) = _run(init, cfg, control=phi, epsilon=0.3, jumps=[sample], track_convolution=True)
+        _, (solo_conv,) = _run(init, cfg, "sde", *_jump_table(0.3, [sample], cfg, phi))
         assert_same_path(conv[k], solo_conv)
 
 
 def test_divergence_leaves_the_rest_of_the_batch_unchanged():
     cfg = make_cfg(blowup_threshold=50.0)
     init = make_init(cfg.grid)
-    samples = [draw_jumps(0.5, None, cfg, seed)[1] for seed in range(3)]
+    samples = [draw_jumps(0.5, None, cfg, seed) for seed in range(3)]
     samples[1] = with_burst(samples[1], 0.055, 500)  # eps * 500 jumps lifts |u| far past 50
     batch = solve_path_batch(init, 0.5, samples, cfg)
     assert [traj.status for traj in batch] == ["ok", "diverged", "ok"]
@@ -149,13 +150,13 @@ def test_divergence_leaves_the_rest_of_the_convolution_batch_unchanged():
     cfg = make_cfg(blowup_threshold=50.0)
     init = make_init(cfg.grid)
     phi = Control(cfg.t_final, np.array([[1.4, 0.6], [0.8, 1.2]]))
-    samples = [draw_jumps(0.5, phi, cfg, seed)[1] for seed in range(3)]
+    samples = [draw_jumps(0.5, phi, cfg, seed) for seed in range(3)]
     # path 1 diverges at step 5 and path 2 jumps after it, so path 2 reads a wrong table row
     samples[1], samples[2] = with_burst(samples[1], 0.055, 500), with_burst(samples[2], 0.155, 3)
     batch = solve_path_batch(init, 0.5, samples, cfg, convolution_phi=phi)
     assert [traj.status for traj in batch] == ["ok", "diverged", "ok"]
     for traj, sample in zip(batch, samples):
-        _, (solo,) = _run(init, cfg, control=phi, epsilon=0.5, jumps=[sample], track_convolution=True)
+        _, (solo,) = _run(init, cfg, "sde", *_jump_table(0.5, [sample], cfg, phi))
         assert_same_path(traj, solo, all_snapshots=False)
     assert len(batch[1].times) == 6 and batch[1].snapshots == []
 
@@ -172,7 +173,7 @@ def test_batched_zero_noise_sde_equals_skeleton():
     init = make_init(cfg.grid)
     phi = Control(cfg.t_final, np.array([[1.4, 0.7]]))
     skel = solve_skeleton(init, phi, cfg)
-    samples = [draw_jumps(0.05, phi, cfg, seed)[1] for seed in range(4)]
+    samples = [draw_jumps(0.05, phi, cfg, seed) for seed in range(4)]
     assert all(sample.size for sample in samples)
     seen = []
 
@@ -262,8 +263,7 @@ def test_plain_estimate_matches_one_path_solves(chunk):
 def _burst_on_call(monkeypatch, target: int, name: str = "thin_to_control"):
     """Make the ``target``-th draw through ``ldp.<name>`` (path ``target`` of the first run) diverge.
 
-    ``thin_to_control`` is the importance sampler's draw, ``draw_jumps`` (which
-    returns the tilt too) the studies'.
+    ``thin_to_control`` is the importance sampler's draw, ``draw_jumps`` the studies'.
     """
     calls = []
     draw = getattr(ldp, name)
@@ -273,7 +273,7 @@ def _burst_on_call(monkeypatch, target: int, name: str = "thin_to_control"):
         calls.append(None)
         if len(calls) - 1 != target:
             return out
-        return with_burst(out, 0.055, 500) if name == "thin_to_control" else (out[0], with_burst(out[1], 0.055, 500))
+        return with_burst(out, 0.055, 500)
 
     monkeypatch.setattr(ldp, name, patched)
 
@@ -347,7 +347,7 @@ TILT_ENTRY_POINTS = {
     "solve_small_noise_sde": lambda tilt, cfg, init: solve_small_noise_sde(init, 0.5, tilt, cfg, 3),
     "solve_stochastic_convolution": lambda tilt, cfg, init: solve_stochastic_convolution(init, 0.5, tilt, cfg, 3),
     "solve_path_batch": lambda tilt, cfg, init: solve_path_batch(
-        init, 0.5, [draw_jumps(0.5, None, cfg, 3)[1]], cfg, convolution_phi=tilt
+        init, 0.5, [draw_jumps(0.5, None, cfg, 3)], cfg, convolution_phi=tilt
     ),
     "skeleton_adjoint": lambda tilt, cfg, init: skeleton_adjoint(
         solve_skeleton(init, None, cfg), tilt, cfg, np.zeros_like(init.u_hat), np.zeros_like(init.theta_hat)
@@ -368,19 +368,20 @@ def test_a_tilt_that_does_not_fit_the_run_is_rejected(entry, misfit):
 
 
 EMPTY_RUNS = {
-    "importance sampling": lambda cfg, init: importance_weights(
-        lambda traj: 1.0, Control.constant(cfg.t_final, 1.5, 1, 2), 0.5, 0, cfg, init, seed=3
+    "importance sampling": lambda cfg, init, n: importance_weights(
+        lambda traj: 1.0, Control.constant(cfg.t_final, 1.5, 1, 2), 0.5, n, cfg, init, seed=3
     ),
-    "plain Monte Carlo": lambda cfg, init: plain_mc_probability(lambda traj: 1.0, 0.5, 0, cfg, init, seed=3),
-    "convolution study": lambda cfg, init: convolution_scaling_study([0.5], 0, cfg, init, seed=3),
+    "plain Monte Carlo": lambda cfg, init, n: plain_mc_probability(lambda traj: 1.0, 0.5, n, cfg, init, seed=3),
+    "convolution study": lambda cfg, init, n: convolution_scaling_study([0.5], n, cfg, init, seed=3),
 }
 
 
 @pytest.mark.parametrize("driver", EMPTY_RUNS)
 def test_a_monte_carlo_run_of_no_path_is_rejected(driver):
     cfg = make_cfg()
-    with pytest.raises(StudyError, match=f"^{driver}.* needs at least one path"):
-        EMPTY_RUNS[driver](cfg, make_init(cfg.grid))
+    for n_paths in (0, -3):
+        with pytest.raises(StudyError, match=f"^{driver}.* needs at least one path"):
+            EMPTY_RUNS[driver](cfg, make_init(cfg.grid), n_paths)
 
 
 @pytest.mark.parametrize("eps_list", ([], [0.2, 0.4], [0.4, -0.1], [float("nan")]), ids=str)

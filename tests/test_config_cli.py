@@ -318,6 +318,8 @@ class TestCli:
             "importance.phi = inf",
             "noise.gains = nan, 0, 0.05, 0.05",
             "control.cells = 3\ncontrol.values = 1, 2",
+            "init.theta = constant:nan:0",
+            "init.u = shear_x:inf",
         ),
     )
     def test_a_bad_value_fails_every_command_with_one_config_record(self, tmp_path, capsys, lines):

@@ -145,6 +145,11 @@ class TestCutoff:
             with pytest.raises(SolverError, match="cutoff level must be >= 1"):
                 SolverConfig(grid=TorusGrid(8), dt=1e-2, t_final=0.1, cutoff_level=level)
 
+    @pytest.mark.parametrize("level", (float("nan"), float("inf")))
+    def test_a_level_that_is_not_finite_is_rejected(self, level):
+        with pytest.raises(SolverError, match="cutoff level must be >= 1"):
+            SolverConfig(grid=TorusGrid(8), dt=1e-2, t_final=0.1, cutoff_level=level)
+
 
 class TestConfig:
     def test_validation(self):
@@ -164,6 +169,11 @@ class TestConfig:
         for threshold in (-1.0, 0.0, float("nan")):
             with pytest.raises(SolverError, match="blowup_threshold"):
                 SolverConfig(grid=grid, dt=1e-2, t_final=1.0, blowup_threshold=threshold)
+
+    def test_a_jump_spec_built_on_another_grid_is_rejected(self, cfg16):
+        # N=16 shapes on an N=8 run would fail the first forced step with a broadcast error
+        with pytest.raises(SolverError, match="jump spec has 2 marks on an N=16 grid"):
+            replace(cfg16, grid=TorusGrid(8))
 
     def test_diag_stride_default(self):
         grid = TorusGrid(16)

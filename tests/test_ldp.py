@@ -112,7 +112,13 @@ class TestRateObjective:
 
 class TestOptimizer:
     @pytest.mark.parametrize(
-        "bad", ({"penalty_weight": -0.5}, {"penalty_weight": 0.0}, {"max_iters": 0})
+        "bad",
+        (
+            {"penalty_weight": -0.5}, {"penalty_weight": 0.0}, {"max_iters": 0},
+            # not finite, or a negative tolerance
+            {"penalty_weight": float("nan")}, {"penalty_weight": float("inf")},
+            {"tolerance": float("nan")}, {"tolerance": float("inf")}, {"tolerance": -1.0},
+        ),
     )
     def test_nonpositive_step_or_iterations_rejected(self, rng, bad):
         prob = small_problem(rng)

@@ -241,6 +241,11 @@ class TestJumpCoefficient:
         with pytest.raises(NoiseError, match="Nyquist"):
             JumpCoefficientSpec(shapes=nyquist, gains=(0.0, 0.1))
 
+    @pytest.mark.parametrize("gain", (float("nan"), float("inf"), -float("inf")))
+    def test_a_gain_that_is_not_finite_is_rejected(self, grid8, gain):
+        with pytest.raises(NoiseError, match="gains must be finite"):
+            JumpCoefficientSpec(shapes=make_spec(grid8).shapes, gains=(0.0, gain))
+
     def test_unknown_mark(self, grid8, rng):
         spec = make_spec(grid8)
         u = random_divergence_free_field(grid8, rng, kmax=2)

@@ -62,6 +62,11 @@ class TestNonlinearity:
         with pytest.raises(ValueError):
             PolynomialNonlinearity((1.0, 1.0, 1.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("b", (float("nan"), float("inf")))
+    def test_a_coefficient_that_is_not_finite_is_rejected(self, b):
+        with pytest.raises(ValueError, match="coefficients must be > 0 and finite"):
+            PolynomialNonlinearity((1.0, b))
+
     def test_default_shape(self):
         nl = DEFAULT_NONLINEARITY
         assert nl.degree == 1

@@ -43,6 +43,12 @@ def test_grid_validation():
         TorusGrid(16, dealias_factor=0.5)
 
 
+@pytest.mark.parametrize("factor", (float("nan"), float("inf")))
+def test_grid_rejects_a_dealias_factor_that_is_not_finite(factor):
+    with pytest.raises(SpectralError, match="dealias_factor must be >= 1"):
+        TorusGrid(16, factor)
+
+
 def test_constant_field_transform(grid16):
     f = field_from_function(grid16, lambda x1, x2: 3.25 * np.ones_like(x1))
     c = f.coeffs
