@@ -5,13 +5,21 @@ controlled run), ``simulate`` (jump-driven run), ``convolution`` (auxiliary
 jump convolution), ``rate`` (tilt optimization), ``mc-ldp`` (small-noise
 distance study), ``importance`` (tilted estimator vs plain Monte Carlo).
 
+``main`` is the one frame every command runs in: it parses the config,
+builds the run's ``SolverConfig`` and initial state once (``verify`` builds
+none), calls the command, writes the artifacts the command returns and then
+``config_echo.ini``, prints the command's report, and for a run that
+finished but failed (a diverged trajectory, a failed check) prints one JSON
+error record on stderr.  The ``cmd_*`` functions only compute; a command
+that raises writes nothing.
+
 This module is the one writer of the artifact formats.  Every artifact
 starts with comment lines carrying the config hash and the root seed, so a
 run can be reproduced exactly from its outputs.  The CSVs are built by
 ``_csv`` (numbers as ``%.17g``, strings verbatim); ``state_to_text`` writes
 the final-state checkpoint and ``_jumps_text`` the ``jumps.txt`` table.
 Exit codes: 0 success, 1 configuration/validation error, 2 numerical
-failure.
+failure, always with one JSON error record on stderr.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, config_hash, parse_config, serialize_config
 from .dynamics import (
+    SolverConfig,
     SolverError,
     SpectralState,
     Trajectory,
@@ -67,10 +76,6 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
 def _with_headers(cfg: ExperimentConfig, body: str, extra: tuple[str, ...] = ()) -> str:
     headers = (f"config_hash={config_hash(cfg)}", f"seed={cfg.seed}") + extra
     return "".join(f"# {h}\n" for h in headers) + body
-
-
-def _echo_config(cfg: ExperimentConfig, out_dir: Path):
-    _write(out_dir, "config_echo.ini", _with_headers(cfg, serialize_config(cfg)))
 
 
 def _csv(cfg: ExperimentConfig, columns, rows, extra: tuple[str, ...] = ()) -> str:
@@ -126,143 +131,107 @@ def _jumps_text(jumps: JumpSample) -> str:
     return "# t mark_index\n" + "".join(f"{t:.17g} {m}\n" for t, m in zip(jumps.times, jumps.marks))
 
 
-def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
+# Every cmd_* maps (cfg, solver_cfg, init) to (files, report, failure): the
+# (name, text) artifacts in writing order, the text ``main`` prints, and None
+# or the (kind, message) error record of a run that finished but failed.
+
+
+def _diverged(traj: Trajectory, what: str):
+    return ("diverged", f"{what} hit the blow-up guard") if traj.diverged else None
+
+
+def _checkpoint(cfg: ExperimentConfig, traj: Trajectory) -> list:
+    """``final_state.txt`` of a run that reached t_final; none for a diverged run."""
+    return [] if traj.diverged else [("final_state.txt", _with_headers(cfg, state_to_text(traj.final_state())))]
+
+
+def cmd_verify(cfg: ExperimentConfig, solver_cfg: None, init: None):
     results = run_all(cfg)
-    print(render_table(results))
     rows = [(r.group, r.name, int(r.passed), f'"{r.detail}"') for r in results]
-    _write(out_dir, "verify_report.csv", _csv(cfg, ("group", "name", "passed", "detail"), rows))
-    _echo_config(cfg, out_dir)
-    return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERICAL
+    files = [("verify_report.csv", _csv(cfg, ("group", "name", "passed", "detail"), rows))]
+    n_fail = sum(not r.passed for r in results)
+    failure = ("numerical", f"{n_fail} of {len(results)} checks failed") if n_fail else None
+    return files, render_table(results), failure
 
 
-def cmd_skeleton(cfg: ExperimentConfig, out_dir: Path) -> int:
-    solver_cfg = cfg.build_solver_config()
-    init = cfg.build_init(solver_cfg.grid)
+def cmd_skeleton(cfg: ExperimentConfig, solver_cfg: SolverConfig, init: SpectralState):
     g = cfg.build_control()
     traj = solve_skeleton(init, g, solver_cfg, keep_snapshots=False)
-    _write(out_dir, "skeleton_trajectory.csv", _trajectory_csv(cfg, traj, "kind=skeleton"))
-    _write(out_dir, "final_state.txt", _with_headers(cfg, state_to_text(traj.final_state())))
-    _write(out_dir, "control.csv", _control_csv(cfg, g))
-    _echo_config(cfg, out_dir)
-    if traj.diverged:
-        print(_error_record("diverged", "skeleton run hit the blow-up guard"), file=sys.stderr)
-        return EXIT_NUMERICAL
-    print(f"skeleton: {len(traj.times)} diagnostic rows -> {out_dir}/skeleton_trajectory.csv")
-    return EXIT_OK
+    files = [("skeleton_trajectory.csv", _trajectory_csv(cfg, traj, "kind=skeleton"))]
+    files += _checkpoint(cfg, traj) + [("control.csv", _control_csv(cfg, g))]
+    return files, f"skeleton: {len(traj.times)} diagnostic rows", _diverged(traj, "skeleton run")
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
-    solver_cfg = cfg.build_solver_config()
-    init = cfg.build_init(solver_cfg.grid)
-    phi = cfg.build_control()
+def cmd_simulate(cfg: ExperimentConfig, solver_cfg: SolverConfig, init: SpectralState):
     eps = cfg.simulate_eps
     # the SDE sees the tilt only through its jumps: draw them once, replay, and save them
-    jumps = draw_jumps(eps, phi, solver_cfg, cfg.seed)
+    jumps = draw_jumps(eps, cfg.build_control(), solver_cfg, cfg.seed)
     traj = solve_sde_with_jumps(init, eps, jumps, solver_cfg)
-    _write(out_dir, "sde_trajectory.csv", _trajectory_csv(cfg, traj, f"kind=sde eps={eps}"))
-    _write(out_dir, "jumps.txt", _with_headers(cfg, _jumps_text(jumps)))
-    _write(out_dir, "final_state.txt", _with_headers(cfg, state_to_text(traj.final_state())))
-    _echo_config(cfg, out_dir)
-    if traj.diverged:
-        print(_error_record("diverged", "jump-driven run hit the blow-up guard"), file=sys.stderr)
-        return EXIT_NUMERICAL
-    print(f"simulate: eps={eps}, {jumps.size} jumps -> {out_dir}/sde_trajectory.csv")
-    return EXIT_OK
+    files = [
+        ("sde_trajectory.csv", _trajectory_csv(cfg, traj, f"kind=sde eps={eps}")),
+        ("jumps.txt", _with_headers(cfg, _jumps_text(jumps))),
+    ]
+    report = f"simulate: eps={eps}, {jumps.size} jumps"
+    return files + _checkpoint(cfg, traj), report, _diverged(traj, "jump-driven run")
 
 
-def cmd_convolution(cfg: ExperimentConfig, out_dir: Path) -> int:
-    solver_cfg = cfg.build_solver_config()
-    init = cfg.build_init(solver_cfg.grid)
-    phi = cfg.build_control()
-    conv = solve_stochastic_convolution(init, cfg.simulate_eps, phi, solver_cfg, seed=cfg.seed)
-    kind = f"kind=convolution eps={cfg.simulate_eps}"
-    _write(out_dir, "convolution_trajectory.csv", _trajectory_csv(cfg, conv, kind))
-    _echo_config(cfg, out_dir)
-    if conv.diverged:
-        print(_error_record("diverged", "convolution run hit the blow-up guard"), file=sys.stderr)
-        return EXIT_NUMERICAL
-    print(f"convolution: sup |xi| = {float(np.max(conv.u_l2)):.6g} -> {out_dir}/convolution_trajectory.csv")
-    return EXIT_OK
+def cmd_convolution(cfg: ExperimentConfig, solver_cfg: SolverConfig, init: SpectralState):
+    eps = cfg.simulate_eps
+    conv = solve_stochastic_convolution(init, eps, cfg.build_control(), solver_cfg, seed=cfg.seed)
+    files = [("convolution_trajectory.csv", _trajectory_csv(cfg, conv, f"kind=convolution eps={eps}"))]
+    report = f"convolution: sup |xi| = {float(np.max(conv.u_l2)):.6g}"
+    return files, report, _diverged(conv, "convolution run")
 
 
-def cmd_rate(cfg: ExperimentConfig, out_dir: Path) -> int:
-    solver_cfg = cfg.build_solver_config(energy_diagnostics=False)
-    init = cfg.build_init(solver_cfg.grid)
+def cmd_rate(cfg: ExperimentConfig, solver_cfg: SolverConfig, init: SpectralState):
     target_control = None
     if cfg.rate_target_tilt != 1.0:
-        target_control = Control.constant(
-            solver_cfg.t_final, cfg.rate_target_tilt, 1, solver_cfg.mark_space.size
-        )
-    target = solve_skeleton(init, target_control, solver_cfg).final_state()
+        target_control = Control.constant(solver_cfg.t_final, cfg.rate_target_tilt, 1, solver_cfg.mark_space.size)
+    target = solve_skeleton(init, target_control, solver_cfg)
+    # a diverged target is an error unless the unit-tilt start diverges too (an infinite objective)
+    if target.diverged and not solve_skeleton(init, None, solver_cfg, keep_snapshots=False).diverged:
+        tilt, t = cfg.rate_target_tilt, target.times[-1]
+        raise SolverError(f"rate target run (target_tilt = {tilt:g}) hit the blow-up guard after t = {t:.6g}")
     prob = RateProblem(
-        init=init,
-        target=target,
-        cfg=solver_cfg,
-        penalty_weight=cfg.rate_penalty,
-        n_cells=cfg.rate_cells,
-        max_iters=cfg.rate_max_iters,
-        tolerance=cfg.rate_tolerance,
+        init, target.final_state(), solver_cfg, penalty_weight=cfg.rate_penalty, n_cells=cfg.rate_cells,
+        max_iters=cfg.rate_max_iters, tolerance=cfg.rate_tolerance,
     )
     sol = optimize_control(prob)
-    _write(out_dir, "rate_history.csv", _csv(cfg, ("iteration", "objective", "cost", "mismatch"), sol.history))
-    _write(out_dir, "g_star.csv", _control_csv(cfg, sol.g_star))
-    _echo_config(cfg, out_dir)
-    print(
+    files = [
+        ("rate_history.csv", _csv(cfg, ("iteration", "objective", "cost", "mismatch"), sol.history)),
+        ("g_star.csv", _control_csv(cfg, sol.g_star)),
+    ]
+    report = (
         f"rate: objective={sol.objective:.6g} cost={sol.cost:.6g} "
         f"mismatch={sol.mismatch:.6g} converged={sol.converged}"
     )
-    return EXIT_OK if np.isfinite(sol.objective) else EXIT_NUMERICAL
+    failure = None if np.isfinite(sol.objective) else ("diverged", "rate optimizer's start hit the blow-up guard")
+    return files, report, failure
 
 
-def cmd_mc_ldp(cfg: ExperimentConfig, out_dir: Path) -> int:
-    solver_cfg = cfg.build_solver_config(energy_diagnostics=False)
-    init = cfg.build_init(solver_cfg.grid)
-    phi = cfg.build_control()
-    rows = mc_small_noise_study(
-        cfg.experiment_eps_list,
-        cfg.experiment_n_paths,
-        solver_cfg,
-        init,
-        seed=cfg.seed,
-        phi=phi,
-    )
-    columns = ("eps", "median", "q25", "q75", "n_diverged")
-    _write(out_dir, "mc_ldp.csv", _csv(cfg, columns, ([r[c] for c in columns] for r in rows)))
-    conv_rows = convolution_scaling_study(
-        cfg.experiment_eps_list,
-        cfg.experiment_n_paths,
-        solver_cfg,
-        init,
-        seed=cfg.seed,
-        phi=phi,
-    )
-    conv_text = _csv(cfg, ("eps", "mean_sup_sq"), ((r["eps"], r["mean_sup_sq"]) for r in conv_rows))
-    _write(out_dir, "convolution_scaling.csv", conv_text)
-    _echo_config(cfg, out_dir)
-    medians = [r["median"] for r in rows]
-    print("mc-ldp medians:", ", ".join(f"{e:.3g}:{m:.4g}" for e, m in zip(cfg.experiment_eps_list, medians)))
-    return EXIT_OK
+def cmd_mc_ldp(cfg: ExperimentConfig, solver_cfg: SolverConfig, init: SpectralState):
+    phi, eps_list, n_paths = cfg.build_control(), cfg.experiment_eps_list, cfg.experiment_n_paths
+    rows = mc_small_noise_study(eps_list, n_paths, solver_cfg, init, seed=cfg.seed, phi=phi)
+    conv_rows = convolution_scaling_study(eps_list, n_paths, solver_cfg, init, seed=cfg.seed, phi=phi)
+    columns, conv_columns = ("eps", "median", "q25", "q75", "n_diverged"), ("eps", "mean_sup_sq")
+    files = [
+        ("mc_ldp.csv", _csv(cfg, columns, ([r[c] for c in columns] for r in rows))),
+        ("convolution_scaling.csv", _csv(cfg, conv_columns, ([r[c] for c in conv_columns] for r in conv_rows))),
+    ]
+    report = "mc-ldp medians: " + ", ".join(f"{e:.3g}:{r['median']:.4g}" for e, r in zip(eps_list, rows))
+    return files, report, None
 
 
-def cmd_importance(cfg: ExperimentConfig, out_dir: Path) -> int:
-    solver_cfg = cfg.build_solver_config(energy_diagnostics=False)
-    init = cfg.build_init(solver_cfg.grid)
-    phi = cfg.build_importance_phi()
+def cmd_importance(cfg: ExperimentConfig, solver_cfg: SolverConfig, init: SpectralState):
+    eps, n_paths = cfg.importance_eps, cfg.importance_n_paths
     indicator = sup_velocity_indicator(cfg.importance_threshold)
-    tilted = importance_weights(
-        indicator, phi, cfg.importance_eps, cfg.importance_n_paths, solver_cfg, init,
-        seed=cfg.seed,
-    )
-    plain = plain_mc_probability(
-        indicator, cfg.importance_eps, cfg.importance_n_paths, solver_cfg, init,
-        seed=cfg.seed,
-    )
+    phi = cfg.build_importance_phi()
+    tilted = importance_weights(indicator, phi, eps, n_paths, solver_cfg, init, seed=cfg.seed)
+    plain = plain_mc_probability(indicator, eps, n_paths, solver_cfg, init, seed=cfg.seed)
     columns = ("estimate", "std_error", "n_paths", "n_diverged", "sample_variance")
     rows = [(name, *(res[c] for c in columns)) for name, res in (("tilted", tilted), ("plain", plain))]
-    extra = (f"eps={cfg.importance_eps} threshold={cfg.importance_threshold}",)
-    _write(out_dir, "importance.csv", _csv(cfg, ("method", *columns), rows, extra))
-    _echo_config(cfg, out_dir)
-    print(
+    extra = (f"eps={eps} threshold={cfg.importance_threshold}",)
+    report = (
         f"importance: tilted={tilted['estimate']:.5g} (se {tilted['std_error']:.2g}) "
         f"plain={plain['estimate']:.5g} (se {plain['std_error']:.2g}) "
         f"log_estimate={tilted['log_estimate']:.6g} ess={tilted['ess']:.4g} "
@@ -270,25 +239,24 @@ def cmd_importance(cfg: ExperimentConfig, out_dir: Path) -> int:
         f"tilted_hits={tilted['hits']} plain_hits={plain['hits']} "
         f"degenerate={tilted['degenerate'] and plain['degenerate']}"
     )
-    return EXIT_OK
+    return [("importance.csv", _csv(cfg, ("method", *columns), rows, extra))], report, None
 
 
+# command -> (cmd_*, whether its trajectories carry energy columns); verify builds no run
 _COMMANDS = {
-    "verify": cmd_verify,
-    "skeleton": cmd_skeleton,
-    "simulate": cmd_simulate,
-    "convolution": cmd_convolution,
-    "rate": cmd_rate,
-    "mc-ldp": cmd_mc_ldp,
-    "importance": cmd_importance,
+    "verify": (cmd_verify, None),
+    "skeleton": (cmd_skeleton, True),
+    "simulate": (cmd_simulate, True),
+    "convolution": (cmd_convolution, True),
+    "rate": (cmd_rate, False),
+    "mc-ldp": (cmd_mc_ldp, False),
+    "importance": (cmd_importance, False),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nlcsim",
-        description="Pseudospectral nematic liquid-crystal flow with jump noise.",
-    )
+    description = "Pseudospectral nematic liquid-crystal flow with jump noise."
+    parser = argparse.ArgumentParser(prog="nlcsim", description=description)
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to the key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -313,8 +281,13 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(_error_record("config", str(exc)), file=sys.stderr)
         return EXIT_CONFIG
+    command, energy = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](cfg, Path(args.out))
+        solver_cfg = init = None
+        if energy is not None:
+            solver_cfg = cfg.build_solver_config(energy_diagnostics=energy)
+            init = cfg.build_init(solver_cfg.grid)
+        files, report, failure = command(cfg, solver_cfg, init)
     except (SolverError, StudyError) as exc:
         # SolverError subclasses ValueError: match it before the generic case
         print(_error_record("numerical", str(exc)), file=sys.stderr)
@@ -322,6 +295,14 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(_error_record("validation", str(exc)), file=sys.stderr)
         return EXIT_CONFIG
+    out_dir = Path(args.out)
+    for name, text in files + [("config_echo.ini", _with_headers(cfg, serialize_config(cfg)))]:
+        _write(out_dir, name, text)
+    print(f"{report} -> {out_dir}/{files[0][0]}")
+    if failure is not None:
+        print(_error_record(*failure), file=sys.stderr)
+        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -171,8 +171,9 @@ class SolverConfig:
             raise SolverError(f"t_final/dt = {steps} is not integral within rounding")
         if self.cutoff_level is not None and not 1 <= self.cutoff_level < np.inf:
             raise SolverError(f"cutoff level must be >= 1 and finite, got {self.cutoff_level}")
-        if self.diag_stride is not None and self.diag_stride < 1:
-            raise SolverError(f"diag_stride must be >= 1 (None = automatic), got {self.diag_stride}")
+        stride = self.diag_stride
+        if stride is not None and not (isinstance(stride, (int, np.integer)) and stride >= 1):
+            raise SolverError(f"diag_stride must be an integer >= 1 (None = automatic), got {stride}")
         if not self.blowup_threshold > 0:
             raise SolverError(f"blowup_threshold must be > 0, got {self.blowup_threshold}")
         if (self.mark_space is None) != (self.jump_spec is None):
@@ -300,8 +301,8 @@ def _state_norms(u_hat: np.ndarray, theta_hat: np.ndarray) -> np.ndarray:
 
 
 def _require_noise(epsilon: float, cfg: SolverConfig):
-    if epsilon <= 0:
-        raise SolverError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise SolverError(f"epsilon must be positive and finite, got {epsilon}")
     if cfg.mark_space is None:
         raise SolverError("config carries no mark space / jump spec")
 

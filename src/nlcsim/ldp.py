@@ -175,17 +175,23 @@ def optimize_control(prob: RateProblem, g0: Control | None = None) -> RateSoluti
 
     The gradient is :func:`rate_gradient`, taken on the skeleton run of the
     accepted iterate, so an iteration costs one backward sweep plus its
-    line-search solves.  Each line search starts at the step 0.5.  Armijo
-    acceptance makes every accepted iterate lower than the one before, so
-    the last one is returned; the recorded objective history is
-    non-increasing.  Initialization defaults to the zero-cost tilt g = 1.
+    line-search solves.  Each line search starts at the step 0.5; a trial
+    whose skeleton diverges or whose g = exp(w) overflows has an infinite
+    objective and is backtracked from.  Armijo acceptance makes every
+    accepted iterate lower than the one before, so the last one is
+    returned; the recorded objective history is non-increasing.
+    Initialization defaults to the zero-cost tilt g = 1.
     """
     if g0 is None:
         g0 = prob.unit_control()
     w = np.log(np.maximum(g0.values.ravel(), 1e-8))
 
     def objective_of(wvec: np.ndarray):
-        return _evaluate(prob.control_from_flat(np.exp(wvec)), prob, keep_snapshots=True)
+        with np.errstate(over="ignore"):
+            g = np.exp(wvec)
+        if not np.all(np.isfinite(g)):
+            return (np.inf, np.inf, np.inf), None
+        return _evaluate(prob.control_from_flat(g), prob, keep_snapshots=True)
 
     (obj, cost, mis), traj = objective_of(w)
     history = [(0, obj, cost, mis)]

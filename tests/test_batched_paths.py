@@ -390,3 +390,35 @@ def test_a_study_rejects_an_eps_list_that_is_empty_or_not_positive_and_decreasin
     cfg = make_cfg()
     with pytest.raises(StudyError, match="eps_list must be nonempty, positive and strictly decreasing"):
         study(eps_list, 8, cfg, make_init(cfg.grid), seed=3)
+
+
+
+NO_JUMPS = JumpSample(np.zeros(0), np.zeros(0, int))
+NOISE_SIZE_ENTRY_POINTS = {
+    "draw_jumps": lambda eps, cfg, init: draw_jumps(eps, None, cfg, 3),
+    "solve_small_noise_sde": lambda eps, cfg, init: solve_small_noise_sde(init, eps, None, cfg, 3),
+    "solve_sde_with_jumps": lambda eps, cfg, init: solve_sde_with_jumps(init, eps, NO_JUMPS, cfg),
+    "solve_stochastic_convolution": lambda eps, cfg, init: solve_stochastic_convolution(init, eps, None, cfg, 3),
+    "solve_path_batch": lambda eps, cfg, init: solve_path_batch(init, eps, [NO_JUMPS], cfg),
+    "importance_weights": lambda eps, cfg, init: importance_weights(
+        lambda traj: 1.0, Control.constant(cfg.t_final, 1.5, 1, 2), eps, 8, cfg, init, seed=3
+    ),
+    "plain_mc_probability": lambda eps, cfg, init: plain_mc_probability(lambda traj: 1.0, eps, 8, cfg, init, seed=3),
+    # a study's eps_list check rejects a list with 0, a negative or a NaN first; [inf, 0.1] passes it
+    "mc_small_noise_study": lambda eps, cfg, init: mc_small_noise_study([eps, 0.1], 8, cfg, init, seed=3),
+    "convolution_scaling_study": lambda eps, cfg, init: convolution_scaling_study([eps, 0.1], 8, cfg, init, seed=3),
+}
+NOISE_SIZE_CASES = [
+    (entry, eps)
+    for entry in NOISE_SIZE_ENTRY_POINTS
+    for eps in (0.0, -0.5, float("nan"), float("inf"))
+    if eps == float("inf") or not entry.endswith("_study")
+]
+
+
+@pytest.mark.parametrize(("entry", "eps"), NOISE_SIZE_CASES, ids=[f"{e}-{x}" for e, x in NOISE_SIZE_CASES])
+def test_a_noise_size_that_is_not_positive_and_finite_is_rejected(entry, eps):
+    # inf used to run every path into the blow-up guard (eps * 0 = nan), and nan to fail inside numpy
+    cfg = make_cfg()
+    with pytest.raises(SolverError, match="epsilon must be positive and finite"):
+        NOISE_SIZE_ENTRY_POINTS[entry](eps, cfg, make_init(cfg.grid))

@@ -423,3 +423,64 @@ class TestCli:
         for row in rows:
             values = [float(v) for v in row.split(",")[1:]]
             assert all(v == 0.0 for v in values)
+
+
+# the initial velocity blows up within a few steps, so every run from it diverges
+DIVERGING = "seed = 1\ngrid.modes = 8\ninit.u = taylor_green:1e4\nimportance.n_paths = 8\nexperiment.n_paths = 8\n"
+FAILURE_CASES = {
+    "skeleton": ("diverged", ("skeleton_trajectory.csv", "control.csv")),
+    "simulate": ("diverged", ("sde_trajectory.csv", "jumps.txt")),
+    "convolution": ("diverged", ("convolution_trajectory.csv",)),
+    "rate": ("diverged", ("rate_history.csv", "g_star.csv")),
+    "mc-ldp": ("numerical", None),
+    "importance": ("numerical", None),
+}
+
+
+def _run_failing(tmp_path, capsys, command, text):
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    records = []
+    for line in captured.err.splitlines():
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError:
+            pass
+    return rc, records, captured.out, out
+
+
+@pytest.mark.parametrize("command", FAILURE_CASES)
+def test_a_failed_run_exits_2_with_one_record_and_no_checkpoint(tmp_path, capsys, command):
+    kind, artifacts = FAILURE_CASES[command]
+    rc, records, stdout, out = _run_failing(tmp_path, capsys, command, DIVERGING)
+    assert rc == 2
+    assert [r["error"] for r in records] == [kind]
+    if artifacts is None:  # a raised failure writes nothing
+        assert not out.exists() and stdout == ""
+    else:  # a diverged run writes its artifacts and echo, and prints its report, but no final state
+        assert sorted(p.name for p in out.iterdir()) == sorted(artifacts + ("config_echo.ini",))
+        assert stdout.startswith(f"{command}: ") and f" -> {out}/{artifacts[0]}" in stdout
+
+
+def test_a_rate_target_run_that_diverges_is_a_numerical_error(tmp_path, capsys):
+    text = "seed = 1\ngrid.modes = 8\nrate.target_tilt = 1000\n"
+    rc, records, stdout, out = _run_failing(tmp_path, capsys, "rate", text)
+    assert rc == 2 and stdout == "" and not out.exists()
+    assert [r["error"] for r in records] == ["numerical"]
+    assert records[0]["message"].startswith("rate target run (target_tilt = 1000) hit the blow-up guard after t = ")
+
+
+def test_verify_with_a_failed_check_prints_a_numerical_record(tmp_path, capsys, monkeypatch):
+    import nlcsim.cli as cli
+    from nlcsim.verify import CheckResult
+
+    results = [CheckResult("g", "fine", True, "ok"), CheckResult("g", "broken", False, "off by 1")]
+    monkeypatch.setattr(cli, "run_all", lambda cfg: results)
+    rc, records, stdout, out = _run_failing(tmp_path, capsys, "verify", MINIMAL)
+    assert rc == 2
+    assert records == [{"error": "numerical", "message": "1 of 2 checks failed"}]
+    assert "FAIL  g/broken" in stdout and "1/2 checks passed" in stdout
+    assert sorted(p.name for p in out.iterdir()) == ["config_echo.ini", "verify_report.csv"]

@@ -170,6 +170,12 @@ class TestConfig:
             with pytest.raises(SolverError, match="blowup_threshold"):
                 SolverConfig(grid=grid, dt=1e-2, t_final=1.0, blowup_threshold=threshold)
 
+    @pytest.mark.parametrize("stride", (float("nan"), 1.5, float("inf"), 2.0), ids=str)
+    def test_a_diag_stride_that_is_not_an_integer_is_rejected(self, stride):
+        # a float stride used to pass and end the first solve in a TypeError from range()
+        with pytest.raises(SolverError, match="diag_stride must be an integer >= 1"):
+            SolverConfig(grid=TorusGrid(16), dt=1e-2, t_final=1.0, diag_stride=stride)
+
     def test_a_jump_spec_built_on_another_grid_is_rejected(self, cfg16):
         # N=16 shapes on an N=8 run would fail the first forced step with a broadcast error
         with pytest.raises(SolverError, match="jump spec has 2 marks on an N=16 grid"):

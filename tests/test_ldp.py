@@ -131,6 +131,19 @@ class TestOptimizer:
         assert sol.cost <= 1e-6
         assert sol.objective <= rate_objective(prob.unit_control(), prob) + 1e-15
 
+    def test_a_trial_tilt_that_overflows_backtracks(self):
+        # at target tilt 100 a trial of the second line search has exp(w) = inf: it used to end
+        # the run in Control's "control values must be finite" error instead of backtracking
+        cfg = parse_config_text("seed = 1\ngrid.modes = 8\n")
+        solver_cfg = cfg.build_solver_config(energy_diagnostics=False)
+        init = cfg.build_init(solver_cfg.grid)
+        target = solve_skeleton(init, Control.constant(solver_cfg.t_final, 100.0, 1, 4), solver_cfg).final_state()
+        sol = optimize_control(RateProblem(init, target, solver_cfg, max_iters=2))
+        objectives = [row[1] for row in sol.history]
+        assert len(objectives) == 3 and np.all(np.isfinite(objectives))
+        assert objectives == sorted(objectives, reverse=True)
+        assert np.all(np.isfinite(sol.g_star.values))
+
     def test_matches_brute_force_1d(self, rng):
         prob = small_problem(rng, target_tilt=1.7, penalty=200.0)
         grid_vals = np.linspace(0.2, 3.0, 15)
