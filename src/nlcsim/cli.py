@@ -187,11 +187,13 @@ def cmd_rate(cfg: ExperimentConfig, solver_cfg: SolverConfig, init: SpectralStat
     target_control = None
     if cfg.rate_target_tilt != 1.0:
         target_control = Control.constant(solver_cfg.t_final, cfg.rate_target_tilt, 1, solver_cfg.mark_space.size)
-    target = solve_skeleton(init, target_control, solver_cfg)
-    # a diverged target is an error unless the unit-tilt start diverges too (an infinite objective)
-    if target.diverged and not solve_skeleton(init, None, solver_cfg, keep_snapshots=False).diverged:
-        tilt, t = cfg.rate_target_tilt, target.times[-1]
-        raise SolverError(f"rate target run (target_tilt = {tilt:g}) hit the blow-up guard after t = {t:.6g}")
+    target = solve_skeleton(init, target_control, solver_cfg, keep_snapshots=False)
+    if target.diverged:
+        # an error unless the unit-tilt start diverges too (an infinite objective)
+        if not solve_skeleton(init, None, solver_cfg, keep_snapshots=False).diverged:
+            tilt, t = cfg.rate_target_tilt, target.times[-1]
+            raise SolverError(f"rate target run (target_tilt = {tilt:g}) hit the blow-up guard after t = {t:.6g}")
+        target = solve_skeleton(init, target_control, solver_cfg)  # its last state before the guard
     prob = RateProblem(
         init, target.final_state(), solver_cfg, penalty_weight=cfg.rate_penalty, n_cells=cfg.rate_cells,
         max_iters=cfg.rate_max_iters, tolerance=cfg.rate_tolerance,

@@ -31,11 +31,16 @@ polynomial degree is resolved on the padded grid (the 3/2 rule for
 quadratic terms).  Truncation zeroes the unpaired Nyquist lines so
 real-valuedness is preserved exactly.  Per-N wavenumber tables are built
 on first use and cached.  The padded transform pair ``to_grid``/
-``from_grid`` runs the one-axis passes of ``irfft2``/``rfft2`` through
-per-thread buffers (``scratch``) that are reused from call to call, so the
-solver's step allocates no padded field stack; ``from_grid`` returns a new
-band array, and ``to_grid`` writes into a new array unless the caller
-passes a scratch ``out``.
+``from_grid`` takes the band to the grid and back in two one-axis passes
+each, through per-thread buffers (``scratch``) that are reused from call
+to call, so the solver's step allocates no padded field stack;
+``from_grid`` returns a new band array, and ``to_grid`` writes into a new
+array unless the caller passes a scratch ``out``.  Up to ``_DENSE_MAX_N``
+modes per side each pass is one matrix product with a cached dense DFT
+factor: for lines this short a BLAS product beats the FFT's per-line
+overhead, agrees with it to rounding and, like it, does not depend on the
+batch size or the thread count.  Larger grids run the one-axis passes of
+``irfft2``/``rfft2`` bit for bit.
 """
 
 from __future__ import annotations
@@ -50,6 +55,10 @@ import numpy as np
 # per-thread transform buffers (see ``scratch`` and ``to_grid``)
 _workspace = threading.local()
 _MAX_PADS = 16
+# grids of up to this many modes per side transform as dense DFT products (``_dense_factors``):
+# single-threaded on a 2-core x86 VM they beat pocketfft at every even N <= 62 for 1 and 8 paths,
+# tie at 64 and lose at 96 and 128
+_DENSE_MAX_N = 62
 
 
 @lru_cache(maxsize=64)
@@ -495,6 +504,42 @@ def truncate_half(a: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
+def _dense_factors(n: int, m: int):
+    """The read-only DFT factors of the n band on the m x m grid, for ``to_grid``/``from_grid``.
+
+    ``(cols_synth, rows_synth, rows_an, cols_an)``: the (m, n) complex
+    column synthesis exp(i k1 x_j) (k1 in FFT order), the (n, m) real row
+    synthesis of the interleaved (Re, Im) of k2 = 0 .. n/2 - 1 with the
+    conjugate columns counted twice, the (m, n) real row analysis
+    exp(-i k2 x_l) interleaved, and the (n, m) complex column analysis
+    exp(-i k1 x_j) / m^2.  The Nyquist row k1 = -n/2 is zero in both column
+    factors and the Im row of k2 = 0 in the row synthesis (c2r ignores Im
+    there).  Angles come from the integer (k x) mod m.
+    """
+    h = n // 2
+    k1 = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    x = np.arange(m)
+    unit = np.exp(TWO_PI * 1j / m * x)
+    cols_synth = unit[np.outer(x, k1) % m]
+    cols_synth[:, h] = 0.0
+    rot = unit[np.outer(np.arange(h), x) % m]  # (h, m): exp(i k2 x_l)
+    twice = np.full((h, 1), 2.0)
+    twice[0] = 1.0
+    rows_synth = np.empty((n, m))
+    rows_synth[0::2] = twice * rot.real
+    rows_synth[1::2] = -twice * rot.imag
+    rows_synth[1] = 0.0
+    rows_an = np.empty((m, n))
+    rows_an[:, 0::2] = rot.real.T
+    rows_an[:, 1::2] = -rot.imag.T
+    cols_an = np.conj(cols_synth.T) / (m * m)
+    factors = (cols_synth, rows_synth, rows_an, cols_an)
+    for arr in factors:
+        arr.setflags(write=False)
+    return factors
+
+
 def scratch(role: str, shape: tuple, dtype=float) -> np.ndarray:
     """A per-thread work array of ``shape``, carved from the reusable buffer of ``role``.
 
@@ -525,12 +570,22 @@ def _padded(shape: tuple) -> np.ndarray:
 def to_grid(a: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
     """Values on the m x m grid of (..., N, N//2+1) coefficients with zero Nyquist lines.
 
-    The two one-axis passes of ``irfft2`` on ``pad_half`` of the N/2 band
-    columns, bit for bit: ``ifft`` down the columns of a reusable padded
-    input, then ``irfft`` along the rows, into ``out`` when given (for
-    instance a ``scratch`` array) or a new array.
+    Column synthesis down k1, then row synthesis along k2, into ``out``
+    when given (for instance a ``scratch`` array) or a new array.  Up to
+    ``_DENSE_MAX_N`` modes both are products with the ``_dense_factors`` of
+    (N, m), through the complex ``scratch("spectrum")`` array and its
+    interleaved real view.  Larger grids run the two one-axis passes of
+    ``irfft2`` on ``pad_half`` of the N/2 band columns, bit for bit: ``ifft``
+    down the columns of a reusable padded input, then ``irfft`` along the rows.
     """
-    pad = pad_half(a, m, out=_padded(a.shape[:-2] + (m, a.shape[-2] // 2)))
+    n = a.shape[-2]
+    h = n // 2
+    lead = a.shape[:-2]
+    if n <= _DENSE_MAX_N:
+        cols_synth, rows_synth = _dense_factors(n, m)[:2]
+        cols = np.matmul(cols_synth, a[..., :h], out=scratch("spectrum", lead + (m, h), complex))
+        return np.matmul(cols.view(float), rows_synth, out=out)
+    pad = pad_half(a, m, out=_padded(lead + (m, h)))
     cols = np.fft.ifft(pad, axis=-2, norm="forward", out=scratch("spectrum", pad.shape, complex))
     return np.fft.irfft(cols, m, axis=-1, norm="forward", out=out)
 
@@ -538,13 +593,25 @@ def to_grid(a: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
 def from_grid(values: np.ndarray, n: int) -> np.ndarray:
     """(..., n, n//2+1) coefficients of the band |k_j| <= n/2 - 1 of values on an m x m grid.
 
-    The two one-axis passes of ``rfft2`` followed by ``truncate_half``, bit
-    for bit: ``rfft`` along the rows, then ``fft`` down only the n/2
-    columns the band keeps, both into ``scratch`` arrays.  The band is
-    copied into a new array.
+    Row analysis along the grid rows for k2 = 0 .. n/2 - 1 into a
+    ``scratch`` array, then column analysis down them for the n band rows;
+    the result is a new array.  Up to ``_DENSE_MAX_N`` modes both are
+    products with the ``_dense_factors`` of (n, m), the second written
+    straight into the band.  Larger grids run the two one-axis passes of
+    ``rfft2`` followed by ``truncate_half``, bit for bit: ``rfft`` along the
+    rows, then ``fft`` into a ``scratch`` array down only the n/2 columns
+    the band keeps.
     """
     m = values.shape[-1]
+    h = n // 2
     lead = values.shape[:-2]
+    if n <= _DENSE_MAX_N:
+        rows_an, cols_an = _dense_factors(n, m)[2:]
+        rows = np.matmul(values, rows_an, out=scratch("rows", lead + (m, n)))
+        band = np.empty(lead + (n, h + 1), dtype=complex)
+        band[..., h] = 0.0
+        np.matmul(cols_an, rows.view(complex), out=band[..., :h])
+        return band
     rows = np.fft.rfft(values, axis=-1, norm="forward", out=scratch("rows", lead + (m, m // 2 + 1), complex))
-    cols = np.fft.fft(rows[..., : n // 2], axis=-2, norm="forward", out=scratch("spectrum", lead + (m, n // 2), complex))
+    cols = np.fft.fft(rows[..., :h], axis=-2, norm="forward", out=scratch("spectrum", lead + (m, h), complex))
     return truncate_half(cols, n)

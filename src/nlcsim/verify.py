@@ -152,14 +152,17 @@ def check_spectral(seed: int) -> list[CheckResult]:
     out.append(CheckResult("spectral", "dealias-quadratic-exact", err <= 1e-12, f"abs err {err:.2e}"))
 
     # the transforms reuse per-thread buffers: calls that alternate between two batch shapes
-    # (and the diagnostic's padding) return what each returns on a new thread's empty buffers
+    # (and the diagnostic's padding) return what each returns on a new thread's empty buffers,
+    # with dense DFT products at N = 32 and pocketfft passes on a zero-padded input at N = 64
     nl = operators.DEFAULT_NONLINEARITY
 
-    def step(u, th):
+    def step(u, th, grid):
         return (*operators.explicit_rhs(u, th, grid, with_f=True), operators.potential_energy_hat(th, grid, nl))
 
-    fields = [(_random(grid, rng, kmax=12, solenoidal=True), _random(grid, rng, kmax=12)) for _ in range(4)]
-    cases = [fields[0], tuple(np.stack(f) for f in zip(*fields[1:]))]
+    cases = []
+    for g in (grid, TorusGrid(64)):
+        fields = [(_random(g, rng, kmax=12, solenoidal=True), _random(g, rng, kmax=12)) for _ in range(4)]
+        cases += [(*fields[0], g), (*(np.stack(f) for f in zip(*fields[1:])), g)]
     isolated = [_on_new_thread(step, *case) for case in cases]
     same = all(
         np.array_equal(a, b)
@@ -167,7 +170,7 @@ def check_spectral(seed: int) -> list[CheckResult]:
         for case, ref in zip(cases, isolated)
         for a, b in zip(step(*case), ref)
     )
-    out.append(CheckResult("spectral", "workspace-reuse", same, "batches of 1 and 3, interleaved"))
+    out.append(CheckResult("spectral", "workspace-reuse", same, "batches of 1 and 3 at N = 32 and 64, interleaved"))
     return out
 
 

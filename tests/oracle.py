@@ -8,7 +8,8 @@ norms, trilinear forms, the coercivity and dual-norm checks, random
 fields, the field-level explicit terms of one step
 (``nonlinear_terms``), and the allocate-per-call padded transform pair
 (``plain_to_grid``/``plain_from_grid``) that the package's
-workspace-backed pair must equal bit for bit.  ``half``/``state_of``/``u_of``/``theta_of``/
+workspace-backed pair must equal, bit for bit where it runs numpy's FFT
+and to rounding where it runs dense DFT products.  ``half``/``state_of``/``u_of``/``theta_of``/
 ``spec_of`` convert between fields and the arrays the package takes, and
 ``embed_state`` moves a state onto a finer grid.  The package writes its
 artifacts (``nlcsim.cli``) and reads back only the echoed config; the

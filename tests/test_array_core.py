@@ -13,6 +13,7 @@ import io
 import numpy as np
 import pytest
 
+from nlcsim import operators
 from nlcsim.cli import state_to_text
 from nlcsim.dynamics import (
     SolverConfig,
@@ -259,67 +260,75 @@ def test_replay_rejects_a_jump_after_t_final(step_setup):
 
 
 @pytest.fixture
-def fft_calls(monkeypatch):
+def transform_calls(monkeypatch):
+    """Names of the transform pair calls ``operators`` makes and of the numpy passes, in order."""
     calls = []
+
+    def spy(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
     for name in FFT_NAMES:
-        fn = getattr(np.fft, name)
-
-        def counted(*args, _fn=fn, _name=name, **kwargs):
-            calls.append(_name)
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counted)
+        spy(np.fft, name)
+    for name in ("to_grid", "from_grid"):
+        spy(operators, name)
     return calls
 
 
-# to_grid: ifft down the band columns, irfft along the rows; from_grid: rfft, then fft down the kept columns
-TO_GRID_FFTS = ["ifft", "irfft"]
-STEP_FFTS = TO_GRID_FFTS + ["rfft", "fft"]
+def budget_setup(n, rng, diagnostics=False):
+    grid = TorusGrid(n)
+    ms, spec = make_noise(grid)
+    cfg = SolverConfig(grid=grid, dt=1e-2, t_final=0.1, mark_space=ms, jump_spec=spec, energy_diagnostics=diagnostics)
+    return cfg, random_state(grid, rng)
+
+
+# each grid's (to_grid, from_grid) calls, each followed by its numpy passes: the dense DFT
+# products at N = 16 make none, the FFT at N = 64 two
+PAIR_CALLS = {
+    16: (["to_grid"], ["from_grid"]),
+    64: (["to_grid", "ifft", "irfft"], ["from_grid", "rfft", "fft"]),
+}
 
 
 @pytest.mark.parametrize("diagnostics", (False, True))
-def test_fft_budget_per_step(step_setup, fft_calls, diagnostics):
-    cfg, init = step_setup
-    cfg = SolverConfig(
-        grid=cfg.grid, dt=cfg.dt, t_final=10 * cfg.dt, mark_space=cfg.mark_space,
-        jump_spec=cfg.jump_spec, energy_diagnostics=diagnostics,
-    )
-    g = Control(cfg.t_final, np.array([[1.6, 0.4]]))
-    fft_calls.clear()
-    traj = solve_skeleton(init, g, cfg)
-    if diagnostics:
-        # a diagnostic row at every step and at the final state: the step's transforms (f(theta)
-        # comes back with the step's products), then one to_grid for the potential
-        assert len(traj.times) == cfg.n_steps + 1
-        assert fft_calls == (STEP_FFTS + TO_GRID_FFTS) * (cfg.n_steps + 1)
-    else:
-        assert fft_calls == STEP_FFTS * cfg.n_steps
+def test_fft_budget_per_step(rng, transform_calls, diagnostics):
+    for n, (to_grid_calls, from_grid_calls) in PAIR_CALLS.items():
+        cfg, init = budget_setup(n, rng, diagnostics)
+        g = Control(cfg.t_final, np.array([[1.6, 0.4]]))
+        transform_calls.clear()
+        traj = solve_skeleton(init, g, cfg)
+        if diagnostics:
+            # a diagnostic row at every step and at the final state: the step's transforms (f(theta)
+            # comes back with the step's products), then one to_grid for the potential
+            assert len(traj.times) == cfg.n_steps + 1
+            assert transform_calls == (to_grid_calls + from_grid_calls + to_grid_calls) * (cfg.n_steps + 1)
+        else:
+            assert transform_calls == (to_grid_calls + from_grid_calls) * cfg.n_steps
 
 
-def test_fft_budget_backward_step(step_setup, fft_calls):
-    cfg, init = step_setup
-    cfg = SolverConfig(
-        grid=cfg.grid, dt=cfg.dt, t_final=10 * cfg.dt, mark_space=cfg.mark_space,
-        jump_spec=cfg.jump_spec, energy_diagnostics=False,
-    )
-    g = Control(cfg.t_final, np.array([[1.6, 0.4]]))
-    traj = solve_skeleton(init, g, cfg)
-    final = traj.final_state()
-    fft_calls.clear()
-    skeleton_adjoint(traj, g, cfg, final.u_hat, final.theta_hat)
-    assert fft_calls == STEP_FFTS * cfg.n_steps
+def test_fft_budget_backward_step(rng, transform_calls):
+    for n, (to_grid_calls, from_grid_calls) in PAIR_CALLS.items():
+        cfg, init = budget_setup(n, rng)
+        g = Control(cfg.t_final, np.array([[1.6, 0.4]]))
+        traj = solve_skeleton(init, g, cfg)
+        final = traj.final_state()
+        transform_calls.clear()
+        skeleton_adjoint(traj, g, cfg, final.u_hat, final.theta_hat)
+        assert transform_calls == (to_grid_calls + from_grid_calls) * cfg.n_steps
 
 
-def test_fft_budget_sde_step(step_setup, fft_calls):
-    cfg, init = step_setup
-    cfg = SolverConfig(
-        grid=cfg.grid, dt=cfg.dt, t_final=10 * cfg.dt, mark_space=cfg.mark_space,
-        jump_spec=cfg.jump_spec, energy_diagnostics=False,
-    )
-    jumps = JumpSample(np.array([0.015, 0.05, 0.07]), np.array([1, 0, 1]))
-    fft_calls.clear()
-    solve_sde_with_jumps(init, 0.2, jumps, cfg)
-    assert fft_calls == STEP_FFTS * cfg.n_steps
+def test_fft_budget_sde_step(rng, transform_calls):
+    for n, (to_grid_calls, from_grid_calls) in PAIR_CALLS.items():
+        cfg, init = budget_setup(n, rng)
+        jumps = JumpSample(np.array([0.015, 0.05, 0.07]), np.array([1, 0, 1]))
+        transform_calls.clear()
+        solve_sde_with_jumps(init, 0.2, jumps, cfg)
+        assert transform_calls == (to_grid_calls + from_grid_calls) * cfg.n_steps
 
 
 # ---------------------------------------------------------------------------

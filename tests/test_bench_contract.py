@@ -4,7 +4,9 @@
 callers look them up, and counts one solver span and ``n_steps`` steps
 per public solver call.  A renamed function, or a public solver that
 calls another one, would break the benchmark's traced run without failing
-any other test; these checks catch both.
+any other test; these checks catch both.  Its ``spectral.fft`` counters
+see numpy's transforms only, so they read 0 on grids small enough for the
+dense DFT products.
 """
 
 import importlib.util
@@ -54,8 +56,8 @@ def test_every_binding_resolves_and_uninstall_restores():
     assert np.fft.fft2 is fft2
 
 
-def _tiny_problem():
-    grid = TorusGrid(8)
+def _tiny_problem(n):
+    grid = TorusGrid(n)
     shape = velocity_shape(grid, "shear_x:0.1")
     ms = MarkSpace(weights=(2.0,))
     cfg = dynamics.SolverConfig(
@@ -73,18 +75,20 @@ def _tiny_problem():
 
 @pytest.mark.parametrize("name", bench_tracer.SOLVERS)
 def test_one_solver_span_and_n_steps_per_call(name, tracer):
-    cfg, init, phi, jumps = _tiny_problem()
-    args = {
-        "solve_skeleton": (init, phi, cfg),
-        "solve_small_noise_sde": (init, 0.2, phi, cfg, 3),
-        "solve_sde_with_jumps": (init, 0.2, jumps, cfg),
-        "solve_stochastic_convolution": (init, 0.2, phi, cfg, 3),
-    }[name]
-    traj = getattr(dynamics, name)(*args)
-    assert not traj.diverged
-    solver_spans = [s[3] for s in tracer.spans if s[3].split(".", 1)[1] in bench_tracer.SOLVERS]
-    assert solver_spans == [f"dynamics.{name}"]
-    metrics = tracer.layer_metrics()
-    assert metrics["dynamics.solve.calls"] == 1
-    assert metrics["dynamics.steps"] == cfg.n_steps
-    assert metrics["spectral.fft.calls_in_solves"] > 0
+    for n, numpy_transforms in ((8, False), (64, True)):  # dense DFT products at N = 8
+        tracer.reset()
+        cfg, init, phi, jumps = _tiny_problem(n)
+        args = {
+            "solve_skeleton": (init, phi, cfg),
+            "solve_small_noise_sde": (init, 0.2, phi, cfg, 3),
+            "solve_sde_with_jumps": (init, 0.2, jumps, cfg),
+            "solve_stochastic_convolution": (init, 0.2, phi, cfg, 3),
+        }[name]
+        traj = getattr(dynamics, name)(*args)
+        assert not traj.diverged
+        solver_spans = [s[3] for s in tracer.spans if s[3].split(".", 1)[1] in bench_tracer.SOLVERS]
+        assert solver_spans == [f"dynamics.{name}"]
+        metrics = tracer.layer_metrics()
+        assert metrics["dynamics.solve.calls"] == 1
+        assert metrics["dynamics.steps"] == cfg.n_steps
+        assert (metrics["spectral.fft.calls_in_solves"] > 0) == numpy_transforms

@@ -1,11 +1,14 @@
 """The padded transform pair on reusable per-thread buffers.
 
-``spectral.to_grid``/``from_grid`` run the one-axis passes of ``irfft2``/
-``rfft2`` through workspaces that persist from call to call.  The
-operators that use them are pinned bit for bit to the allocate-per-call
-pair of ``tests/oracle.py``; no result may alias a workspace; threads and
-batch shapes may not see each other's buffers; and a warm step allocates
-less than one padded field stack.
+``spectral.to_grid``/``from_grid`` run through workspaces that persist
+from call to call: on grids above ``_DENSE_MAX_N`` modes the one-axis
+passes of ``irfft2``/``rfft2``, up to it two dense DFT products each way.
+Above the cutoff the operators that use them are pinned bit for bit to
+the allocate-per-call pair of ``tests/oracle.py``; at or below it, bit for
+bit to the same call on a new thread's empty buffers and to that pair
+within ``DENSE_TOL`` of the largest value.  No result may alias a
+workspace; threads and batch shapes may not see each other's buffers; and
+a warm step allocates less than one padded field stack.
 """
 
 import threading
@@ -23,6 +26,7 @@ from nlcsim.operators import (
     potential_energy_hat,
 )
 from nlcsim.spectral import TorusGrid, from_grid, to_grid
+from nlcsim.verify import _on_new_thread
 
 from oracle import (
     plain_from_grid,
@@ -31,6 +35,18 @@ from oracle import (
     random_vector_field,
     state_of,
 )
+
+
+# dense DFT products against pocketfft, relative to the largest value
+DENSE_TOL = 1e-13
+
+
+def assert_equals_the_plain_pair(got, want, n):
+    """Bit for bit above the dense cutoff, within DENSE_TOL of max |want| at or below it."""
+    if n > spectral._DENSE_MAX_N:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= DENSE_TOL * np.max(np.abs(want))
 
 
 def random_arrays(grid, rng, paths=None):
@@ -69,13 +85,15 @@ def test_operators_equal_the_plain_pair(monkeypatch, rng, n, paths, with_f):
     if paths is not None:
         chis.append((np.array([1.0, 0.7, 0.4]), np.array([0.9, 1.0, 0.5])))
     got = [operator_outputs(grid, arrays, chi, with_f) for chi in chis]
+    fresh = [_on_new_thread(operator_outputs, grid, arrays, chi, with_f) for chi in chis]
     monkeypatch.setattr(operators, "to_grid", plain_to_grid)
     monkeypatch.setattr(operators, "from_grid", plain_from_grid)
     want = [operator_outputs(grid, arrays, chi, with_f) for chi in chis]
-    for g_row, w_row in zip(got, want):
-        assert len(g_row) == len(w_row)
-        for g, w in zip(g_row, w_row):
-            assert np.array_equal(g, w)
+    for g_row, f_row, w_row in zip(got, fresh, want):
+        assert len(g_row) == len(f_row) == len(w_row)
+        for g, f, w in zip(g_row, f_row, w_row):
+            assert np.array_equal(g, f)
+            assert_equals_the_plain_pair(g, w, n)
 
 
 @pytest.mark.parametrize("paths", (None, 3))
@@ -85,8 +103,11 @@ def test_transform_pair_equals_the_plain_pair(rng, n, paths):
     a = random_arrays(grid, rng, paths)[1]
     for m in (n, grid.padded_size(), 2 * n):
         values = to_grid(a, m)
-        assert np.array_equal(values, plain_to_grid(a, m))
-        assert np.array_equal(from_grid(values, n), plain_from_grid(values, n))
+        back = from_grid(values, n)
+        assert np.array_equal(values, _on_new_thread(to_grid, a, m))
+        assert np.array_equal(back, _on_new_thread(from_grid, values, n))
+        assert_equals_the_plain_pair(values, plain_to_grid(a, m), n)
+        assert_equals_the_plain_pair(back, plain_from_grid(values, n), n)
 
 
 def test_results_do_not_alias_the_workspace(rng):
