@@ -1,8 +1,8 @@
 """Pseudospectral 2D nematic liquid-crystal flow with jump noise.
 
-Layers: ``spectral`` (half-layout coefficient arrays and transforms, plus
-the field classes of the reference operators), ``operators`` (the fused
-explicit step, its transpose, the nonlinearity and energies), ``noise``
+Layers: ``spectral`` (half-layout coefficient arrays and transforms),
+``operators`` (the fused explicit step, its transpose, the nonlinearity
+and energies, and their term-by-term array reference), ``noise``
 (marked Poisson machinery, entropy cost, exponential tilts), ``dynamics``
 (skeleton and jump-SDE solvers), ``ldp`` (rate-function optimization, small-noise
 Monte Carlo, importance sampling), ``config``/``cli``/``verify``

@@ -57,9 +57,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# The loop calls none of eval_G, compensator_integral, control_drift, energy_psi and
-# the field operators below (they are the field-level reference of its array code);
-# bench/tracer.py wraps them under these module attributes, so they stay importable here.
+# eval_G, compensator_integral, control_drift, energy_psi, convection_B, director_stress_M,
+# advection_Btilde and polynomial_f are the array references of the stepping core; no command
+# calls them, and bench/tracer.py wraps them under these module attributes.
 from .noise import (
     Control,
     JumpCoefficientSpec,
@@ -686,8 +686,8 @@ def galerkin_project(state: SpectralState, n_modes: int) -> SpectralState:
     convention of every state; orthogonal projection, so no norm increases.
     """
     grid = state.grid
-    if n_modes > grid.n or n_modes % 2 != 0:
-        raise SolverError("n_modes must be even and at most the grid resolution")
+    if not 2 <= n_modes <= grid.n or n_modes % 2 != 0:
+        raise SolverError(f"n_modes must be even, >= 2 and at most the grid resolution, got {n_modes}")
     k1, k2 = half_tables(grid.n)[:2]
     half = n_modes // 2
     mask = (np.abs(k1) <= half - 1) & (k2 <= half - 1)

@@ -6,8 +6,9 @@ per mark, G(t, u, v) = shape_v + gain_v * u, which keeps every Lipschitz
 and growth constant computable in closed form.  The shapes are one
 half-layout array; the solver forms its mark sums on it directly.
 ``eval_G`` (the increment of one jump), ``compensator_integral`` and
-``control_drift`` are their field-level reference: each is one affine
-mark sum sum_i c_i shape_i + (sum_i c_i gain_i) u of a velocity field.
+``control_drift`` are their reference, mark by mark on half-layout
+velocity arrays; the benchmark tracer binds them by name, and no command
+calls them.
 Controls are nonnegative intensity tilts, piecewise constant over uniform
 time cells of their horizon, priced by the relative-entropy functional
 built on l(r) = r log r - r + 1.  ``thin_to_control(ms, control, scale,
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import DivergenceFreeField, half_norms_sq, nyquist_free, vector_field
+from .spectral import half_norms_sq, nyquist_free
 
 
 class NoiseError(ValueError):
@@ -136,8 +137,8 @@ class Control:
             raise NoiseError(f"control values must be a nonempty (cells x marks) matrix, got shape {vals.shape}")
         if np.any(vals < 0) or not np.all(np.isfinite(vals)):
             raise NoiseError("control values must be finite and >= 0")
-        if not self.horizon > 0:
-            raise NoiseError(f"control horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < np.inf:
+            raise NoiseError(f"control horizon must be positive and finite, got {self.horizon}")
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -272,44 +273,24 @@ def cost_LT(control: Control, ms: MarkSpace) -> float:
 # jump coefficient evaluation
 
 
-def eval_G(
-    t: float,
-    u: DivergenceFreeField,
-    mark: int,
-    spec: JumpCoefficientSpec,
-) -> DivergenceFreeField:
-    """G(t, u, v_mark) = shape + gain * u (time-homogeneous by default)."""
+def eval_G(t: float, u: np.ndarray, mark: int, spec: JumpCoefficientSpec) -> np.ndarray:
+    """G(t, u, v_mark) = shape + gain * u of (..., 2, N, N//2+1) velocity coefficients."""
     if mark < 0 or mark >= spec.size:
         raise NoiseError(f"unknown mark index {mark}")
-    out = vector_field(u.grid, spec.shapes[mark]) + spec.gains[mark] * u
-    return DivergenceFreeField(out.c1, out.c2)
+    return spec.shapes[mark] + spec.gains[mark] * u
 
 
-def _mark_sum(
-    coeffs: np.ndarray, u: DivergenceFreeField, spec: JumpCoefficientSpec
-) -> DivergenceFreeField:
-    """sum_i c_i G(t, u, v_i) = sum_i c_i shape_i + (sum_i c_i gain_i) u, as a field."""
-    acc = vector_field(u.grid, np.tensordot(coeffs, spec.shapes, axes=1))
-    acc = acc + float(np.dot(coeffs, spec.gains)) * u
-    return DivergenceFreeField(acc.c1, acc.c2)
-
-
-def compensator_integral(
-    t: float, u: DivergenceFreeField, ms: MarkSpace, spec: JumpCoefficientSpec
-) -> DivergenceFreeField:
-    """Finite-sum realization of int G(t,u,v) theta(dv)."""
-    return _mark_sum(ms.weight_array(), u, spec)
+def compensator_integral(t: float, u: np.ndarray, ms: MarkSpace, spec: JumpCoefficientSpec) -> np.ndarray:
+    """int G(t,u,v) theta(dv) = sum_i theta_i G(t, u, v_i)."""
+    return sum(w * eval_G(t, u, i, spec) for i, w in enumerate(ms.weights))
 
 
 def control_drift(
-    t: float,
-    u: DivergenceFreeField,
-    control: Control,
-    ms: MarkSpace,
-    spec: JumpCoefficientSpec,
-) -> DivergenceFreeField:
+    t: float, u: np.ndarray, control: Control, ms: MarkSpace, spec: JumpCoefficientSpec
+) -> np.ndarray:
     """Skeleton drift: sum_i theta_i (g(t, v_i) - 1) G(t, u, v_i)."""
-    return _mark_sum(ms.weight_array() * (control.values[control.cells_of(t)] - 1.0), u, spec)
+    coeffs = ms.weight_array() * (control.values[control.cells_of(t)] - 1.0)
+    return sum(c * eval_G(t, u, i, spec) for i, c in enumerate(coeffs))
 
 
 def apriori_control_constant(control: Control, ms: MarkSpace, spec: JumpCoefficientSpec) -> float:

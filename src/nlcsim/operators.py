@@ -12,11 +12,13 @@ transposed pointwise Jacobian.  The polynomial nonlinearity
 f(theta) = f_tilde(|theta|^2) theta and its potential drive the energy
 functional of the solver ledger.
 
-The field-level operators (``convection_B``, ``director_stress_M``,
-``advection_Btilde``, ``polynomial_f``, ``energy_psi``,
-``potential_energy``) are the reference of the fused form: weak forms are
-fields paired through the L2 inner product, <B(u,v), w> = b(u,v,w) and
-<M(t1,t2), u> = m(t1,t2,u) for divergence-free u, with dealiased products.
+``convection_B``, ``director_stress_M``, ``advection_Btilde``,
+``polynomial_f`` and ``energy_psi`` are the reference of the fused form,
+term by term on the same (..., 2, N, N//2+1) arrays: weak forms pair
+through the L2 inner product, <B(u,v), w> = b(u,v,w) and
+<M(t1,t2), u> = m(t1,t2,u) for divergence-free u, with each product
+dealiased on its own (``dealias_product``).  The benchmark tracer binds
+them, with ``leray_project``, by name; no command calls them.
 """
 
 from __future__ import annotations
@@ -27,23 +29,14 @@ import numpy as np
 
 from .spectral import (
     TWO_PI,
-    DivergenceFreeField,
-    ScalarField,
     TorusGrid,
-    VectorField,
-    dealias_product,
-    derivative,
     from_grid,
-    h1_seminorm,
     half_tables,
-    l2_norm,
-    laplacian_vec,
     leray_half,
-    leray_project,
-    pad_coeffs,
+    pad_half,
     scratch,
     to_grid,
-    truncate_coeffs,
+    truncate_half,
 )
 
 
@@ -95,121 +88,8 @@ class PolynomialNonlinearity:
 DEFAULT_NONLINEARITY = PolynomialNonlinearity((1.0, 1.0))
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    kinetic: float
-    elastic: float
-    potential: float
-    psi_total: float
-    dissipation: float
-
-
-# ---------------------------------------------------------------------------
-# convection and director stress
-
-
-def convection_B(u: DivergenceFreeField, v: VectorField) -> DivergenceFreeField:
-    """Leray projection of (u . grad) v."""
-    comps = []
-    for vj in v.components():
-        dv1 = derivative(vj, 0)
-        dv2 = derivative(vj, 1)
-        comps.append(dealias_product(u.c1, dv1) + dealias_product(u.c2, dv2))
-    return leray_project(VectorField(comps[0], comps[1]))
-
-
-def advection_Btilde(u: DivergenceFreeField, theta: VectorField) -> VectorField:
-    """(u . grad) theta, no projection."""
-    comps = []
-    for tj in theta.components():
-        comps.append(
-            dealias_product(u.c1, derivative(tj, 0)) + dealias_product(u.c2, derivative(tj, 1))
-        )
-    return VectorField(comps[0], comps[1])
-
-
-def director_stress_M(theta1: VectorField, theta2: VectorField) -> DivergenceFreeField:
-    """Field with <M(t1,t2), u> = m(t1,t2,u) for all divergence-free u.
-
-    Assembled as the Leray projection of div(S) with the stress tensor
-    S_ij = sum_k (d_i t1_k)(d_j t2_k) built from dealiased products.
-    """
-    grid = theta1.grid
-    grads1 = [[derivative(c, i) for i in range(2)] for c in theta1.components()]
-    grads2 = [[derivative(c, j) for j in range(2)] for c in theta2.components()]
-    comps = []
-    for i in range(2):
-        acc = ScalarField.zeros(grid)
-        for j in range(2):
-            s_ij = dealias_product(grads1[0][i], grads2[0][j]) + dealias_product(
-                grads1[1][i], grads2[1][j]
-            )
-            acc = acc + derivative(s_ij, j)
-        comps.append(acc)
-    return leray_project(VectorField(comps[0], comps[1]))
-
-
-# ---------------------------------------------------------------------------
-# polynomial nonlinearity and energies
-
-
-def polynomial_f(
-    theta: VectorField, nl: PolynomialNonlinearity = DEFAULT_NONLINEARITY, factor: float | None = None
-) -> VectorField:
-    """Pointwise f(theta) = f_tilde(|theta|^2) theta on a padded grid.
-
-    ``factor`` defaults to the grid's dealias factor; passing degree + 1
-    makes the evaluation alias-free.
-    """
-    grid = theta.grid
-    m = grid.padded_size(factor)
-    v1 = np.real(np.fft.ifft2(pad_coeffs(theta.c1.coeffs, m)) * m * m)
-    v2 = np.real(np.fft.ifft2(pad_coeffs(theta.c2.coeffs, m)) * m * m)
-    w = nl.f_tilde(v1**2 + v2**2)
-    out = []
-    for v in (v1, v2):
-        c = truncate_coeffs(np.fft.fft2(w * v) / (m * m), grid.n)
-        out.append(ScalarField.from_coeffs(grid, c))
-    return VectorField(out[0], out[1])
-
-
-def potential_energy(theta: VectorField, nl: PolynomialNonlinearity = DEFAULT_NONLINEARITY) -> float:
-    """(1/2) int phi(|theta|^2) dx with exact quadrature."""
-    grid = theta.grid
-    m = grid.padded_size(factor=nl.degree + 2.0)
-    v1 = np.real(np.fft.ifft2(pad_coeffs(theta.c1.coeffs, m)) * m * m)
-    v2 = np.real(np.fft.ifft2(pad_coeffs(theta.c2.coeffs, m)) * m * m)
-    vals = nl.phi(v1**2 + v2**2)
-    return 0.5 * float(np.sum(vals) * (TWO_PI / m) ** 2)
-
-
-def energy_psi(
-    u: DivergenceFreeField | None,
-    theta: VectorField,
-    nl: PolynomialNonlinearity = DEFAULT_NONLINEARITY,
-) -> EnergyReport:
-    """Kinetic/elastic/potential split of the scalar energy and its dissipation.
-
-    psi_total = (1/2)||theta||^2 + (1/2) int phi(|theta|^2) dx, the quantity
-    whose decay the solver ledger tracks; dissipation pairs the velocity
-    gradient norm with |Delta theta - f(theta)|^2.
-    """
-    kinetic = 0.0 if u is None else 0.5 * l2_norm(u) ** 2
-    elastic = 0.5 * h1_seminorm(theta) ** 2
-    potential = potential_energy(theta, nl)
-    resid = laplacian_vec(theta) - polynomial_f(theta, nl)
-    dissipation = (0.0 if u is None else h1_seminorm(u) ** 2) + l2_norm(resid) ** 2
-    return EnergyReport(
-        kinetic=kinetic,
-        elastic=elastic,
-        potential=potential,
-        psi_total=elastic + potential,
-        dissipation=dissipation,
-    )
-
-
 def potential_energy_hat(theta_hat: np.ndarray, grid: TorusGrid, nl: PolynomialNonlinearity):
-    """:func:`potential_energy` of a (..., 2, N, N//2+1) director, one value per leading index.
+    """(1/2) int phi(|theta|^2) dx of a (..., 2, N, N//2+1) director, one value per leading index.
 
     One batched inverse transform at padding degree + 1: the state's
     Nyquist lines are zero, so the integrand's band (degree + 1)(N - 2)
@@ -363,3 +243,97 @@ def explicit_rhs_transpose(
         quad = (TWO_PI / m) ** 2
         dchi = tuple(quad * o.reshape(o.shape[:-3] + (m * m,)).sum(axis=-1) for o in (o1, o2))
     return a_u, a_theta, dchi
+
+
+# ---------------------------------------------------------------------------
+# reference operators
+#
+# bench/tracer.py wraps these names (here and where ``dynamics`` re-exports them); no command
+# calls them.  Each forms its products with numpy's allocating irfft2/rfft2 between pad_half and
+# truncate_half, so it shares no transform, buffer or DFT factor with ``explicit_rhs``.
+
+# the tracer binds ``leray_project``: the one Leray projection under that name
+leray_project = leray_half
+
+
+def _values(a: np.ndarray, factor: float | None = None) -> np.ndarray:
+    """Samples of (..., N, N//2+1) coefficients on the padded grid of ``factor`` (default 3/2)."""
+    m = TorusGrid(a.shape[-2]).padded_size(factor)
+    return np.fft.irfft2(pad_half(a, m), s=(m, m), norm="forward")
+
+
+def _integral(a: np.ndarray, factor: float = 1.0, fn=None):
+    """int fn(|a(x)|^2) dx over the torus of a (..., C, N, N//2+1) stack, by grid quadrature."""
+    v = _values(a, factor)
+    r = np.sum(v * v, axis=-3)
+    r = r if fn is None else fn(r)
+    return r.sum(axis=(-2, -1)) * (TWO_PI / v.shape[-1]) ** 2
+
+
+def _gradient(a: np.ndarray):
+    """(d1 a, d2 a) of (..., N, N//2+1) coefficients."""
+    k1, k2 = half_tables(a.shape[-2])[:2]
+    return 1j * k1 * a, 1j * k2 * a
+
+
+def dealias_product(*fields: np.ndarray, factor: float | None = None) -> np.ndarray:
+    """Pointwise product of (..., N, N//2+1) coefficient arrays on a padded grid, truncated back.
+
+    ``factor`` defaults to 3/2; a product of more than two fields is exact
+    for (n_fields + 1)/2 or larger.
+    """
+    prod = _values(fields[0], factor)
+    for a in fields[1:]:
+        prod = prod * _values(a, factor)
+    return truncate_half(np.fft.rfft2(prod, norm="forward"), fields[0].shape[-2])
+
+
+def advection_Btilde(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """(u . grad) theta of (..., 2, N, N//2+1) arrays, no projection."""
+    d1, d2 = _gradient(theta)
+    return dealias_product(u[..., :1, :, :], d1) + dealias_product(u[..., 1:, :, :], d2)
+
+
+def convection_B(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Leray projection of (u . grad) v."""
+    return leray_project(advection_Btilde(u, v))
+
+
+def director_stress_M(theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
+    """The field with <M(t1,t2), u> = m(t1,t2,u) for all divergence-free u.
+
+    The Leray projection of div S, with the stress tensor
+    S_ij = sum_k (d_i t1_k)(d_j t2_k) built from dealiased products.
+    """
+    grads1, grads2 = _gradient(theta1), _gradient(theta2)
+    div = [
+        sum(_gradient(dealias_product(grads1[i], grads2[j]).sum(axis=-3))[j] for j in range(2))
+        for i in range(2)
+    ]
+    return leray_project(np.stack(div, axis=-3))
+
+
+def polynomial_f(
+    theta: np.ndarray, nl: PolynomialNonlinearity = DEFAULT_NONLINEARITY, factor: float | None = None
+) -> np.ndarray:
+    """Pointwise f(theta) = f_tilde(|theta|^2) theta of (..., 2, N, N//2+1) coefficients on a padded grid.
+
+    ``factor`` defaults to 3/2; degree + 1 makes the evaluation alias-free.
+    """
+    v = _values(theta, factor)
+    w = nl.f_tilde(np.sum(v * v, axis=-3, keepdims=True))
+    return truncate_half(np.fft.rfft2(w * v, norm="forward"), theta.shape[-2])
+
+
+def energy_psi(u: np.ndarray | None, theta: np.ndarray, nl: PolynomialNonlinearity = DEFAULT_NONLINEARITY):
+    """(psi_total, dissipation) of a state: the reference of the solver ledger's energy row.
+
+    psi_total = (1/2)|grad theta|^2 + (1/2) int phi(|theta|^2) dx and
+    dissipation = |grad u|^2 + |Delta theta - f(theta)|^2, every integral by
+    quadrature on a grid that resolves its integrand; ``u`` may be None.
+    """
+    grad = np.concatenate(_gradient(theta), axis=-3)
+    potential = _integral(theta, nl.degree + 2.0, nl.phi)
+    resid = -half_tables(theta.shape[-2])[2] * theta - polynomial_f(theta, nl)
+    dissipation = _integral(resid) + (0.0 if u is None else _integral(np.concatenate(_gradient(u), axis=-3)))
+    return 0.5 * (_integral(grad) + potential), dissipation

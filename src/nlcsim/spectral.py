@@ -1,7 +1,7 @@
-"""Periodic-torus fields and spectral operators.
+"""Periodic-torus coefficient arrays and their spectral transforms.
 
-Fields live on the torus [0, 2pi]^2 and are stored either as real samples
-on an N x N uniform grid or as complex Fourier coefficients c_k with the
+Fields live on the torus [0, 2pi]^2 and are stored as real samples on an
+N x N uniform grid or as complex Fourier coefficients c_k with the
 convention
 
     f(x) = sum_k c_k exp(i k.x),    k in {-N/2, ..., N/2 - 1}^2,
@@ -17,30 +17,25 @@ States in this layout keep their Nyquist lines (k1 = -N/2 or k2 = N/2)
 at zero: odd derivatives are then exact, the spectrally divergence-free
 velocity is divergence-free pointwise, and convection can be taken in the
 divergence form (u . grad) u = div(u (x) u).  ``leray_half`` is the one
-Leray projection.
-
-The field classes (``ScalarField``, ``VectorField``,
-``DivergenceFreeField``) hold the full N x N spectrum and convert to
-samples on demand.  They back the named field-level reference operators
-of ``operators`` and ``noise``, the oracle the array core is checked
-against; ``vector_field`` views a half-layout array as a field.
+Leray projection; ``full_from_half`` expands a stack to the full N x N
+spectrum.
 
 Nonlinear products are evaluated on a padded grid (zero-padding in Fourier
-space) and truncated back, which makes them exact whenever the combined
-polynomial degree is resolved on the padded grid (the 3/2 rule for
-quadratic terms).  Truncation zeroes the unpaired Nyquist lines so
-real-valuedness is preserved exactly.  Per-N wavenumber tables are built
-on first use and cached.  The padded transform pair ``to_grid``/
-``from_grid`` takes the band to the grid and back in two one-axis passes
-each, through per-thread buffers (``scratch``) that are reused from call
-to call, so the solver's step allocates no padded field stack;
-``from_grid`` returns a new band array, and ``to_grid`` writes into a new
-array unless the caller passes a scratch ``out``.  Up to ``_DENSE_MAX_N``
-modes per side each pass is one matrix product with a cached dense DFT
-factor: for lines this short a BLAS product beats the FFT's per-line
-overhead, agrees with it to rounding and, like it, does not depend on the
-batch size or the thread count.  Larger grids run the one-axis passes of
-``irfft2``/``rfft2`` bit for bit.
+space, ``pad_half``) and truncated back (``truncate_half``), which makes
+them exact whenever the combined polynomial degree is resolved on the
+padded grid (the 3/2 rule for quadratic terms).  Truncation zeroes the
+unpaired Nyquist lines so real-valuedness is preserved exactly.  Per-N
+wavenumber tables are built on first use and cached.  The padded transform
+pair ``to_grid``/``from_grid`` takes the band to the grid and back in two
+one-axis passes each, through per-thread buffers (``scratch``) that are
+reused from call to call, so the solver's step allocates no padded field
+stack; ``from_grid`` returns a new band array, and ``to_grid`` writes into
+a new array unless the caller passes a scratch ``out``.  Up to
+``_DENSE_MAX_N`` modes per side each pass is one matrix product with a
+cached dense DFT factor: for lines this short a BLAS product beats the
+FFT's per-line overhead, agrees with it to rounding and, like it, does not
+depend on the batch size or the thread count.  Larger grids run the
+one-axis passes of ``irfft2``/``rfft2`` bit for bit.
 """
 
 from __future__ import annotations
@@ -60,15 +55,6 @@ _MAX_PADS = 16
 # tie at 64 and lose at 96 and 128
 _DENSE_MAX_N = 62
 
-
-@lru_cache(maxsize=64)
-def _wavenumber_arrays(n: int):
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    k1, k2 = np.meshgrid(k, k, indexing="ij")
-    ksq = k1**2 + k2**2
-    for arr in (k1, k2, ksq):
-        arr.setflags(write=False)
-    return k1, k2, ksq
 
 TWO_PI = 2.0 * np.pi
 TORUS_AREA = TWO_PI**2
@@ -111,273 +97,11 @@ class TorusGrid:
         x = np.arange(self.n) * self.spacing
         return np.meshgrid(x, x, indexing="ij")
 
-    def wavenumbers(self):
-        """Integer wavenumber meshgrids (k1, k2) in FFT ordering (shared, read-only)."""
-        k1, k2, _ = _wavenumber_arrays(self.n)
-        return k1, k2
-
-    def ksq(self) -> np.ndarray:
-        return _wavenumber_arrays(self.n)[2]
-
     def padded_size(self, factor: float | None = None) -> int:
         """Smallest even grid size >= factor * N (factor defaults to dealias_factor)."""
         factor = self.dealias_factor if factor is None else factor
         m = int(np.ceil(self.n * factor))
         return m + (m % 2)
-
-
-def pad_coeffs(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """Embed an N x N coefficient array into an M x M one (M >= N), same modes.
-
-    Block copy in FFT ordering: nonnegative frequencies stay at the front,
-    negative frequencies move to the tail.
-    """
-    n = coeffs.shape[0]
-    if m == n:
-        return coeffs.copy()
-    h = n // 2
-    out = np.zeros((m, m), dtype=complex)
-    out[:h, :h] = coeffs[:h, :h]
-    out[:h, m - h :] = coeffs[:h, h:]
-    out[m - h :, :h] = coeffs[h:, :h]
-    out[m - h :, m - h :] = coeffs[h:, h:]
-    return out
-
-
-def truncate_coeffs(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Restrict an M x M coefficient array to the N-grid band |k_j| <= N/2 - 1.
-
-    The unpaired Nyquist lines k_j = -N/2 are zeroed so the result stays
-    exactly conjugate-symmetric.
-    """
-    m = coeffs.shape[0]
-    h = n // 2
-    if m == n:
-        out = coeffs.copy()
-    else:
-        out = np.empty((n, n), dtype=complex)
-        out[:h, :h] = coeffs[:h, :h]
-        out[:h, h:] = coeffs[:h, m - h :]
-        out[h:, :h] = coeffs[m - h :, :h]
-        out[h:, h:] = coeffs[m - h :, m - h :]
-    out[h, :] = 0.0
-    out[:, h] = 0.0
-    return out
-
-
-class ScalarField:
-    """Real scalar field on a TorusGrid, dual sample/coefficient representation."""
-
-    __slots__ = ("grid", "_values", "_coeffs")
-
-    def __init__(self, grid: TorusGrid, values: np.ndarray | None = None, coeffs: np.ndarray | None = None):
-        if values is None and coeffs is None:
-            raise SpectralError("ScalarField needs values or coefficients")
-        n = grid.n
-        for arr in (values, coeffs):
-            if arr is not None and arr.shape != (n, n):
-                raise SpectralError(f"field array must be {(n, n)}, got {arr.shape}")
-        self.grid = grid
-        self._values = None if values is None else np.asarray(values, dtype=float)
-        self._coeffs = None if coeffs is None else np.asarray(coeffs, dtype=complex)
-
-    @classmethod
-    def from_values(cls, grid: TorusGrid, values: np.ndarray) -> "ScalarField":
-        return cls(grid, values=values)
-
-    @classmethod
-    def from_coeffs(cls, grid: TorusGrid, coeffs: np.ndarray) -> "ScalarField":
-        return cls(grid, coeffs=coeffs)
-
-    @classmethod
-    def zeros(cls, grid: TorusGrid) -> "ScalarField":
-        return cls(grid, coeffs=np.zeros((grid.n, grid.n), dtype=complex))
-
-    @property
-    def values(self) -> np.ndarray:
-        if self._values is None:
-            n = self.grid.n
-            self._values = np.real(np.fft.ifft2(self._coeffs) * n * n)
-        return self._values
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        if self._coeffs is None:
-            n = self.grid.n
-            self._coeffs = np.fft.fft2(self._values) / (n * n)
-        return self._coeffs
-
-    def coeff_at(self, k1: int, k2: int) -> complex:
-        n = self.grid.n
-        return self.coeffs[k1 % n, k2 % n]
-
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        return ScalarField(self.grid, coeffs=self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        return ScalarField(self.grid, coeffs=self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "ScalarField":
-        return ScalarField(self.grid, coeffs=self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """Pair of scalar components on a common grid (R^2-valued field)."""
-
-    c1: ScalarField
-    c2: ScalarField
-
-    def __post_init__(self):
-        if self.c1.grid is not self.c2.grid and self.c1.grid != self.c2.grid:
-            raise SpectralError("vector components must share a grid")
-
-    @property
-    def grid(self) -> TorusGrid:
-        return self.c1.grid
-
-    @classmethod
-    def zeros(cls, grid: TorusGrid) -> "VectorField":
-        return cls(ScalarField.zeros(grid), ScalarField.zeros(grid))
-
-    @classmethod
-    def from_values(cls, grid: TorusGrid, v1: np.ndarray, v2: np.ndarray) -> "VectorField":
-        return cls(ScalarField.from_values(grid, v1), ScalarField.from_values(grid, v2))
-
-    def components(self):
-        return (self.c1, self.c2)
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.c1 + other.c1, self.c2 + other.c2)
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.c1 - other.c1, self.c2 - other.c2)
-
-    def __mul__(self, scalar: float) -> "VectorField":
-        return VectorField(self.c1 * scalar, self.c2 * scalar)
-
-    __rmul__ = __mul__
-
-
-class DivergenceFreeField(VectorField):
-    """Vector field with zero spectral divergence and zero mean mode.
-
-    Constructed by :func:`leray_project` (or trusted arithmetic on already
-    projected fields); the constraint itself is checked by the test suite,
-    not re-verified on every construction.
-    """
-
-    def __add__(self, other: VectorField) -> "VectorField":
-        out = VectorField.__add__(self, other)
-        if isinstance(other, DivergenceFreeField):
-            return DivergenceFreeField(out.c1, out.c2)
-        return out
-
-    def __sub__(self, other: VectorField) -> "VectorField":
-        out = VectorField.__sub__(self, other)
-        if isinstance(other, DivergenceFreeField):
-            return DivergenceFreeField(out.c1, out.c2)
-        return out
-
-    def __mul__(self, scalar: float) -> "DivergenceFreeField":
-        out = VectorField.__mul__(self, scalar)
-        return DivergenceFreeField(out.c1, out.c2)
-
-    __rmul__ = __mul__
-
-
-# ---------------------------------------------------------------------------
-# transforms and differential operators
-
-
-def derivative(f: ScalarField, axis: int) -> ScalarField:
-    """Spectral partial derivative along axis 0 (x1) or 1 (x2).
-
-    The unpaired Nyquist line is zeroed; an odd-order derivative is not
-    representable there for a real field.
-    """
-    n = f.grid.n
-    k1, k2 = f.grid.wavenumbers()
-    k = k1 if axis == 0 else k2
-    coeffs = 1j * k * f.coeffs
-    if axis == 0:
-        coeffs[n // 2, :] = 0.0
-    else:
-        coeffs[:, n // 2] = 0.0
-    return ScalarField.from_coeffs(f.grid, coeffs)
-
-
-def laplacian(f: ScalarField) -> ScalarField:
-    """Laplacian of f (multiplier -|k|^2); the caller negates for -Delta."""
-    return ScalarField.from_coeffs(f.grid, -f.grid.ksq() * f.coeffs)
-
-
-def laplacian_vec(w: VectorField) -> VectorField:
-    return VectorField(laplacian(w.c1), laplacian(w.c2))
-
-
-def leray_project(w: VectorField) -> DivergenceFreeField:
-    """:func:`leray_half` of a vector field; its Nyquist lines are dropped."""
-    half = half_from_full(np.stack((w.c1.coeffs, w.c2.coeffs)))
-    return vector_field(w.grid, leray_half(half), DivergenceFreeField)
-
-
-# ---------------------------------------------------------------------------
-# norms and inner products
-
-
-def l2_inner(f: ScalarField | VectorField, g: ScalarField | VectorField) -> float:
-    """L2 inner product on the torus, evaluated spectrally (Parseval)."""
-    if isinstance(f, VectorField):
-        return l2_inner(f.c1, g.c1) + l2_inner(f.c2, g.c2)
-    return float(TORUS_AREA * np.real(np.vdot(f.coeffs, g.coeffs)))
-
-
-def l2_norm(f: ScalarField | VectorField) -> float:
-    if isinstance(f, VectorField):
-        return float(np.sqrt(l2_inner(f.c1, f.c1) + l2_inner(f.c2, f.c2)))
-    return float(np.sqrt(l2_inner(f, f)))
-
-
-def h1_inner(f: ScalarField | VectorField, g: ScalarField | VectorField) -> float:
-    """Gradient inner product ((f, g)) = (grad f, grad g)_{L2}."""
-    if isinstance(f, VectorField):
-        return h1_inner(f.c1, g.c1) + h1_inner(f.c2, g.c2)
-    ksq = f.grid.ksq()
-    return float(TORUS_AREA * np.real(np.vdot(f.coeffs, ksq * g.coeffs)))
-
-
-def h1_seminorm(f: ScalarField | VectorField) -> float:
-    return float(np.sqrt(max(h1_inner(f, f), 0.0)))
-
-
-# ---------------------------------------------------------------------------
-# dealiased products
-
-
-def dealias_product(*fields: ScalarField, factor: float | None = None) -> ScalarField:
-    """Pointwise product of fields on a padded grid, truncated back.
-
-    ``factor`` defaults to the grid's dealias_factor; callers multiplying
-    more than two fields should pass (n_fields + 1)/2 or larger for an
-    exact result.
-    """
-    if not fields:
-        raise SpectralError("dealias_product needs at least one field")
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise SpectralError("all factors must share a grid")
-    if len(fields) == 1:
-        return fields[0]
-    m = grid.padded_size(factor)
-    prod = np.ones((m, m))
-    for f in fields:
-        prod = prod * np.real(np.fft.ifft2(pad_coeffs(f.coeffs, m)) * m * m)
-    coeffs = truncate_coeffs(np.fft.fft2(prod) / (m * m), grid.n)
-    return ScalarField.from_coeffs(grid, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -408,15 +132,6 @@ def half_tables(n: int):
     return tables
 
 
-def half_from_full(coeffs: np.ndarray) -> np.ndarray:
-    """(..., N, N) full spectra -> (..., N, N//2+1) half layout, Nyquist lines zeroed."""
-    h = coeffs.shape[-1] // 2
-    out = np.array(coeffs[..., : h + 1], dtype=complex)
-    out[..., h, :] = 0.0
-    out[..., h] = 0.0
-    return out
-
-
 def full_from_half(half: np.ndarray) -> np.ndarray:
     """(..., N, N//2+1) half layout -> (..., N, N) full spectra by conjugate symmetry."""
     n = half.shape[-2]
@@ -425,12 +140,6 @@ def full_from_half(half: np.ndarray) -> np.ndarray:
     out[..., : h + 1] = half
     out[..., h + 1 :] = np.conj(half[..., (-np.arange(n)) % n, h - 1 : 0 : -1])
     return out
-
-
-def vector_field(grid: TorusGrid, half: np.ndarray, cls=VectorField) -> VectorField:
-    """Field view (``cls``, a VectorField class) of a (2, N, N//2+1) half-layout array."""
-    c1, c2 = full_from_half(half)
-    return cls(ScalarField.from_coeffs(grid, c1), ScalarField.from_coeffs(grid, c2))
 
 
 def nyquist_free(a: np.ndarray) -> bool:

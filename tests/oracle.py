@@ -1,19 +1,22 @@
-"""Field-level oracle of the test suite, and conversions between fields and states.
+"""Array-level oracle of the test suite.
 
-The package steps half-layout coefficient arrays.  The field classes of
-``nlcsim.spectral`` and the named field operators of ``nlcsim.operators``
-and ``nlcsim.noise`` stay in the package as the reference the array core is
-checked against; the field helpers that only the tests call live here:
-norms, trilinear forms, the coercivity and dual-norm checks, random
-fields, the field-level explicit terms of one step
-(``nonlinear_terms``), and the allocate-per-call padded transform pair
-(``plain_to_grid``/``plain_from_grid``) that the package's
-workspace-backed pair must equal, bit for bit where it runs numpy's FFT
-and to rounding where it runs dense DFT products.  ``half``/``state_of``/``u_of``/``theta_of``/
-``spec_of`` convert between fields and the arrays the package takes, and
-``embed_state`` moves a state onto a finer grid.  The package writes its
-artifacts (``nlcsim.cli``) and reads back only the echoed config; the
-minimal readers the round-trip tests use are at the end of this file.
+The package steps half-layout (rfft) coefficient arrays, (N, N//2+1) for
+a scalar and (2, N, N//2+1) for a vector, and every helper here takes and
+returns the same arrays.  Inner products and norms are summed over the
+full spectrum (``full_from_half``) with wavenumbers computed here, and
+integrals by quadrature on a padded grid through numpy's ``irfft2``, so
+neither goes through the ``half_norms_sq``/``half_inner`` or the padded
+transform pair they check.  The helpers: norms, trilinear forms, the
+coercivity and dual-norm checks, random fields, the explicit terms of one
+step from the package's reference operators (``nonlinear_terms``), and the
+allocate-per-call padded transform pair (``plain_to_grid``/
+``plain_from_grid``) that the package's workspace-backed pair must equal,
+bit for bit where it runs numpy's FFT and to rounding where it runs dense
+DFT products.  ``state_of`` and ``spec_of`` build the package's inputs
+from arrays, and ``embed_state`` moves a state onto a finer grid.  The
+package writes its artifacts (``nlcsim.cli``) and reads back only the
+echoed config; the minimal readers the round-trip tests use are at the
+end of this file.
 """
 
 from dataclasses import dataclass
@@ -35,35 +38,22 @@ from nlcsim.operators import (
 from nlcsim.spectral import (
     TORUS_AREA,
     TWO_PI,
-    DivergenceFreeField,
-    ScalarField,
     SpectralError,
     TorusGrid,
-    VectorField,
-    derivative,
-    h1_seminorm,
-    half_from_full,
-    l2_norm,
-    leray_project,
-    pad_coeffs,
+    full_from_half,
+    leray_half,
     pad_half,
     truncate_half,
-    vector_field,
 )
 
 
 # ---------------------------------------------------------------------------
-# fields <-> half-layout arrays
+# states and jump coefficients from arrays
 
 
-def half(w: VectorField) -> np.ndarray:
-    """(2, N, N//2+1) half-layout coefficients of a vector field, Nyquist lines zeroed."""
-    return half_from_full(np.stack((w.c1.coeffs, w.c2.coeffs)))
-
-
-def state_of(u: VectorField, theta: VectorField, time: float = 0.0) -> SpectralState:
-    """The state of a velocity and a director field."""
-    return SpectralState(u.grid, half(u), half(theta), time)
+def state_of(u: np.ndarray, theta: np.ndarray, time: float = 0.0) -> SpectralState:
+    """The state of a velocity and a director array, on the grid of their shape."""
+    return SpectralState(TorusGrid(u.shape[-2]), u, theta, time)
 
 
 def zero_state(grid: TorusGrid, time: float = 0.0) -> SpectralState:
@@ -79,122 +69,158 @@ def embed_state(state: SpectralState, fine_grid: TorusGrid) -> SpectralState:
     return SpectralState(fine_grid, pad_half(state.u_hat, m), pad_half(state.theta_hat, m), state.time)
 
 
-def u_of(state: SpectralState) -> DivergenceFreeField:
-    return vector_field(state.grid, state.u_hat, DivergenceFreeField)
-
-
-def theta_of(state: SpectralState) -> VectorField:
-    return vector_field(state.grid, state.theta_hat)
-
-
 def spec_of(shapes, gains) -> JumpCoefficientSpec:
-    """Jump coefficient with one velocity field per mark as its shapes."""
-    return JumpCoefficientSpec(shapes=np.stack([half(s) for s in shapes]), gains=tuple(gains))
-
-
-def shape_field(spec: JumpCoefficientSpec, mark: int, grid: TorusGrid) -> DivergenceFreeField:
-    return vector_field(grid, spec.shapes[mark], DivergenceFreeField)
+    """Jump coefficient with one (2, N, N//2+1) velocity array per mark as its shapes."""
+    return JumpCoefficientSpec(shapes=np.stack(shapes), gains=tuple(gains))
 
 
 # ---------------------------------------------------------------------------
-# differential operators and norms
+# differential operators, grid values and norms
 
 
-def gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
-    return derivative(f, 0), derivative(f, 1)
+def wavenumbers(n: int):
+    """(k1, k2) of the (N, N//2+1) layout: an (N, 1) column in FFT order and the row 0 .. N/2."""
+    return np.fft.fftfreq(n, d=1.0 / n)[:, None], np.arange(n // 2 + 1.0)
 
 
-def divergence(w: VectorField) -> ScalarField:
-    return derivative(w.c1, 0) + derivative(w.c2, 1)
+def derivative(a: np.ndarray, axis: int) -> np.ndarray:
+    """Spectral partial derivative along axis 0 (x1) or 1 (x2)."""
+    return 1j * wavenumbers(a.shape[-2])[axis] * a
 
 
-def divergence_residual(w: VectorField) -> float:
+def gradient(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return derivative(a, 0), derivative(a, 1)
+
+
+def divergence(w: np.ndarray) -> np.ndarray:
+    return derivative(w[0], 0) + derivative(w[1], 1)
+
+
+def laplacian(a: np.ndarray) -> np.ndarray:
+    """Laplacian of a (multiplier -|k|^2)."""
+    k1, k2 = wavenumbers(a.shape[-2])
+    return -(k1**2 + k2**2) * a
+
+
+def grid_values(a: np.ndarray, m: int | None = None) -> np.ndarray:
+    """Samples of (..., N, N//2+1) coefficients on the m x m grid (default N), one ``irfft2``."""
+    m = a.shape[-2] if m is None else m
+    return np.fft.irfft2(pad_half(a, m), s=(m, m), norm="forward")
+
+
+def _parseval(a: np.ndarray, b: np.ndarray, weight=1.0) -> float:
+    """(2pi)^2 sum_k conj(a_k) weight_k b_k over the full N x N spectrum, component by component."""
+    n = a.shape[-2]
+    pairs = zip(full_from_half(a).reshape(-1, n, n), full_from_half(b).reshape(-1, n, n))
+    return float(sum(TORUS_AREA * np.real(np.vdot(x, weight * y)) for x, y in pairs))
+
+
+def _full_ksq(n: int) -> np.ndarray:
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    return k[:, None] ** 2 + k[None, :] ** 2
+
+
+def l2_inner(a: np.ndarray, b: np.ndarray) -> float:
+    """L2 inner product on the torus (Parseval)."""
+    return _parseval(a, b)
+
+
+def l2_norm(a: np.ndarray) -> float:
+    return float(np.sqrt(_parseval(a, a)))
+
+
+def h1_seminorm(a: np.ndarray) -> float:
+    """|grad a|_{L2}."""
+    return float(np.sqrt(max(_parseval(a, a, _full_ksq(a.shape[-2])), 0.0)))
+
+
+def divergence_residual(w: np.ndarray) -> float:
     """Relative L2 norm of the spectral divergence of ``w``."""
     div = l2_norm(divergence(w))
     scale = h1_seminorm(w)
     return div / scale if scale > 0 else div
 
 
-def v_norm(f: ScalarField | VectorField) -> float:
-    """Graph norm sqrt(|f|^2 + |grad f|^2)."""
-    return float(np.sqrt(l2_norm(f) ** 2 + h1_seminorm(f) ** 2))
+def v_norm(a: np.ndarray) -> float:
+    """Graph norm sqrt(|a|^2 + |grad a|^2)."""
+    return float(np.sqrt(l2_norm(a) ** 2 + h1_seminorm(a) ** 2))
 
 
-def lq_norm(f: ScalarField | VectorField, q: int) -> float:
+def _magnitude_sq(a: np.ndarray, factor: float):
+    """(|a(x)|^2 on the padded grid of ``factor``, its size m) of a scalar or vector array."""
+    m = TorusGrid(a.shape[-2]).padded_size(factor)
+    return np.sum(grid_values(a.reshape((-1,) + a.shape[-2:]), m) ** 2, axis=0), m
+
+
+def lq_norm(a: np.ndarray, q: int) -> float:
     """L^q norm for even q >= 2, via exact padded-grid quadrature.
 
     For vector fields the pointwise Euclidean magnitude is used.  The
-    integrand |f|^q has polynomial degree q, so padding by (q + 2)/2
+    integrand |a|^q has polynomial degree q, so padding by (q + 2)/2
     makes the quadrature exact for band-limited fields.
     """
     if q < 2 or q % 2 != 0:
         raise SpectralError(f"lq norm requires even q >= 2, got {q}")
-    grid = f.grid if isinstance(f, VectorField) else f.grid
-    m = grid.padded_size(factor=(q + 2) / 2.0)
-    if isinstance(f, VectorField):
-        v1 = np.real(np.fft.ifft2(pad_coeffs(f.c1.coeffs, m)) * m * m)
-        v2 = np.real(np.fft.ifft2(pad_coeffs(f.c2.coeffs, m)) * m * m)
-        mag_sq = v1**2 + v2**2
-    else:
-        v = np.real(np.fft.ifft2(pad_coeffs(f.coeffs, m)) * m * m)
-        mag_sq = v**2
+    mag_sq, m = _magnitude_sq(a, (q + 2) / 2.0)
     integral = float(np.sum(mag_sq ** (q // 2)) * (TWO_PI / m) ** 2)
     return integral ** (1.0 / q)
 
 
-def norms(f: ScalarField | VectorField, lq: Iterable[int] = ()) -> dict:
+def norms(a: np.ndarray, lq: Iterable[int] = ()) -> dict:
     """Bundle of the norms used by the energy estimates."""
     out = {
-        "l2": l2_norm(f),
-        "h1_semi": h1_seminorm(f),
-        "v_norm": v_norm(f),
+        "l2": l2_norm(a),
+        "h1_semi": h1_seminorm(a),
+        "v_norm": v_norm(a),
     }
     for q in lq:
-        out[f"l{q}"] = lq_norm(f, q)
+        out[f"l{q}"] = lq_norm(a, q)
     return out
 
 
-def integrate_product(*fields: ScalarField) -> float:
-    """Exact integral of a pointwise product of band-limited fields.
+def integrate_product(*fields: np.ndarray) -> float:
+    """Exact integral of a pointwise product of band-limited scalar fields.
 
     Pads by (n_fields + 1)/2 so no aliasing can reach the mean mode.
     """
-    grid = fields[0].grid
-    m = grid.padded_size(factor=(len(fields) + 1) / 2.0)
+    m = TorusGrid(fields[0].shape[-2]).padded_size((len(fields) + 1) / 2.0)
     prod = np.ones((m, m))
     for f in fields:
-        prod = prod * np.real(np.fft.ifft2(pad_coeffs(f.coeffs, m)) * m * m)
+        prod = prod * grid_values(f, m)
     return float(np.sum(prod) * (TWO_PI / m) ** 2)
+
+
+def potential(theta: np.ndarray, nl: PolynomialNonlinearity = DEFAULT_NONLINEARITY) -> float:
+    """(1/2) int phi(|theta|^2) dx with exact quadrature."""
+    r, m = _magnitude_sq(theta, nl.degree + 2.0)
+    return 0.5 * float(np.sum(nl.phi(r)) * (TWO_PI / m) ** 2)
 
 
 # ---------------------------------------------------------------------------
 # trilinear forms, coercivity, dual norms
 
 
-def trilinear_b(u: VectorField, v: VectorField, w: VectorField) -> float:
+def trilinear_b(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
     """b(u,v,w) = sum_{i,j} int u_i (d_i v_j) w_j dx, exact quadrature."""
     total = 0.0
-    for j, (vj, wj) in enumerate(zip(v.components(), w.components())):
-        for i, ui in enumerate(u.components()):
+    for vj, wj in zip(v, w):
+        for i, ui in enumerate(u):
             total += integrate_product(ui, derivative(vj, i), wj)
     return total
 
 
-def trilinear_m(theta1: VectorField, theta2: VectorField, u: VectorField) -> float:
+def trilinear_m(theta1: np.ndarray, theta2: np.ndarray, u: np.ndarray) -> float:
     """m(t1,t2,u) = -sum_{i,j,k} int (d_i t1_k)(d_j t2_k)(d_j u_i) dx."""
     total = 0.0
-    for k in range(2):
-        t1k = theta1.components()[k]
-        t2k = theta2.components()[k]
+    for t1k, t2k in zip(theta1, theta2):
         for i in range(2):
             d_i_t1k = derivative(t1k, i)
-            ui = u.components()[i]
             for j in range(2):
-                total -= integrate_product(d_i_t1k, derivative(t2k, j), derivative(ui, j))
+                total -= integrate_product(d_i_t1k, derivative(t2k, j), derivative(u[i], j))
     return total
 
 
-def f_aliasing_error(theta: VectorField, nl: PolynomialNonlinearity = DEFAULT_NONLINEARITY) -> float:
+def f_aliasing_error(theta: np.ndarray, nl: PolynomialNonlinearity = DEFAULT_NONLINEARITY) -> float:
     """L2 distance between f at the default padding and at exact padding."""
     approx = polynomial_f(theta, nl)
     exact = polynomial_f(theta, nl, factor=nl.degree + 1.0)
@@ -211,7 +237,7 @@ class CoercivityReport:
 
 
 def coercivity_check(
-    theta: VectorField, nl: PolynomialNonlinearity = DEFAULT_NONLINEARITY
+    theta: np.ndarray, nl: PolynomialNonlinearity = DEFAULT_NONLINEARITY
 ) -> CoercivityReport:
     """Margin of <f(theta), theta> >= |theta|^{2N+2}_{L^{2N+2}} - C |theta|^2.
 
@@ -219,11 +245,7 @@ def coercivity_check(
     margin is guaranteed nonnegative; otherwise the margin is reported
     as measured (no universal constant exists in that regime).
     """
-    grid = theta.grid
-    m = grid.padded_size(factor=nl.degree + 2.0)
-    v1 = np.real(np.fft.ifft2(pad_coeffs(theta.c1.coeffs, m)) * m * m)
-    v2 = np.real(np.fft.ifft2(pad_coeffs(theta.c2.coeffs, m)) * m * m)
-    r = v1**2 + v2**2
+    r, m = _magnitude_sq(theta, nl.degree + 2.0)
     lhs = float(np.sum(nl.f_tilde(r) * r) * (TWO_PI / m) ** 2)
     rhs_main = lq_norm(theta, 2 * nl.degree + 2) ** (2 * nl.degree + 2)
     constant = 0.0
@@ -232,14 +254,9 @@ def coercivity_check(
     return CoercivityReport(lhs, rhs_main, constant, margin, guaranteed)
 
 
-def dual_vprime_norm(w: VectorField) -> float:
+def dual_vprime_norm(w: np.ndarray) -> float:
     """Discrete V' norm: sum over modes of |w_k|^2 / (1 + |k|^2)."""
-    ksq = w.grid.ksq()
-    weight = 1.0 / (1.0 + ksq)
-    total = 0.0
-    for c in w.components():
-        total += float(np.sum(weight * np.abs(c.coeffs) ** 2))
-    return float(np.sqrt(TORUS_AREA * total))
+    return float(np.sqrt(_parseval(w, w, 1.0 / (1.0 + _full_ksq(w.shape[-2])))))
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +279,10 @@ def plain_from_grid(values: np.ndarray, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the explicit terms of one step, field by field
+# the explicit terms of one step, term by term
 
 
-def nonlinear_terms(u, theta, cfg: SolverConfig):
+def nonlinear_terms(u: np.ndarray, theta: np.ndarray, cfg: SolverConfig):
     """Explicit part of both equations (no control drift, no noise).
 
     ``nonlinearity=None`` drops the polynomial relaxation entirely (a test
@@ -275,8 +292,8 @@ def nonlinear_terms(u, theta, cfg: SolverConfig):
     if cfg.cutoff_level is not None:
         chi1 = cutoff_chi(l2_norm(u), cfg.cutoff_level)
         chi2 = cutoff_chi(l2_norm(theta), cfg.cutoff_level)
-    nu = -1.0 * (chi1 * convection_B(u, u)) - chi2 * director_stress_M(theta, theta)
-    ntheta = -1.0 * (chi1 * advection_Btilde(u, theta))
+    nu = -chi1 * convection_B(u, u) - chi2 * director_stress_M(theta, theta)
+    ntheta = -chi1 * advection_Btilde(u, theta)
     if cfg.nonlinearity is not None:
         ntheta = ntheta - polynomial_f(theta, cfg.nonlinearity)
     return nu, ntheta
@@ -286,9 +303,32 @@ def nonlinear_terms(u, theta, cfg: SolverConfig):
 # field constructors
 
 
-def field_from_function(grid: TorusGrid, fn) -> ScalarField:
+def _half_of_full(coeffs: np.ndarray) -> np.ndarray:
+    """(..., N, N) full spectra -> (..., N, N//2+1) half layout, Nyquist lines zeroed."""
+    h = coeffs.shape[-1] // 2
+    out = np.array(coeffs[..., : h + 1], dtype=complex)
+    out[..., h, :] = 0.0
+    out[..., h] = 0.0
+    return out
+
+
+def field_from_function(grid: TorusGrid, *fns) -> np.ndarray:
+    """Half-layout coefficients of functions of (x1, x2) sampled on the grid nodes.
+
+    One function gives a scalar (N, N//2+1) array; several give their
+    stack, with None for a zero component.
+    """
     x1, x2 = grid.nodes()
-    return ScalarField.from_values(grid, np.asarray(fn(x1, x2), dtype=float))
+    values = [np.zeros_like(x1) if fn is None else np.broadcast_to(fn(x1, x2), x1.shape) for fn in fns]
+    out = _half_of_full(np.fft.fft2(np.array(values, dtype=float)) / (grid.n * grid.n))
+    return out[0] if len(fns) == 1 else out
+
+
+def constant_field(grid: TorusGrid, *values: float) -> np.ndarray:
+    """The (C, N, N//2+1) coefficients of a constant C-vector."""
+    out = np.zeros((len(values), grid.n, grid.n // 2 + 1), dtype=complex)
+    out[:, 0, 0] = values
+    return out
 
 
 def random_scalar_field(
@@ -298,7 +338,7 @@ def random_scalar_field(
     amplitude: float = 1.0,
     decay: float = 0.0,
     zero_mean: bool = False,
-) -> ScalarField:
+) -> np.ndarray:
     """Real random field with coefficients in the band |k|_inf <= kmax.
 
     Coefficient magnitudes fall off like exp(-decay |k|); symmetrization
@@ -308,7 +348,8 @@ def random_scalar_field(
     kmax = kmax if kmax is not None else n // 3
     if kmax > n // 2 - 1:
         raise SpectralError(f"kmax={kmax} not representable on N={n} grid")
-    k1, k2 = grid.wavenumbers()
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    k1, k2 = np.meshgrid(k, k, indexing="ij")
     mask = (np.abs(k1) <= kmax) & (np.abs(k2) <= kmax)
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     raw *= mask * np.exp(-decay * np.sqrt(k1**2 + k2**2))
@@ -316,29 +357,20 @@ def random_scalar_field(
     refl = np.conj(raw[np.ix_((-np.arange(n)) % n, (-np.arange(n)) % n)])
     coeffs = 0.5 * (raw + refl)
     coeffs[0, 0] = 0.0 if zero_mean else coeffs[0, 0].real
-    coeffs[n // 2, :] = 0.0
-    coeffs[:, n // 2] = 0.0
-    f = ScalarField.from_coeffs(grid, coeffs)
+    f = _half_of_full(coeffs)
     cur = l2_norm(f)
-    if cur > 0:
-        f = f * (amplitude / cur)
-    return f
+    return f * (amplitude / cur) if cur > 0 else f
 
 
-def random_vector_field(grid, rng, kmax=None, amplitude=1.0, decay=0.0) -> VectorField:
+def random_vector_field(grid, rng, kmax=None, amplitude=1.0, decay=0.0) -> np.ndarray:
     a = amplitude / np.sqrt(2.0)
-    return VectorField(
-        random_scalar_field(grid, rng, kmax, a, decay),
-        random_scalar_field(grid, rng, kmax, a, decay),
-    )
+    return np.stack((random_scalar_field(grid, rng, kmax, a, decay), random_scalar_field(grid, rng, kmax, a, decay)))
 
 
-def random_divergence_free_field(grid, rng, kmax=None, amplitude=1.0, decay=0.0) -> DivergenceFreeField:
-    u = leray_project(random_vector_field(grid, rng, kmax, 1.0, decay))
+def random_divergence_free_field(grid, rng, kmax=None, amplitude=1.0, decay=0.0) -> np.ndarray:
+    u = leray_half(random_vector_field(grid, rng, kmax, 1.0, decay))
     cur = l2_norm(u)
-    if cur > 0:
-        u = u * (amplitude / cur)
-    return u
+    return u * (amplitude / cur) if cur > 0 else u
 
 
 # ---------------------------------------------------------------------------

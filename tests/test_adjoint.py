@@ -26,16 +26,8 @@ from nlcsim.dynamics import (
 )
 from nlcsim.ldp import RateProblem, rate_gradient, rate_objective
 from nlcsim.noise import Control, MarkSpace
-from nlcsim.operators import PolynomialNonlinearity, explicit_rhs, explicit_rhs_transpose
-from nlcsim.spectral import (
-    ScalarField,
-    TorusGrid,
-    VectorField,
-    half_inner,
-    half_norms_sq,
-    half_tables,
-    leray_project,
-)
+from nlcsim.operators import PolynomialNonlinearity, explicit_rhs, explicit_rhs_transpose, leray_project
+from nlcsim.spectral import TorusGrid, half_inner, half_norms_sq, half_tables
 
 from oracle import (
     field_from_function,
@@ -68,12 +60,8 @@ def random_state(grid, rng, u_amp=0.4, th_amp=0.6):
 def make_noise(grid):
     """Two marks with nonzero gains, so the drift also acts linearly on u."""
     shapes = (
-        0.05 * leray_project(
-            VectorField(field_from_function(grid, lambda x1, x2: np.sin(x2)), ScalarField.zeros(grid))
-        ),
-        0.04 * leray_project(
-            VectorField(ScalarField.zeros(grid), field_from_function(grid, lambda x1, x2: np.cos(2 * x1)))
-        ),
+        0.05 * leray_project(field_from_function(grid, lambda x1, x2: np.sin(x2), None)),
+        0.04 * leray_project(field_from_function(grid, None, lambda x1, x2: np.cos(2 * x1))),
     )
     return MarkSpace(weights=(1.0, 0.5)), spec_of(shapes, (0.02, 0.1))
 

@@ -45,12 +45,8 @@ from nlcsim.noise import (
     rng_for,
     thin_to_control,
 )
-from nlcsim.spectral import (
-    ScalarField,
-    TorusGrid,
-    VectorField,
-    leray_project,
-)
+from nlcsim.operators import leray_project
+from nlcsim.spectral import TorusGrid
 
 from oracle import (
     field_from_function,
@@ -66,7 +62,7 @@ N_PATHS = 10  # not a multiple of 3 or 8: the last chunk is partial
 def make_cfg(amps=(0.2, 0.1), gains=(0.05, 0.02), **kwargs):
     grid = TorusGrid(8)
     shapes = tuple(
-        a * leray_project(VectorField(field_from_function(grid, fn), ScalarField.zeros(grid)))
+        a * leray_project(field_from_function(grid, fn, None))
         for a, fn in zip(amps, (lambda x1, x2: np.sin(x2), lambda x1, x2: np.cos(2 * x2)))
     )
     opts = {"dt": 1e-2, "t_final": 0.2, "diag_stride": 1, "energy_diagnostics": False, **kwargs}

@@ -21,41 +21,31 @@ from nlcsim.dynamics import (
     trajectory_sup_energy,
 )
 from nlcsim.noise import Control, MarkSpace, control_drift
-from nlcsim.spectral import (
-    DivergenceFreeField,
-    ScalarField,
-    TorusGrid,
-    VectorField,
-    l2_norm,
-    leray_project,
-)
+from nlcsim.operators import leray_project
+from nlcsim.spectral import TorusGrid
 
 from oracle import (
+    constant_field,
     divergence_residual,
     embed_state,
     field_from_function,
+    l2_inner,
+    l2_norm,
+    laplacian,
     nonlinear_terms,
     random_divergence_free_field,
     random_vector_field,
     spec_of,
     state_from_text,
     state_of,
-    theta_of,
-    u_of,
     zero_state,
 )
 
 
 def make_noise(grid, shape_amp=(0.05, 0.05), gains=(0.0, 0.1), weights=(1.0, 0.5)):
     shapes = (
-        shape_amp[0]
-        * leray_project(
-            VectorField(field_from_function(grid, lambda x1, x2: np.sin(x2)), ScalarField.zeros(grid))
-        ),
-        shape_amp[1]
-        * leray_project(
-            VectorField(ScalarField.zeros(grid), field_from_function(grid, lambda x1, x2: np.sin(x1)))
-        ),
+        shape_amp[0] * leray_project(field_from_function(grid, lambda x1, x2: np.sin(x2), None)),
+        shape_amp[1] * leray_project(field_from_function(grid, None, lambda x1, x2: np.sin(x1))),
     )
     return MarkSpace(weights=weights), spec_of(shapes, gains)
 
@@ -197,33 +187,25 @@ class TestSkeletonRhs:
     def test_zero_state(self, cfg16):
         state = zero_state(cfg16.grid)
         g = Control.unit(cfg16.t_final, 1, cfg16.mark_space.size)
-        nu, nth = nonlinear_terms(u_of(state), theta_of(state), cfg16)
-        drift = control_drift(0.0, u_of(state), g, cfg16.mark_space, cfg16.jump_spec)
+        nu, nth = nonlinear_terms(state.u_hat, state.theta_hat, cfg16)
+        drift = control_drift(0.0, state.u_hat, g, cfg16.mark_space, cfg16.jump_spec)
         assert l2_norm(nu + drift) == 0.0
         assert l2_norm(nth) == 0.0
 
     def test_pure_heat_mode(self):
         grid = TorusGrid(16)
         cfg = SolverConfig(grid=grid, dt=1e-2, t_final=0.1, nonlinearity=None)
-        theta = VectorField(
-            field_from_function(grid, lambda x1, x2: np.sin(2 * x1)), ScalarField.zeros(grid)
-        )
-        zero_u = DivergenceFreeField(ScalarField.zeros(grid), ScalarField.zeros(grid))
-        _, nth = nonlinear_terms(zero_u, theta, cfg)
-        linear = VectorField(
-            ScalarField.from_coeffs(grid, grid.ksq() * theta.c1.coeffs),
-            ScalarField.from_coeffs(grid, grid.ksq() * theta.c2.coeffs),
-        )
-        dth = nth - linear
+        theta = field_from_function(grid, lambda x1, x2: np.sin(2 * x1), None)
+        _, nth = nonlinear_terms(np.zeros_like(theta), theta, cfg)
+        dth = nth + laplacian(theta)
         assert l2_norm(dth - (-4.0) * theta) < 1e-12
 
     def test_convection_orthogonal_to_velocity(self, cfg16, rng):
         # the B contribution to the velocity right-hand side is L2-orthogonal to u
         from nlcsim.operators import convection_B
-        from nlcsim.spectral import l2_inner
 
-        state = smooth_state(cfg16.grid, rng)
-        assert abs(l2_inner(convection_B(u_of(state), u_of(state)), u_of(state))) <= 1e-10
+        u = smooth_state(cfg16.grid, rng).u_hat
+        assert abs(l2_inner(convection_B(u, u), u)) <= 1e-10
 
 
 class TestSkeletonSolver:
@@ -237,39 +219,31 @@ class TestSkeletonSolver:
     def test_heat_decay_exact(self):
         grid = TorusGrid(16)
         cfg = SolverConfig(grid=grid, dt=1e-2, t_final=1.0, nonlinearity=None)
-        theta = VectorField(
-            field_from_function(grid, lambda x1, x2: np.sin(x1)), ScalarField.zeros(grid)
-        )
-        init = state_of(
-            DivergenceFreeField(ScalarField.zeros(grid), ScalarField.zeros(grid)), theta
-        )
+        theta = field_from_function(grid, lambda x1, x2: np.sin(x1), None)
+        init = state_of(np.zeros_like(theta), theta)
         traj = solve_skeleton(init, None, cfg)
         final = traj.final_state()
         expect = float(np.exp(-1.0))
-        assert l2_norm(theta_of(final)) / l2_norm(theta) == pytest.approx(expect, rel=1e-12)
+        assert l2_norm(final.theta_hat) / l2_norm(theta) == pytest.approx(expect, rel=1e-12)
 
     def test_director_mean_mode_retained(self):
         # constants lie in the kernel of the director Laplacian and, with the
         # relaxation disabled, persist exactly; the velocity mean stays zero
         grid = TorusGrid(16)
         cfg = SolverConfig(grid=grid, dt=1e-2, t_final=0.5, nonlinearity=None)
-        theta = VectorField.from_values(
-            grid, np.full((16, 16), 0.25), np.full((16, 16), -0.5)
-        )
-        init = state_of(
-            DivergenceFreeField(ScalarField.zeros(grid), ScalarField.zeros(grid)), theta
-        )
+        theta = constant_field(grid, 0.25, -0.5)
+        init = state_of(np.zeros_like(theta), theta)
         final = solve_skeleton(init, None, cfg).final_state()
-        assert theta_of(final).c1.coeff_at(0, 0) == pytest.approx(0.25, abs=1e-15)
-        assert theta_of(final).c2.coeff_at(0, 0) == pytest.approx(-0.5, abs=1e-15)
-        assert u_of(final).c1.coeff_at(0, 0) == 0.0
+        assert final.theta_hat[0, 0, 0] == pytest.approx(0.25, abs=1e-15)
+        assert final.theta_hat[1, 0, 0] == pytest.approx(-0.5, abs=1e-15)
+        assert final.u_hat[0, 0, 0] == 0.0
 
     def test_divergence_free_preserved(self, cfg16, rng):
         init = smooth_state(cfg16.grid, rng)
         g = Control(cfg16.t_final, np.array([[1.5, 0.5]]))
         traj = solve_skeleton(init, g, cfg16)
         for snap in traj.snapshots[:: max(len(traj.snapshots) // 5, 1)]:
-            assert divergence_residual(u_of(snap)) <= 1e-11
+            assert divergence_residual(snap.u_hat) <= 1e-11
 
     def test_self_convergence_first_order(self, rng):
         grid = TorusGrid(16)
@@ -340,7 +314,7 @@ class TestStochasticSolver:
         init = smooth_state(cfg16.grid, rng)
         traj = solve_small_noise_sde(init, 0.2, None, cfg16, seed=3)
         for snap in traj.snapshots[::10]:
-            assert divergence_residual(u_of(snap)) <= 1e-11
+            assert divergence_residual(snap.u_hat) <= 1e-11
 
 
 class TestCutoffBehavior:
@@ -392,25 +366,29 @@ class TestGalerkinProject:
 
     def test_single_retained_mode(self):
         grid = TorusGrid(16)
-        u = leray_project(
-            VectorField(field_from_function(grid, lambda x1, x2: np.sin(x2)), ScalarField.zeros(grid))
-        )
-        th = VectorField.zeros(grid)
-        out = galerkin_project(state_of(u, th), 8)
-        assert l2_norm(u_of(out) - u) < 1e-14
+        u = leray_project(field_from_function(grid, lambda x1, x2: np.sin(x2), None))
+        out = galerkin_project(state_of(u, np.zeros_like(u)), 8)
+        assert l2_norm(out.u_hat - u) < 1e-14
 
     def test_norm_non_increasing(self, rng):
         grid = TorusGrid(32)
         state = smooth_state(grid, rng, kmax=10)
         out = galerkin_project(state, 8)
-        assert l2_norm(u_of(out)) <= l2_norm(u_of(state)) + 1e-14
-        assert l2_norm(theta_of(out)) <= l2_norm(theta_of(state)) + 1e-14
+        assert l2_norm(out.u_hat) <= l2_norm(state.u_hat) + 1e-14
+        assert l2_norm(out.theta_hat) <= l2_norm(state.theta_hat) + 1e-14
 
     def test_validation(self, rng):
         grid = TorusGrid(16)
         state = smooth_state(grid, rng)
         with pytest.raises(SolverError):
             galerkin_project(state, 32)
+
+    @pytest.mark.parametrize("n_modes", (0, -4))
+    def test_a_band_with_no_modes_is_rejected(self, rng, n_modes):
+        # it used to return an all-zero state
+        state = smooth_state(TorusGrid(16), rng)
+        with pytest.raises(SolverError, match="n_modes must be even, >= 2"):
+            galerkin_project(state, n_modes)
 
 
 class TestEnergyLedger:
@@ -451,7 +429,7 @@ class TestAprioriBound:
         from nlcsim.operators import energy_psi
 
         c = apriori_control_constant(g, cfg16.mark_space, cfg16.jump_spec)
-        e0 = energy_psi(u_of(init), theta_of(init), cfg16.nonlinearity).psi_total + l2_norm(u_of(init)) ** 2
+        e0 = energy_psi(init.u_hat, init.theta_hat, cfg16.nonlinearity)[0] + l2_norm(init.u_hat) ** 2
         expect = (e0 + c) * cfg16.t_final * np.exp(c * cfg16.t_final)
         assert apriori_bound(init, g, cfg16) == pytest.approx(expect, rel=1e-14)
 
@@ -471,8 +449,8 @@ class TestComparisons:
         fine = TorusGrid(32)
         state = smooth_state(coarse, rng, kmax=5)
         up = embed_state(state, fine)
-        assert l2_norm(u_of(up)) == pytest.approx(l2_norm(u_of(state)), rel=1e-14)
-        assert l2_norm(theta_of(up)) == pytest.approx(l2_norm(theta_of(state)), rel=1e-14)
+        assert l2_norm(up.u_hat) == pytest.approx(l2_norm(state.u_hat), rel=1e-14)
+        assert l2_norm(up.theta_hat) == pytest.approx(l2_norm(state.theta_hat), rel=1e-14)
 
     def test_distance_split(self, rng):
         grid = TorusGrid(16)
@@ -488,8 +466,8 @@ class TestSerialization:
         grid = TorusGrid(16)
         state = smooth_state(grid, rng)
         back = state_from_text(state_to_text(state))
-        assert np.allclose(u_of(back).c1.coeffs, u_of(state).c1.coeffs, atol=1e-16)
-        assert np.allclose(theta_of(back).c1.coeffs, theta_of(state).c1.coeffs, atol=1e-16)
+        assert np.allclose(back.u_hat[0], state.u_hat[0], atol=1e-16)
+        assert np.allclose(back.theta_hat[0], state.theta_hat[0], atol=1e-16)
         assert back.time == state.time
 
     def test_trajectory_csv(self, cfg16, rng):
@@ -510,4 +488,4 @@ class TestSerialization:
         ]
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == 0.0
-        assert first[1] == pytest.approx(l2_norm(u_of(init)), rel=1e-15)
+        assert first[1] == pytest.approx(l2_norm(init.u_hat), rel=1e-15)

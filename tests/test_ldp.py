@@ -32,12 +32,8 @@ from nlcsim.noise import (
     rng_for,
     thin_to_control,
 )
-from nlcsim.spectral import (
-    ScalarField,
-    TorusGrid,
-    VectorField,
-    leray_project,
-)
+from nlcsim.operators import leray_project
+from nlcsim.spectral import TorusGrid
 
 from oracle import (
     field_from_function,
@@ -52,9 +48,7 @@ ELL2 = 0.3862943611198906
 
 
 def one_mark_setup(grid, shape_amp=0.15, gain=0.0, weight=1.0):
-    shape = shape_amp * leray_project(
-        VectorField(field_from_function(grid, lambda x1, x2: np.sin(x2)), ScalarField.zeros(grid))
-    )
+    shape = shape_amp * leray_project(field_from_function(grid, lambda x1, x2: np.sin(x2), None))
     ms = MarkSpace(weights=(weight,))
     spec = spec_of((shape,), (gain,))
     return ms, spec
@@ -284,9 +278,7 @@ class TestSmallNoiseStudy:
         # jump mass large enough that many jumps land per path: the sup is
         # martingale-dominated and shrinks with the noise size
         grid = TorusGrid(8)
-        shape = 0.2 * leray_project(
-            VectorField(field_from_function(grid, lambda x1, x2: np.sin(x2)), ScalarField.zeros(grid))
-        )
+        shape = 0.2 * leray_project(field_from_function(grid, lambda x1, x2: np.sin(x2), None))
         ms = MarkSpace(weights=(3.0,))
         spec = spec_of((shape,), (0.05,))
         cfg = SolverConfig(

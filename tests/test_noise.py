@@ -21,20 +21,15 @@ from nlcsim.noise import (
     sample_prm,
     thin_to_control,
 )
-from nlcsim.spectral import (
-    ScalarField,
-    TorusGrid,
-    VectorField,
-    l2_norm,
-    leray_project,
-)
+from nlcsim.operators import leray_project
+from nlcsim.spectral import TorusGrid
 
 from oracle import (
     control_from_csv,
     field_from_function,
     jumps_from_text,
+    l2_norm,
     random_divergence_free_field,
-    shape_field,
     spec_of,
 )
 
@@ -43,12 +38,8 @@ ELL2 = 0.3862943611198906  # 2 log 2 - 1
 
 def make_spec(grid, gains=(0.0, 0.1)):
     shapes = (
-        leray_project(
-            VectorField(field_from_function(grid, lambda x1, x2: np.sin(x2)), ScalarField.zeros(grid))
-        ),
-        leray_project(
-            VectorField(ScalarField.zeros(grid), field_from_function(grid, lambda x1, x2: np.sin(x1)))
-        ),
+        leray_project(field_from_function(grid, lambda x1, x2: np.sin(x2), None)),
+        leray_project(field_from_function(grid, None, lambda x1, x2: np.sin(x1))),
     )
     return spec_of(shapes, gains)
 
@@ -168,8 +159,9 @@ class TestThinning:
         for cells, marks in ((0, 1), (1, 0)):
             with pytest.raises(NoiseError, match="nonempty"):
                 Control.constant(1.0, 1.0, n_cells=cells, n_marks=marks)
-        with pytest.raises(NoiseError, match="horizon"):
-            Control(float("nan"), np.ones((2, 1)))
+        for horizon in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(NoiseError, match="horizon must be positive and finite"):
+                Control(horizon, np.ones((2, 1)))
 
 
 class TestEntropy:
@@ -214,13 +206,13 @@ class TestJumpCoefficient:
         spec = make_spec(grid8, gains=(0.0, 0.0))
         u = random_divergence_free_field(grid8, rng, kmax=2)
         out = eval_G(0.0, u, 0, spec)
-        assert l2_norm(out - shape_field(spec, 0, grid8)) < 1e-14
+        assert l2_norm(out - spec.shapes[0]) < 1e-14
 
     def test_eval_zero_velocity(self, grid8):
         spec = make_spec(grid8, gains=(0.3, 0.5))
-        z = leray_project(VectorField.zeros(grid8))
+        z = np.zeros((2, 8, 5), dtype=complex)
         for i in range(2):
-            assert l2_norm(eval_G(0.0, z, i, spec) - shape_field(spec, i, grid8)) < 1e-14
+            assert l2_norm(eval_G(0.0, z, i, spec) - spec.shapes[i]) < 1e-14
 
     def test_lipschitz_exact(self, grid8, rng):
         spec = make_spec(grid8, gains=(0.0, 0.4))
@@ -284,7 +276,7 @@ class TestJumpCoefficient:
             g0 = spec.g0_norm(i)
             worst = 0.0
             for amp in (0.0, 0.5, 1.0, 5.0, 50.0, 5000.0):
-                u = amp * shape_field(spec, i, grid8) if l2_norm(shape_field(spec, i, grid8)) > 0 else (
+                u = amp * spec.shapes[i] if l2_norm(spec.shapes[i]) > 0 else (
                     amp * random_divergence_free_field(grid8, rng, kmax=2)
                 )
                 ratio = l2_norm(eval_G(0.0, u, i, spec)) / (1.0 + l2_norm(u))
@@ -296,20 +288,18 @@ class TestJumpCoefficient:
 class TestCompensatorAndDrift:
     def test_single_mark_compensator(self, grid8):
         ms = MarkSpace(weights=(2.0,))
-        shape = leray_project(
-            VectorField(field_from_function(grid8, lambda x1, x2: np.sin(x2)), ScalarField.zeros(grid8))
-        )
+        shape = leray_project(field_from_function(grid8, lambda x1, x2: np.sin(x2), None))
         spec = spec_of((shape,), (0.0,))
-        z = leray_project(VectorField.zeros(grid8))
+        z = np.zeros((2, 8, 5), dtype=complex)
         out = compensator_integral(0.0, z, ms, spec)
         assert l2_norm(out - 2.0 * shape) < 1e-14
 
     def test_compensator_zero_velocity(self, grid8):
         ms = MarkSpace(weights=(1.0, 0.5))
         spec = make_spec(grid8, gains=(0.3, 0.7))
-        z = leray_project(VectorField.zeros(grid8))
+        z = np.zeros((2, 8, 5), dtype=complex)
         out = compensator_integral(0.0, z, ms, spec)
-        expect = 1.0 * shape_field(spec, 0, grid8) + 0.5 * shape_field(spec, 1, grid8)
+        expect = 1.0 * spec.shapes[0] + 0.5 * spec.shapes[1]
         assert l2_norm(out - expect) < 1e-14
 
     def test_compensator_matches_manual_sum(self, grid8, rng):
@@ -329,9 +319,7 @@ class TestCompensatorAndDrift:
 
     def test_drift_constant_two(self, grid8, rng):
         ms = MarkSpace(weights=(1.0,))
-        shape = leray_project(
-            VectorField(field_from_function(grid8, lambda x1, x2: np.sin(x2)), ScalarField.zeros(grid8))
-        )
+        shape = leray_project(field_from_function(grid8, lambda x1, x2: np.sin(x2), None))
         spec = spec_of((shape,), (0.1,))
         u = random_divergence_free_field(grid8, rng, kmax=2)
         out = control_drift(0.2, u, Control.constant(1.0, 2.0), ms, spec)

@@ -8,31 +8,26 @@ from nlcsim.operators import (
     convection_B,
     director_stress_M,
     energy_psi,
+    leray_project,
     polynomial_f,
-    potential_energy,
     potential_energy_hat,
 )
-from nlcsim.spectral import (
-    ScalarField,
-    TorusGrid,
-    VectorField,
-    h1_seminorm,
-    l2_inner,
-    l2_norm,
-    laplacian_vec,
-    leray_project,
-)
+from nlcsim.spectral import TorusGrid, half_tables
 
-from conftest import oracle_trilinear_b, oracle_trilinear_m
+from conftest import direct_eval, oracle_trilinear_b, oracle_trilinear_m, quad_integral
 from oracle import (
     coercivity_check,
+    constant_field,
     dual_vprime_norm,
     f_aliasing_error,
     field_from_function,
+    grid_values,
+    h1_seminorm,
+    l2_inner,
+    l2_norm,
+    potential,
     random_divergence_free_field,
     random_vector_field,
-    state_of,
-    theta_of,
     trilinear_b,
     trilinear_m,
 )
@@ -40,17 +35,11 @@ from oracle import (
 
 def ksq_multiplier(w):
     """|k|^2 per Fourier mode: the Stokes operator the stepping core integrates."""
-    ksq = w.grid.ksq()
-    return VectorField(
-        ScalarField.from_coeffs(w.grid, ksq * w.c1.coeffs),
-        ScalarField.from_coeffs(w.grid, ksq * w.c2.coeffs),
-    )
+    return half_tables(w.shape[-2])[2] * w
 
 
-def constant_vec(grid, a, b):
-    return VectorField.from_values(
-        grid, np.full((grid.n, grid.n), float(a)), np.full((grid.n, grid.n), float(b))
-    )
+def laplacian_vec(w):
+    return -ksq_multiplier(w)
 
 
 class TestNonlinearity:
@@ -84,20 +73,12 @@ class TestNonlinearity:
 class TestLinearOperators:
     def test_stokes_eigenmode_k10(self, grid16):
         # divergence-free mode at k=(1,0): vector along e2
-        u = leray_project(
-            VectorField(
-                ScalarField.zeros(grid16),
-                field_from_function(grid16, lambda x1, x2: np.sin(x1)),
-            )
-        )
+        u = leray_project(field_from_function(grid16, None, lambda x1, x2: np.sin(x1)))
         out = ksq_multiplier(u)
         assert l2_norm(out - u) < 1e-13
 
     def test_stokes_eigenmode_k21(self, grid16):
-        w = VectorField(
-            field_from_function(grid16, lambda x1, x2: np.cos(2 * x1 + x2)),
-            ScalarField.zeros(grid16),
-        )
+        w = field_from_function(grid16, lambda x1, x2: np.cos(2 * x1 + x2), None)
         u = leray_project(w)
         out = ksq_multiplier(u)
         assert l2_norm(out - 5.0 * u) / l2_norm(u) < 1e-13
@@ -109,14 +90,11 @@ class TestLinearOperators:
         assert abs(lhs - rhs) / rhs <= 1e-12
 
     def test_neumann_constant(self, grid16):
-        theta = constant_vec(grid16, 2.0, -1.0)
+        theta = constant_field(grid16, 2.0, -1.0)
         assert l2_norm(-1.0 * laplacian_vec(theta)) < 1e-13
 
     def test_neumann_eigenmode(self, grid16):
-        theta = VectorField(
-            field_from_function(grid16, lambda x1, x2: np.sin(x2)),
-            ScalarField.zeros(grid16),
-        )
+        theta = field_from_function(grid16, lambda x1, x2: np.sin(x2), None)
         out = -1.0 * laplacian_vec(theta)
         assert l2_norm(out - theta) < 1e-13
 
@@ -143,21 +121,14 @@ class TestConvection:
             assert abs(trilinear_b(u, v, w) + trilinear_b(u, w, v)) <= bound
 
     def test_analytic_value(self, grid16):
-        u = VectorField(
-            field_from_function(grid16, lambda x1, x2: np.sin(x2)), ScalarField.zeros(grid16)
-        )
-        v = VectorField(
-            ScalarField.zeros(grid16), field_from_function(grid16, lambda x1, x2: np.sin(x1))
-        )
-        w = VectorField(
-            ScalarField.zeros(grid16),
-            field_from_function(grid16, lambda x1, x2: np.sin(x2) * np.cos(x1)),
-        )
+        u = field_from_function(grid16, lambda x1, x2: np.sin(x2), None)
+        v = field_from_function(grid16, None, lambda x1, x2: np.sin(x1))
+        w = field_from_function(grid16, None, lambda x1, x2: np.sin(x2) * np.cos(x1))
         assert trilinear_b(u, v, w) == pytest.approx(np.pi**2, rel=1e-12)
 
     def test_b_of_constant(self, grid16, rng):
         u = random_divergence_free_field(grid16, rng, kmax=4)
-        c = constant_vec(grid16, 1.0, 2.0)
+        c = constant_field(grid16, 1.0, 2.0)
         assert l2_norm(convection_B(u, c)) < 1e-13
 
     def test_assembled_zero_form(self, grid32, rng):
@@ -186,7 +157,7 @@ class TestConvection:
 class TestAdvection:
     def test_constant_director(self, grid16, rng):
         u = random_divergence_free_field(grid16, rng, kmax=4)
-        theta = constant_vec(grid16, 0.3, -0.7)
+        theta = constant_field(grid16, 0.3, -0.7)
         assert l2_norm(advection_Btilde(u, theta)) < 1e-13
 
     def test_zero_form(self, grid32, rng):
@@ -196,23 +167,17 @@ class TestAdvection:
             assert abs(l2_inner(advection_Btilde(u, theta), theta)) <= 1e-10
 
     def test_analytic_value(self, grid16):
-        u = leray_project(
-            VectorField(
-                field_from_function(grid16, lambda x1, x2: np.sin(x2)), ScalarField.zeros(grid16)
-            )
-        )
-        theta = VectorField(
-            field_from_function(grid16, lambda x1, x2: np.sin(x1)), ScalarField.zeros(grid16)
-        )
+        u = leray_project(field_from_function(grid16, lambda x1, x2: np.sin(x2), None))
+        theta = field_from_function(grid16, lambda x1, x2: np.sin(x1), None)
         out = advection_Btilde(u, theta)
         expect = field_from_function(grid16, lambda x1, x2: np.sin(x2) * np.cos(x1))
-        assert l2_norm(out.c1 - expect) < 1e-12
-        assert l2_norm(out.c2) < 1e-13
+        assert l2_norm(out[0] - expect) < 1e-12
+        assert l2_norm(out[1]) < 1e-13
 
 
 class TestDirectorStress:
     def test_constant_theta(self, grid16, rng):
-        c = constant_vec(grid16, 1.0, 1.0)
+        c = constant_field(grid16, 1.0, 1.0)
         other = random_vector_field(grid16, rng, kmax=4)
         assert l2_norm(director_stress_M(c, other)) < 1e-12
 
@@ -222,7 +187,7 @@ class TestDirectorStress:
         assert trilinear_m(theta, theta, u) == pytest.approx(trilinear_m(theta, theta, u))
 
     def test_m_vanishes_constant(self, grid16, rng):
-        c = constant_vec(grid16, 2.0, 0.0)
+        c = constant_field(grid16, 2.0, 0.0)
         u = random_vector_field(grid16, rng, kmax=4)
         assert abs(trilinear_m(c, c, u)) < 1e-13
 
@@ -256,20 +221,20 @@ class TestDirectorStress:
 
 class TestPolynomialF:
     def test_zero(self, grid16):
-        z = constant_vec(grid16, 0.0, 0.0)
+        z = constant_field(grid16, 0.0, 0.0)
         assert l2_norm(polynomial_f(z)) == 0.0
 
     def test_unit_e1(self, grid16):
-        theta = constant_vec(grid16, 1.0, 0.0)
+        theta = constant_field(grid16, 1.0, 0.0)
         out = polynomial_f(theta)
-        assert np.allclose(out.c1.values, 2.0, atol=1e-13)
-        assert np.allclose(out.c2.values, 0.0, atol=1e-13)
+        assert np.allclose(grid_values(out[0]), 2.0, atol=1e-13)
+        assert np.allclose(grid_values(out[1]), 0.0, atol=1e-13)
 
     def test_ones(self, grid16):
-        theta = constant_vec(grid16, 1.0, 1.0)
+        theta = constant_field(grid16, 1.0, 1.0)
         out = polynomial_f(theta)
-        assert np.allclose(out.c1.values, 3.0, atol=1e-13)
-        assert np.allclose(out.c2.values, 3.0, atol=1e-13)
+        assert np.allclose(grid_values(out[0]), 3.0, atol=1e-13)
+        assert np.allclose(grid_values(out[1]), 3.0, atol=1e-13)
 
     def test_aliasing_diagnostic_small_band(self, grid32, rng):
         # cubic f of a kmax=5 field is fully resolved: no aliasing at all
@@ -279,7 +244,7 @@ class TestPolynomialF:
 
 class TestCoercivity:
     def test_zero_field(self, grid16):
-        z = constant_vec(grid16, 0.0, 0.0)
+        z = constant_field(grid16, 0.0, 0.0)
         rep = coercivity_check(z)
         assert rep.lhs == 0.0 and rep.rhs_main == 0.0
 
@@ -291,7 +256,7 @@ class TestCoercivity:
             assert rep.margin >= -1e-12 * max(rep.lhs, 1.0)
 
     def test_margin_formula(self, grid16):
-        theta = constant_vec(grid16, 1.0, 0.0)
+        theta = constant_field(grid16, 1.0, 0.0)
         rep = coercivity_check(theta)
         # f_tilde(1)*1 = 2 vs |theta|^4_{L4} = 1 per unit area
         assert rep.lhs == pytest.approx(2.0 * 4 * np.pi**2, rel=1e-12)
@@ -300,46 +265,41 @@ class TestCoercivity:
 
 class TestEnergy:
     def test_zero_state(self, grid16):
-        z = constant_vec(grid16, 0.0, 0.0)
-        rep = energy_psi(None, z)
-        assert rep.kinetic == rep.elastic == rep.potential == rep.psi_total == 0.0
+        z = constant_field(grid16, 0.0, 0.0)
+        psi, dissipation = energy_psi(None, z)
+        assert psi == dissipation == 0.0
 
     def test_constant_director(self, grid16):
-        theta = constant_vec(grid16, 1.0, 0.0)
-        rep = energy_psi(None, theta)
-        assert rep.elastic == 0.0
-        assert rep.potential == pytest.approx(3 * np.pi**2, rel=1e-12)
-        assert rep.psi_total == pytest.approx(3 * np.pi**2, rel=1e-12)
+        theta = constant_field(grid16, 1.0, 0.0)
+        psi, _ = energy_psi(None, theta)
+        assert h1_seminorm(theta) == 0.0
+        assert potential(theta) == pytest.approx(3 * np.pi**2, rel=1e-12)
+        assert psi == pytest.approx(3 * np.pi**2, rel=1e-12)
 
     def test_sin_director(self, grid16):
-        theta = VectorField(
-            field_from_function(grid16, lambda x1, x2: np.sin(x1)), ScalarField.zeros(grid16)
-        )
-        rep = energy_psi(None, theta)
-        assert rep.elastic == pytest.approx(np.pi**2, rel=1e-12)
+        theta = field_from_function(grid16, lambda x1, x2: np.sin(x1), None)
+        # elastic pi^2 plus the potential (1/2) int sin^2 + sin^4 / 2 = (1/2)(2 + 3/4) pi^2
+        assert energy_psi(None, theta)[0] == pytest.approx(2.375 * np.pi**2, rel=1e-12)
 
     def test_potential_vs_quadrature(self, grid16, rng):
         theta = random_vector_field(grid16, rng, kmax=4)
         # oracle: dense sampling of the closed-form integrand
         m = 256
-        from conftest import direct_eval, quad_integral
-
-        v1 = direct_eval(theta.c1, m)
-        v2 = direct_eval(theta.c2, m)
+        v1 = direct_eval(theta[0], m)
+        v2 = direct_eval(theta[1], m)
         r = v1**2 + v2**2
         expect = 0.5 * quad_integral(r + r**2 / 2.0)
-        assert potential_energy(theta) == pytest.approx(expect, rel=1e-12)
+        assert potential_energy_hat(theta, grid16, DEFAULT_NONLINEARITY) == pytest.approx(expect, rel=1e-12)
 
     @pytest.mark.parametrize("n", (8, 16, 128))
     @pytest.mark.parametrize("degree", (1, 2, 3))
-    def test_potential_hat_matches_field_potential(self, n, degree, rng):
-        # degree + 1 padding is exact for Nyquist-free states; the field oracle pads by degree + 2
+    def test_potential_hat_matches_the_quadrature_oracle(self, n, degree, rng):
+        # degree + 1 padding is exact for Nyquist-free states; the oracle pads by degree + 2
         grid = TorusGrid(n)
         nl = PolynomialNonlinearity(tuple(1.0 / (j + 1) for j in range(degree + 1)))
         for _ in range(2):
-            state = state_of(VectorField.zeros(grid), random_vector_field(grid, rng, amplitude=0.8))
-            expect = potential_energy(theta_of(state), nl)
-            assert potential_energy_hat(state.theta_hat, grid, nl) == pytest.approx(expect, rel=1e-13)
+            theta = random_vector_field(grid, rng, amplitude=0.8)
+            assert potential_energy_hat(theta, grid, nl) == pytest.approx(potential(theta, nl), rel=1e-13)
 
     def test_chain_rule(self, grid32, rng):
         nl = DEFAULT_NONLINEARITY
@@ -349,8 +309,8 @@ class TestEnergy:
             grad = polynomial_f(theta, nl) - laplacian_vec(theta)
             analytic = l2_inner(grad, delta)
             h = 1e-5
-            plus = energy_psi(None, theta + h * delta, nl).psi_total
-            minus = energy_psi(None, theta - h * delta, nl).psi_total
+            plus = energy_psi(None, theta + h * delta, nl)[0]
+            minus = energy_psi(None, theta - h * delta, nl)[0]
             fd = (plus - minus) / (2 * h)
             assert abs(fd - analytic) / max(abs(analytic), 1e-10) <= 1e-4
 
