@@ -4,9 +4,9 @@ Layers: ``spectral`` (half-layout coefficient arrays and transforms),
 ``operators`` (the fused explicit step, its transpose, the nonlinearity
 and energies, and their term-by-term array reference), ``noise``
 (marked Poisson machinery, entropy cost, exponential tilts), ``dynamics``
-(skeleton and jump-SDE solvers), ``ldp`` (rate-function optimization, small-noise
-Monte Carlo, importance sampling), ``config``/``cli``/``verify``
-(experiment orchestration).
+(the skeleton solver, the jump draw and the batched jump-SDE solver),
+``ldp`` (rate-function optimization, small-noise Monte Carlo, importance
+sampling), ``config``/``cli``/``verify`` (experiment orchestration).
 """
 
 from .spectral import TorusGrid
@@ -16,9 +16,9 @@ from .dynamics import (
     SolverConfig,
     SpectralState,
     Trajectory,
+    draw_jumps,
+    solve_path_batch,
     solve_skeleton,
-    solve_small_noise_sde,
-    solve_stochastic_convolution,
 )
 from .ldp import RateProblem, RateSolution, optimize_control, rate_objective
 from .config import ExperimentConfig, parse_config
@@ -39,11 +39,11 @@ __all__ = [
     "TorusGrid",
     "Trajectory",
     "cost_LT",
+    "draw_jumps",
     "entropy_l",
     "optimize_control",
     "parse_config",
     "rate_objective",
+    "solve_path_batch",
     "solve_skeleton",
-    "solve_small_noise_sde",
-    "solve_stochastic_convolution",
 ]

@@ -18,8 +18,9 @@ starts with comment lines carrying the config hash and the root seed, so a
 run can be reproduced exactly from its outputs.  The CSVs are built by
 ``_csv`` (numbers as ``%.17g``, strings verbatim); ``state_to_text`` writes
 the final-state checkpoint and ``_jumps_text`` the ``jumps.txt`` table.
-Exit codes: 0 success, 1 configuration/validation error, 2 numerical
-failure, always with one JSON error record on stderr.
+Exit codes: 0 success, 1 configuration/validation error (an unreadable
+config or ``--out``), 2 numerical failure, always with one JSON error
+record on stderr.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ from .dynamics import (
     SpectralState,
     Trajectory,
     draw_jumps,
-    solve_sde_with_jumps,
+    solve_path_batch,
     solve_skeleton,
-    solve_stochastic_convolution,
 )
 from .ldp import (
     RateProblem,
@@ -166,7 +166,7 @@ def cmd_simulate(cfg: ExperimentConfig, solver_cfg: SolverConfig, init: Spectral
     eps = cfg.simulate_eps
     # the SDE sees the tilt only through its jumps: draw them once, replay, and save them
     jumps = draw_jumps(eps, cfg.build_control(), solver_cfg, cfg.seed)
-    traj = solve_sde_with_jumps(init, eps, jumps, solver_cfg)
+    traj = solve_path_batch(init, eps, [jumps], solver_cfg)[0]
     files = [
         ("sde_trajectory.csv", _trajectory_csv(cfg, traj, f"kind=sde eps={eps}")),
         ("jumps.txt", _with_headers(cfg, _jumps_text(jumps))),
@@ -176,8 +176,9 @@ def cmd_simulate(cfg: ExperimentConfig, solver_cfg: SolverConfig, init: Spectral
 
 
 def cmd_convolution(cfg: ExperimentConfig, solver_cfg: SolverConfig, init: SpectralState):
-    eps = cfg.simulate_eps
-    conv = solve_stochastic_convolution(init, eps, cfg.build_control(), solver_cfg, seed=cfg.seed)
+    eps, phi = cfg.simulate_eps, cfg.build_control()
+    jumps = draw_jumps(eps, phi, solver_cfg, cfg.seed)
+    conv = solve_path_batch(init, eps, [jumps], solver_cfg, convolution_phi=solver_cfg.tilt(phi))[0]
     files = [("convolution_trajectory.csv", _trajectory_csv(cfg, conv, f"kind=convolution eps={eps}"))]
     report = f"convolution: sup |xi| = {float(np.max(conv.u_l2)):.6g}"
     return files, report, _diverged(conv, "convolution run")
@@ -274,12 +275,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.threads > 1:
         print("nlcsim: --threads is deprecated and has no effect", file=sys.stderr)
+    out_dir = Path(args.out)
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError("--seed must be nonnegative")
             cfg = ExperimentConfig(**{**cfg.__dict__, "seed": args.seed})
+        if out_dir.exists() and not out_dir.is_dir():
+            raise ConfigError("--out exists and is not a directory", str(out_dir))
     except ConfigError as exc:
         print(_error_record("config", str(exc)), file=sys.stderr)
         return EXIT_CONFIG
@@ -297,9 +301,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(_error_record("validation", str(exc)), file=sys.stderr)
         return EXIT_CONFIG
-    out_dir = Path(args.out)
-    for name, text in files + [("config_echo.ini", _with_headers(cfg, serialize_config(cfg)))]:
-        _write(out_dir, name, text)
+    try:
+        for name, text in files + [("config_echo.ini", _with_headers(cfg, serialize_config(cfg)))]:
+            _write(out_dir, name, text)
+    except OSError as exc:
+        print(_error_record("config", f"cannot write --out {out_dir}: {exc}"), file=sys.stderr)
+        return EXIT_CONFIG
     print(f"{report} -> {out_dir}/{files[0][0]}")
     if failure is not None:
         print(_error_record(*failure), file=sys.stderr)

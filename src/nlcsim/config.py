@@ -357,7 +357,7 @@ def parse_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}", str(path)) from exc
     return parse_config_text(text, path=str(path))
 

@@ -31,17 +31,16 @@ continue.
 
 A run records a snapshot of the state at the start of every step and
 one of the final state, n_steps + 1 in all; ``keep_snapshots=False``
-keeps only the final one.  The public ``solve_*`` functions are one-path
-calls of ``_run`` and call no other public solver; ``solve_path_batch``
-runs many jump-driven paths at once for the Monte Carlo studies, keeping
-per path only its diagnostic rows and final state (an ``on_snapshot``
-hook sees the others as they pass).  ``SolverConfig`` declares a run's
-one horizon [0, t_final] and its marks, and ``SolverConfig.tilt`` gives
-every solver its tilt (the unit tilt for None) or rejects one that does
-not fit; a replayed ``JumpSample(times, marks)`` may not jump after
-t_final.  ``draw_jumps`` is the one draw of a seed's jump configuration,
-``thin_to_control(ms, tilt, 1/epsilon, rng)``.  ``skeleton_adjoint`` is
-the backward sweep of the skeleton step: the n_steps + 1 snapshots of one
+keeps only the final one.  ``solve_skeleton`` runs one skeleton path;
+``solve_path_batch`` runs jump-driven paths (a one-element list for one),
+each keeping only its diagnostic rows and final state (an ``on_snapshot``
+hook sees the others as they pass).  ``draw_jumps`` is the one draw of a
+seed's jump configuration, ``thin_to_control(ms, tilt, 1/epsilon, rng)``.
+``SolverConfig`` declares a run's one horizon [0, t_final] and its marks,
+and ``SolverConfig.tilt`` gives every solver its tilt (the unit tilt for
+None) or rejects one that does not fit; a replayed ``JumpSample(times,
+marks)`` may not jump after t_final.  ``skeleton_adjoint`` is the
+backward sweep of the skeleton step: the n_steps + 1 snapshots of one
 skeleton solve are its tape, and it gives the gradient of a function of
 the final state in every tilt value and in the initial state.
 
@@ -310,8 +309,8 @@ def _require_noise(epsilon: float, cfg: SolverConfig):
 def draw_jumps(epsilon: float, phi: Control | None, cfg: SolverConfig, seed: int) -> JumpSample:
     """The seed's jump configuration at intensity (1/epsilon) phi theta, phi = ``cfg.tilt(phi)``.
 
-    The one draw behind :func:`solve_small_noise_sde` and
-    :func:`solve_stochastic_convolution`.
+    Deterministic given the seed: the configuration is drawn once by
+    thinning, and :func:`solve_path_batch` replays it.
     """
     _require_noise(epsilon, cfg)
     return thin_to_control(cfg.mark_space, cfg.tilt(phi), 1.0 / epsilon, rng_for(seed, "sde-jumps"))
@@ -542,54 +541,6 @@ def solve_skeleton(
     return _run(init, cfg, "skeleton", table, keep_snapshots=keep_snapshots)[0]
 
 
-def solve_small_noise_sde(
-    init: SpectralState,
-    epsilon: float,
-    phi: Control | None,
-    cfg: SolverConfig,
-    seed: int,
-) -> Trajectory:
-    """Jump-driven system at noise size epsilon, intensity (1/epsilon) phi theta.
-
-    Deterministic given the seed: the jump configuration is drawn once by
-    thinning and replayed through the fixed-step loop.
-    """
-    jumps = draw_jumps(epsilon, phi, cfg, seed)
-    return _run(init, cfg, "sde", *_jump_table(epsilon, [jumps], cfg))[0]
-
-
-def solve_sde_with_jumps(
-    init: SpectralState,
-    epsilon: float,
-    jumps: JumpSample,
-    cfg: SolverConfig,
-) -> Trajectory:
-    """Jump-driven system on a caller-supplied point configuration.
-
-    Used by importance sampling, where the jump configuration is coupled
-    to the base configuration the tilt weight is computed from.
-    """
-    return _run(init, cfg, "sde", *_jump_table(epsilon, [jumps], cfg))[0]
-
-
-def solve_stochastic_convolution(
-    init: SpectralState,
-    epsilon: float,
-    phi: Control | None,
-    cfg: SolverConfig,
-    seed: int,
-) -> Trajectory:
-    """Linear jump convolution driven by the concurrently solved SDE path.
-
-    Shares the seed-derived jump configuration with
-    :func:`solve_small_noise_sde`, freezing the velocity argument of the
-    jump coefficient to that path; returns the convolution trajectory
-    (velocity slot holds the convolution, director slot is zero).
-    """
-    jumps = draw_jumps(epsilon, phi, cfg, seed)
-    return _run(init, cfg, "sde", *_jump_table(epsilon, [jumps], cfg, cfg.tilt(phi)))[1][0]
-
-
 def solve_path_batch(
     init: SpectralState,
     epsilon: float,
@@ -600,13 +551,13 @@ def solve_path_batch(
 ) -> list[Trajectory]:
     """Jump-driven paths from one state, one per sample in ``jumps``, stepped as one batch.
 
-    Path k equals ``solve_sde_with_jumps(init, epsilon, jumps[k], cfg)``
-    bit for bit, except that it keeps only its final snapshot; with
-    ``convolution_phi`` the convolution trajectories (compensator tilt
-    ``convolution_phi``) are returned instead, as by
-    :func:`solve_stochastic_convolution`.  ``on_snapshot(j, paths, u_hat,
-    theta_hat)`` sees the snapshot of every step of the paths still running,
-    for statistics that would otherwise need all snapshots kept.
+    Path k replays ``jumps[k]`` (see :func:`draw_jumps`), equals its one-path
+    run bit for bit and keeps only its final snapshot.  With
+    ``convolution_phi`` (the compensator tilt) the paths' jump convolutions
+    are returned instead: velocity slot the convolution, director slot zero.
+    ``on_snapshot(j, paths, u_hat, theta_hat)`` sees the snapshot of every
+    step of the paths still running, for statistics that would otherwise
+    need all snapshots kept.
     """
     tables = _jump_table(epsilon, jumps, cfg, convolution_phi)
     out = _run(init, cfg, "sde", *tables, keep_snapshots=False, on_snapshot=on_snapshot)
@@ -744,15 +695,10 @@ def trajectory_sup_energy(traj: Trajectory) -> float:
 
 
 def state_distances(u_hat: np.ndarray, theta_hat: np.ndarray, ref: SpectralState):
-    """:func:`state_distance` to ``ref`` of each path in a (..., 2, N, N//2+1) batch."""
+    """|u - u_ref|_{L2} + H1 distance of the directors, per path of a (..., 2, N, N//2+1) batch."""
     du_l2sq, _ = half_norms_sq(u_hat - ref.u_hat)
     dth_l2sq, dth_h1sq = half_norms_sq(theta_hat - ref.theta_hat)
     return np.sqrt(du_l2sq) + np.sqrt(dth_l2sq + dth_h1sq)
-
-
-def state_distance(a: SpectralState, b: SpectralState) -> float:
-    """|u_a - u_b|_{L2} + H1 distance of the directors."""
-    return float(state_distances(a.u_hat, a.theta_hat, b))
 
 
 def state_distance_sq_split(a: SpectralState, b: SpectralState) -> float:
@@ -763,9 +709,9 @@ def state_distance_sq_split(a: SpectralState, b: SpectralState) -> float:
 
 
 def sup_state_distance(traj_a: Trajectory, traj_b: Trajectory) -> float:
-    """sup over matching snapshots of the combined state distance."""
+    """sup over matching snapshots of :func:`state_distances`."""
     if len(traj_a.snapshots) != len(traj_b.snapshots):
         raise SolverError("trajectories carry different snapshot counts")
     if not np.allclose(traj_a.snapshot_times, traj_b.snapshot_times, atol=1e-12):
         raise SolverError("snapshot times differ")
-    return max(state_distance(x, y) for x, y in zip(traj_a.snapshots, traj_b.snapshots))
+    return max(float(state_distances(a.u_hat, a.theta_hat, b)) for a, b in zip(traj_a.snapshots, traj_b.snapshots))

@@ -350,11 +350,12 @@ def mc_small_noise_study(
 
     For each epsilon, ``n_paths`` jump-driven solutions are compared with
     the skeleton solution driven by the same tilt; rows report median and
-    quartiles of sup_t(|u-diff| + H1 theta-diff).  Path k's value equals
-    ``sup_state_distance`` of its one-path ``solve_small_noise_sde`` run;
-    the batch measures it snapshot by snapshot instead of keeping the
-    snapshots.  Diverged paths are excluded and counted; more than 1% of
-    them fails the study.
+    quartiles of sup_t(|u-diff| + H1 theta-diff).  Path k replays
+    ``draw_jumps`` at its own seed through ``solve_path_batch``; its value
+    equals ``sup_state_distance`` of its path with every snapshot kept, but
+    the batch measures it snapshot by snapshot instead of keeping them.
+    Diverged paths are excluded and counted; more than 1% of them fails the
+    study.
     """
     if n_paths < 8:
         raise StudyError("study needs at least 8 paths per noise level")
@@ -396,7 +397,8 @@ def convolution_scaling_study(
 ) -> list[dict]:
     """Mean of sup_t |convolution|^2 per noise size (expected to shrink).
 
-    Path k runs ``solve_stochastic_convolution`` at its own seed, batched.
+    Path k replays ``draw_jumps`` at its own seed through
+    ``solve_path_batch``, which returns its convolution (compensator tilt phi).
     Diverged paths are excluded and counted, as in the small-noise study.
     """
     if n_paths < 1:

@@ -366,6 +366,12 @@ def check_noise(seed: int) -> list[CheckResult]:
     return out
 
 
+def _jump_path(init, epsilon, phi, cfg, seed):
+    """The jump SDE on the seed's jumps, one path with every snapshot kept."""
+    jumps = dynamics.draw_jumps(epsilon, phi, cfg, seed)
+    return dynamics._run(init, cfg, "sde", *dynamics._jump_table(epsilon, [jumps], cfg))[0]
+
+
 def check_dynamics(seed: int) -> list[CheckResult]:
     rng = rng_for(seed, "verify-dynamics")
     out = []
@@ -397,14 +403,14 @@ def check_dynamics(seed: int) -> list[CheckResult]:
     err = abs(ratio - np.exp(-1.0))
     out.append(CheckResult("dynamics", "heat-decay-exact-factor", err <= 1e-12, f"|ratio - e^-1| = {err:.2e}"))
 
-    a = dynamics.solve_small_noise_sde(init, 0.25, None, cfg, seed=seed + 1)
-    b = dynamics.solve_small_noise_sde(init, 0.25, None, cfg, seed=seed + 1)
+    a = _jump_path(init, 0.25, None, cfg, seed + 1)
+    b = _jump_path(init, 0.25, None, cfg, seed + 1)
     out.append(CheckResult("dynamics", "seeded-determinism", same(a, b), f"{len(a.snapshots)} snapshots compared"))
 
     spec0 = _shapes_for(grid, amps=(0.0, 0.0), gains=(0.0, 0.0))
     cfg0 = SolverConfig(grid=grid, dt=1e-2, t_final=0.3, mark_space=ms, jump_spec=spec0)
     phi = Control(0.3, np.array([[1.4, 0.7]]))
-    sde = dynamics.solve_small_noise_sde(init, 0.25, phi, cfg0, seed=seed + 2)
+    sde = _jump_path(init, 0.25, phi, cfg0, seed + 2)
     skel = dynamics.solve_skeleton(init, phi, cfg0)
     out.append(CheckResult("dynamics", "zero-noise-sde-equals-skeleton", same(sde, skel), "coefficientwise equality"))
 

@@ -8,7 +8,8 @@ integrals by quadrature on a padded grid through numpy's ``irfft2``, so
 neither goes through the ``half_norms_sq``/``half_inner`` or the padded
 transform pair they check.  The helpers: norms, trilinear forms, the
 coercivity and dual-norm checks, random fields, the explicit terms of one
-step from the package's reference operators (``nonlinear_terms``), and the
+step from the package's reference operators (``nonlinear_terms``), the
+one-path jump-driven run with every snapshot kept (``jump_path``), and the
 allocate-per-call padded transform pair (``plain_to_grid``/
 ``plain_from_grid``) that the package's workspace-backed pair must equal,
 bit for bit where it runs numpy's FFT and to rounding where it runs dense
@@ -25,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from nlcsim.cli import _COMPONENTS
-from nlcsim.dynamics import SolverConfig, SolverError, SpectralState, cutoff_chi
+from nlcsim.dynamics import SolverConfig, SolverError, SpectralState, _jump_table, _run, cutoff_chi
 from nlcsim.noise import Control, JumpCoefficientSpec, JumpSample
 from nlcsim.operators import (
     DEFAULT_NONLINEARITY,
@@ -297,6 +298,16 @@ def nonlinear_terms(u: np.ndarray, theta: np.ndarray, cfg: SolverConfig):
     if cfg.nonlinearity is not None:
         ntheta = ntheta - polynomial_f(theta, cfg.nonlinearity)
     return nu, ntheta
+
+
+def jump_path(init: SpectralState, epsilon: float, jumps: JumpSample, cfg: SolverConfig, convolution_phi=None):
+    """One jump-driven path on ``jumps`` with every snapshot kept, from the stepping core.
+
+    The SDE trajectory, or with ``convolution_phi`` the convolution's: the
+    one-path reference ``solve_path_batch`` must equal bit for bit.
+    """
+    out = _run(init, cfg, "sde", *_jump_table(epsilon, [jumps], cfg, convolution_phi))
+    return out[0] if convolution_phi is None else out[1][0]
 
 
 # ---------------------------------------------------------------------------

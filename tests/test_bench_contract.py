@@ -17,7 +17,7 @@ import pytest
 
 import nlcsim.dynamics as dynamics
 from nlcsim.config import velocity_shape
-from nlcsim.noise import Control, JumpCoefficientSpec, MarkSpace, rng_for, thin_to_control
+from nlcsim.noise import Control, JumpCoefficientSpec, MarkSpace
 from nlcsim.spectral import TorusGrid
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -69,21 +69,23 @@ def _tiny_problem(n):
     )
     init = dynamics.SpectralState(grid, shape, np.zeros_like(shape))
     phi = Control.constant(cfg.t_final, 1.5)
-    jumps = thin_to_control(ms, phi, 1.0 / 0.2, rng_for(3, "contract"))
-    return cfg, init, phi, jumps
+    return cfg, init, phi
 
 
-@pytest.mark.parametrize("name", bench_tracer.SOLVERS)
+# the tracer's solvers that dynamics still defines; it skips the others
+DEFINED_SOLVERS = [name for name in bench_tracer.SOLVERS if hasattr(dynamics, name)]
+
+
+def test_the_skeleton_solver_is_traced():
+    assert "solve_skeleton" in DEFINED_SOLVERS
+
+
+@pytest.mark.parametrize("name", DEFINED_SOLVERS)
 def test_one_solver_span_and_n_steps_per_call(name, tracer):
     for n, numpy_transforms in ((8, False), (64, True)):  # dense DFT products at N = 8
         tracer.reset()
-        cfg, init, phi, jumps = _tiny_problem(n)
-        args = {
-            "solve_skeleton": (init, phi, cfg),
-            "solve_small_noise_sde": (init, 0.2, phi, cfg, 3),
-            "solve_sde_with_jumps": (init, 0.2, jumps, cfg),
-            "solve_stochastic_convolution": (init, 0.2, phi, cfg, 3),
-        }[name]
+        cfg, init, phi = _tiny_problem(n)
+        args = {"solve_skeleton": (init, phi, cfg)}[name]
         traj = getattr(dynamics, name)(*args)
         assert not traj.diverged
         solver_spans = [s[3] for s in tracer.spans if s[3].split(".", 1)[1] in bench_tracer.SOLVERS]

@@ -17,10 +17,10 @@ from nlcsim.config import (
     serialize_config,
     velocity_shape,
 )
-from nlcsim.dynamics import solve_sde_with_jumps
+from nlcsim.dynamics import draw_jumps
 from nlcsim.spectral import TorusGrid
 
-from oracle import divergence_residual, grid_values, jumps_from_text, l2_norm
+from oracle import divergence_residual, grid_values, jump_path, jumps_from_text, l2_norm
 
 MINIMAL = "seed = 7\n"
 
@@ -295,7 +295,7 @@ class TestCli:
         solver_cfg = cfg.build_solver_config()
         jumps = jumps_from_text((out / "jumps.txt").read_text())
         assert jumps.size > 0
-        traj = solve_sde_with_jumps(cfg.build_init(solver_cfg.grid), cfg.simulate_eps, jumps, solver_cfg)
+        traj = jump_path(cfg.build_init(solver_cfg.grid), cfg.simulate_eps, jumps, solver_cfg)
         assert (out / "final_state.txt").read_text().endswith(state_to_text(traj.final_state()))
 
     def test_seed_override_changes_output(self, tmp_path):
@@ -335,6 +335,42 @@ class TestCli:
             assert f"exp.ini:{lineno}: " in record["message"] and key in record["message"]
             assert not out.exists()
 
+    def test_a_config_that_is_not_utf8_fails_every_command_with_one_config_record(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bin.ini"
+        cfg_path.write_bytes(b"seed = 1\n\xff\xfe bad\n")
+        for command in _COMMANDS:
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            record = json.loads(captured.err)
+            assert record["error"] == "config" and captured.out == ""
+            assert "cannot read config" in record["message"]
+            assert not out.exists()
+
+    def test_an_out_that_is_a_file_is_rejected_before_the_run(self, tmp_path, capsys, monkeypatch):
+        import nlcsim.cli as cli
+
+        cfg_path = self._write_cfg(tmp_path, FULL)
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        monkeypatch.setitem(cli._COMMANDS, "skeleton", (None, True))  # the command must not run
+        assert main(["skeleton", "--config", cfg_path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {
+            "error": "config", "message": f"{out}: --out exists and is not a directory"
+        }
+        assert captured.out == "" and out.read_text() == "kept\n"
+
+    def test_an_out_that_cannot_be_written_is_one_config_record(self, tmp_path, capsys):
+        cfg_path = self._write_cfg(tmp_path, FULL)
+        (tmp_path / "taken").write_text("kept\n")
+        out = tmp_path / "taken" / "sub"
+        assert main(["skeleton", "--config", cfg_path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        record = json.loads(captured.err)
+        assert record["error"] == "config" and record["message"].startswith(f"cannot write --out {out}: ")
+        assert captured.out == "" and (tmp_path / "taken").read_text() == "kept\n"
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg_path = self._write_cfg(tmp_path, "grid.modes = 16\n")
         rc = main(["skeleton", "--config", cfg_path, "--out", str(tmp_path / "o")])
@@ -347,6 +383,20 @@ class TestCli:
         out = tmp_path / "conv"
         assert main(["convolution", "--config", cfg_path, "--out", str(out)]) == 0
         assert (out / "convolution_trajectory.csv").exists()
+
+    def test_convolution_csv_is_the_one_path_convolution_of_the_seed_jumps(self, tmp_path):
+        cfg_path = self._write_cfg(tmp_path, FULL)
+        out = tmp_path / "conv"
+        assert main(["convolution", "--config", cfg_path, "--out", str(out)]) == 0
+        lines = [line for line in (out / "convolution_trajectory.csv").read_text().splitlines() if line[0] != "#"]
+        column = lines[0].split(",").index("u_l2")
+        written = [line.split(",")[column] for line in lines[1:]]
+        cfg = parse_config(cfg_path)
+        solver_cfg, phi = cfg.build_solver_config(), cfg.build_control()
+        jumps = draw_jumps(cfg.simulate_eps, phi, solver_cfg, cfg.seed)
+        assert jumps.size > 0
+        conv = jump_path(cfg.build_init(solver_cfg.grid), cfg.simulate_eps, jumps, solver_cfg, solver_cfg.tilt(phi))
+        assert written == [f"{v:.17g}" for v in conv.u_l2]
 
     def test_rate_subcommand(self, tmp_path):
         text = FULL.replace("grid.modes = 16", "grid.modes = 8")

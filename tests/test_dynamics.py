@@ -11,11 +11,10 @@ from nlcsim.dynamics import (
     SpectralState,
     apriori_bound,
     cutoff_chi,
+    draw_jumps,
     energy_ledger,
     galerkin_project,
     solve_skeleton,
-    solve_small_noise_sde,
-    solve_stochastic_convolution,
     state_distance_sq_split,
     sup_state_distance,
     trajectory_sup_energy,
@@ -29,6 +28,7 @@ from oracle import (
     divergence_residual,
     embed_state,
     field_from_function,
+    jump_path,
     l2_inner,
     l2_norm,
     laplacian,
@@ -276,8 +276,8 @@ class TestSkeletonSolver:
 class TestStochasticSolver:
     def test_determinism(self, cfg16, rng):
         init = smooth_state(cfg16.grid, rng)
-        a = solve_small_noise_sde(init, 0.2, None, cfg16, seed=99)
-        b = solve_small_noise_sde(init, 0.2, None, cfg16, seed=99)
+        a = jump_path(init, 0.2, draw_jumps(0.2, None, cfg16, 99), cfg16)
+        b = jump_path(init, 0.2, draw_jumps(0.2, None, cfg16, 99), cfg16)
         assert np.array_equal(a.u_l2, b.u_l2)
         for sa, sb in zip(a.snapshots, b.snapshots):
             assert np.array_equal(sa.u_hat[0], sb.u_hat[0])
@@ -289,7 +289,7 @@ class TestStochasticSolver:
         cfg = SolverConfig(grid=grid, dt=1e-2, t_final=0.3, mark_space=ms, jump_spec=spec)
         init = smooth_state(grid, rng)
         phi = Control(0.3, np.array([[1.4, 0.7]]))
-        sde = solve_small_noise_sde(init, 0.25, phi, cfg, seed=5)
+        sde = jump_path(init, 0.25, draw_jumps(0.25, phi, cfg, 5), cfg)
         skel = solve_skeleton(init, phi, cfg)
         for sa, sb in zip(sde.snapshots, skel.snapshots):
             assert np.array_equal(sa.u_hat[0], sb.u_hat[0])
@@ -303,7 +303,7 @@ class TestStochasticSolver:
         for eps in (0.4, 0.05):
             dists = [
                 sup_state_distance(
-                    solve_small_noise_sde(init, eps, None, cfg16, seed=1000 + k), skel
+                    jump_path(init, eps, draw_jumps(eps, None, cfg16, 1000 + k), cfg16), skel
                 )
                 for k in range(8)
             ]
@@ -312,7 +312,7 @@ class TestStochasticSolver:
 
     def test_divergence_free_preserved(self, cfg16, rng):
         init = smooth_state(cfg16.grid, rng)
-        traj = solve_small_noise_sde(init, 0.2, None, cfg16, seed=3)
+        traj = jump_path(init, 0.2, draw_jumps(0.2, None, cfg16, 3), cfg16)
         for snap in traj.snapshots[::10]:
             assert divergence_residual(snap.u_hat) <= 1e-11
 
@@ -335,13 +335,13 @@ class TestConvolution:
         ms, spec = make_noise(grid, shape_amp=(0.0, 0.0), gains=(0.0, 0.0))
         cfg = SolverConfig(grid=grid, dt=1e-2, t_final=0.3, mark_space=ms, jump_spec=spec)
         init = smooth_state(grid, rng)
-        conv = solve_stochastic_convolution(init, 0.2, None, cfg, seed=7)
+        conv = jump_path(init, 0.2, draw_jumps(0.2, None, cfg, 7), cfg, cfg.tilt(None))
         assert np.all(conv.u_l2 == 0.0)
 
     def test_reproducible(self, cfg16, rng):
         init = smooth_state(cfg16.grid, rng)
-        a = solve_stochastic_convolution(init, 0.2, None, cfg16, seed=11)
-        b = solve_stochastic_convolution(init, 0.2, None, cfg16, seed=11)
+        a = jump_path(init, 0.2, draw_jumps(0.2, None, cfg16, 11), cfg16, cfg16.tilt(None))
+        b = jump_path(init, 0.2, draw_jumps(0.2, None, cfg16, 11), cfg16, cfg16.tilt(None))
         assert np.array_equal(a.u_l2, b.u_l2)
 
     def test_scaling_trend_two_rungs(self, cfg16, rng):
@@ -349,7 +349,7 @@ class TestConvolution:
         means = []
         for eps in (0.4, 0.1):
             sups = [
-                np.max(solve_stochastic_convolution(init, eps, None, cfg16, seed=50 + k).u_l2) ** 2
+                np.max(jump_path(init, eps, draw_jumps(eps, None, cfg16, 50 + k), cfg16, cfg16.tilt(None)).u_l2) ** 2
                 for k in range(8)
             ]
             means.append(float(np.mean(sups)))

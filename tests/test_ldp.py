@@ -5,9 +5,8 @@ from nlcsim.cli import main
 from nlcsim.config import parse_config_text
 from nlcsim.dynamics import (
     SolverConfig,
-    solve_sde_with_jumps,
+    draw_jumps,
     solve_skeleton,
-    solve_small_noise_sde,
     sup_state_distance,
 )
 from nlcsim.ldp import (
@@ -37,6 +36,7 @@ from nlcsim.spectral import TorusGrid
 
 from oracle import (
     field_from_function,
+    jump_path,
     random_divergence_free_field,
     random_vector_field,
     spec_of,
@@ -268,7 +268,7 @@ class TestSmallNoiseStudy:
         path_seeds = rng_for(seed, "mc-small-noise").integers(0, 2**62, size=(len(eps_list), n))
         for row, eps, seeds in zip(batched, eps_list, path_seeds):
             dists = np.array(
-                [sup_state_distance(solve_small_noise_sde(init, eps, None, cfg, int(s)), skel) for s in seeds]
+                [sup_state_distance(jump_path(init, eps, draw_jumps(eps, None, cfg, int(s)), cfg), skel) for s in seeds]
             )
             assert row["median"] == float(np.median(dists))
             assert row["q25"] == float(np.quantile(dists, 0.25))
@@ -371,7 +371,7 @@ class TestImportance:
         rows = []
         for k in range(8):
             jumps = thin_to_control(cfg.mark_space, phi, 2.0, rng_for(3, "importance", k))
-            traj = solve_sde_with_jumps(init, 0.5, jumps, cfg)
+            traj = jump_path(init, 0.5, jumps, cfg)
             rows.append((girsanov_log_density(phi, jumps, 0.5, cfg.mark_space), indicator(traj)))
         assert batched == _weighted_estimate(np.array(rows), 0)
 
