@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, config_hash, parse_config, serialize_config
+from .config import _RULES, ConfigError, ExperimentConfig, config_hash, parse_config, serialize_config
 from .dynamics import (
     SolverConfig,
     SolverError,
@@ -279,8 +279,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be nonnegative")
+            holds, what = _RULES["seed"]
+            if not holds(args.seed):
+                raise ConfigError(f"seed must {what}, got {args.seed}", "--seed")
             cfg = ExperimentConfig(**{**cfg.__dict__, "seed": args.seed})
         if out_dir.exists() and not out_dir.is_dir():
             raise ConfigError("--out exists and is not a directory", str(out_dir))

@@ -262,7 +262,8 @@ _SCHEMA = {f.name.replace("_", ".", 1): (f.name, _PARSERS[f.type]) for f in fiel
 # config key -> (the condition its value meets, what the key must be); a condition that
 # holds only for finite values rejects NaN and +-inf too, and a tuple must also be nonempty
 _RULES = {
-    "seed": (lambda v: v >= 0, "be >= 0"),
+    # the root seed must fit the 64 bits the Philox streams are derived from (noise.rng_for)
+    "seed": (lambda v: 0 <= v < 2**64, "be >= 0 and < 2**64"),
     "grid.modes": (lambda v: v >= 8 and v % 2 == 0, "be even and >= 8"),
     "grid.dealias_factor": (lambda v: 1 <= v < np.inf, "be >= 1 and finite"),
     "nonlinearity.coefficients": (

@@ -57,8 +57,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 # eval_G, compensator_integral, control_drift, energy_psi, convection_B, director_stress_M,
-# advection_Btilde and polynomial_f are the array references of the stepping core; no command
-# calls them, and bench/tracer.py wraps them under these module attributes.
+# advection_Btilde and polynomial_f are the stepping core's array references; bench/tracer.py
+# wraps them under these module attributes, and of the commands only verify calls any of them.
 from .noise import (
     Control,
     JumpCoefficientSpec,

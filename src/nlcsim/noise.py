@@ -7,8 +7,8 @@ and growth constant computable in closed form.  The shapes are one
 half-layout array; the solver forms its mark sums on it directly.
 ``eval_G`` (the increment of one jump), ``compensator_integral`` and
 ``control_drift`` are their reference, mark by mark on half-layout
-velocity arrays; the benchmark tracer binds them by name, and no command
-calls them.
+velocity arrays; the benchmark tracer binds them by name.  ``verify``'s
+coefficient checks call ``eval_G``; no command calls the other two.
 Controls are nonnegative intensity tilts, piecewise constant over uniform
 time cells of their horizon, priced by the relative-entropy functional
 built on l(r) = r log r - r + 1.  ``thin_to_control(ms, control, scale,

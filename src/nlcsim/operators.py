@@ -17,8 +17,8 @@ functional of the solver ledger.
 term by term on the same (..., 2, N, N//2+1) arrays: weak forms pair
 through the L2 inner product, <B(u,v), w> = b(u,v,w) and
 <M(t1,t2), u> = m(t1,t2,u) for divergence-free u, with each product
-dealiased on its own (``dealias_product``).  The benchmark tracer binds
-them, with ``leray_project``, by name; no command calls them.
+dealiased on its own (``dealias_product``).  ``verify`` checks the fused
+form against them, and the tracer binds them (and ``leray_project``) by name.
 """
 
 from __future__ import annotations
@@ -248,9 +248,9 @@ def explicit_rhs_transpose(
 # ---------------------------------------------------------------------------
 # reference operators
 #
-# bench/tracer.py wraps these names (here and where ``dynamics`` re-exports them); no command
-# calls them.  Each forms its products with numpy's allocating irfft2/rfft2 between pad_half and
-# truncate_half, so it shares no transform, buffer or DFT factor with ``explicit_rhs``.
+# bench/tracer.py wraps these names (here and where ``dynamics`` re-exports them); ``verify``
+# checks the fused step against them.  Each forms its products with numpy's allocating irfft2/rfft2
+# between pad_half and truncate_half, sharing no transform, buffer or DFT factor with the step.
 
 # the tracer binds ``leray_project``: the one Leray projection under that name
 leray_project = leray_half

@@ -7,10 +7,13 @@ the exponential tilt normalization, and solver consistency -- at desk
 scale, and reports a pass/fail with the measured quantity.  Every check
 runs on the half-layout arrays the solver steps: the operator checks call
 the fused step ``operators.explicit_rhs`` (chi1 = 0, chi2 = 0 or
-``nl=None`` isolate a term) or its transpose, and compare with direct
-quadratures of the trilinear forms.  The test suite runs the same checks
-(plus heavier acceptance versions), so a ``verify`` run is a quick field
-audit of an installed package.
+``nl=None`` isolate a term) or its transpose, and compare it with the
+term-by-term references ``operators`` keeps (``convection_B``,
+``advection_Btilde``, ``director_stress_M``, ``energy_psi``); the
+coefficient checks evaluate ``noise.eval_G``.  Each is looked up on its
+module, so a defect in the step or in a reference shows as a FAIL.  The
+test suite runs the same checks (plus heavier acceptance versions), so a
+``verify`` run is a quick field audit of an installed package.
 """
 
 from __future__ import annotations
@@ -72,36 +75,14 @@ def _h1(a) -> float:
     return float(np.sqrt(half_norms_sq(a)[1]))
 
 
-def _grad(a) -> tuple[np.ndarray, np.ndarray]:
-    """(d1 a, d2 a) of half-layout coefficients."""
-    k1, k2 = half_tables(a.shape[-2])[:2]
-    return 1j * k1 * a, 1j * k2 * a
-
-
 def _divergence_residual(u) -> float:
     """|div u| / |grad u| in L2."""
-    d1, d2 = _grad(u)
+    d1, d2 = operators._gradient(u)
     return _l2((d1[0] + d2[1])[None]) / _h1(u)
 
 
 def _integral(values, m: int) -> float:
     return float(np.sum(values) * (TWO_PI / m) ** 2)
-
-
-def _trilinear_b(u, v, w) -> float:
-    """b(u,v,w) = sum_{i,j} int u_i (d_i v_j) w_j dx by quadrature on a 2N grid (exact for the band)."""
-    m = 2 * u.shape[-2]
-    ug, wg = to_grid(u, m), to_grid(w, m)
-    return sum(_integral(ug[i] * to_grid(dv, m) * wg, m) for i, dv in enumerate(_grad(v)))
-
-
-def _trilinear_m(t1, t2, u) -> float:
-    """m(t1,t2,u) = -sum_{i,j,k} int (d_i t1_k)(d_j t2_k)(d_j u_i) dx by quadrature on a 2N grid."""
-    m = 2 * u.shape[-2]
-    d1 = [to_grid(d, m) for d in _grad(t1)]
-    d2 = [to_grid(d, m) for d in _grad(t2)]
-    du = [to_grid(d, m) for d in _grad(u)]
-    return -sum(_integral(d1[i] * d2[j] * du[j][i], m) for i in range(2) for j in range(2))
 
 
 def _advection(u, v, grid) -> np.ndarray:
@@ -202,24 +183,26 @@ def check_operators(seed: int) -> list[CheckResult]:
     out.append(CheckResult("operators", "convection-zero-form", worst_zero_b <= 1e-10, f"max {worst_zero_b:.2e}"))
     out.append(CheckResult("operators", "advection-zero-form", worst_zero_bt <= 1e-10, f"max {worst_zero_bt:.2e}"))
 
-    # <B(u,u), w> in the divergence form, and <(u . grad) v, w>, against b by quadrature
+    # <B(u,u), w> in the divergence form, and <(u . grad) v, w>, against the references
     u, v = _random(grid, rng, kmax=10, solenoidal=True), _random(grid, rng, kmax=10)
-    bf, adv = _convection(u, grid), _advection(u, v, grid)
+    pairs = ((_convection(u, grid), operators.convection_B(u, u)),
+             (_advection(u, v, grid), operators.advection_Btilde(u, v)))
     worst = 0.0
     for _ in range(10):
         wt = _random(grid, rng, kmax=10, solenoidal=True)
-        for lhs, rhs in ((half_inner(bf, wt), _trilinear_b(u, u, wt)),
-                         (half_inner(adv, wt), _trilinear_b(u, v, wt))):
+        for fused, ref in pairs:
+            lhs, rhs = half_inner(fused, wt), half_inner(ref, wt)
             worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
     out.append(CheckResult("operators", "convection-weak-form", worst <= 1e-10, f"max rel {worst:.2e}"))
 
     # chi1 = 0 leaves nu = -M(theta, theta)
     theta = _random(grid, rng, kmax=10)
     mf = -operators.explicit_rhs(np.zeros_like(theta), theta, grid, chi1=0.0, nl=None)[0]
+    ref = operators.director_stress_M(theta, theta)
     worst = 0.0
     for _ in range(10):
         ut = _random(grid, rng, kmax=10, solenoidal=True)
-        lhs, rhs = half_inner(mf, ut), _trilinear_m(theta, theta, ut)
+        lhs, rhs = half_inner(mf, ut), half_inner(ref, ut)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
     out.append(CheckResult("operators", "stress-weak-form", worst <= 1e-10, f"max rel {worst:.2e}"))
 
@@ -233,14 +216,12 @@ def check_operators(seed: int) -> list[CheckResult]:
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-3))
     out.append(CheckResult("operators", "advection-stress-cancellation", worst <= 1e-8, f"max rel {worst:.2e}"))
 
-    def psi(th):  # |grad theta|^2 / 2 + potential
-        return 0.5 * half_norms_sq(th)[1] + operators.potential_energy_hat(th, grid, operators.DEFAULT_NONLINEARITY)
-
     theta, delta = _random(grid, rng, kmax=5), _random(grid, rng, kmax=5)
     f = operators.explicit_rhs(np.zeros_like(theta), theta, grid, with_f=True)[2]
     analytic = half_inner(f + k_sq * theta, delta)
     h = 1e-5
-    fd = (psi(theta + h * delta) - psi(theta - h * delta)) / (2 * h)
+    psi = [operators.energy_psi(None, theta + s * h * delta)[0] for s in (1, -1)]
+    fd = (psi[0] - psi[1]) / (2 * h)
     err = abs(fd - analytic) / max(abs(analytic), 1e-10)
     out.append(CheckResult("operators", "energy-gradient-chain-rule", err <= 1e-4, f"rel err {err:.2e}"))
 
@@ -261,9 +242,7 @@ def check_operators(seed: int) -> list[CheckResult]:
         theta = _random(grid, rng, kmax=5, amplitude=2.0)
         f = operators.explicit_rhs(np.zeros_like(theta), theta, grid, with_f=True)[2]
         lhs = half_inner(f, theta)
-        m = 2 * grid.n
-        rhs_main = _integral(np.sum(to_grid(theta, m) ** 2, axis=0) ** 2, m)
-        margin = lhs - rhs_main
+        margin = lhs - operators._integral(theta, 2.0, np.square)
         ok = ok and margin >= -1e-12 * max(lhs, 1.0)
         worst = max(worst, -margin)
     out.append(CheckResult("operators", "coercivity-margin", ok, f"min margin {-worst:.2e}"))
@@ -312,19 +291,17 @@ def check_noise(seed: int) -> list[CheckResult]:
     ms = MarkSpace(weights=(1.0, 0.5))
     rng = rng_for(seed, "verify-noise")
 
-    def jump(u, i):  # G(u, v_i) = shape_i + gain_i u
-        return spec.shapes[i] + spec.gains[i] * u
-
     u1, u2 = _random(grid, rng, kmax=4, solenoidal=True), _random(grid, rng, kmax=4, solenoidal=True)
     L = spec.lipschitz_bound(ms)
-    total = sum(ms.weights[i] * _l2(jump(u1, i) - jump(u2, i)) ** 2 for i in range(2))
+    total = sum(w * _l2(noise.eval_G(0, u1, i, spec) - noise.eval_G(0, u2, i, spec)) ** 2
+                for i, w in enumerate(ms.weights))
     lip_ok = abs(total - L * _l2(u1 - u2) ** 2) <= 1e-12 * max(total, 1.0)
     growth_ok = True
     for p in (1, 2, 4):
         cp = spec.growth_constant(ms, p)
         for amp in (0.0, 1.0, 4.0):
             uu = amp * _random(grid, rng, kmax=4, solenoidal=True)
-            tot = sum(ms.weights[i] * _l2(jump(uu, i)) ** p for i in range(2))
+            tot = sum(w * _l2(noise.eval_G(0, uu, i, spec)) ** p for i, w in enumerate(ms.weights))
             growth_ok = growth_ok and tot <= cp * (1 + _l2(uu) ** p) + 1e-12
     out.append(CheckResult("noise", "coefficient-lipschitz-exact", bool(lip_ok), f"L={L:.4f}"))
     out.append(CheckResult("noise", "coefficient-growth-bounds", bool(growth_ok), "p in {1,2,4}"))

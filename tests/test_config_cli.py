@@ -149,6 +149,15 @@ class TestParsing:
         with pytest.raises(ConfigError, match="seed"):
             parse_config_text("grid.modes = 16\n")
 
+    @pytest.mark.parametrize("seed", (-1, 2**64, 2**64 + 1))
+    def test_a_seed_outside_64_bits_is_rejected_at_its_line(self, seed):
+        # rng_for keeps the low 64 bits, so 2**64 + 1 would draw what seed 1 draws
+        with pytest.raises(ConfigError, match=rf"^<config>:2: seed must be >= 0 and < 2\*\*64, got {seed}$"):
+            parse_config_text(f"# fine\nseed = {seed}\n")
+
+    def test_the_largest_64_bit_seed_is_accepted(self):
+        assert parse_config_text(f"seed = {2**64 - 1}\n").seed == 2**64 - 1
+
     def test_unknown_key_line_number(self):
         with pytest.raises(ConfigError, match=":3:"):
             parse_config_text("seed = 1\n# fine\nbogus.key = 2\n")
@@ -304,6 +313,17 @@ class TestCli:
         assert main(["simulate", "--config", cfg_path, "--out", str(out1)]) == 0
         assert main(["simulate", "--config", cfg_path, "--out", str(out2), "--seed", "999"]) == 0
         assert (out1 / "jumps.txt").read_text() != (out2 / "jumps.txt").read_text()
+
+    @pytest.mark.parametrize("seed", ("-1", str(2**64)))
+    def test_a_seed_flag_outside_64_bits_is_one_config_record_at_the_flag(self, tmp_path, capsys, seed):
+        cfg_path = self._write_cfg(tmp_path, FULL)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out), "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {
+            "error": "config", "message": f"--seed: seed must be >= 0 and < 2**64, got {seed}"
+        }
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize(
         "lines",

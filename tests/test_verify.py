@@ -4,18 +4,22 @@ Every ``operators/*`` check calls ``operators.explicit_rhs`` or
 ``operators.explicit_rhs_transpose``, looked up on the module, so a defect
 in the fused step shows as an operator FAIL.  Two defects are pinned here:
 the director stress dropped from the velocity equation, and the sign of the
-advection term flipped.
+advection term flipped.  The references the step is compared with
+(``operators.convection_B``, ``operators.director_stress_M`` and
+``noise.eval_G``) are looked up the same way, so a wrong reference fails
+the one check that reads it.
 """
 
 import pytest
 
-from nlcsim import operators, verify
+from nlcsim import noise, operators, verify
 from nlcsim.spectral import TorusGrid
 
 from oracle import random_divergence_free_field, random_vector_field, state_of
 
 SEED = 3
 FUSED = operators.explicit_rhs
+STRESS = operators.director_stress_M
 
 
 def without_stress(u_hat, theta_hat, grid, chi1=1.0, chi2=1.0, nl=operators.DEFAULT_NONLINEARITY, with_f=False):
@@ -60,3 +64,22 @@ def test_mutants_differ_from_the_fused_step(step, rng):
     bad = step(state.u_hat, state.theta_hat, grid)
     changed = [not (a == b).all() for a, b in zip(good[:2], bad[:2])]
     assert changed == ([True, False] if step is without_stress else [False, True])
+
+
+def failed_checks(check) -> set[str]:
+    return {r.name for r in check(SEED) if not r.passed}
+
+
+def test_a_scaled_stress_reference_fails_the_stress_weak_form(monkeypatch):
+    monkeypatch.setattr(operators, "director_stress_M", lambda t1, t2: 0.99 * STRESS(t1, t2))
+    assert failed_checks(verify.check_operators) == {"stress-weak-form"}
+
+
+def test_a_zero_convection_reference_fails_the_convection_weak_form(monkeypatch):
+    monkeypatch.setattr(operators, "convection_B", lambda u, v: 0.0 * u)
+    assert failed_checks(verify.check_operators) == {"convection-weak-form"}
+
+
+def test_a_jump_coefficient_without_its_gain_fails_the_lipschitz_check(monkeypatch):
+    monkeypatch.setattr(noise, "eval_G", lambda t, u, mark, spec: spec.shapes[mark] + 0.0 * u)
+    assert failed_checks(verify.check_noise) == {"coefficient-lipschitz-exact"}
