@@ -55,7 +55,6 @@ from .ldp import (
 # thin_to_control is drawn through draw_jumps; bench/tracer.py wraps it under this attribute too
 from .noise import Control, JumpSample, thin_to_control  # noqa: F401
 from .spectral import full_from_half
-from .verify import render_table, run_all
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -146,6 +145,9 @@ def _checkpoint(cfg: ExperimentConfig, traj: Trajectory) -> list:
 
 
 def cmd_verify(cfg: ExperimentConfig, solver_cfg: None, init: None):
+    # imported here, so the run commands do not pay for importing the check suite
+    from .verify import render_table, run_all
+
     results = run_all(cfg)
     rows = [(r.group, r.name, int(r.passed), f'"{r.detail}"') for r in results]
     files = [("verify_report.csv", _csv(cfg, ("group", "name", "passed", "detail"), rows))]

@@ -254,10 +254,12 @@ def brute_force_rate(prob: RateProblem, grid_values: Sequence[float]) -> RateSol
 # ---------------------------------------------------------------------------
 # Monte Carlo driver: every study runs its paths through ``_run_paths``
 
-# Paths stepped together in one batch.  At N=16 the transforms are
-# dispatch-bound and 8 paths step at 0.4 of the one-path cost per path;
-# 16 gain little more, and at N=64 batches above 8 outgrow the cache and
-# slow down (sweep in CHANGES.md).  Results do not depend on it.
+# Paths stepped together in one batch.  On the plane-major step, median us
+# per path-step of ``solve_path_batch`` (default config, eps 0.2, 2-core VM,
+# one BLAS thread): N=16 P=8 58, 16 52, 32 48; N=64 P=8 1183, 16 1414,
+# 32 1719.  Above 8, N=16 gains 10-17% and N=64 loses 20-45% as the batch
+# outgrows the cache; the bench's studies hold 8 paths each.  Results do
+# not depend on it.
 _CHUNK = 8
 
 

@@ -8,7 +8,11 @@ chi1 u (x) u + chi2 grad theta^T grad theta (which merges convection and
 the director stress into -P div) and of chi1 (u . grad) theta + f(theta).
 ``explicit_rhs_transpose`` is the transpose of its linearization, for the
 adjoint of the skeleton step: the same two transforms around the
-transposed pointwise Jacobian.  The polynomial nonlinearity
+transposed pointwise Jacobian.  Both keep their padded stacks plane-major,
+(fields, *paths, m, m) in per-thread ``scratch`` buffers, so one field of
+a whole batch is one contiguous block and each product is a multiply-add
+of whole blocks, summed in field order; only the returned band arrays are
+viewed back in the (..., C, N, N//2+1) layout.  The polynomial nonlinearity
 f(theta) = f_tilde(|theta|^2) theta and its potential drive the energy
 functional of the solver ledger.
 
@@ -102,17 +106,34 @@ def potential_energy_hat(theta_hat: np.ndarray, grid: TorusGrid, nl: PolynomialN
     return 0.5 * (vals.reshape(vals.shape[:-2] + (m * m,)).sum(axis=-1) * (TWO_PI / m) ** 2)
 
 
-def _state_fields(u_hat: np.ndarray, theta_hat: np.ndarray, ik1, ik2) -> tuple:
-    """The 8 fields of a state that the explicit step takes to the padded grid, in grid order."""
-    return (u_hat[..., :1, :, :], ik1 * theta_hat, u_hat[..., 1:, :, :], ik2 * theta_hat, theta_hat)
+def _lead_last(ndim: int) -> tuple:
+    """Axes that view a plane-major (C, *lead, N, W) stack of ``ndim`` axes as (*lead, C, N, W)."""
+    return (*range(1, ndim - 2), 0, ndim - 2, ndim - 1)
 
 
-def _chi_scaled(x, y, chi1, chi2):
-    """(cx, cy, chi1 factor): chi1 on the velocity and chi2 on the director gradients."""
+def _state_planes(u_hat: np.ndarray, theta_hat: np.ndarray, ik1, ik2, n_planes: int):
+    """The "fields" scratch, (n_planes, *lead, N, N//2+1), and its (*lead, n_planes, ...) view.
+
+    Planes 0-7 get u1, d1 theta, u2, d2 theta, theta; the caller writes the rest.
+    """
+    stack = scratch("fields", (n_planes,) + u_hat.shape[:-3] + u_hat.shape[-2:], complex)
+    view = stack.transpose(_lead_last(stack.ndim))
+    view[..., 0, :, :] = u_hat[..., 0, :, :]
+    np.multiply(ik1, theta_hat, out=view[..., 1:3, :, :])
+    view[..., 3, :, :] = u_hat[..., 1, :, :]
+    np.multiply(ik2, theta_hat, out=view[..., 4:6, :, :])
+    view[..., 6:8, :, :] = theta_hat
+    return stack, view
+
+
+def _chi_scaled(x: np.ndarray, y: np.ndarray, chi1, chi2):
+    """(cx, cy, chi1 factor or None): chi1 on u and chi2 on grad theta of plane-major x, y, in scratch."""
     if isinstance(chi1, float) and isinstance(chi2, float) and chi1 == chi2 == 1.0:
-        return x, y, 1.0
-    chi = np.stack(np.broadcast_arrays(chi1, chi2, chi2), axis=-1)[..., None, None]
-    return chi * x, chi * y, chi[..., :1, :, :]
+        return x, y, None
+    chi = np.stack(np.broadcast_arrays(chi1, chi2, chi2))
+    chi = chi.reshape(chi.shape + (1,) * (x.ndim - chi.ndim))
+    scaled = scratch("chi", (2,) + x.shape)
+    return np.multiply(chi, x, out=scaled[0]), np.multiply(chi, y, out=scaled[1]), chi[0]
 
 
 def explicit_rhs(
@@ -130,38 +151,44 @@ def explicit_rhs(
     ntheta = -(chi1 (u . grad) theta + f(theta)), with every product formed
     on the grid's padded grid: 8 fields per path go there in one ``to_grid``
     call and 5 products per path come back in one ``from_grid`` call, for a
-    whole batch of paths at once.  The padded arrays are per-thread
-    ``scratch`` buffers; the returned arrays are new.  ``chi1``/``chi2``
-    are scalars or one value per path.  The divergence form of convection
-    needs u divergence-free with zero Nyquist lines.  With ``with_f`` two
-    more products return f(theta) alone (else f is None); ``nl=None``
-    drops the relaxation.
+    whole batch of paths at once.  The padded stacks are plane-major,
+    (8, *lead, m, m) fields and (5, *lead, m, m) products, so each field of
+    the whole batch is one contiguous block and every product is a
+    multiply-add of whole blocks; they live in per-thread ``scratch``
+    buffers.  Only the returned band arrays, which no workspace aliases,
+    are viewed back in the (..., 2, N, N//2+1) layout.  ``chi1``/``chi2`` are
+    scalars or one value per path.  The divergence form of convection needs
+    u divergence-free with zero Nyquist lines.  With ``with_f`` two more
+    products return f(theta) alone (else f is None); ``nl=None`` drops the
+    relaxation.
     """
     n, m = grid.n, grid.padded_size()
     k1, k2 = half_tables(n)[:2]
     ik1, ik2 = 1j * k1, 1j * k2
     lead = u_hat.shape[:-3]
-    fields = scratch("fields", lead + (8,) + u_hat.shape[-2:], complex)
-    np.concatenate(_state_fields(u_hat, theta_hat, ik1, ik2), axis=-3, out=fields)
-    grids = to_grid(fields, m, out=scratch("grid", lead + (8, m, m)))
+    stack, _ = _state_planes(u_hat, theta_hat, ik1, ik2, 8)
+    grids = to_grid(stack, m, out=scratch("grid", (8,) + lead + (m, m)))
     # x = (u1, d1 theta1, d1 theta2), y = (u2, d2 theta1, d2 theta2), t = theta on the padded grid
-    x, y, t = grids[..., 0:3, :, :], grids[..., 3:6, :, :], grids[..., 6:8, :, :]
+    x, y, t = grids[0:3], grids[3:6], grids[6:8]
     cx, cy, _ = _chi_scaled(x, y, chi1, chi2)
     n_out = 7 if with_f and nl is not None else 5
-    out = scratch("products", lead + (n_out, m, m))
-    terms = scratch("terms", lead + (3, m, m))
-    # symmetric tensor T_ab = chi1 u_a u_b + chi2 d_a theta . d_b theta, then chi1 (u . grad) theta
-    np.sum(np.multiply(cx, x, out=terms), axis=-3, out=out[..., 0, :, :])
-    np.sum(np.multiply(cx, y, out=terms), axis=-3, out=out[..., 1, :, :])
-    np.sum(np.multiply(cy, y, out=terms), axis=-3, out=out[..., 2, :, :])
-    adv = out[..., 3:5, :, :]
-    np.multiply(cx[..., :1, :, :], x[..., 1:, :, :], out=adv)
-    adv += np.multiply(cy[..., :1, :, :], y[..., 1:, :, :], out=terms[..., :2, :, :])
+    out = scratch("products", (n_out,) + lead + (m, m))
+    terms = scratch("terms", (3,) + lead + (m, m))
+    # symmetric tensor T_ab = chi1 u_a u_b + chi2 d_a theta . d_b theta, each sum in field order
+    for i, (a, b) in enumerate(((cx, x), (cx, y), (cy, y))):
+        np.multiply(a, b, out=terms)
+        np.add(terms[0], terms[1], out=out[i])
+        out[i] += terms[2]
+    # chi1 (u . grad) theta + f(theta)
+    adv = out[3:5]
+    np.multiply(cx[:1], x[1:], out=adv)
+    adv += np.multiply(cy[:1], y[1:], out=terms[:2])
     if nl is not None:
-        w = nl.f_tilde(np.sum(np.multiply(t, t, out=terms[..., :2, :, :]), axis=-3))
-        adv += np.multiply(w[..., None, :, :], t, out=out[..., 5:7, :, :] if n_out == 7 else terms[..., :2, :, :])
+        np.multiply(t, t, out=terms[:2])
+        w = nl.f_tilde(np.add(terms[0], terms[1], out=terms[2]))
+        adv += np.multiply(w, t, out=out[5:7] if n_out == 7 else terms[:2])
         del w
-    coeffs = from_grid(out, n)
+    coeffs = from_grid(out, n).transpose(_lead_last(out.ndim))
     # nu = -P div T, with div T = (d1 T11 + d2 T12, d1 T12 + d2 T22) and T = (T11, T12, T22)
     div = np.multiply(-ik1, coeffs[..., 0:2, :, :])
     div -= ik2 * coeffs[..., 1:3, :, :]
@@ -193,55 +220,77 @@ def explicit_rhs_transpose(
     makes the same two transform calls around the transposed pointwise
     Jacobian: ik becomes -ik, the Leray projection is self-adjoint, and the
     relaxation's Jacobian f~ I + 2 f~' theta theta^T is symmetric.  The 8
-    state fields and the 5 adjoint fields share one ``to_grid`` call, the 8
-    results one ``from_grid`` call.  With ``with_chi``, dchi holds
+    state fields and the 5 adjoint fields share one plane-major
+    (13, *lead, m, m) stack and one ``to_grid`` call, the 8 results one
+    ``from_grid`` call; like the forward step, every padded array is a
+    ``scratch`` plane block.  With ``with_chi``, dchi holds
     (d/dchi1, d/dchi2) of <nu, mu_u> + <ntheta, mu_theta>, one value per
     path, for the chain rule through the norm cutoffs; else it is None.
     """
     n, m = grid.n, grid.padded_size()
     k1, k2 = half_tables(n)[:2]
     ik1, ik2 = 1j * k1, 1j * k2
+    lead = u_hat.shape[:-3]
+    stack, view = _state_planes(u_hat, theta_hat, ik1, ik2, 13)
     # nu = -P div T: the adjoint of T11, T12, T22 is ik applied to P mu_u
     proj = leray_half(mu_u)
     p1, p2 = proj[..., 0, :, :], proj[..., 1, :, :]
-    tensor = np.stack((ik1 * p1, ik2 * p1 + ik1 * p2, ik2 * p2), axis=-3)
-    fields = np.concatenate(_state_fields(u_hat, theta_hat, ik1, ik2) + (tensor, -mu_theta), axis=-3)
-    grids = to_grid(fields, m, out=scratch("grid", fields.shape[:-2] + (m, m)))
-    x, y, t = grids[..., 0:3, :, :], grids[..., 3:6, :, :], grids[..., 6:8, :, :]
-    s11, s12, s22 = grids[..., 8:9, :, :], grids[..., 9:10, :, :], grids[..., 10:11, :, :]
-    sa = grids[..., 11:13, :, :]  # adjoint of chi1 (u . grad) theta + f(theta)
+    np.multiply(ik1, p1, out=view[..., 8, :, :])
+    np.add(np.multiply(ik2, p1, out=view[..., 9, :, :]), ik1 * p2, out=view[..., 9, :, :])
+    np.multiply(ik2, p2, out=view[..., 10, :, :])
+    np.negative(mu_theta, out=view[..., 11:13, :, :])
+    del proj, p1, p2
+    grids = to_grid(stack, m, out=scratch("grid", (13,) + lead + (m, m)))
+    x, y, t = grids[0:3], grids[3:6], grids[6:8]
+    s11, s12, s22 = grids[8], grids[9], grids[10]
+    sa = grids[11:13]  # adjoint of chi1 (u . grad) theta + f(theta)
     cx, cy, c1 = _chi_scaled(x, y, chi1, chi2)
-    out = scratch("products", grids.shape[:-3] + (8, m, m))
-    gx, gy, gt = out[..., 0:3, :, :], out[..., 3:6, :, :], out[..., 6:8, :, :]
-    # T11 = cx . x, T12 = cx . y, T22 = cy . y
-    np.multiply(cx, 2.0 * s11, out=gx)
-    gx += cy * s12
-    np.multiply(cy, 2.0 * s22, out=gy)
-    gy += cx * s12
+    out = scratch("products", (8,) + lead + (m, m))
+    gx, gy, gt = out[0:3], out[3:6], out[6:8]
+    # tmp holds products; adv = (d1 theta . sa, d2 theta . sa), the adjoint of u in
     # A_j = chi1 (u1 d1 theta_j + u2 d2 theta_j)
-    adv_x = np.sum(x[..., 1:, :, :] * sa, axis=-3, keepdims=True)
-    adv_y = np.sum(y[..., 1:, :, :] * sa, axis=-3, keepdims=True)
-    gx[..., :1, :, :] += c1 * adv_x
-    gx[..., 1:, :, :] += cx[..., :1, :, :] * sa
-    gy[..., :1, :, :] += c1 * adv_y
-    gy[..., 1:, :, :] += cy[..., :1, :, :] * sa
+    terms = scratch("terms", (5,) + lead + (m, m))
+    tmp, adv = terms[:3], terms[3:5]
+    # T11 = cx . x, T12 = cx . y, T22 = cy . y
+    np.multiply(cx, np.multiply(s11, 2.0, out=tmp[0]), out=gx)
+    gx += np.multiply(cy, s12, out=tmp)
+    np.multiply(cy, np.multiply(s22, 2.0, out=tmp[0]), out=gy)
+    gy += np.multiply(cx, s12, out=tmp)
+    for a, g, c, adv_a in ((x, gx, cx, adv[0]), (y, gy, cy, adv[1])):
+        np.multiply(a[1:], sa, out=tmp[:2])
+        np.add(tmp[0], tmp[1], out=adv_a)
+        g[0] += adv_a if c1 is None else np.multiply(c1, adv_a, out=tmp[0])
+        g[1:] += np.multiply(c[:1], sa, out=tmp[:2])
     if nl is None:
         gt[...] = 0.0
     else:
-        r = np.sum(t * t, axis=-3, keepdims=True)
+        np.multiply(t, t, out=tmp[:2])
+        r = np.add(tmp[0], tmp[1], out=tmp[2])
         np.multiply(nl.f_tilde(r), sa, out=gt)
-        gt += (2.0 * nl.f_tilde_prime(r) * np.sum(t * sa, axis=-3, keepdims=True)) * t
-    coeffs = from_grid(out, n)
+        slope = nl.f_tilde_prime(r)
+        slope *= 2.0
+        np.multiply(t, sa, out=tmp[:2])
+        slope *= np.add(tmp[0], tmp[1], out=tmp[2])
+        gt += np.multiply(slope, t, out=tmp[:2])
+        del slope
+    coeffs = from_grid(out, n).transpose(_lead_last(out.ndim))
     a_u = coeffs[..., [0, 3], :, :]
     a_theta = coeffs[..., 6:8, :, :] - ik1 * coeffs[..., 1:3, :, :] - ik2 * coeffs[..., 4:6, :, :]
     dchi = None
     if with_chi:
-        u1, u2 = x[..., :1, :, :], y[..., :1, :, :]
-        dx, dy = x[..., 1:, :, :], y[..., 1:, :, :]
-        o1 = s11 * u1 * u1 + s12 * u1 * u2 + s22 * u2 * u2 + u1 * adv_x + u2 * adv_y
-        o2 = np.sum(s11 * dx * dx + s12 * dx * dy + s22 * dy * dy, axis=-3, keepdims=True)
+        # the products are in the band now, so their planes take s11 a a + s12 a b + s22 b b
+        # for (a, b) = (u1, u2) and for (a, b) = (d1 theta_j, d2 theta_j)
+        o1, part, o2, parts = out[0], out[1], out[2:4], out[4:6]
+        for o, p, a, b in ((o1, part, x[0], y[0]), (o2, parts, x[1:], y[1:])):
+            np.multiply(s11, a, out=o)
+            o *= a
+            for s, f1, f2 in ((s12, a, b), (s22, b, b)):
+                o += np.multiply(np.multiply(s, f1, out=p), f2, out=p)
+        o1 += np.multiply(x[0], adv[0], out=part)
+        o1 += np.multiply(y[0], adv[1], out=part)
+        o2 = np.add(o2[0], o2[1], out=out[6])
         quad = (TWO_PI / m) ** 2
-        dchi = tuple(quad * o.reshape(o.shape[:-3] + (m * m,)).sum(axis=-1) for o in (o1, o2))
+        dchi = tuple(quad * o.reshape(lead + (m * m,)).sum(axis=-1) for o in (o1, o2))
     return a_u, a_theta, dchi
 
 

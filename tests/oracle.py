@@ -13,8 +13,11 @@ one-path jump-driven run with every snapshot kept (``jump_path``), and the
 allocate-per-call padded transform pair (``plain_to_grid``/
 ``plain_from_grid``) that the package's workspace-backed pair must equal,
 bit for bit where it runs numpy's FFT and to rounding where it runs dense
-DFT products.  ``state_of`` and ``spec_of`` build the package's inputs
-from arrays, and ``embed_state`` moves a state onto a finer grid.  The
+DFT products.  ``path_major_rhs`` and ``path_major_rhs_transpose`` are the
+fused step and its transpose on path-major padded stacks, the layout
+oracle the package's plane-major pair must equal bit for bit.
+``state_of`` and ``spec_of`` build the package's inputs from arrays, and
+``embed_state`` moves a state onto a finer grid.  The
 package writes its artifacts (``nlcsim.cli``) and reads back only the
 echoed config; the minimal readers the round-trip tests use are at the
 end of this file.
@@ -41,9 +44,12 @@ from nlcsim.spectral import (
     TWO_PI,
     SpectralError,
     TorusGrid,
+    from_grid,
     full_from_half,
+    half_tables,
     leray_half,
     pad_half,
+    to_grid,
     truncate_half,
 )
 
@@ -277,6 +283,104 @@ def plain_to_grid(a: np.ndarray, m: int, out=None) -> np.ndarray:
 def plain_from_grid(values: np.ndarray, n: int) -> np.ndarray:
     """``spectral.from_grid`` as one ``rfft2`` and a band truncation."""
     return truncate_half(np.fft.rfft2(values, norm="forward"), n)
+
+
+# ---------------------------------------------------------------------------
+# the fused explicit step and its transpose on a path-major padded stack
+#
+# ``operators.explicit_rhs`` and ``explicit_rhs_transpose`` keep their padded fields plane-major,
+# (fields, *paths, m, m); these keep them path-major, (*paths, fields, m, m), and reduce over the
+# field axis with ``np.sum``.  Both make the same transform calls and the same products in the same
+# order, so the package must equal them bit for bit.
+
+
+def _state_fields(u_hat: np.ndarray, theta_hat: np.ndarray, ik1, ik2) -> tuple:
+    """The 8 fields of a state that the explicit step takes to the padded grid, in grid order."""
+    return (u_hat[..., :1, :, :], ik1 * theta_hat, u_hat[..., 1:, :, :], ik2 * theta_hat, theta_hat)
+
+
+def _chi_scaled(x, y, chi1, chi2):
+    """(cx, cy, chi1 factor): chi1 on the velocity and chi2 on the director gradients."""
+    if isinstance(chi1, float) and isinstance(chi2, float) and chi1 == chi2 == 1.0:
+        return x, y, 1.0
+    chi = np.stack(np.broadcast_arrays(chi1, chi2, chi2), axis=-1)[..., None, None]
+    return chi * x, chi * y, chi[..., :1, :, :]
+
+
+def path_major_rhs(u_hat, theta_hat, grid, chi1=1.0, chi2=1.0, nl=DEFAULT_NONLINEARITY, with_f=False):
+    """``operators.explicit_rhs`` on a (*paths, 8, m, m) padded stack."""
+    n, m = grid.n, grid.padded_size()
+    k1, k2 = half_tables(n)[:2]
+    ik1, ik2 = 1j * k1, 1j * k2
+    lead = u_hat.shape[:-3]
+    fields = np.concatenate(_state_fields(u_hat, theta_hat, ik1, ik2), axis=-3)
+    grids = to_grid(fields, m, out=np.empty(lead + (8, m, m)))
+    x, y, t = grids[..., 0:3, :, :], grids[..., 3:6, :, :], grids[..., 6:8, :, :]
+    cx, cy, _ = _chi_scaled(x, y, chi1, chi2)
+    n_out = 7 if with_f and nl is not None else 5
+    out = np.empty(lead + (n_out, m, m))
+    terms = np.empty(lead + (3, m, m))
+    np.sum(np.multiply(cx, x, out=terms), axis=-3, out=out[..., 0, :, :])
+    np.sum(np.multiply(cx, y, out=terms), axis=-3, out=out[..., 1, :, :])
+    np.sum(np.multiply(cy, y, out=terms), axis=-3, out=out[..., 2, :, :])
+    adv = out[..., 3:5, :, :]
+    np.multiply(cx[..., :1, :, :], x[..., 1:, :, :], out=adv)
+    adv += np.multiply(cy[..., :1, :, :], y[..., 1:, :, :], out=terms[..., :2, :, :])
+    if nl is not None:
+        w = nl.f_tilde(np.sum(np.multiply(t, t, out=terms[..., :2, :, :]), axis=-3))
+        adv += np.multiply(w[..., None, :, :], t, out=out[..., 5:7, :, :] if n_out == 7 else terms[..., :2, :, :])
+    coeffs = from_grid(out, n)
+    div = np.multiply(-ik1, coeffs[..., 0:2, :, :])
+    div -= ik2 * coeffs[..., 1:3, :, :]
+    return leray_half(div), -coeffs[..., 3:5, :, :], coeffs[..., 5:7, :, :] if n_out == 7 else None
+
+
+def path_major_rhs_transpose(
+    u_hat, theta_hat, mu_u, mu_theta, grid, chi1=1.0, chi2=1.0, nl=DEFAULT_NONLINEARITY, with_chi=False
+):
+    """``operators.explicit_rhs_transpose`` on a (*paths, 13, m, m) padded stack, allocating per product."""
+    n, m = grid.n, grid.padded_size()
+    k1, k2 = half_tables(n)[:2]
+    ik1, ik2 = 1j * k1, 1j * k2
+    proj = leray_half(mu_u)
+    p1, p2 = proj[..., 0, :, :], proj[..., 1, :, :]
+    tensor = np.stack((ik1 * p1, ik2 * p1 + ik1 * p2, ik2 * p2), axis=-3)
+    fields = np.concatenate(_state_fields(u_hat, theta_hat, ik1, ik2) + (tensor, -mu_theta), axis=-3)
+    grids = to_grid(fields, m, out=np.empty(fields.shape[:-2] + (m, m)))
+    x, y, t = grids[..., 0:3, :, :], grids[..., 3:6, :, :], grids[..., 6:8, :, :]
+    s11, s12, s22 = grids[..., 8:9, :, :], grids[..., 9:10, :, :], grids[..., 10:11, :, :]
+    sa = grids[..., 11:13, :, :]
+    cx, cy, c1 = _chi_scaled(x, y, chi1, chi2)
+    out = np.empty(grids.shape[:-3] + (8, m, m))
+    gx, gy, gt = out[..., 0:3, :, :], out[..., 3:6, :, :], out[..., 6:8, :, :]
+    np.multiply(cx, 2.0 * s11, out=gx)
+    gx += cy * s12
+    np.multiply(cy, 2.0 * s22, out=gy)
+    gy += cx * s12
+    adv_x = np.sum(x[..., 1:, :, :] * sa, axis=-3, keepdims=True)
+    adv_y = np.sum(y[..., 1:, :, :] * sa, axis=-3, keepdims=True)
+    gx[..., :1, :, :] += c1 * adv_x
+    gx[..., 1:, :, :] += cx[..., :1, :, :] * sa
+    gy[..., :1, :, :] += c1 * adv_y
+    gy[..., 1:, :, :] += cy[..., :1, :, :] * sa
+    if nl is None:
+        gt[...] = 0.0
+    else:
+        r = np.sum(t * t, axis=-3, keepdims=True)
+        np.multiply(nl.f_tilde(r), sa, out=gt)
+        gt += (2.0 * nl.f_tilde_prime(r) * np.sum(t * sa, axis=-3, keepdims=True)) * t
+    coeffs = from_grid(out, n)
+    a_u = coeffs[..., [0, 3], :, :]
+    a_theta = coeffs[..., 6:8, :, :] - ik1 * coeffs[..., 1:3, :, :] - ik2 * coeffs[..., 4:6, :, :]
+    dchi = None
+    if with_chi:
+        u1, u2 = x[..., :1, :, :], y[..., :1, :, :]
+        dx, dy = x[..., 1:, :, :], y[..., 1:, :, :]
+        o1 = s11 * u1 * u1 + s12 * u1 * u2 + s22 * u2 * u2 + u1 * adv_x + u2 * adv_y
+        o2 = np.sum(s11 * dx * dx + s12 * dx * dy + s22 * dy * dy, axis=-3, keepdims=True)
+        quad = (TWO_PI / m) ** 2
+        dchi = tuple(quad * o.reshape(o.shape[:-3] + (m * m,)).sum(axis=-1) for o in (o1, o2))
+    return a_u, a_theta, dchi
 
 
 # ---------------------------------------------------------------------------

@@ -544,11 +544,11 @@ def test_a_rate_target_run_that_diverges_is_a_numerical_error(tmp_path, capsys):
 
 
 def test_verify_with_a_failed_check_prints_a_numerical_record(tmp_path, capsys, monkeypatch):
-    import nlcsim.cli as cli
+    import nlcsim.verify as verify
     from nlcsim.verify import CheckResult
 
     results = [CheckResult("g", "fine", True, "ok"), CheckResult("g", "broken", False, "off by 1")]
-    monkeypatch.setattr(cli, "run_all", lambda cfg: results)
+    monkeypatch.setattr(verify, "run_all", lambda cfg: results)
     rc, records, stdout, out = _run_failing(tmp_path, capsys, "verify", MINIMAL)
     assert rc == 2
     assert records == [{"error": "numerical", "message": "1 of 2 checks failed"}]
