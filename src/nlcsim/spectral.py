@@ -27,10 +27,11 @@ padded grid (the 3/2 rule for quadratic terms).  Truncation zeroes the
 unpaired Nyquist lines so real-valuedness is preserved exactly.  Per-N
 wavenumber tables are built on first use and cached.  The padded transform
 pair ``to_grid``/``from_grid`` takes the band to the grid and back in two
-one-axis passes each, through per-thread buffers (``scratch``) that are
-reused from call to call, so the solver's step allocates no padded field
-stack; ``from_grid`` returns a new band array, and ``to_grid`` writes into
-a new array unless the caller passes a scratch ``out``.  Up to
+one-axis passes each, through one per-thread buffer per direction
+(``scratch("spectrum")`` and ``scratch("rows")``) that is reused from call
+to call, so the solver's step allocates no padded field stack;
+``from_grid`` returns a new band array, and ``to_grid`` writes into a new
+array unless the caller passes a scratch ``out``.  Up to
 ``_DENSE_MAX_N`` modes per side each pass is one matrix product with a
 cached dense DFT factor: for lines this short a BLAS product beats the
 FFT's per-line overhead, agrees with it to rounding and, like it, does not
@@ -47,9 +48,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# per-thread transform buffers (see ``scratch`` and ``to_grid``)
+# per-thread transform buffers (see ``scratch``)
 _workspace = threading.local()
-_MAX_PADS = 16
 # grids of up to this many modes per side transform as dense DFT products (``_dense_factors``):
 # single-threaded on a 2-core x86 VM they beat pocketfft at every even N <= 62 for 1 and 8 paths,
 # tie at 64 and lose at 96 and 128
@@ -189,15 +189,18 @@ def pad_half(a: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray
     """Embed (..., N, N//2+1) coefficients into (..., M, M//2+1), M >= N, same modes.
 
     The Nyquist lines of the source are skipped (they are zero).  With
-    ``out``, of shape (..., M, W) with W >= N//2, only the band is written
-    and every other entry of ``out`` is left as it is.  A zero
-    (..., M, N//2) ``out`` is the input of ``irfft2(..., s=(M, M))``, which
-    zero-fills the remaining columns itself instead of transforming them.
+    ``out``, of shape (..., M, W) with W >= N//2, its first N//2 columns
+    are written (the band and zeros in the rows between) and the others
+    are left as they are.  A (..., M, N//2) ``out`` is then the input of
+    ``irfft2(..., s=(M, M))``, which zero-fills the remaining columns
+    itself instead of transforming them.
     """
     n = a.shape[-2]
     h = n // 2
     if out is None:
         out = np.zeros(a.shape[:-2] + (m, m // 2 + 1), dtype=complex)
+    else:
+        out[..., h : m - h + 1, :h] = 0.0
     out[..., :h, :h] = a[..., :h, :h]
     out[..., m - h + 1 :, :h] = a[..., h + 1 :, :h]
     return out
@@ -254,7 +257,9 @@ def scratch(role: str, shape: tuple, dtype=float) -> np.ndarray:
 
     The buffer grows to the largest request and is then reused, so calls at
     different shapes share it; its contents are undefined on entry.  Two
-    arrays live at the same time need two roles.
+    arrays live at the same time need two roles.  The transforms own one
+    role each: ``"spectrum"`` for ``to_grid`` and ``"rows"`` for
+    ``from_grid``; ``operators`` uses its own.
     """
     buffers = _workspace.__dict__.setdefault("buffers", {})
     size = math.prod(shape) * (2 if dtype is complex else 1)
@@ -265,27 +270,18 @@ def scratch(role: str, shape: tuple, dtype=float) -> np.ndarray:
     return (out.view(complex) if dtype is complex else out).reshape(shape)
 
 
-def _padded(shape: tuple) -> np.ndarray:
-    """The per-thread zero-padded input of ``to_grid`` for ``shape``; only its band is ever written."""
-    pads = _workspace.__dict__.setdefault("pads", {})
-    buf = pads.get(shape)
-    if buf is None:
-        if len(pads) >= _MAX_PADS:
-            del pads[next(iter(pads))]
-        buf = pads[shape] = np.zeros(shape, dtype=complex)
-    return buf
-
-
 def to_grid(a: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
     """Values on the m x m grid of (..., N, N//2+1) coefficients with zero Nyquist lines.
 
-    Column synthesis down k1, then row synthesis along k2, into ``out``
-    when given (for instance a ``scratch`` array) or a new array.  Up to
-    ``_DENSE_MAX_N`` modes both are products with the ``_dense_factors`` of
-    (N, m), through the complex ``scratch("spectrum")`` array and its
-    interleaved real view.  Larger grids run the two one-axis passes of
-    ``irfft2`` on ``pad_half`` of the N/2 band columns, bit for bit: ``ifft``
-    down the columns of a reusable padded input, then ``irfft`` along the rows.
+    Column synthesis down k1 into the complex ``scratch("spectrum")``
+    array, the one workspace of this direction, then row synthesis along k2
+    into ``out`` when given (for instance a ``scratch`` array) or a new
+    array.  Up to ``_DENSE_MAX_N`` modes both are products with the
+    ``_dense_factors`` of (N, m), the second on the interleaved real view.
+    Larger grids run the two one-axis passes of ``irfft2`` on ``pad_half`` of
+    the N/2 band columns, bit for bit: the padded input (band and zero gap
+    rows) is written into the workspace, ``ifft`` runs down its columns in
+    place, then ``irfft`` along the rows.
     """
     n = a.shape[-2]
     h = n // 2
@@ -294,22 +290,22 @@ def to_grid(a: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
         cols_synth, rows_synth = _dense_factors(n, m)[:2]
         cols = np.matmul(cols_synth, a[..., :h], out=scratch("spectrum", lead + (m, h), complex))
         return np.matmul(cols.view(float), rows_synth, out=out)
-    pad = pad_half(a, m, out=_padded(lead + (m, h)))
-    cols = np.fft.ifft(pad, axis=-2, norm="forward", out=scratch("spectrum", pad.shape, complex))
+    cols = pad_half(a, m, out=scratch("spectrum", lead + (m, h), complex))
+    np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
     return np.fft.irfft(cols, m, axis=-1, norm="forward", out=out)
 
 
 def from_grid(values: np.ndarray, n: int) -> np.ndarray:
     """(..., n, n//2+1) coefficients of the band |k_j| <= n/2 - 1 of values on an m x m grid.
 
-    Row analysis along the grid rows for k2 = 0 .. n/2 - 1 into a
-    ``scratch`` array, then column analysis down them for the n band rows;
-    the result is a new array.  Up to ``_DENSE_MAX_N`` modes both are
-    products with the ``_dense_factors`` of (n, m), the second written
-    straight into the band.  Larger grids run the two one-axis passes of
-    ``rfft2`` followed by ``truncate_half``, bit for bit: ``rfft`` along the
-    rows, then ``fft`` into a ``scratch`` array down only the n/2 columns
-    the band keeps.
+    Row analysis along the grid rows for k2 = 0 .. n/2 - 1 into
+    ``scratch("rows")``, the one workspace of this direction, then column
+    analysis down them for the n band rows; the result is a new array.  Up
+    to ``_DENSE_MAX_N`` modes both are products with the ``_dense_factors``
+    of (n, m), the second written straight into the band.  Larger grids run
+    the two one-axis passes of ``rfft2`` followed by ``truncate_half``, bit
+    for bit: ``rfft`` along the rows, then ``fft`` in place down only the
+    n/2 columns the band keeps.
     """
     m = values.shape[-1]
     h = n // 2
@@ -322,5 +318,5 @@ def from_grid(values: np.ndarray, n: int) -> np.ndarray:
         np.matmul(cols_an, rows.view(complex), out=band[..., :h])
         return band
     rows = np.fft.rfft(values, axis=-1, norm="forward", out=scratch("rows", lead + (m, m // 2 + 1), complex))
-    cols = np.fft.fft(rows[..., :h], axis=-2, norm="forward", out=scratch("spectrum", lead + (m, h), complex))
+    cols = np.fft.fft(rows[..., :h], axis=-2, norm="forward", out=rows[..., :h])
     return truncate_half(cols, n)

@@ -132,9 +132,9 @@ def check_spectral(seed: int) -> list[CheckResult]:
     err = max(_l2(p[0] - exact[0]), _l2(p[1] - exact[1]))
     out.append(CheckResult("spectral", "dealias-quadratic-exact", err <= 1e-12, f"abs err {err:.2e}"))
 
-    # the transforms reuse per-thread buffers: calls that alternate between two batch shapes
-    # (and the diagnostic's padding) return what each returns on a new thread's empty buffers,
-    # with dense DFT products at N = 32 and pocketfft passes on a zero-padded input at N = 64
+    # the transforms reuse per-thread buffers: calls that alternate between batch shapes (and the
+    # diagnostic's padding) return what each returns on a new thread's empty buffers, with dense
+    # DFT products at N = 32 and at N = 64 pocketfft passes that re-zero the padding in place
     nl = operators.DEFAULT_NONLINEARITY
 
     def step(u, th, grid):

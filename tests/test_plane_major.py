@@ -27,6 +27,8 @@ from oracle import (
 )
 
 LEADS = ((), (1,), (3,), (8,), (2, 3))
+# N = 64 already takes the FFT passes, so N = 128 runs at the small leading shapes only
+CASES = [(n, lead) for n in (8, 16, 64, 128) for lead in LEADS if n < 128 or lead in ((), (1,), (3,))]
 NONLINEARITIES = (DEFAULT_NONLINEARITY, None)
 
 
@@ -63,8 +65,7 @@ def assert_same(got, want):
             assert g.shape == w.shape and np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("lead", LEADS, ids=str)
-@pytest.mark.parametrize("n", (8, 16, 64, 128))
+@pytest.mark.parametrize("n, lead", CASES, ids=str)
 def test_step_equals_the_path_major_step(n, lead, rng):
     grid = TorusGrid(n)
     u, th = random_batch(grid, rng, lead)[:2]
@@ -76,8 +77,7 @@ def test_step_equals_the_path_major_step(n, lead, rng):
                 assert got[0].shape == got[1].shape == lead + (2, n, n // 2 + 1)
 
 
-@pytest.mark.parametrize("lead", LEADS, ids=str)
-@pytest.mark.parametrize("n", (8, 16, 64, 128))
+@pytest.mark.parametrize("n, lead", CASES, ids=str)
 def test_transpose_equals_the_path_major_transpose(n, lead, rng):
     grid = TorusGrid(n)
     arrays = random_batch(grid, rng, lead)

@@ -1,14 +1,17 @@
 """The padded transform pair on reusable per-thread buffers.
 
-``spectral.to_grid``/``from_grid`` run through workspaces that persist
-from call to call: on grids above ``_DENSE_MAX_N`` modes the one-axis
-passes of ``irfft2``/``rfft2``, up to it two dense DFT products each way.
+``spectral.to_grid``/``from_grid`` each run through one workspace that
+persists from call to call (``scratch("spectrum")`` and
+``scratch("rows")``): on grids above ``_DENSE_MAX_N`` modes the one-axis
+passes of ``irfft2``/``rfft2`` in place, the padded input's gap rows
+re-zeroed on every call, up to it two dense DFT products each way.
 Above the cutoff the operators that use them are pinned bit for bit to
 the allocate-per-call pair of ``tests/oracle.py``; at or below it, bit for
 bit to the same call on a new thread's empty buffers and to that pair
 within ``DENSE_TOL`` of the largest value.  No result may alias a
-workspace; threads and batch shapes may not see each other's buffers; and
-a warm step allocates less than one padded field stack.
+workspace; threads and batch shapes may not see each other's buffers; a
+warm step allocates less than one padded field stack; and a batch smaller
+than a warm one allocates no padded input of its own.
 """
 
 import threading
@@ -151,10 +154,39 @@ def test_verify_lists_and_passes_the_workspace_check():
 
 
 def test_workspace_check_fails_when_the_padding_is_not_zero(monkeypatch):
-    # a padded input carved from a shared buffer keeps the last call's entries outside the band
-    monkeypatch.setattr(spectral, "_padded", lambda shape: spectral.scratch("padded", shape, complex))
+    # a padded input that only gets its band written keeps the last call's entries in the gap rows
+    def band_only(a, m, out):
+        h = a.shape[-2] // 2
+        out[..., :h, :h] = a[..., :h, :h]
+        out[..., m - h + 1 :, :h] = a[..., h + 1 :, :h]
+        return out
+
+    monkeypatch.setattr(spectral, "pad_half", band_only)
     results = {r.name: r for r in verify.check_spectral(1)}
     assert not results["workspace-reuse"].passed
+
+
+def test_smaller_batch_reuses_the_padded_input(rng):
+    # after an (8, 8) batch an (8, 3) one fits in the same workspace: no zero pad of its own shape
+    grid = TorusGrid(64)
+    m = grid.padded_size()
+    a = rng.standard_normal((8, 8, 64, 33)) + 1j * rng.standard_normal((8, 8, 64, 33))
+    small = np.ascontiguousarray(a[:, :3])
+    out = np.empty((8, 3, m, m))
+
+    def warm_then_small():
+        to_grid(a, m)
+        tracemalloc.start()
+        try:
+            to_grid(small, m, out=out)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # on a new thread, so no earlier call has left buffers of the small shape behind;
+    # an (8, 3) padded input of 96 x 32 complex entries takes 1.18 MB
+    assert _on_new_thread(warm_then_small) < 64e3
+    assert np.array_equal(out, plain_to_grid(small, m))
 
 
 @pytest.mark.parametrize("diagnostics", (False, True))
