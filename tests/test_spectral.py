@@ -80,6 +80,15 @@ def test_pad_truncate_roundtrip(grid16, rng):
     assert np.max(np.abs(back - f)) < 1e-15
 
 
+def test_pad_half_into_a_used_out_zeroes_the_gap_rows(grid16, rng):
+    # the band columns of a reused buffer equal a fresh pad; the columns past N/2 are left alone
+    f = random_scalar_field(grid16, rng, kmax=7)
+    out = np.full((24, 13), np.nan, dtype=complex)
+    assert pad_half(f, 24, out=out) is out
+    assert np.array_equal(out[:, :8], pad_half(f, 24)[:, :8])
+    assert np.all(np.isnan(out[:, 8:]))
+
+
 def test_laplacian_eigenfunctions(grid16):
     ksq = half_tables(16)[2]
     f = field_from_function(grid16, lambda x1, x2: np.sin(x1))

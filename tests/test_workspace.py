@@ -100,7 +100,7 @@ def test_operators_equal_the_plain_pair(monkeypatch, rng, n, paths, with_f):
 
 
 @pytest.mark.parametrize("paths", (None, 3))
-@pytest.mark.parametrize("n", (8, 16, 64))
+@pytest.mark.parametrize("n", (8, 16, 64, 128))
 def test_transform_pair_equals_the_plain_pair(rng, n, paths):
     grid = TorusGrid(n)
     a = random_arrays(grid, rng, paths)[1]
@@ -111,6 +111,21 @@ def test_transform_pair_equals_the_plain_pair(rng, n, paths):
         assert np.array_equal(back, _on_new_thread(from_grid, values, n))
         assert_equals_the_plain_pair(values, plain_to_grid(a, m), n)
         assert_equals_the_plain_pair(back, plain_from_grid(values, n), n)
+
+
+@pytest.mark.parametrize("n", (16, 64))
+def test_each_direction_owns_one_workspace(rng, n):
+    # the dense products below the cutoff, the FFT passes above it
+    grid = TorusGrid(n)
+    m = grid.padded_size()
+    a = random_arrays(grid, rng, 3)[1]
+
+    def roles_after(fn, *args):
+        fn(*args)
+        return sorted(spectral._workspace.buffers)
+
+    assert _on_new_thread(roles_after, to_grid, a, m) == ["spectrum"]
+    assert _on_new_thread(roles_after, from_grid, plain_to_grid(a, m), n) == ["rows"]
 
 
 def test_results_do_not_alias_the_workspace(rng):
