@@ -252,7 +252,7 @@ _COMMANDS = {
     "verify": (cmd_verify, None),
     "skeleton": (cmd_skeleton, True),
     "simulate": (cmd_simulate, True),
-    "convolution": (cmd_convolution, True),
+    "convolution": (cmd_convolution, False),
     "rate": (cmd_rate, False),
     "mc-ldp": (cmd_mc_ldp, False),
     "importance": (cmd_importance, False),

@@ -203,12 +203,6 @@ class ExperimentConfig:
     def build_grid(self) -> TorusGrid:
         return TorusGrid(self.grid_modes, self.grid_dealias_factor)
 
-    def build_nonlinearity(self) -> PolynomialNonlinearity:
-        return PolynomialNonlinearity(self.nonlinearity_coefficients)
-
-    def build_mark_space(self) -> MarkSpace:
-        return MarkSpace(weights=self.noise_weights)
-
     def build_jump_spec(self, grid: TorusGrid) -> JumpCoefficientSpec:
         shapes = np.stack([velocity_shape(grid, token) for token in self.noise_shapes])
         return JumpCoefficientSpec(shapes=shapes, gains=self.noise_gains)
@@ -219,8 +213,8 @@ class ExperimentConfig:
             grid=grid,
             dt=self.solver_dt,
             t_final=self.solver_t_final,
-            nonlinearity=self.build_nonlinearity(),
-            mark_space=self.build_mark_space(),
+            nonlinearity=PolynomialNonlinearity(self.nonlinearity_coefficients),
+            mark_space=MarkSpace(weights=self.noise_weights),
             jump_spec=self.build_jump_spec(grid),
             cutoff_level=self.solver_cutoff_level if self.solver_cutoff_level > 0 else None,
             diag_stride=self.solver_diag_stride if self.solver_diag_stride > 0 else None,

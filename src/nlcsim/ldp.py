@@ -15,8 +15,8 @@ of the transposed step (``dynamics.skeleton_adjoint``) turns them into all
 cells x marks partial derivatives at once, and the entropy cost adds its
 own in closed form.  The accepted line-search trial's run is the next
 gradient's tape, so a gradient adds one sweep, about the cost of one
-solve, whatever the number of control coordinates.  A grid-search oracle covers problems with at
-most two control coordinates.
+solve, whatever the number of control coordinates.  The grid search the
+optimizer is checked against is a test oracle, not part of the package.
 
 Monte Carlo studies quantify how jump-driven paths concentrate on the
 deterministic flow as the noise size shrinks, and the importance sampler
@@ -45,7 +45,6 @@ for a degenerate sample (no path or every path hits).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -231,24 +230,6 @@ def optimize_control(prob: RateProblem, g0: Control | None = None) -> RateSoluti
         converged=converged,
         history=history,
     )
-
-
-def brute_force_rate(prob: RateProblem, grid_values: Sequence[float]) -> RateSolution:
-    """Exhaustive objective evaluation on a value grid (<= 2 control dims)."""
-    if prob.n_dims > 2:
-        raise ValueError("grid search supports at most two control coordinates")
-    if any(v < 0 for v in grid_values):
-        raise ValueError("grid values must be nonnegative")
-    best = None
-    history = []
-    for it, combo in enumerate(itertools.product(grid_values, repeat=prob.n_dims)):
-        g = prob.control_from_flat(np.asarray(combo))
-        obj, cost, mis = rate_objective_parts(g, prob)
-        history.append((it, obj, cost, mis))
-        if best is None or obj < best[0]:
-            best = (obj, g, cost, mis)
-    obj, g, cost, mis = best
-    return RateSolution(g_star=g, cost=cost, mismatch=mis, objective=obj, converged=True, history=history)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Marked Poisson noise: sampling, thinning, entropy cost, and tilting.
+"""Marked Poisson noise: sampling by thinning, entropy cost, and tilting.
 
 The mark space is a finite set with strictly positive weights, realizing a
 sigma-finite jump intensity at desk scale.  The jump coefficient is affine
@@ -12,7 +12,9 @@ coefficient checks call ``eval_G``; no command calls the other two.
 Controls are nonnegative intensity tilts, piecewise constant over uniform
 time cells of their horizon, priced by the relative-entropy functional
 built on l(r) = r log r - r + 1.  ``thin_to_control(ms, control, scale,
-rng)`` draws a ``JumpSample(times, marks)`` over the tilt's horizon.
+rng)`` draws a ``JumpSample(times, marks)`` over the tilt's horizon; it is
+the package's one draw, and the untilted Poisson draw it is checked against
+lives with the test oracles.
 
 All sampling takes an explicit seed and derives a counter-based (Philox)
 stream per (purpose, path), so parallel Monte Carlo is reproducible.
@@ -71,10 +73,6 @@ class MarkSpace:
     @property
     def size(self) -> int:
         return len(self.weights)
-
-    @property
-    def total_mass(self) -> float:
-        return float(sum(self.weights))
 
     def weight_array(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=float)
@@ -193,24 +191,6 @@ class JumpSample:
 
 # ---------------------------------------------------------------------------
 # sampling
-
-
-def sample_prm(ms: MarkSpace, horizon: float, scale: float, rng: np.random.Generator) -> JumpSample:
-    """Poisson random measure on (0,T] x marks with intensity scale * theta.
-
-    Event count is Poisson(scale * total_mass * T); times are iid uniform,
-    marks categorical with probabilities theta_i / total_mass.
-    """
-    if horizon <= 0 or scale <= 0:
-        raise NoiseError("horizon and scale must be positive")
-    lam = scale * ms.total_mass * horizon
-    n = int(rng.poisson(lam))
-    times = np.sort(rng.uniform(0.0, horizon, size=n))
-    if n and times[0] == 0.0:
-        times[times == 0.0] = np.nextafter(0.0, horizon)
-    probs = ms.weight_array() / ms.total_mass
-    marks = rng.choice(ms.size, size=n, p=probs)
-    return JumpSample(times, marks)
 
 
 def thin_to_control(ms: MarkSpace, control: Control, scale: float, rng: np.random.Generator) -> JumpSample:

@@ -16,21 +16,28 @@ bit for bit where it runs numpy's FFT and to rounding where it runs dense
 DFT products.  ``path_major_rhs`` and ``path_major_rhs_transpose`` are the
 fused step and its transpose on path-major padded stacks, the layout
 oracle the package's plane-major pair must equal bit for bit.
-``state_of`` and ``spec_of`` build the package's inputs from arrays, and
-``embed_state`` moves a state onto a finer grid.  The
+``shear_iterates`` is the scheme on shear flows, where it reduces to a
+scalar recursion per coefficient, driven by the tables
+``skeleton_shear_table`` and ``jump_shear_table``.  ``sample_prm`` (the
+untilted Poisson draw C6 checks thinning against) and ``brute_force_rate``
+(the grid search C8 checks the rate optimizer against) are the acceptance
+oracles.  ``state_of`` and ``spec_of`` build the package's inputs from
+arrays, and ``embed_state`` moves a state onto a finer grid.  The
 package writes its artifacts (``nlcsim.cli``) and reads back only the
 echoed config; the minimal readers the round-trip tests use are at the
 end of this file.
 """
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from nlcsim.cli import _COMPONENTS
 from nlcsim.dynamics import SolverConfig, SolverError, SpectralState, _jump_table, _run, cutoff_chi
-from nlcsim.noise import Control, JumpCoefficientSpec, JumpSample
+from nlcsim.ldp import RateProblem, RateSolution, rate_objective_parts
+from nlcsim.noise import Control, JumpCoefficientSpec, JumpSample, MarkSpace, NoiseError
 from nlcsim.operators import (
     DEFAULT_NONLINEARITY,
     PolynomialNonlinearity,
@@ -412,6 +419,79 @@ def jump_path(init: SpectralState, epsilon: float, jumps: JumpSample, cfg: Solve
     """
     out = _run(init, cfg, "sde", *_jump_table(epsilon, [jumps], cfg, convolution_phi))
     return out[0] if convolution_phi is None else out[1][0]
+
+
+# ---------------------------------------------------------------------------
+# shear flows: the scheme as a scalar recursion per coefficient
+
+# With a zero director, a velocity (g(x2), 0) and marks of the same kind with zero gains, convection,
+# stress and relaxation vanish and the director stays zero, so each velocity coefficient follows
+# c <- F (c + sum_i t_i shape_i), F = exp(-|k|^2 dt), t_i the mark's forcing over the step.
+
+
+def skeleton_shear_table(control: Control, weights, dt: float, n_steps: int) -> np.ndarray:
+    """(steps, marks) t = dt w (g - 1), g the tilt's value at the step's start t = k dt."""
+    cells = np.minimum((np.arange(n_steps) * dt / control.cell_width).astype(int), control.n_cells - 1)
+    return dt * np.asarray(weights) * (control.values[cells] - 1.0)
+
+
+def jump_shear_table(sample: JumpSample, epsilon: float, weights, dt: float, n_steps: int) -> np.ndarray:
+    """(steps, marks) t = eps n - dt w, n the jumps per mark in [k dt, (k + 1) dt) (the last step takes t_final)."""
+    counts = np.zeros((n_steps, len(weights)))
+    for t, mark in zip(sample.times, sample.marks):
+        counts[min(int(t / dt), n_steps - 1), mark] += 1.0
+    return epsilon * counts - dt * np.asarray(weights)
+
+
+def shear_iterates(u0: np.ndarray, shapes: np.ndarray, table: np.ndarray, dt: float) -> np.ndarray:
+    """(steps + 1, 2, N, N//2+1) iterates of c <- F (c + sum_i t_i shape_i) from u0, one table row a step."""
+    k1, k2 = wavenumbers(u0.shape[-2])
+    factor = np.exp(-(k1**2 + k2**2) * dt)
+    out = [u0]
+    for row in table:
+        out.append(factor * (out[-1] + sum(t * shape for t, shape in zip(row, shapes))))
+    return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# the C6 and C8 oracles: an untilted Poisson draw and a grid-search rate
+
+
+def sample_prm(ms: MarkSpace, horizon: float, scale: float, rng: np.random.Generator) -> JumpSample:
+    """Poisson random measure on (0,T] x marks with intensity scale * theta.
+
+    Event count is Poisson(scale * total_mass * T); times are iid uniform,
+    marks categorical with probabilities theta_i / total_mass.
+    """
+    if horizon <= 0 or scale <= 0:
+        raise NoiseError("horizon and scale must be positive")
+    total_mass = float(sum(ms.weights))
+    lam = scale * total_mass * horizon
+    n = int(rng.poisson(lam))
+    times = np.sort(rng.uniform(0.0, horizon, size=n))
+    if n and times[0] == 0.0:
+        times[times == 0.0] = np.nextafter(0.0, horizon)
+    probs = ms.weight_array() / total_mass
+    marks = rng.choice(ms.size, size=n, p=probs)
+    return JumpSample(times, marks)
+
+
+def brute_force_rate(prob: RateProblem, grid_values: Sequence[float]) -> RateSolution:
+    """Exhaustive objective evaluation on a value grid (<= 2 control dims)."""
+    if prob.n_dims > 2:
+        raise ValueError("grid search supports at most two control coordinates")
+    if any(v < 0 for v in grid_values):
+        raise ValueError("grid values must be nonnegative")
+    best = None
+    history = []
+    for it, combo in enumerate(itertools.product(grid_values, repeat=prob.n_dims)):
+        g = prob.control_from_flat(np.asarray(combo))
+        obj, cost, mis = rate_objective_parts(g, prob)
+        history.append((it, obj, cost, mis))
+        if best is None or obj < best[0]:
+            best = (obj, g, cost, mis)
+    obj, g, cost, mis = best
+    return RateSolution(g_star=g, cost=cost, mismatch=mis, objective=obj, converged=True, history=history)
 
 
 # ---------------------------------------------------------------------------

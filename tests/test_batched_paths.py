@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import nlcsim.dynamics as dynamics
 import nlcsim.ldp as ldp
 from nlcsim.dynamics import (
     SolverConfig,
@@ -72,6 +73,12 @@ def make_cfg(amps=(0.2, 0.1), gains=(0.05, 0.02), **kwargs):
     )
 
 
+@pytest.fixture
+def guard_50(monkeypatch):
+    """A blow-up guard at 50, which a burst of jumps lifts |u| past within a step."""
+    monkeypatch.setattr(dynamics, "_BLOWUP_THRESHOLD", 50.0)
+
+
 def make_init(grid, amplitude=0.3):
     rng = np.random.default_rng(5)
     return state_of(
@@ -127,8 +134,8 @@ def test_batch_paths_equal_one_path_runs(opts):
         assert_same_path(conv[k], solo_conv)
 
 
-def test_divergence_leaves_the_rest_of_the_batch_unchanged():
-    cfg = make_cfg(blowup_threshold=50.0)
+def test_divergence_leaves_the_rest_of_the_batch_unchanged(guard_50):
+    cfg = make_cfg()
     init = make_init(cfg.grid)
     samples = [draw_jumps(0.5, None, cfg, seed) for seed in range(3)]
     samples[1] = with_burst(samples[1], 0.055, 500)  # eps * 500 jumps lifts |u| far past 50
@@ -140,8 +147,8 @@ def test_divergence_leaves_the_rest_of_the_batch_unchanged():
     assert len(batch[1].times) == 6 and batch[1].snapshots == []
 
 
-def test_divergence_leaves_the_rest_of_the_convolution_batch_unchanged():
-    cfg = make_cfg(blowup_threshold=50.0)
+def test_divergence_leaves_the_rest_of_the_convolution_batch_unchanged(guard_50):
+    cfg = make_cfg()
     init = make_init(cfg.grid)
     phi = Control(cfg.t_final, np.array([[1.4, 0.6], [0.8, 1.2]]))
     samples = [draw_jumps(0.5, phi, cfg, seed) for seed in range(3)]
@@ -275,8 +282,8 @@ def _burst_on_call(monkeypatch, target: int, name: str = "thin_to_control"):
     monkeypatch.setattr(ldp, name, patched)
 
 
-def test_diverged_path_is_counted_and_excluded(chunk, monkeypatch):
-    cfg = make_cfg(blowup_threshold=50.0, t_final=0.1)
+def test_diverged_path_is_counted_and_excluded(chunk, monkeypatch, guard_50):
+    cfg = make_cfg(t_final=0.1)
     init = make_init(cfg.grid)
     phi = Control.constant(cfg.t_final, 1.5, 1, 2)
     indicator = sup_velocity_indicator(0.45)
@@ -311,8 +318,8 @@ STUDIES_WITH_A_DIVERGED_PATH = {
 
 
 @pytest.mark.parametrize("study", STUDIES_WITH_A_DIVERGED_PATH)
-def test_a_study_counts_a_diverged_path_and_leaves_it_out(study, chunk, monkeypatch):
-    cfg = make_cfg(blowup_threshold=50.0, t_final=0.1)
+def test_a_study_counts_a_diverged_path_and_leaves_it_out(study, chunk, monkeypatch, guard_50):
+    cfg = make_cfg(t_final=0.1)
     init = make_init(cfg.grid)
     phi = Control.constant(cfg.t_final, 1.5, 1, 2)
     stream, value, row_of = STUDIES_WITH_A_DIVERGED_PATH[study]
@@ -323,8 +330,8 @@ def test_a_study_counts_a_diverged_path_and_leaves_it_out(study, chunk, monkeypa
     assert getattr(ldp, study)([0.5], n, cfg, init, seed=27, phi=phi) == [expect]
 
 
-def test_diverged_share_above_one_percent_fails(monkeypatch):
-    cfg = make_cfg(blowup_threshold=50.0, t_final=0.1)
+def test_diverged_share_above_one_percent_fails(monkeypatch, guard_50):
+    cfg = make_cfg(t_final=0.1)
     phi = Control.constant(cfg.t_final, 1.5, 1, 2)
     _burst_on_call(monkeypatch, 3)
     with pytest.raises(StudyError, match="1/8 paths diverged"):

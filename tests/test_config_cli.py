@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nlcsim.dynamics as dynamics
 from nlcsim.cli import _COMMANDS, main, state_to_text
 from nlcsim.config import (
     _SCHEMA,
@@ -17,7 +18,7 @@ from nlcsim.config import (
     serialize_config,
     velocity_shape,
 )
-from nlcsim.dynamics import draw_jumps
+from nlcsim.dynamics import _ROW_FIELDS, draw_jumps, solve_path_batch
 from nlcsim.spectral import TorusGrid
 
 from oracle import divergence_residual, grid_values, jump_path, jumps_from_text, l2_norm
@@ -417,6 +418,21 @@ class TestCli:
         assert jumps.size > 0
         conv = jump_path(cfg.build_init(solver_cfg.grid), cfg.simulate_eps, jumps, solver_cfg, solver_cfg.tilt(phi))
         assert written == [f"{v:.17g}" for v in conv.u_l2]
+
+    def test_convolution_steps_its_discarded_paths_without_energy_rows(self, tmp_path, monkeypatch):
+        calls = []
+        potential = dynamics.potential_energy_hat
+        monkeypatch.setattr(dynamics, "potential_energy_hat", lambda *args: calls.append(1) or potential(*args))
+        assert main(["convolution", "--config", self._write_cfg(tmp_path, FULL), "--out", str(tmp_path / "c")]) == 0
+        assert calls == []
+        cfg = parse_config_text(FULL)
+        on, off = (cfg.build_solver_config(energy_diagnostics=flag) for flag in (True, False))
+        init, phi = cfg.build_init(on.grid), on.tilt(cfg.build_control())
+        jumps = [draw_jumps(cfg.simulate_eps, phi, on, cfg.seed)]
+        a, b = (solve_path_batch(init, cfg.simulate_eps, jumps, c, convolution_phi=phi)[0] for c in (on, off))
+        for name in _ROW_FIELDS + ("energy_residual",):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert np.array_equal(a.final_state().u_hat, b.final_state().u_hat)
 
     def test_rate_subcommand(self, tmp_path):
         text = FULL.replace("grid.modes = 16", "grid.modes = 8")

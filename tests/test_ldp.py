@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nlcsim.dynamics as dynamics
 from nlcsim.cli import main
 from nlcsim.config import parse_config_text
 from nlcsim.dynamics import (
@@ -13,7 +14,6 @@ from nlcsim.ldp import (
     RateProblem,
     StudyError,
     _weighted_estimate,
-    brute_force_rate,
     convolution_scaling_study,
     importance_weights,
     mc_small_noise_study,
@@ -35,6 +35,7 @@ from nlcsim.operators import leray_project
 from nlcsim.spectral import TorusGrid
 
 from oracle import (
+    brute_force_rate,
     field_from_function,
     jump_path,
     random_divergence_free_field,
@@ -294,9 +295,10 @@ class TestSmallNoiseStudy:
         rows = convolution_scaling_study([0.4, 0.05], 12, cfg, init, seed=5)
         assert rows[0]["mean_sup_sq"] > rows[1]["mean_sup_sq"]
 
-    def test_convolution_study_gates_diverged_paths(self):
+    def test_convolution_study_gates_diverged_paths(self, monkeypatch):
         # every path passes the tiny blow-up guard within its first steps; the
         # study must fail rather than average the truncated series
+        monkeypatch.setattr(dynamics, "_BLOWUP_THRESHOLD", 1e-3)
         grid = TorusGrid(8)
         ms, spec = one_mark_setup(grid, shape_amp=0.2, gain=0.05, weight=3.0)
         cfg = SolverConfig(
@@ -305,7 +307,6 @@ class TestSmallNoiseStudy:
             t_final=0.1,
             mark_space=ms,
             jump_spec=spec,
-            blowup_threshold=1e-3,
             energy_diagnostics=False,
         )
         with pytest.raises(StudyError, match="diverged"):

@@ -4,19 +4,14 @@ Every public top-level function or class of ``src/nlcsim`` (``__init__.py``
 aside) must be referenced somewhere other than the tests: as a name or an
 attribute in the package, or as a name, an attribute or an exact string
 constant in ``bench/`` (``bench/tracer.py`` binds the names it wraps by
-string).  A helper that only tests call belongs in ``tests/oracle.py``.
-The allowlist holds the named oracles that stay in the package.
+string).  A helper that only tests call belongs in ``tests/oracle.py``;
+the check has no exceptions.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-
-ORACLES = {
-    "brute_force_rate": "C8: the grid search the rate optimizer is checked against",
-    "sample_prm": "C6: the untilted Poisson draw the thinned draw is checked against",
-}
 
 
 def _trees(pattern: str) -> dict[str, ast.Module]:
@@ -51,11 +46,6 @@ def _used() -> set[str]:
 
 
 def test_every_public_definition_is_used_outside_the_tests():
-    used = _used() | set(ORACLES)
+    used = _used()
     unused = sorted(f"{module}.{name}" for name, module in _public_definitions().items() if name not in used)
     assert unused == []
-
-
-def test_allowlist_names_only_oracles_that_nothing_else_uses():
-    assert set(ORACLES) <= set(_public_definitions())
-    assert not set(ORACLES) & _used()
